@@ -269,8 +269,6 @@ def _cmd_synth(args) -> int:
             # the whole deck.
             jobs = len(deck_variants)
         options = options.with_(portfolio_strategies=args.strategies)
-    if getattr(args, "strategy_stats", None):
-        options = options.with_(strategy_stats=args.strategy_stats)
     if jobs is not None:
         options = options.with_(
             portfolio_jobs=jobs,
@@ -290,33 +288,13 @@ def _cmd_synth(args) -> int:
             from repro.synth.bidirectional import synthesize_bidirectional
 
             both = synthesize_bidirectional(permutation, options)
-            result = both.forward if both.direction == "forward" else (
-                both.inverse if both.inverse is not None else both.forward
-            )
-            if both.solved:
-                if not args.json:
-                    print(f"direction: {both.direction}")
-                result = type(result)(
-                    circuit=both.circuit,
-                    stats=result.stats,
-                    options=result.options,
-                    num_vars=result.num_vars,
-                    trace=result.trace,
-                )
+            result = both.as_result()
+            if both.solved and not args.json:
+                print(f"direction: {both.direction}")
         elif direction == "inverse":
-            # Search f⁻¹ and ship the reversed cascade, which realizes
-            # f itself (the standalone form of the portfolio deck's
-            # inverse slots).
-            result = synthesize(permutation.inverse(), options)
-            if result.solved:
-                result = type(result)(
-                    circuit=result.circuit.inverse(),
-                    stats=result.stats,
-                    options=result.options,
-                    num_vars=result.num_vars,
-                    trace=result.trace,
-                    portfolio=getattr(result, "portfolio", None),
-                )
+            from repro.synth.bidirectional import synthesize_inverse
+
+            result = synthesize_inverse(permutation, options)
         else:
             # Prefer the tabulated form when it exists: the portfolio's
             # inverse-direction deck slots need an invertible spec.
@@ -386,93 +364,35 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_strategies(args) -> int:
-    """Inspect the heterogeneous-portfolio strategy catalog (``show``)
-    or the adaptive per-family win statistics (``stats``), including
-    the slot allocation those statistics would deal next."""
-    from repro.parallel.adaptive import bias_weights, load_stats
-    from repro.parallel.strategy import (
-        DECKS,
-        allocate_slots,
-        resolve_strategies,
-    )
+    """List the heterogeneous-portfolio strategy catalog and decks."""
+    from repro.parallel.strategy import DECKS, resolve_strategies
 
-    default_deck = "full" if args.action == "show" else "default"
     try:
-        deck = resolve_strategies(args.strategies or default_deck)
+        deck = resolve_strategies(args.strategies or "full")
     except ValueError as error:
         print(str(error), file=sys.stderr)
         return 2
-
-    if args.action == "show":
-        if args.json:
-            print(json.dumps(
-                {
-                    "variants": [entry.as_dict() for entry in deck],
-                    "decks": {
-                        name: list(names)
-                        for name, names in sorted(DECKS.items())
-                    },
-                },
-                indent=2, sort_keys=True,
-            ))
-            return 0
-        print(f"{'variant':<16} {'direction':<13} deltas")
-        for entry in deck:
-            deltas = ", ".join(
-                f"{key}={value}" for key, value in entry.deltas
-            ) or "-"
-            print(f"{entry.name:<16} {entry.direction:<13} {deltas}")
-        print()
-        for name, names in sorted(DECKS.items()):
-            print(f"deck {name}: {', '.join(names)}")
-        return 0
-
-    stats = load_stats(args.stats_path)
-    families = stats.families
-    if args.family:
-        families = {
-            key: value for key, value in families.items()
-            if key == args.family
-        }
-    jobs = args.jobs or len(deck)
-    payload = {
-        "records": stats.records,
-        "skipped": stats.skipped,
-        "jobs": jobs,
-        "families": {},
-    }
-    for key in sorted(families):
-        family_stats = families[key]
-        weights = bias_weights(deck, family_stats)
-        assignment = allocate_slots(len(deck), jobs, weights)
-        payload["families"][key] = {
-            "variants": family_stats,
-            "weights": {
-                entry.name: weight for entry, weight in zip(deck, weights)
-            },
-            "allocation": {
-                deck[index].name: assignment.count(index)
-                for index in range(len(deck))
-            },
-        }
     if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(json.dumps(
+            {
+                "variants": [entry.as_dict() for entry in deck],
+                "decks": {
+                    name: list(names)
+                    for name, names in sorted(DECKS.items())
+                },
+            },
+            indent=2, sort_keys=True,
+        ))
         return 0
-    print(f"{args.stats_path}: {stats.records} record(s), "
-          f"{stats.skipped} skipped")
-    for key, info in payload["families"].items():
-        print(f"\nfamily {key} (next deck over {jobs} slots):")
-        print(f"  {'variant':<16} {'wins':>5} {'runs':>5} {'slots':>6} "
-              f"{'weight':>7} {'next-deck':>9}")
-        for entry in deck:
-            row = info["variants"].get(entry.name) or {}
-            print(f"  {entry.name:<16} {int(row.get('wins') or 0):>5} "
-                  f"{int(row.get('runs') or 0):>5} "
-                  f"{int(row.get('slots') or 0):>6} "
-                  f"{info['weights'][entry.name]:>7.3f} "
-                  f"{info['allocation'].get(entry.name, 0):>9}")
-    if not payload["families"]:
-        print("no matching families recorded yet")
+    print(f"{'variant':<16} {'direction':<13} deltas")
+    for entry in deck:
+        deltas = ", ".join(
+            f"{key}={value}" for key, value in entry.deltas
+        ) or "-"
+        print(f"{entry.name:<16} {entry.direction:<13} {deltas}")
+    print()
+    for name, names in sorted(DECKS.items()):
+        print(f"deck {name}: {', '.join(names)}")
     return 0
 
 
@@ -1558,10 +1478,6 @@ def main(argv: list[str] | None = None) -> int:
                             "name ('default', 'full') or comma-separated "
                             "variants (see `rmrls strategies show`); "
                             "without --jobs, one slot per variant")
-    synth.add_argument("--strategy-stats", metavar="PATH", default=None,
-                       help="adaptive stats JSONL: bias the deck's slot "
-                            "allocation by past per-spec-family wins and "
-                            "append this run's outcome")
     synth.add_argument("--no-share-bound", action="store_true",
                        help="with --jobs: do not share the incumbent "
                             "depth between workers — slower, but every "
@@ -1573,8 +1489,8 @@ def main(argv: list[str] | None = None) -> int:
 
     strategies_cmd = commands.add_parser(
         "strategies",
-        help="inspect the heterogeneous portfolio strategy catalog and "
-             "the adaptive win statistics (see docs/parallel.md)",
+        help="inspect the heterogeneous portfolio strategy catalog "
+             "(see docs/parallel.md)",
     )
     strategies_sub = strategies_cmd.add_subparsers(
         dest="action", required=True
@@ -1588,25 +1504,6 @@ def main(argv: list[str] | None = None) -> int:
     strat_show.add_argument("--json", action="store_true",
                             help="print the catalog as JSON")
     strat_show.set_defaults(handler=_cmd_strategies)
-    strat_stats = strategies_sub.add_parser(
-        "stats",
-        help="per-family win tables from an adaptive stats file, plus "
-             "the slot allocation those stats would deal next",
-    )
-    strat_stats.add_argument("stats_path", metavar="STATS",
-                             help="the --strategy-stats JSONL file")
-    strat_stats.add_argument("--family", default=None, metavar="KEY",
-                             help="only this spec family "
-                                  "(e.g. 'v3:t2-4-7')")
-    strat_stats.add_argument("--jobs", type=int, default=None, metavar="N",
-                             help="slots in the hypothetical next deck "
-                                  "(default: one per variant)")
-    strat_stats.add_argument("--strategies", metavar="NAMES", default=None,
-                             help="deck name or comma-separated variants "
-                                  "(default: 'default')")
-    strat_stats.add_argument("--json", action="store_true",
-                             help="print the tables as JSON")
-    strat_stats.set_defaults(handler=_cmd_strategies)
 
     profile = commands.add_parser(
         "profile",

@@ -19,6 +19,7 @@ from repro.experiments.common import TABLE4_OPTIONS
 from repro.experiments.paper_data import TABLE4, TABLE4_NCT_NAMES
 from repro.gates.cost import DEFAULT_COST_MODEL
 from repro.postprocess.templates import simplify
+from repro.synth.bidirectional import synthesize_inverse
 from repro.synth.options import SynthesisOptions
 from repro.synth.rmrls import synthesize
 from repro.utils.tables import format_table
@@ -116,13 +117,11 @@ def run_benchmark(
     if best is None and spec.permutation is not None:
         # Last resort: the inverse direction — the PPRM landscapes of f
         # and f^-1 differ, and some specs (5one013) only yield this way.
-        inverse_outcome = synthesize(
-            spec.permutation.inverse(), attempts[0]
-        )
+        inverse_outcome = synthesize_inverse(spec.permutation, attempts[0])
         steps += inverse_outcome.stats.steps
         elapsed += inverse_outcome.stats.elapsed_seconds
-        if inverse_outcome.circuit is not None:
-            circuit = inverse_outcome.circuit.inverse()
+        circuit = inverse_outcome.circuit
+        if circuit is not None:
             if not spec.verify(circuit):
                 if strict:
                     raise AssertionError(

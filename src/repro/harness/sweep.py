@@ -178,6 +178,24 @@ def _run_inline_attempt(task: Task, options: dict, attempt: int) -> dict:
         }
 
 
+def _outcome_from_raw(task: Task, raw: dict, attempts: int,
+                      elapsed: float) -> TaskOutcome:
+    """Classify an in-process attempt's raw result dict."""
+    return TaskOutcome(
+        task_id=task.task_id,
+        status=raw["status"],
+        attempts=attempts,
+        gate_count=raw.get("gate_count"),
+        quantum_cost=raw.get("quantum_cost"),
+        circuit=raw.get("circuit"),
+        stats=dict(raw.get("stats") or {}),
+        error=raw.get("error"),
+        elapsed_seconds=elapsed,
+        meta=dict(task.meta),
+        extra=dict(raw.get("extra") or {}),
+    )
+
+
 def _run_inline(tasks, config, on_final, clock=time.monotonic,
                 trace=None) -> bool:
     """Run tasks in-process with the same retry ladder; returns True
@@ -223,20 +241,7 @@ def _run_inline(tasks, config, on_final, clock=time.monotonic,
                 break
         except KeyboardInterrupt:
             return True
-        outcome = TaskOutcome(
-            task_id=task.task_id,
-            status=status,
-            attempts=attempt,
-            gate_count=raw.get("gate_count"),
-            quantum_cost=raw.get("quantum_cost"),
-            circuit=raw.get("circuit"),
-            stats=dict(raw.get("stats") or {}),
-            error=raw.get("error"),
-            elapsed_seconds=elapsed,
-            meta=dict(task.meta),
-            extra=dict(raw.get("extra") or {}),
-        )
-        on_final(task, outcome)
+        on_final(task, _outcome_from_raw(task, raw, attempt, elapsed))
     return False
 
 

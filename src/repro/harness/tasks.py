@@ -37,13 +37,10 @@ __all__ = [
 #: Option fields that hold live objects (they cannot cross a process
 #: boundary) or run-local plumbing like the trace shard directory —
 #: none of them affect the synthesized result, so none may enter the
-#: task fingerprint.  ``strategy_stats`` is a machine-local path: the
-#: deck allocation it biased is recorded in the portfolio summary, so
-#: the path itself stays out of the id (a resumed sweep on another
-#: machine must recognize its finished work).
+#: task fingerprint.
 _UNSERIALIZABLE_OPTIONS = (
     "observers", "phase_timer", "bound_channel", "trace_dir",
-    "flight_dir", "strategy_stats",
+    "flight_dir",
 )
 
 
@@ -223,7 +220,7 @@ def portfolio_task(
     assigned slice itself travels in ``options`` as
     ``portfolio_seed_ranks``.  A heterogeneous-deck slot additionally
     carries ``variant`` (the strategy name) and ``direction``
-    (``forward``/``inverse``/``bidirectional``) in ``payload_spec`` —
+    (``forward``/``inverse``) in ``payload_spec`` —
     both affect the result, so both enter the fingerprint.  ``runtime``
     may carry the live shared bound under key ``"bound"``.
     """

@@ -58,15 +58,9 @@ def apply_memory_limit(mem_limit_mb: int) -> bool:
     return True
 
 
-def _synthesis_result_dict(result, verified: bool | None,
-                           circuit=None) -> dict:
+def _synthesis_result_dict(result, verified: bool | None) -> dict:
     """Map a :class:`SynthesisResult` (+ verification verdict) onto the
-    worker result schema.
-
-    ``circuit`` overrides the reported cascade — the inverse-direction
-    portfolio path searches ``f⁻¹`` but must ship the reversed cascade
-    that realizes ``f`` itself.
-    """
+    worker result schema."""
     status = status_from_finish_reason(
         result.stats.finish_reason, result.solved
     )
@@ -76,11 +70,9 @@ def _synthesis_result_dict(result, verified: bool | None,
             out["status"] = STATUS_UNSOUND
         from repro.io.real_format import dump_real
 
-        if circuit is None:
-            circuit = result.circuit
-        out["gate_count"] = circuit.gate_count()
-        out["quantum_cost"] = circuit.quantum_cost()
-        out["circuit"] = dump_real(circuit)
+        out["gate_count"] = result.circuit.gate_count()
+        out["quantum_cost"] = result.circuit.quantum_cost()
+        out["circuit"] = dump_real(result.circuit)
     return out
 
 
@@ -166,18 +158,21 @@ def _run_benchmark(payload: dict, options: dict, attempt: int) -> dict:
     return {"status": status, "stats": stats}
 
 
-def _solution_seed_rank(circuit, seeds) -> int:
+def _solution_seed_rank(circuit, seeds, reversed_cascade=False) -> int:
     """Which first-level seed a finished circuit descends from.
 
-    The gate closest to the inputs *is* the depth-1 substitution, so
+    The gate the search placed first *is* the depth-1 substitution, so
     matching its ``(target, controls)`` against the ranked seed list
-    recovers the seed rank.  Returns -1 when there is no match (a
-    depth-1 solution found during the root expansion — identity
-    children never enter the seed pool — or an empty circuit).
+    recovers the seed rank.  That gate is the one closest to the
+    inputs, or the last gate when ``reversed_cascade`` (an inverse
+    search's circuit, read backwards).  Returns -1 when there is no
+    match (a depth-1 solution found during the root expansion —
+    identity children never enter the seed pool — or an empty
+    circuit).
     """
     if not circuit.gates:
         return -1
-    first = circuit.gates[0]
+    first = circuit.gates[-1 if reversed_cascade else 0]
     for rank, target, factor in seeds:
         if first.target == target and first.controls == factor:
             return int(rank)
@@ -193,31 +188,27 @@ def _run_portfolio(
     usual synthesis result.
 
     A heterogeneous-deck slot carries ``direction`` in its payload:
-    ``inverse`` searches the spec's inverse permutation and ships the
-    *reversed* cascade (verified against the forward spec — the
-    shared bound needs no translation, since a cascade and its
-    reverse have the same gate count); ``bidirectional`` delegates to
-    the :mod:`repro.synth.bidirectional` seam inside the worker.
+    ``inverse`` runs :func:`repro.synth.bidirectional.synthesize_inverse`
+    and ships the reversed cascade, verified against the forward spec
+    (the shared bound needs no translation, since a cascade and its
+    reverse have the same gate count).
     """
     from repro.synth.rmrls import synthesize
 
     synth_options = options_from_payload(options)
     direction = payload.get("direction") or "forward"
     spec = None
-    search_spec = None
     if "images" in payload:
         from repro.functions.permutation import Permutation
 
         spec = Permutation(payload["images"])
-        search_spec = spec.inverse() if direction == "inverse" else spec
-        system = search_spec.to_pprm()
+        system = spec
     elif "packed" in payload:
         # The driver ships per-output big-int bitsets (the
         # engine-agnostic wire form); unpack straight into the backend
         # the search will run on instead of re-parsing text into sets.
         from repro.pprm.engine import ENGINE_ENV_VAR, resolve_engine
 
-        spec = None
         preference = synth_options.engine
         if preference is None and not os.environ.get(
             ENGINE_ENV_VAR, ""
@@ -230,7 +221,6 @@ def _run_portfolio(
     else:
         from repro.pprm.parser import parse_system
 
-        spec = None
         system = parse_system(payload["system"])
     if direction != "forward" and spec is None:
         raise ValueError(
@@ -270,73 +260,29 @@ def _run_portfolio(
             observers=synth_options.observers + (MetricsObserver(registry),)
         )
     seeds = payload.get("seeds") or []
-    if direction == "bidirectional":
-        from repro.synth.bidirectional import synthesize_bidirectional
-        from repro.synth.stats import SearchStats
+    if direction == "inverse":
+        from repro.synth.bidirectional import synthesize_inverse
 
-        both = synthesize_bidirectional(spec, synth_options)
-        stats = SearchStats.from_dict(both.forward.stats.as_dict())
-        if both.inverse is not None:
-            stats.merge(both.inverse.stats)
-            # The two legs run sequentially inside this worker, so wall
-            # time adds (merge's max() models concurrent fleet slices).
-            stats.elapsed_seconds = (
-                both.forward.stats.elapsed_seconds
-                + both.inverse.stats.elapsed_seconds
-            )
-        winning = both.inverse if both.direction == "inverse" else both.forward
-        stats.finish_reason = winning.stats.finish_reason
-        out = {
-            "status": status_from_finish_reason(
-                stats.finish_reason, both.solved
-            ),
-            "stats": stats.as_dict(),
-        }
-        if both.solved:
-            # synthesize_bidirectional already reversed an inverse win
-            # and verified the result against the forward spec.
-            from repro.io.real_format import dump_real
-
-            out["gate_count"] = both.circuit.gate_count()
-            out["quantum_cost"] = both.circuit.quantum_cost()
-            out["circuit"] = dump_real(both.circuit)
-        extra = out.setdefault("extra", {})
-        extra["finish_reason"] = stats.finish_reason
-        extra["resolved_direction"] = both.direction
-        if both.solved:
-            extra["depth"] = both.gate_count
-            extra["solution_rank"] = (
-                _solution_seed_rank(both.forward.circuit, seeds)
-                if both.direction == "forward"
-                else -1
-            )
+        result = synthesize_inverse(spec, synth_options)
     else:
         result = synthesize(system, synth_options)
-        final_circuit = result.circuit
-        verified = None
-        if result.solved:
-            if direction == "inverse":
-                # The searched cascade realizes f⁻¹; ship its reverse,
-                # which realizes f (gate counts match, so the shared
-                # bound needed no translation during the search).
-                final_circuit = result.circuit.inverse()
-                verified = final_circuit.implements(spec)
-            elif spec is not None:
-                verified = result.circuit.implements(spec)
-            else:
-                # A PPRM spec carries its own ground truth (as in
-                # _run_pprm).
-                verified = str(result.circuit.to_pprm()) == str(system)
-        out = _synthesis_result_dict(result, verified, circuit=final_circuit)
-        extra = out.setdefault("extra", {})
-        extra["finish_reason"] = result.stats.finish_reason
-        if result.solved:
-            extra["depth"] = result.gate_count
-            # Rank against the *searched* cascade: an inverse slot's
-            # seeds are ranks into the inverse first level.
-            extra["solution_rank"] = _solution_seed_rank(
-                result.circuit, seeds
-            )
+    verified = None
+    if result.solved:
+        if spec is not None:
+            verified = result.circuit.implements(spec)
+        else:
+            # A PPRM spec carries its own ground truth (as in _run_pprm).
+            verified = str(result.circuit.to_pprm()) == str(system)
+    out = _synthesis_result_dict(result, verified)
+    extra = out.setdefault("extra", {})
+    extra["finish_reason"] = result.stats.finish_reason
+    if result.solved:
+        extra["depth"] = result.gate_count
+        # An inverse slot's seeds are ranks into the inverse first
+        # level, whose depth-1 gate ends the reversed cascade.
+        extra["solution_rank"] = _solution_seed_rank(
+            result.circuit, seeds, reversed_cascade=direction == "inverse"
+        )
     extra["slice"] = payload.get("slice")
     extra["direction"] = direction
     if payload.get("variant"):

@@ -4,18 +4,10 @@ Races the ranked first-level restart seeds (Sec. IV-E) across isolated
 worker processes, sharing the incumbent solution depth so every racer
 prunes against the fleet-wide best.  With a strategy deck
 (:mod:`repro.parallel.strategy`), the slots race *different* named
-option variants — including inverse-direction searches — and the
-:mod:`repro.parallel.adaptive` win statistics bias future slot
-allocation per spec family.  See ``docs/parallel.md``.
+option variants, including inverse-direction searches.  See
+``docs/parallel.md``.
 """
 
-from repro.parallel.adaptive import (
-    StrategyStats,
-    bias_weights,
-    load_stats,
-    record_portfolio,
-    spec_family,
-)
 from repro.parallel.bound import LocalBound, SharedBound
 from repro.parallel.portfolio import (
     PortfolioSummary,
@@ -44,16 +36,11 @@ __all__ = [
     "SharedBound",
     "SliceOutcome",
     "StrategyDeck",
-    "StrategyStats",
     "StrategyVariant",
     "allocate_slots",
-    "bias_weights",
     "build_deck",
-    "load_stats",
     "partition_seeds",
-    "record_portfolio",
     "resolve_strategies",
-    "spec_family",
     "synthesize_portfolio",
     "variant",
 ]

@@ -24,11 +24,8 @@ With ``options.portfolio_strategies`` set, the fleet is *heterogeneous*:
 worker slots are dealt from a :class:`~repro.parallel.strategy.
 StrategyDeck`, so different slots run different named option variants —
 priority weights, greedy-k, engine, and search direction (inverse
-slots race the spec's inverse permutation and ship the reversed
-cascade, so the shared bound needs no translation).  Slot allocation
-can be biased by the :mod:`repro.parallel.adaptive` per-spec-family
-win statistics, and each deck run appends its outcome back to that
-stats file.
+slots run :func:`repro.synth.bidirectional.synthesize_inverse` and
+ship the reversed cascade, so the shared bound needs no translation).
 
 Winner selection is deterministic: minimal solution depth first, then
 the lowest seed rank, then the lowest slice index — never arrival
@@ -41,20 +38,19 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
-import traceback
 from dataclasses import dataclass, field
 
 from repro.harness.pool import WorkerBudget, WorkerPool
 from repro.harness.retry import RetryPolicy
 from repro.harness.tasks import portfolio_task
+from repro.harness.sweep import _outcome_from_raw, _run_inline_attempt
 from repro.harness.taxonomy import (
-    STATUS_CRASH,
     STATUS_INTERRUPTED,
     STATUS_OK,
     TaskOutcome,
 )
 from repro.parallel.bound import LocalBound, SharedBound
-from repro.parallel.strategy import resolve_strategies
+from repro.parallel.strategy import build_deck, resolve_strategies
 from repro.perf.hotops import global_counters
 from repro.synth.options import SynthesisOptions
 from repro.synth.rmrls import (
@@ -77,7 +73,6 @@ _DRIVER_FIELDS = dict(
     portfolio_jobs=None,
     portfolio_cancel_gates=None,
     portfolio_strategies=None,
-    strategy_stats=None,
     observers=(),
     phase_timer=None,
     bound_channel=None,
@@ -122,8 +117,8 @@ class SliceOutcome:
     ``stats`` is the worker's full ``SearchStats.as_dict`` snapshot
     (plus its ``hot_ops``); ``metrics`` the worker registry snapshot
     when metrics were requested.  ``seed_ranks`` is ``None`` for an
-    unrestricted slot (a heterogeneous deck's bidirectional slots, or
-    inverse slots without an inverse seed pool).  ``variant`` and
+    unrestricted slot (a heterogeneous deck's inverse slots without an
+    inverse seed pool).  ``variant`` and
     ``direction`` record the strategy provenance of heterogeneous
     slots.  ``as_dict`` keeps the headline only.
     """
@@ -169,9 +164,8 @@ class PortfolioSummary:
     """Fleet-level accounting attached to a portfolio result.
 
     Heterogeneous runs additionally carry the strategy provenance:
-    the resolved ``strategies``, the dealt ``deck`` (slot dicts), the
-    winning slice's ``winner_variant``, the adaptive ``family`` key,
-    and the ``adaptive`` stats snapshot the allocation was biased by.
+    the resolved ``strategies``, the dealt ``deck`` (slot dicts) and
+    the winning slice's ``winner_variant``.
     """
 
     jobs: int
@@ -185,8 +179,6 @@ class PortfolioSummary:
     strategies: tuple = ()
     deck: list = field(default_factory=list)
     winner_variant: str | None = None
-    family: str | None = None
-    adaptive: dict | None = None
 
     def variant_rollup(self) -> dict:
         """Per-variant totals over the slices (heterogeneous runs)."""
@@ -228,10 +220,7 @@ class PortfolioSummary:
             data["strategies"] = list(self.strategies)
             data["deck"] = list(self.deck)
             data["winner_variant"] = self.winner_variant
-            data["family"] = self.family
             data["variants"] = self.variant_rollup()
-            if self.adaptive is not None:
-                data["adaptive"] = self.adaptive
         return data
 
 
@@ -438,8 +427,6 @@ def _run_portfolio_driver(
         payload_spec = dict(payload_spec, metrics=True)
 
     deck = None
-    family = None
-    adaptive_info = None
     inverse_triples: list = []
     if strategies and "images" not in payload_spec:
         # A PPRM-only spec cannot be inverted symbolically: keep the
@@ -449,31 +436,6 @@ def _run_portfolio_driver(
             entry for entry in strategies if entry.direction == "forward"
         )
     if strategies:
-        from repro.parallel.adaptive import (
-            bias_weights,
-            load_stats,
-            spec_family,
-        )
-        from repro.parallel.strategy import build_deck
-
-        family = spec_family(system)
-        weights = None
-        if options.strategy_stats:
-            stats = load_stats(options.strategy_stats)
-            family_stats = stats.family(family)
-            if family_stats:
-                weights = bias_weights(strategies, family_stats)
-            adaptive_info = {
-                "stats_path": str(options.strategy_stats),
-                "records": stats.records,
-                "skipped": stats.skipped,
-                "family_runs": sum(
-                    int(entry.get("runs") or 0)
-                    for entry in family_stats.values()
-                ),
-                "weights": weights,
-            }
-        inverse_count = 0
         if any(entry.direction == "inverse" for entry in strategies):
             from repro.functions.permutation import Permutation
 
@@ -485,9 +447,8 @@ def _run_portfolio_driver(
                     (s.rank, s.target, s.factor)
                     for s in inverse_first.seeds
                 ]
-                inverse_count = len(inverse_triples)
         deck = build_deck(
-            strategies, jobs, len(seeds), inverse_count, weights=weights,
+            strategies, jobs, len(seeds), len(inverse_triples)
         )
         if not deck.slots:  # pragma: no cover - defensive
             deck = None
@@ -527,9 +488,8 @@ def _run_portfolio_driver(
         label = f"portfolio:slice{index}"
         if entry is not None:
             slot_payload = dict(payload_spec, variant=entry.name)
-            if entry.direction != "forward":
-                slot_payload["direction"] = entry.direction
             if entry.direction == "inverse":
+                slot_payload["direction"] = entry.direction
                 triples = inverse_triples
             label = f"portfolio:{entry.name}:slot{index}"
         tasks.append(
@@ -546,10 +506,7 @@ def _run_portfolio_driver(
 
     if session is not None and deck is not None:
         counts = deck.counts()
-        session.event(
-            "strategy_deck", span=root_span, family=family,
-            counts=counts, adaptive=adaptive_info is not None,
-        )
+        session.event("strategy_deck", span=root_span, counts=counts)
         for entry in strategies:
             session.event(
                 "strategy", span=root_span, variant=entry.name,
@@ -565,23 +522,12 @@ def _run_portfolio_driver(
             tuple(entry.name for entry in strategies) if deck else ()
         ),
         deck=[slot.as_dict() for slot in deck.slots] if deck else [],
-        family=family if deck else None,
-        adaptive=adaptive_info if deck else None,
     )
 
-    cancel_gates = options.portfolio_cancel_gates
-    cancel_armed = options.stop_at_first or cancel_gates is not None
-
-    if inline:
-        _run_plan_inline(
-            tasks, plan, summary, cancel_armed, cancel_gates, session,
-            root_span,
-        )
-    else:
-        _run_plan_pooled(
-            tasks, plan, summary, cancel_armed, cancel_gates, session,
-            root_span, pool, jobs, options, flight,
-        )
+    pool = None if inline else _fleet_pool(
+        pool, jobs, options, session, flight
+    )
+    _run_plan(tasks, plan, summary, options, session, root_span, pool)
 
     result = _merge_fleet(
         system, options, summary, registries, started,
@@ -589,42 +535,59 @@ def _run_portfolio_driver(
     )
     if deck is not None:
         _record_strategy_outcome(
-            options, summary, result, registries, session, root_span
+            summary, result, registries, session, root_span
         )
     return result
 
 
-def _run_plan_pooled(
-    tasks, plan, summary, cancel_armed, cancel_gates, session, root_span,
-    pool, jobs, options, flight,
-):
-    """Race the plan across worker processes (the default fleet)."""
+def _fleet_pool(pool, jobs, options, session, flight) -> WorkerPool:
+    """The worker pool a pooled fleet races on, wired to the portfolio's
+    trace session and flight recorder."""
     if pool is None:
-        pool = WorkerPool(
+        return WorkerPool(
             jobs=jobs, budget=WorkerBudget(), retry=RetryPolicy(),
             trace=session, flight_dir=options.flight_dir, flight=flight,
         )
-    else:
-        if session is not None and pool.trace is None:
-            pool.trace = session
-        if options.flight_dir and pool.flight_dir is None:
-            pool.flight_dir = options.flight_dir
-            pool.flight = flight
+    if session is not None and pool.trace is None:
+        pool.trace = session
+    if options.flight_dir and pool.flight_dir is None:
+        pool.flight_dir = options.flight_dir
+        pool.flight = flight
+    return pool
 
-    # Early cancellation: once a good-enough verified incumbent has
-    # *arrived* (not merely been published to the bound — the finder's
-    # own result must be safely received first), the remaining workers
-    # are SIGKILLed.  ``stop_at_first`` cancels on any solution;
-    # ``portfolio_cancel_gates`` on one at most that many gates.
+
+def _run_plan(tasks, plan, summary, options, session, root_span, pool):
+    """Run every slot of the plan and record its :class:`SliceOutcome`.
+
+    With a ``pool`` the slots race across worker processes.  Without
+    one (``inline``) they run one after another in this process, each
+    as a contained in-process attempt: daemonic pool workers (sweep
+    shards, the synthesis service) cannot fork children, so the deck
+    runs slot by slot over a :class:`~repro.parallel.bound.LocalBound`
+    — later slots still prune against earlier incumbents and the slot
+    order is the deck order, so the run is deterministic.
+
+    Early cancellation: once a good-enough verified incumbent has
+    *arrived* (not merely been published to the bound — the finder's
+    own result must be safely received first), the remaining slots
+    are cancelled: SIGKILLed in a pool, skipped inline.
+    ``stop_at_first`` cancels on any solution;
+    ``portfolio_cancel_gates`` on one at most that many gates.
+    """
+    cancel_gates = options.portfolio_cancel_gates
+    cancel_armed = options.stop_at_first or cancel_gates is not None
     state = {"stop": False}
 
     def on_final(task, outcome):
-        if not cancel_armed or outcome.status != STATUS_OK:
-            return
-        if outcome.gate_count is None:
+        if (
+            not cancel_armed
+            or state["stop"]
+            or outcome.status != STATUS_OK
+            or outcome.gate_count is None
+        ):
             return
         if cancel_gates is None or outcome.gate_count <= cancel_gates:
-            if session is not None and not state["stop"]:
+            if session is not None:
                 # The fleet-level reference instant: cancellation
                 # latency of every losing slice is measured from here.
                 session.event(
@@ -634,8 +597,26 @@ def _run_plan_pooled(
                 )
             state["stop"] = True
 
-    stop_check = (lambda: state["stop"]) if cancel_armed else None
-    outcomes = pool.run(tasks, on_final=on_final, stop_check=stop_check)
+    if pool is not None:
+        stop_check = (lambda: state["stop"]) if cancel_armed else None
+        outcomes = pool.run(tasks, on_final=on_final, stop_check=stop_check)
+    else:
+        outcomes = []
+        for task in tasks:
+            if state["stop"]:
+                outcome = TaskOutcome(
+                    task_id=task.task_id, status=STATUS_INTERRUPTED,
+                    meta=dict(task.meta),
+                    extra={"finish_reason": "interrupted"},
+                )
+            else:
+                slot_started = time.monotonic()
+                raw = _run_inline_attempt(task, task.options, 1)
+                outcome = _outcome_from_raw(
+                    task, raw, 1, time.monotonic() - slot_started
+                )
+                on_final(task, outcome)
+            outcomes.append(outcome)
 
     by_task = {outcome.task_id: outcome for outcome in outcomes}
     for (index, ranks, entry), task in zip(plan, tasks):
@@ -648,103 +629,17 @@ def _run_plan_pooled(
             direction="forward" if entry is None else entry.direction,
         )
         summary.slices.append(slice_entry)
-        if slice_entry.status == "interrupted":
+        if slice_entry.status == STATUS_INTERRUPTED:
             summary.cancelled += 1
 
 
-def _run_plan_inline(
-    tasks, plan, summary, cancel_armed, cancel_gates, session, root_span,
-):
-    """Run the plan sequentially in this process.
+def _record_strategy_outcome(summary, result, registries, session, root_span):
+    """Surface a deck run's per-variant outcome.
 
-    Daemonic pool workers (sweep shards, the synthesis service) cannot
-    fork children, so the deck runs slot by slot over a
-    :class:`~repro.parallel.bound.LocalBound`: later slots still prune
-    against earlier incumbents, the slot order is the deck order (so
-    the run is deterministic), and early cancellation becomes "skip
-    the remaining slots".  Hot-op counters are *not* re-fed to the
-    process-global meter afterwards — the in-process search already
-    incremented it live.
-    """
-    from repro.harness.worker import execute_payload
-
-    stop = False
-    for (index, ranks, entry), task in zip(plan, tasks):
-        variant = None if entry is None else entry.name
-        direction = "forward" if entry is None else entry.direction
-        seed_ranks = None if ranks is None else tuple(ranks)
-        if stop:
-            summary.slices.append(
-                SliceOutcome(
-                    slice_index=index,
-                    seed_ranks=seed_ranks,
-                    status=STATUS_INTERRUPTED,
-                    finish_reason="interrupted",
-                    variant=variant,
-                    direction=direction,
-                )
-            )
-            summary.cancelled += 1
-            continue
-        slot_started = time.monotonic()
-        try:
-            result = execute_payload(
-                "portfolio", task.payload, task.options,
-                runtime=task.runtime,
-            )
-        except Exception:
-            result = {
-                "status": STATUS_CRASH,
-                "error": traceback.format_exc(limit=20),
-            }
-        extra = result.get("extra") or {}
-        slice_entry = SliceOutcome(
-            slice_index=index,
-            seed_ranks=seed_ranks,
-            status=result.get("status", STATUS_CRASH),
-            finish_reason=str(extra.get("finish_reason") or ""),
-            gate_count=result.get("gate_count"),
-            solution_rank=extra.get("solution_rank"),
-            circuit=result.get("circuit"),
-            stats=dict(result.get("stats") or {}),
-            metrics=extra.get("metrics"),
-            elapsed_seconds=time.monotonic() - slot_started,
-            error=result.get("error"),
-            variant=extra.get("variant") or variant,
-            direction=str(extra.get("direction") or direction),
-        )
-        summary.slices.append(slice_entry)
-        if (
-            cancel_armed
-            and slice_entry.status == STATUS_OK
-            and slice_entry.gate_count is not None
-            and (
-                cancel_gates is None
-                or slice_entry.gate_count <= cancel_gates
-            )
-        ):
-            if session is not None:
-                session.event(
-                    "incumbent_arrived", span=root_span,
-                    gate_count=slice_entry.gate_count, slice=index,
-                )
-            stop = True
-
-
-def _record_strategy_outcome(
-    options, summary, result, registries, session, root_span
-):
-    """Persist and surface a deck run's per-variant outcome.
-
-    Appends the run to the adaptive stats file (best-effort), bumps
-    ``strategy_slots_total``/``strategy_wins_total`` counters on the
-    caller's registries, and emits the ``strategy_win`` trace event
+    Bumps ``strategy_slots_total``/``strategy_wins_total`` counters on
+    the caller's registries, and emits the ``strategy_win`` trace event
     `rmrls top` folds into its per-variant rows.
     """
-    if options.strategy_stats and summary.family:
-        from repro.parallel.adaptive import record_portfolio
-
-        record_portfolio(options.strategy_stats, summary.family, summary)
     counts: dict = {}
     for entry in summary.slices:
         if entry.variant:

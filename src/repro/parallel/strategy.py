@@ -11,17 +11,16 @@ instead of identical searches over seed slices:
 * a :class:`StrategyVariant` is a frozen, named set of deltas over the
   base :class:`~repro.synth.options.SynthesisOptions` — priority
   weights, ``greedy_k``, ``restart_steps``, engine choice — plus a
-  search *direction* (``forward``, ``inverse``, or ``bidirectional``
-  via the :mod:`repro.synth.bidirectional` seam);
+  search *direction* (``forward`` or ``inverse``, the latter via
+  :func:`repro.synth.bidirectional.synthesize_inverse`);
 * the built-in catalog (:data:`BUILTIN_VARIANTS`, named decks in
   :data:`DECKS`) is deterministic: same names, same deltas, same
   order, every run;
 * :func:`build_deck` maps ``jobs`` worker slots onto (variant,
   seed-slice) pairs — forward-direction slots partition the forward
   seed pool among themselves, inverse-direction slots the inverse
-  pool, and bidirectional slots run unrestricted — with the slot
-  counts per variant computed by :func:`allocate_slots` (optionally
-  biased by the :mod:`repro.parallel.adaptive` win statistics).
+  pool — with the slot counts per variant computed by
+  :func:`allocate_slots`.
 
 Everything here is pure data and arithmetic: no randomness, no clock,
 no I/O — a deck built from the same inputs is identical bytes, which
@@ -48,9 +47,8 @@ __all__ = [
 
 #: Search directions a variant may declare.  ``inverse`` synthesizes
 #: the spec's inverse permutation and reverses the cascade (Toffoli
-#: gates are involutions); ``bidirectional`` tries forward first and
-#: falls back to the inverse inside the worker.
-DIRECTIONS = ("forward", "inverse", "bidirectional")
+#: gates are involutions).
+DIRECTIONS = ("forward", "inverse")
 
 #: Option fields a variant may override.  Restricting the surface keeps
 #: variant fingerprints small and prevents a deck from smuggling in
@@ -186,58 +184,32 @@ def resolve_strategies(spec) -> tuple[StrategyVariant, ...]:
     return tuple(resolved)
 
 
-def allocate_slots(
-    num_variants: int,
-    jobs: int,
-    weights=None,
-    seed: int = 0,
-) -> list[int]:
+def allocate_slots(num_variants: int, jobs: int) -> list[int]:
     """Largest-remainder slot allocation: variant index per slot.
 
-    ``weights`` biases the per-variant quota (default: equal); the
-    result is grouped by variant in catalog order (all of variant 0's
-    slots first).  ``seed`` rotates only the *tie-break* among equal
-    fractional remainders, so replaying with the same seed reproduces
-    the same deck — no randomness, no clock.
+    Every variant gets an equal quota; the result is grouped by
+    variant in catalog order (all of variant 0's slots first), and
+    leftover slots go to the earliest variants.
     """
     if num_variants < 1:
         raise ValueError("need at least one variant")
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    if weights is None:
-        weights = [1.0] * num_variants
-    weights = [float(w) for w in weights]
-    if len(weights) != num_variants:
-        raise ValueError("one weight per variant required")
-    if any(w < 0 for w in weights):
-        raise ValueError("weights must be non-negative")
-    total = sum(weights)
-    if total <= 0:
-        weights = [1.0] * num_variants
-        total = float(num_variants)
-    quotas = [jobs * w / total for w in weights]
-    counts = [int(q) for q in quotas]
-    remaining = jobs - sum(counts)
-    order = sorted(
-        range(num_variants),
-        key=lambda i: (
-            -(quotas[i] - counts[i]),
-            (i - seed) % num_variants,
-        ),
-    )
-    for i in order[:remaining]:
-        counts[i] += 1
-    return [i for i in range(num_variants) for _ in range(counts[i])]
+    base, extra = divmod(jobs, num_variants)
+    return [
+        i
+        for i in range(num_variants)
+        for _ in range(base + (1 if i < extra else 0))
+    ]
 
 
 @dataclass(frozen=True)
 class DeckSlot:
     """One worker slot: which variant runs, over which seed ranks.
 
-    ``seed_ranks`` is ``None`` for unrestricted slots (bidirectional
-    variants, and inverse variants when no inverse seed pool was
-    enumerated); otherwise a non-empty tuple of 0-based ranks into the
-    slot direction's first level.
+    ``seed_ranks`` is ``None`` for unrestricted slots (inverse variants
+    when no inverse seed pool was enumerated); otherwise a non-empty
+    tuple of 0-based ranks into the slot direction's first level.
     """
 
     slot: int
@@ -260,8 +232,6 @@ class StrategyDeck:
     """The slot → (variant, seed-slice) mapping of one portfolio run."""
 
     slots: tuple = ()
-    weights: tuple | None = None
-    seed: int = 0
 
     @property
     def variant_names(self) -> tuple:
@@ -283,10 +253,6 @@ class StrategyDeck:
         return {
             "slots": [slot.as_dict() for slot in self.slots],
             "counts": self.counts(),
-            "weights": (
-                None if self.weights is None else list(self.weights)
-            ),
-            "seed": self.seed,
         }
 
 
@@ -295,8 +261,6 @@ def build_deck(
     jobs: int,
     forward_seed_count: int,
     inverse_seed_count: int = 0,
-    weights=None,
-    seed: int = 0,
 ) -> StrategyDeck:
     """Map ``jobs`` worker slots onto (variant, seed-slice) pairs.
 
@@ -305,9 +269,8 @@ def build_deck(
     round-robin among themselves (:func:`partition_seeds`).  Slots
     whose partition came up empty (more slots than seeds) are dropped
     and the remainder re-indexed, so every surviving slot has real
-    work; bidirectional slots — and inverse slots when
-    ``inverse_seed_count`` is 0 — run unrestricted
-    (``seed_ranks=None``).
+    work; inverse slots run unrestricted (``seed_ranks=None``) when
+    ``inverse_seed_count`` is 0.
     """
     from repro.parallel.portfolio import partition_seeds
 
@@ -317,33 +280,23 @@ def build_deck(
     if forward_seed_count < 1:
         raise ValueError("forward_seed_count must be >= 1")
     assignment = [
-        variants[index]
-        for index in allocate_slots(len(variants), jobs, weights, seed)
+        variants[index] for index in allocate_slots(len(variants), jobs)
     ]
 
-    by_direction: dict = {"forward": [], "inverse": [], "bidirectional": []}
-    for position, entry in enumerate(assignment):
-        by_direction[entry.direction].append(position)
-
     ranks_by_position: dict = {}
-    for position in by_direction["bidirectional"]:
-        ranks_by_position[position] = None
-    forward_positions = by_direction["forward"]
-    if forward_positions:
-        slices = partition_seeds(forward_seed_count, len(forward_positions))
-        for position, ranks in zip(forward_positions, slices):
-            ranks_by_position[position] = ranks or ()
-    inverse_positions = by_direction["inverse"]
-    if inverse_positions:
-        if inverse_seed_count > 0:
-            slices = partition_seeds(
-                inverse_seed_count, len(inverse_positions)
-            )
-            for position, ranks in zip(inverse_positions, slices):
-                ranks_by_position[position] = ranks or ()
-        else:
-            for position in inverse_positions:
-                ranks_by_position[position] = None
+    pools = {"forward": forward_seed_count, "inverse": inverse_seed_count}
+    for direction, pool in pools.items():
+        positions = [
+            position for position, entry in enumerate(assignment)
+            if entry.direction == direction
+        ]
+        if not positions:
+            continue
+        if pool == 0:
+            ranks_by_position.update(dict.fromkeys(positions))
+            continue
+        slices = partition_seeds(pool, len(positions))
+        ranks_by_position.update(zip(positions, slices))
 
     slots = []
     for position, entry in enumerate(assignment):
@@ -353,8 +306,4 @@ def build_deck(
         slots.append(
             DeckSlot(slot=len(slots), variant=entry, seed_ranks=ranks)
         )
-    return StrategyDeck(
-        slots=tuple(slots),
-        weights=None if weights is None else tuple(weights),
-        seed=seed,
-    )
+    return StrategyDeck(slots=tuple(slots))

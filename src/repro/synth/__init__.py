@@ -3,6 +3,7 @@
 from repro.synth.bidirectional import (
     BidirectionalResult,
     synthesize_bidirectional,
+    synthesize_inverse,
 )
 from repro.synth.naive import naive_gate_count, naive_synthesize
 from repro.synth.ncts import NctsResult, synthesize_ncts
@@ -22,6 +23,7 @@ from repro.synth.substitutions import Candidate, enumerate_substitutions
 __all__ = [
     "BidirectionalResult",
     "synthesize_bidirectional",
+    "synthesize_inverse",
     "naive_gate_count",
     "naive_synthesize",
     "NctsResult",

@@ -157,14 +157,6 @@ class SynthesisOptions:
             :mod:`repro.parallel.strategy` catalog.  Only meaningful
             with ``portfolio_jobs > 1``; ``None`` (default) races the
             homogeneous seed-slice portfolio.  See docs/parallel.md.
-        strategy_stats: path of the adaptive strategy-stats JSONL file
-            (:mod:`repro.parallel.adaptive`).  When set alongside
-            ``portfolio_strategies``, past per-spec-family wins bias
-            the deck's slot allocation and this run's outcome is
-            appended for future runs.  A machine-local path: like
-            ``trace_dir`` it never enters task fingerprints — the
-            allocation it produced is recorded in the run report's
-            portfolio section instead.
         portfolio_seed_ranks: restrict *this* search to the given
             first-level seed ranks (0-based positions in the
             priority-sorted first level).  Set by the portfolio driver
@@ -234,7 +226,6 @@ class SynthesisOptions:
     portfolio_share_bound: bool = True
     portfolio_cancel_gates: int | None = None
     portfolio_strategies: tuple | str | None = None
-    strategy_stats: str | None = None
     portfolio_seed_ranks: tuple | None = None
     portfolio_poll_steps: int = 64
     trace_dir: str | None = None

@@ -5,6 +5,9 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.functions.permutation import Permutation
+from repro.synth import synthesize_bidirectional
+from repro.synth.options import SynthesisOptions
 
 
 class TestSynth:
@@ -55,6 +58,49 @@ class TestSynth:
         out = capsys.readouterr().out
         assert "direction: forward" in out
         assert "gates: 3" in out
+
+    def test_bidirectional_portfolio_keeps_its_summary(self, capsys):
+        code = main(
+            ["synth", "--spec", "1,0,7,2,3,4,5,6", "--bidirectional",
+             "--jobs", "2", "--json"]
+        )
+        assert code == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["solved"]
+        assert report["portfolio"]["jobs"] == 2
+        assert report["portfolio"]["winner_slice"] is not None
+
+    def test_bidirectional_report_counts_both_legs(self, capsys):
+        # The forward leg fails on this spec (the second one drawn in
+        # test_bidirectional's test_inverse_rescues_forward_failure)
+        # and the inverse leg solves; both legs' steps are reported.
+        spec = [3, 13, 6, 1, 7, 15, 14, 0, 2, 12, 4, 8, 10, 11, 5, 9]
+        options = SynthesisOptions(
+            greedy_k=1, restart_steps=500, max_steps=2_500,
+            dedupe_states=True, max_gates=40,
+        )
+        both = synthesize_bidirectional(Permutation(spec), options)
+        assert both.direction == "inverse"
+        assert not both.forward.solved
+        combined = both.as_result()
+        assert combined.stats.steps == (
+            both.forward.stats.steps + both.inverse.stats.steps
+        )
+        assert combined.stats.elapsed_seconds == (
+            both.forward.stats.elapsed_seconds
+            + both.inverse.stats.elapsed_seconds
+        )
+        assert combined.circuit.implements(Permutation(spec))
+
+        code = main(
+            ["synth", "--spec", ",".join(map(str, spec)),
+             "--bidirectional", "--greedy-k", "1", "--restart-steps",
+             "500", "--max-steps", "2500", "--max-gates", "40", "--json"]
+        )
+        assert code == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["solved"]
+        assert report["stats"]["steps"] == combined.stats.steps
 
     def test_bidirectional_needs_permutation(self, capsys):
         code = main(

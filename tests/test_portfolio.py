@@ -335,15 +335,30 @@ class TestEarlyCancellation:
         assert by_label["second"].status == "interrupted"
         assert "before launch" in by_label["second"].error
 
-    def test_portfolio_cancellation_still_verifies(self, fig1_spec):
+    @pytest.mark.parametrize("inline", [False, True], ids=["pooled", "inline"])
+    def test_portfolio_cancellation_still_verifies(self, fig1_spec, inline):
         # Cancellation trades determinism for latency, but never
         # soundness: whatever wins must verify.
-        result = synthesize(
-            fig1_spec, portfolio_jobs=2, stop_at_first=True
-        )
+        if inline:
+            result = synthesize_portfolio(
+                fig1_spec, jobs=2, inline=True, stop_at_first=True
+            )
+        else:
+            result = synthesize(
+                fig1_spec, portfolio_jobs=2, stop_at_first=True
+            )
         assert result.solved
         assert result.circuit.implements(fig1_spec)
         # Slices either solve, get cancelled, or exhaust their own
         # restricted queue before the kill lands — all legitimate.
-        for entry in result.portfolio.slices:
-            assert entry.status in ("ok", "interrupted", "unsolved")
+        statuses = [entry.status for entry in result.portfolio.slices]
+        for status in statuses:
+            assert status in ("ok", "interrupted", "unsolved")
+        assert result.portfolio.cancelled == statuses.count("interrupted")
+        if inline:
+            # Inline cancellation skips every slot after the first
+            # arriving solution; fig1's first slice solves.
+            assert statuses == ["ok", "interrupted"]
+            skipped = result.portfolio.slices[1]
+            assert skipped.finish_reason == "interrupted"
+            assert skipped.steps == 0

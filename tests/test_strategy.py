@@ -1,37 +1,37 @@
-"""The strategy-deck layer (repro.parallel.strategy / .adaptive).
+"""The strategy-deck layer (repro.parallel.strategy).
 
 Unit coverage for the variant catalog, strategy resolution, the
-largest-remainder slot allocator, deck construction, the spec-family
-key, the tolerant stats reader/appender, Laplace bias weights — and
-the ``rmrls strategies`` / ``rmrls synth --direction`` CLI surface.
-All of it is pure data and arithmetic, so every assertion here is
+largest-remainder slot allocator, deck construction — and the
+``rmrls strategies`` / ``rmrls synth --direction`` CLI surface, plus
+the callers of :func:`repro.synth.bidirectional.synthesize_inverse`.
+The deck layer is pure data and arithmetic, so every assertion here is
 exact: same inputs, same deck, same bytes.
 """
 
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
+from repro.circuits.circuit import Circuit
 from repro.cli import main
-from repro.functions.permutation import Permutation
+from repro.io.real_format import load_real
 from repro.parallel import (
     BUILTIN_VARIANTS,
     DECKS,
-    PortfolioSummary,
-    SliceOutcome,
     allocate_slots,
-    bias_weights,
     build_deck,
-    load_stats,
-    record_portfolio,
     resolve_strategies,
-    spec_family,
+    synthesize_portfolio,
     variant,
 )
 from repro.parallel.strategy import StrategyVariant
+from repro.synth import synthesize, synthesize_bidirectional
 from repro.synth.options import SynthesisOptions
+
+from conftest import random_spec
 
 
 class TestStrategyVariant:
@@ -108,29 +108,11 @@ class TestAllocateSlots:
     def test_fewer_jobs_than_variants(self):
         assert allocate_slots(4, 2) == [0, 1]
 
-    def test_weights_bias_the_split(self):
-        assert allocate_slots(2, 4, weights=[3.0, 1.0]) == [0, 0, 0, 1]
-
-    def test_seed_rotates_only_tie_breaks(self):
-        base = allocate_slots(4, 2, seed=0)
-        rotated = allocate_slots(4, 2, seed=2)
-        assert base == [0, 1]
-        assert rotated == [2, 3]
-        # Replays are exact: same seed, same deck.
-        assert allocate_slots(4, 2, seed=2) == rotated
-
-    def test_degenerate_weights_fall_back_to_equal(self):
-        assert allocate_slots(2, 2, weights=[0.0, 0.0]) == [0, 1]
-
     def test_validation(self):
         with pytest.raises(ValueError):
             allocate_slots(0, 2)
         with pytest.raises(ValueError):
             allocate_slots(2, 0)
-        with pytest.raises(ValueError):
-            allocate_slots(2, 2, weights=[1.0])
-        with pytest.raises(ValueError):
-            allocate_slots(2, 2, weights=[1.0, -1.0])
 
 
 class TestBuildDeck:
@@ -174,13 +156,6 @@ class TestBuildDeck:
         assert by_name["inverse"].seed_ranks is None
         assert by_name["paper"].seed_ranks == (0, 1, 2, 3)
 
-    def test_bidirectional_slots_are_unrestricted(self):
-        deck = build_deck(
-            [variant("both", direction="bidirectional")], jobs=1,
-            forward_seed_count=3,
-        )
-        assert deck.slots[0].seed_ranks is None
-
     def test_decks_replay_identically(self):
         kwargs = dict(jobs=4, forward_seed_count=7, inverse_seed_count=7)
         first = build_deck(resolve_strategies("default"), **kwargs)
@@ -194,119 +169,6 @@ class TestBuildDeck:
             build_deck(
                 resolve_strategies("paper"), jobs=2, forward_seed_count=0
             )
-
-
-class TestSpecFamily:
-    def test_family_key_shape(self, fig1_spec):
-        family = spec_family(fig1_spec.to_pprm())
-        num_vars, terms = family.split(":")
-        assert num_vars == "v3"
-        counts = terms[1:].split("-")
-        assert len(counts) == 3
-        assert counts == sorted(counts, key=int)
-
-    def test_wire_relabeling_lands_in_same_family(self, fig1_spec):
-        # Conjugating by a wire swap permutes variables inside terms
-        # and outputs across lines; sorted term counts are invariant.
-        relabeled = Permutation(
-            [_swap01(fig1_spec.images[_swap01(x)]) for x in range(8)]
-        )
-        assert spec_family(relabeled.to_pprm()) == spec_family(
-            fig1_spec.to_pprm()
-        )
-
-
-def _swap01(value: int) -> int:
-    """Swap bits 0 and 1 of a 3-bit value."""
-    low = value & 1
-    mid = (value >> 1) & 1
-    return (value & ~3) | (low << 1) | mid
-
-
-def _summary(winner: str) -> PortfolioSummary:
-    """A minimal two-variant heterogeneous summary for stats tests."""
-    summary = PortfolioSummary(jobs=2, seed_count=4)
-    summary.slices = [
-        SliceOutcome(
-            slice_index=0, seed_ranks=(0, 2), status="ok",
-            finish_reason="solved", gate_count=3,
-            stats={"steps": 10}, variant="paper",
-        ),
-        SliceOutcome(
-            slice_index=1, seed_ranks=(1, 3), status="unsolved",
-            finish_reason="queue_exhausted",
-            stats={"steps": 25}, variant="eliminate",
-        ),
-    ]
-    summary.winner_variant = winner
-    return summary
-
-
-class TestAdaptiveStats:
-    def test_record_and_load_roundtrip(self, tmp_path):
-        path = tmp_path / "stats.jsonl"
-        assert record_portfolio(path, "v3:t2-3-3", _summary("paper"))
-        stats = load_stats(path)
-        assert stats.records == 1
-        assert stats.skipped == 0
-        family = stats.family("v3:t2-3-3")
-        assert family["paper"] == {"wins": 1, "slots": 1, "runs": 1}
-        assert family["eliminate"] == {"wins": 0, "slots": 1, "runs": 1}
-
-    def test_identical_runs_append_identical_bytes(self, tmp_path):
-        path = tmp_path / "stats.jsonl"
-        record_portfolio(path, "v3:t2-3-3", _summary("paper"))
-        record_portfolio(path, "v3:t2-3-3", _summary("paper"))
-        first, second = path.read_text().splitlines()
-        assert first == second
-
-    def test_reader_tolerates_garbage_lines(self, tmp_path):
-        path = tmp_path / "stats.jsonl"
-        record_portfolio(path, "v3:t2-3-3", _summary("paper"))
-        with open(path, "a") as handle:
-            handle.write("{torn mid-wri\n")
-            handle.write(json.dumps({"schema": "other"}) + "\n")
-            handle.write("\n")
-        stats = load_stats(path)
-        assert stats.records == 1
-        assert stats.skipped == 2
-
-    def test_missing_file_is_empty_history(self, tmp_path):
-        stats = load_stats(tmp_path / "nope.jsonl")
-        assert stats.records == 0
-        assert stats.families == {}
-
-    def test_bias_weights_are_laplace_smoothed(self):
-        deck = resolve_strategies("paper,eliminate")
-        weights = bias_weights(
-            deck, {"paper": {"wins": 8, "runs": 10}}
-        )
-        assert weights == [(8 + 1) / (10 + 2), 0.5]
-
-    def test_seeded_wins_shift_the_allocation(self, tmp_path):
-        # The acceptance scenario: with no history the default deck
-        # deals one slot per variant; after ten recorded eliminate
-        # wins, eliminate earns extra slots at the same job count.
-        path = tmp_path / "stats.jsonl"
-        family = "v3:t2-3-3"
-        for _ in range(10):
-            record_portfolio(path, family, _summary("eliminate"))
-        deck_variants = resolve_strategies("default")
-        baseline = allocate_slots(len(deck_variants), 4)
-        assert baseline == [0, 1, 2, 3]
-        weights = bias_weights(
-            deck_variants, load_stats(path).family(family)
-        )
-        biased = allocate_slots(len(deck_variants), 4, weights=weights)
-        eliminate_index = [
-            index for index, entry in enumerate(deck_variants)
-            if entry.name == "eliminate"
-        ][0]
-        assert biased.count(eliminate_index) >= 2
-        # Replaying the same stats file reproduces the same deck.
-        assert allocate_slots(
-            len(deck_variants), 4, weights=weights
-        ) == biased
 
 
 class TestStrategiesCli:
@@ -324,37 +186,68 @@ class TestStrategiesCli:
         assert names == [entry.name for entry in BUILTIN_VARIANTS]
         assert report["decks"]["default"] == list(DECKS["default"])
 
-    def test_stats_renders_family_table(self, capsys, tmp_path):
-        path = tmp_path / "stats.jsonl"
-        record_portfolio(path, "v3:t2-3-3", _summary("paper"))
-        assert main(["strategies", "stats", str(path)]) == 0
-        out = capsys.readouterr().out
-        assert "v3:t2-3-3" in out
-        assert "paper" in out
+#: The deterministic regime (no cancellation, dedupe on, a step cap
+#: 3-variable exhaustion never binds) — the CLI's defaults.
+_INVERSE_OPTIONS = dict(dedupe_states=True, max_steps=100_000)
 
-    def test_stats_json(self, capsys, tmp_path):
-        path = tmp_path / "stats.jsonl"
-        record_portfolio(path, "v3:t2-3-3", _summary("paper"))
-        assert main(["strategies", "stats", str(path), "--json"]) == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["records"] == 1
-        assert "v3:t2-3-3" in report["families"]
+
+def _inverse_via_cli(spec, capsys):
+    # `_cmd_synth` itself asserts the shipped (reversed) cascade
+    # implements the *forward* spec, so exit code 0 already means the
+    # inverse pipeline is sound end to end.
+    code = main(
+        ["synth", "--spec", ",".join(map(str, spec.images)),
+         "--direction", "inverse", "--json"]
+    )
+    assert code == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["solved"]
+    assert report["direction"] == "inverse"
+    return report["gate_count"], [Circuit.parse(3, report["circuit"])]
+
+
+def _inverse_via_deck(spec, capsys):
+    # Two slots of the one inverse variant split the inverse seed pool.
+    result = synthesize_portfolio(
+        spec, jobs=2, inline=True, portfolio_strategies="inverse",
+        **_INVERSE_OPTIONS,
+    )
+    shipped = [
+        load_real(entry.circuit) for entry in result.portfolio.slices
+        if entry.circuit
+    ]
+    assert all(
+        entry.direction == "inverse" for entry in result.portfolio.slices
+    )
+    return result.gate_count, [result.circuit] + shipped
+
+
+def _inverse_via_bidirectional(spec, capsys):
+    result = synthesize_bidirectional(
+        spec, always_try_inverse=True, **_INVERSE_OPTIONS
+    )
+    assert result.inverse is not None
+    return result.inverse.gate_count, [result.inverse.circuit]
 
 
 class TestSynthDirectionCli:
-    def test_inverse_direction_solves_and_reports(self, capsys):
-        # `_cmd_synth` itself asserts the shipped (reversed) cascade
-        # implements the *forward* spec, so exit code 0 already means
-        # the inverse pipeline is sound end to end.
-        code = main(
-            ["synth", "--spec", "1,0,7,2,3,4,5,6",
-             "--direction", "inverse", "--json"]
-        )
-        assert code == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["solved"]
-        assert report["direction"] == "inverse"
-        assert report["gate_count"] == 3
+    @pytest.mark.parametrize(
+        "run_inverse",
+        [_inverse_via_cli, _inverse_via_deck, _inverse_via_bidirectional],
+        ids=["cli", "deck", "bidirectional"],
+    )
+    def test_inverse_direction_solves_and_reports(self, run_inverse, capsys):
+        # Every caller of synthesize_inverse ships a circuit for the
+        # forward spec with the gate count of the inverse search.
+        stream = random.Random(0x1A5E)
+        for _ in range(3):
+            spec = random_spec(stream, 3)
+            expected = synthesize(spec.inverse(), **_INVERSE_OPTIONS)
+            assert expected.solved
+            gate_count, circuits = run_inverse(spec, capsys)
+            assert gate_count == expected.gate_count
+            for circuit in circuits:
+                assert circuit.implements(spec)
 
     def test_direction_needs_permutation(self, capsys):
         # shift28 is tabulated only as a PPRM benchmark (no image

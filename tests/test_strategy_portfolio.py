@@ -15,7 +15,7 @@ import json
 import random
 
 from repro.io.real_format import dump_real, load_real
-from repro.parallel import spec_family, synthesize_portfolio
+from repro.parallel import synthesize_portfolio
 from repro.synth import synthesize
 
 from conftest import random_spec
@@ -26,11 +26,11 @@ from conftest import random_spec
 _DIFF = dict(dedupe_states=True, max_steps=200_000)
 
 
-def _deck_run(spec, stats_path=None, strategies="default", jobs=4):
-    options = dict(_DIFF, portfolio_strategies=strategies)
-    if stats_path is not None:
-        options["strategy_stats"] = str(stats_path)
-    return synthesize_portfolio(spec, jobs=jobs, inline=True, **options)
+def _deck_run(spec, strategies="default", jobs=4):
+    return synthesize_portfolio(
+        spec, jobs=jobs, inline=True, portfolio_strategies=strategies,
+        **_DIFF,
+    )
 
 
 class TestDeckSoundness:
@@ -139,70 +139,3 @@ class TestDeckDeterminism:
         )
         assert pooled.portfolio.deck == inline.portfolio.deck
 
-
-class TestAdaptiveEndToEnd:
-    def test_deck_runs_accumulate_stats(self, fig1_spec, tmp_path):
-        path = tmp_path / "stats.jsonl"
-        first = _deck_run(fig1_spec, stats_path=path)
-        assert path.exists()
-        lines = path.read_text().splitlines()
-        assert len(lines) == 1
-        record = json.loads(lines[0])
-        assert record["schema"] == "rmrls-strategy-stats"
-        assert record["family"] == spec_family(fig1_spec.to_pprm())
-        assert record["winner"] == first.portfolio.winner_variant
-
-        # The first run saw an empty history; the second sees one
-        # record and reports the bias it applied.
-        assert first.portfolio.adaptive["records"] == 0
-        second = _deck_run(fig1_spec, stats_path=path)
-        assert second.portfolio.adaptive["records"] == 1
-        assert second.portfolio.adaptive["family_runs"] > 0
-        assert second.portfolio.adaptive["weights"] is not None
-        assert len(path.read_text().splitlines()) == 2
-
-    def test_identical_runs_append_identical_stat_lines(
-        self, fig1_spec, tmp_path
-    ):
-        path_a = tmp_path / "a.jsonl"
-        path_b = tmp_path / "b.jsonl"
-        _deck_run(fig1_spec, stats_path=path_a)
-        _deck_run(fig1_spec, stats_path=path_b)
-        assert path_a.read_bytes() == path_b.read_bytes()
-
-    def test_seeded_history_shifts_dealt_slots(self, fig1_spec, tmp_path):
-        # Fabricate a history where `eliminate` always wins this
-        # family: the next deck must deal it more than the one slot an
-        # even 4-way split would.
-        path = tmp_path / "stats.jsonl"
-        family = spec_family(fig1_spec.to_pprm())
-        record = {
-            "schema": "rmrls-strategy-stats", "version": 1,
-            "family": family, "jobs": 4, "winner": "eliminate",
-            "variants": {
-                name: {"slices": 1, "solved": 1, "steps": 5,
-                       "best_gates": 3}
-                for name in ("paper", "greedy", "inverse", "eliminate")
-            },
-        }
-        with open(path, "w") as handle:
-            for _ in range(10):
-                handle.write(json.dumps(record, sort_keys=True) + "\n")
-
-        baseline = _deck_run(fig1_spec)
-        biased = _deck_run(fig1_spec, stats_path=path)
-        base_counts = {}
-        for slot in baseline.portfolio.deck:
-            base_counts[slot["variant"]] = (
-                base_counts.get(slot["variant"], 0) + 1
-            )
-        biased_counts = {}
-        for slot in biased.portfolio.deck:
-            biased_counts[slot["variant"]] = (
-                biased_counts.get(slot["variant"], 0) + 1
-            )
-        assert base_counts["eliminate"] == 1
-        assert biased_counts["eliminate"] > base_counts["eliminate"]
-        # The biased fleet still solves and verifies.
-        assert biased.solved
-        assert biased.circuit.implements(fig1_spec)
