@@ -91,7 +91,6 @@ def _options_from_args(args) -> SynthesisOptions:
         max_gates=args.max_gates,
         time_limit=args.time_limit,
         dedupe_states=not args.no_dedupe,
-        engine=args.engine,
     )
 
 
@@ -108,15 +107,6 @@ def _add_option_flags(parser: argparse.ArgumentParser) -> None:
                         help="wall-clock budget in seconds")
     parser.add_argument("--no-dedupe", action="store_true",
                         help="disable the duplicate-state table")
-    _add_engine_flag(parser)
-
-
-def _add_engine_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--engine", choices=["reference", "packed"],
-                        default=None,
-                        help="PPRM expansion backend (default: the "
-                             "RMRLS_ENGINE environment variable, then "
-                             "'reference'; see docs/architecture.md)")
 
 
 def _add_observability_flags(parser: argparse.ArgumentParser) -> None:
@@ -477,7 +467,6 @@ def _cmd_bench(args) -> int:
             repeats=args.repeats,
             warmup=args.warmup,
             workload_name=args.workload_name,
-            engine=args.engine,
             progress=progress,
         )
     except ValueError as error:
@@ -783,7 +772,7 @@ def _cmd_table1(args) -> int:
         return 2
     print(render_table1(
         run_table1(sample=sample, seed=args.seed, harness=harness,
-                   engine=args.engine, corpus=corpus)
+                   corpus=corpus)
     ))
     return 0
 
@@ -791,9 +780,7 @@ def _cmd_table1(args) -> int:
 def _cmd_table2(args) -> int:
     from repro.experiments.table23 import render_table2, run_random_functions
 
-    result = run_random_functions(
-        4, args.sample, seed=args.seed, engine=args.engine
-    )
+    result = run_random_functions(4, args.sample, seed=args.seed)
     print(render_table2(result))
     return 0
 
@@ -801,9 +788,7 @@ def _cmd_table2(args) -> int:
 def _cmd_table3(args) -> int:
     from repro.experiments.table23 import render_table3, run_random_functions
 
-    result = run_random_functions(
-        5, args.sample, seed=args.seed, engine=args.engine
-    )
+    result = run_random_functions(5, args.sample, seed=args.seed)
     print(render_table3(result))
     return 0
 
@@ -812,7 +797,7 @@ def _cmd_table4(args) -> int:
     from repro.experiments.table4 import render_table4, run_table4
 
     names = args.names.split(",") if args.names else None
-    print(render_table4(run_table4(names, engine=args.engine)))
+    print(render_table4(run_table4(names)))
     return 0
 
 
@@ -824,7 +809,7 @@ def _cmd_scalability(args) -> int:
     )
     results = run_scalability(
         args.max_gates, variables=variables, samples=args.samples,
-        seed=args.seed, engine=args.engine,
+        seed=args.seed,
     )
     print(render_scalability(args.max_gates, results))
     return 0
@@ -933,7 +918,7 @@ def _cmd_sweep(args) -> int:
         sample = None if args.full else args.sample
         results = run_table1(
             sample=sample, seed=args.seed, strict=args.strict,
-            harness=harness, limit=args.limit, engine=args.engine,
+            harness=harness, limit=args.limit,
         )
         rendered = render_table1(results)
     elif target in ("table2", "table3"):
@@ -946,7 +931,7 @@ def _cmd_sweep(args) -> int:
         num_vars = 4 if target == "table2" else 5
         result = run_random_functions(
             num_vars, args.sample, seed=args.seed, strict=args.strict,
-            harness=harness, limit=args.limit, engine=args.engine,
+            harness=harness, limit=args.limit,
         )
         results = {result.name: result}
         rendered = (
@@ -959,7 +944,6 @@ def _cmd_sweep(args) -> int:
         names = args.names.split(",") if args.names else None
         outcomes = run_table4(
             names, strict=args.strict, harness=harness, limit=args.limit,
-            engine=args.engine,
         )
         rendered = render_table4(outcomes)
     elif target == "scalability":
@@ -975,7 +959,7 @@ def _cmd_sweep(args) -> int:
         results = run_scalability(
             args.max_gates, variables=variables, samples=args.samples,
             seed=args.seed, strict=args.strict, harness=harness,
-            limit=args.limit, engine=args.engine,
+            limit=args.limit,
         )
         rendered = render_scalability(args.max_gates, results)
     else:  # pragma: no cover - argparse restricts choices
@@ -1082,7 +1066,7 @@ def _cmd_sweep_sharded(args, harness, registry) -> int:
         try:
             manifest = build_manifest(
                 universe=args.universe, shards=args.shards,
-                options=options, engine=args.engine, limit=limit,
+                options=options, limit=limit,
             )
         except (ManifestError, ValueError) as error:
             print(f"cannot plan sweep: {error}", file=sys.stderr)
@@ -1556,7 +1540,6 @@ def main(argv: list[str] | None = None) -> int:
                        help="report regressions but exit 0")
     bench.add_argument("--json", action="store_true",
                        help="print the report (and comparison) as JSON")
-    _add_engine_flag(bench)
     bench.set_defaults(handler=_cmd_bench)
 
     trace = commands.add_parser(
@@ -1698,7 +1681,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="read the RMRLS column from a coverage "
                              "corpus (results/coverage3.jsonl) instead "
                              "of re-synthesizing")
-    _add_engine_flag(table1)
     table1.set_defaults(handler=_cmd_table1)
 
     for name, handler, default_sample in (
@@ -1708,12 +1690,10 @@ def main(argv: list[str] | None = None) -> int:
         sub = commands.add_parser(name, help=f"reproduce Table {name[-1]}")
         sub.add_argument("--sample", type=int, default=default_sample)
         sub.add_argument("--seed", type=int, default=2004)
-        _add_engine_flag(sub)
         sub.set_defaults(handler=handler)
 
     table4 = commands.add_parser("table4", help="reproduce Table IV")
     table4.add_argument("--names", help="comma-separated benchmark names")
-    _add_engine_flag(table4)
     table4.set_defaults(handler=_cmd_table4)
 
     scalability = commands.add_parser(
@@ -1725,7 +1705,6 @@ def main(argv: list[str] | None = None) -> int:
     scalability.add_argument("--variables",
                              help="comma-separated variable counts (6..16)")
     scalability.add_argument("--seed", type=int, default=2004)
-    _add_engine_flag(scalability)
     scalability.set_defaults(handler=_cmd_scalability)
 
     sweep = commands.add_parser(
@@ -1804,7 +1783,6 @@ def main(argv: list[str] | None = None) -> int:
                        help="plan: bake a heterogeneous strategy deck "
                             "into the manifest options (deck name or "
                             "comma-separated variants)")
-    _add_engine_flag(sweep)
     _add_harness_flags(sweep)
     sweep.set_defaults(handler=_cmd_sweep)
 

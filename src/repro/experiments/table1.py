@@ -84,7 +84,6 @@ def _corpus_column(corpus: str) -> ExperimentResult:
     ours.extras["corpus"] = {
         "path": corpus,
         "universe": header.get("universe"),
-        "engine": header.get("engine"),
         "classes": len(records),
         "body_digest": header.get("body_digest"),
     }
@@ -100,7 +99,6 @@ def run_table1(
     strict: bool = False,
     harness: HarnessConfig | None = None,
     limit: int | None = None,
-    engine: str | None = None,
     corpus: str | None = None,
 ) -> dict[str, ExperimentResult]:
     """Measure the Table I distributions.
@@ -120,8 +118,6 @@ def run_table1(
     """
     if harness is None:
         harness = harness_from_env()
-    if engine is not None:
-        options = options.with_(engine=engine)
     specs = _three_variable_sample(sample, seed)
     results: dict[str, ExperimentResult] = {}
 

@@ -44,7 +44,6 @@ def run_random_functions(
     strict: bool = False,
     harness: HarnessConfig | None = None,
     limit: int | None = None,
-    engine: str | None = None,
 ) -> ExperimentResult:
     """Synthesize ``sample`` random ``num_vars``-variable functions.
 
@@ -57,8 +56,6 @@ def run_random_functions(
     """
     if options is None:
         options = TABLE2_OPTIONS if num_vars <= 4 else TABLE3_OPTIONS
-    if engine is not None:
-        options = options.with_(engine=engine)
     if harness is None:
         harness = harness_from_env()
     rng = random.Random(seed)

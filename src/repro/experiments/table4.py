@@ -154,7 +154,6 @@ def run_table4(
     harness=None,
     ledger_path: str | None = None,
     limit: int | None = None,
-    engine: str | None = None,
 ) -> dict[str, BenchmarkOutcome]:
     """Run the benchmark suite (Table IV rows by default).
 
@@ -166,8 +165,6 @@ def run_table4(
     """
     if names is None:
         names = [name for name in TABLE4 if name in all_benchmarks()]
-    if engine is not None:
-        options = options.with_(engine=engine)
     table = all_benchmarks()
     if harness is None:
         from repro.harness import harness_from_env

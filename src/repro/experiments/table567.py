@@ -52,7 +52,6 @@ def run_scalability(
     strict: bool = False,
     harness: HarnessConfig | None = None,
     limit: int | None = None,
-    engine: str | None = None,
 ) -> dict[int, ExperimentResult]:
     """Run the Sec. V-E protocol for one ``max_gates`` setting.
 
@@ -70,8 +69,6 @@ def run_scalability(
         variables = list(range(6, 17))
     if harness is None:
         harness = harness_from_env()
-    if engine is not None:
-        options = options.with_(engine=engine)
     run_options = options.with_(
         max_gates=max(40, options.max_gates or 0)
     )

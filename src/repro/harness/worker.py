@@ -64,7 +64,11 @@ def _synthesis_result_dict(result, verified: bool | None) -> dict:
     status = status_from_finish_reason(
         result.stats.finish_reason, result.solved
     )
-    out = {"status": status, "stats": result.stats.as_dict()}
+    out = {
+        "status": status,
+        "stats": result.stats.as_dict(),
+        "extra": {"engine": result.engine},
+    }
     if result.solved:
         if verified is False:
             out["status"] = STATUS_UNSOUND
@@ -193,35 +197,14 @@ def _run_portfolio(
     (the shared bound needs no translation, since a cascade and its
     reverse have the same gate count).
     """
+    from repro.functions.permutation import Permutation
+    from repro.parallel.portfolio import spec_from_payload
     from repro.synth.rmrls import synthesize
 
     synth_options = options_from_payload(options)
     direction = payload.get("direction") or "forward"
-    spec = None
-    if "images" in payload:
-        from repro.functions.permutation import Permutation
-
-        spec = Permutation(payload["images"])
-        system = spec
-    elif "packed" in payload:
-        # The driver ships per-output big-int bitsets (the
-        # engine-agnostic wire form); unpack straight into the backend
-        # the search will run on instead of re-parsing text into sets.
-        from repro.pprm.engine import ENGINE_ENV_VAR, resolve_engine
-
-        preference = synth_options.engine
-        if preference is None and not os.environ.get(
-            ENGINE_ENV_VAR, ""
-        ).strip():
-            preference = payload.get("engine")
-        engine = resolve_engine(preference)
-        system = engine.unpack_system(
-            payload["packed"], payload["num_vars"]
-        )
-    else:
-        from repro.pprm.parser import parse_system
-
-        system = parse_system(payload["system"])
+    system = spec_from_payload(payload)
+    spec = system if isinstance(system, Permutation) else None
     if direction != "forward" and spec is None:
         raise ValueError(
             f"{direction} portfolio slots need an invertible "

@@ -13,15 +13,15 @@ an aircraft black box does:
   skipped and counted at recovery time.
 * :class:`FlightRecorder` — one per process: the ring file, a
   write-once ``<ring>.meta.json`` sidecar holding the *decision log*
-  (task kind/payload/options, resolved engine preference, seed ranks,
-  pids, trace linkage), and a flushed ``<ring>.decisions.jsonl``
-  sidecar for the rare nondeterministic inputs (shared-bound
-  adoptions) that a replay must re-apply.  On a clean exit the whole
-  set is discarded; on an abnormal one it becomes a checksummed
-  ``rmrls-flight-dump`` document — written in-process for ``crash``/
-  ``unsound``/``oom`` (plus an ``atexit`` backstop), or recovered from
-  the ring by the *coordinator* for workers that died silently
-  (:func:`recover_ring`, wired into ``WorkerPool._settle``).
+  (task kind/payload/options, seed ranks, pids, trace linkage), and a
+  flushed ``<ring>.decisions.jsonl`` sidecar for the rare
+  nondeterministic inputs (shared-bound adoptions) that a replay must
+  re-apply.  On a clean exit the whole set is discarded; on an
+  abnormal one it becomes a checksummed ``rmrls-flight-dump``
+  document — written in-process for ``crash``/``unsound``/``oom``
+  (plus an ``atexit`` backstop), or recovered from the ring by the
+  *coordinator* for workers that died silently (:func:`recover_ring`,
+  wired into ``WorkerPool._settle``).
 * :class:`FlightObserver` — the search-side tap on the single
   observer dispatch point: a cumulative 64-bit FNV-style digest folded
   from ``(step, depth, terms, queue_size)`` at every stride point
@@ -29,10 +29,10 @@ an aircraft black box does:
   Because the digest is cumulative over all stride points — including
   evicted ones — *any* surviving suffix of the ring is checkable.
 * :func:`replay_dump` — re-runs the recorded search from the decision
-  log (same spec, options, engine, seed ranks, scripted bound
-  adoptions) capped at the last acknowledged step, and asserts the
-  digest at every surviving recorded step — turning every fleet
-  fatality into a reproducible test case.
+  log (same spec, options, seed ranks, scripted bound adoptions)
+  capped at the last acknowledged step, and asserts the digest at
+  every surviving recorded step — turning every fleet fatality into a
+  reproducible test case.
 * :func:`build_postmortem` / :func:`render_postmortem` — ``rmrls
   postmortem``: recover leftover rings, validate every dump, and merge
   the final events before each death into one fleet timeline.
@@ -787,14 +787,15 @@ def replayable(document: dict) -> bool:
     )
 
 
-def _rebuild_system(meta: dict, engine_preference):
-    """The recorded task's PPRM system, on the recorded backend."""
+def _rebuild_spec(meta: dict):
+    """The recorded task's specification; ``synthesize`` picks the
+    backend from its width, as it did in the recorded run."""
     kind = meta["kind"]
     payload = meta["payload"]
     if kind == "permutation":
         from repro.functions.permutation import Permutation
 
-        return Permutation(payload["images"]).to_pprm()
+        return Permutation(payload["images"])
     if kind == "pprm":
         from repro.pprm.parser import parse_system
 
@@ -804,21 +805,9 @@ def _rebuild_system(meta: dict, engine_preference):
 
         return load_real(payload["real"]).to_pprm()
     if kind == "portfolio":
-        if "images" in payload:
-            from repro.functions.permutation import Permutation
+        from repro.parallel.portfolio import spec_from_payload
 
-            return Permutation(payload["images"]).to_pprm()
-        if "packed" in payload:
-            from repro.pprm.engine import resolve_engine
-
-            preference = engine_preference or payload.get("engine")
-            engine = resolve_engine(preference)
-            return engine.unpack_system(
-                payload["packed"], payload["num_vars"]
-            )
-        from repro.pprm.parser import parse_system
-
-        return parse_system(payload["system"])
+        return spec_from_payload(payload)
     raise ValueError(f"cannot rebuild a spec for task kind {kind!r}")
 
 
@@ -868,11 +857,11 @@ class _ReplayObserver(SearchObserver):
 def replay_dump(document: dict) -> dict:
     """Re-run a dump's recorded search; assert it reaches the same state.
 
-    Rebuilds the spec and options from the decision log, pins the
-    recorded engine preference, replays shared-bound adoptions through
-    a :class:`ScriptedBound`, caps the run at the last acknowledged
-    step, and compares the cumulative digest at every recorded step
-    that survived in the ring.  Returns a JSON-safe verdict::
+    Rebuilds the spec and options from the decision log, replays
+    shared-bound adoptions through a :class:`ScriptedBound`, caps the
+    run at the last acknowledged step, and compares the cumulative
+    digest at every recorded step that survived in the ring.  Returns
+    a JSON-safe verdict::
 
         {"ok": bool, "checked": N, "mismatches": [...],
          "last_step": ..., "steps_replayed": ..., ...}
@@ -909,7 +898,6 @@ def replay_dump(document: dict) -> dict:
     from repro.harness.tasks import options_from_payload
 
     options = options_from_payload(dict(meta["options"]))
-    engine = options.engine or meta.get("engine_env") or None
     observer = _ReplayObserver(
         expected, every=int(meta.get("every") or DEFAULT_EVERY)
     )
@@ -924,7 +912,6 @@ def replay_dump(document: dict) -> dict:
         cap = min(cap, options.max_steps)
     options = options.with_(
         observers=(observer,),
-        engine=engine,
         max_steps=cap,
         time_limit=None,
         phase_timer=None,
@@ -937,8 +924,7 @@ def replay_dump(document: dict) -> dict:
 
     from repro.synth.rmrls import synthesize
 
-    system = _rebuild_system(meta, engine)
-    result = synthesize(system, options)
+    result = synthesize(_rebuild_spec(meta), options)
     reachable = [step for step in expected if step <= result.stats.steps]
     unreached = sorted(step for step in expected
                        if step > result.stats.steps)
@@ -952,7 +938,7 @@ def replay_dump(document: dict) -> dict:
         "steps_replayed": result.stats.steps,
         "finish_reason": result.stats.finish_reason,
         "recorded_reason": document.get("reason"),
-        "engine": engine,
+        "engine": result.engine,
         "solved": result.solved,
         "gate_count": result.gate_count,
     }
@@ -1122,7 +1108,6 @@ def arm_worker_recorder(flight: dict, kind: str, payload: dict,
         "payload": payload,
         "options": {key: value for key, value in options.items()
                     if key != "observers"},
-        "engine_env": os.environ.get("RMRLS_ENGINE") or None,
         "seed_ranks": options.get("portfolio_seed_ranks"),
         "every": int(every) if every else flight_every(),
         "trace_id": (trace or {}).get("trace_id"),

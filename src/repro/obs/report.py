@@ -82,15 +82,13 @@ def build_run_report(
     is merged in under the ``"extra"`` key for caller annotations
     (seed, benchmark scale, ...).
     """
-    from repro.pprm.engine import resolve_engine
-
     circuit = result.circuit
     report = {
         "schema": REPORT_SCHEMA,
         "version": REPORT_VERSION,
         "generated_unix": time.time(),
         "benchmark": benchmark,
-        "engine": resolve_engine(result.options.engine).name,
+        "engine": result.engine,
         "num_vars": result.num_vars,
         "solved": result.solved,
         "gate_count": result.gate_count,

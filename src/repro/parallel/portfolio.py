@@ -23,7 +23,7 @@ another.  This module runs the same seed pool *concurrently*:
 With ``options.portfolio_strategies`` set, the fleet is *heterogeneous*:
 worker slots are dealt from a :class:`~repro.parallel.strategy.
 StrategyDeck`, so different slots run different named option variants —
-priority weights, greedy-k, engine, and search direction (inverse
+priority weights, greedy-k, and search direction (inverse
 slots run :func:`repro.synth.bidirectional.synthesize_inverse` and
 ship the reversed cascade, so the shared bound needs no translation).
 
@@ -244,8 +244,29 @@ def _spec_payload(specification, system) -> dict:
     return {
         "packed": [engine.pack(output) for output in system.outputs],
         "num_vars": system.num_vars,
-        "engine": system.engine_name,
     }
+
+
+def spec_from_payload(payload: dict):
+    """Invert :func:`_spec_payload`: a Permutation or a PPRMSystem.
+
+    The slice worker and flight replay both rebuild through here and
+    hand the result to ``synthesize``, whose ``_as_system`` moves it
+    onto the search backend.
+    """
+    if "images" in payload:
+        from repro.functions.permutation import Permutation
+
+        return Permutation(payload["images"])
+    if "packed" in payload:
+        from repro.pprm.engine import resolve_engine
+
+        return resolve_engine().unpack_system(
+            payload["packed"], payload["num_vars"]
+        )
+    from repro.pprm.parser import parse_system
+
+    return parse_system(payload["system"])
 
 
 def _slice_outcome(
@@ -391,7 +412,7 @@ def _run_portfolio_driver(
     specification, options, jobs, pool, started, session, root_span,
     flight=None, inline=False,
 ):
-    system = _as_system(specification, options.engine)
+    system = _as_system(specification)
 
     # Resolve before any work so an unknown strategy name fails fast.
     strategies = resolve_strategies(options.portfolio_strategies)
@@ -709,6 +730,7 @@ def _merge_fleet(
         stats=fleet,
         options=options,
         num_vars=system.num_vars,
+        engine=system.engine_name,
         trace=None,
         portfolio=summary,
     )

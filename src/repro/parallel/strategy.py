@@ -10,7 +10,7 @@ instead of identical searches over seed slices:
 
 * a :class:`StrategyVariant` is a frozen, named set of deltas over the
   base :class:`~repro.synth.options.SynthesisOptions` — priority
-  weights, ``greedy_k``, ``restart_steps``, engine choice — plus a
+  weights, ``greedy_k``, ``restart_steps`` — plus a
   search *direction* (``forward`` or ``inverse``, the latter via
   :func:`repro.synth.bidirectional.synthesize_inverse`);
 * the built-in catalog (:data:`BUILTIN_VARIANTS`, named decks in
@@ -54,7 +54,7 @@ DIRECTIONS = ("forward", "inverse")
 #: variant fingerprints small and prevents a deck from smuggling in
 #: live objects or budget changes that belong to the caller.
 TUNABLE_FIELDS = (
-    "alpha", "beta", "gamma", "greedy_k", "restart_steps", "engine",
+    "alpha", "beta", "gamma", "greedy_k", "restart_steps",
 )
 
 
@@ -112,7 +112,7 @@ def variant(name: str, direction: str = "forward", **deltas) -> StrategyVariant:
 
 #: The deterministic built-in catalog, in deck order.  Weights vary the
 #: priority function (4), ``greedy``/``wide`` the Sec. IV-E pruning,
-#: ``inverse*`` the cascade direction, ``packed`` the PPRM backend.
+#: ``inverse*`` the cascade direction.
 BUILTIN_VARIANTS = (
     variant("paper"),
     variant("greedy", greedy_k=1, restart_steps=10_000),
@@ -124,7 +124,6 @@ BUILTIN_VARIANTS = (
         "inverse-greedy", direction="inverse",
         greedy_k=1, restart_steps=10_000,
     ),
-    variant("packed", engine="packed"),
 )
 
 _CATALOG = {entry.name: entry for entry in BUILTIN_VARIANTS}

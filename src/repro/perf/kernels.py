@@ -193,18 +193,16 @@ def run_kernel(
 ) -> TimingResult:
     """Time one named kernel; see :func:`repro.perf.timing.time_callable`.
 
-    ``engine`` picks the expansion backend the kernel's fixtures use
-    (name or engine instance; ``None`` honours ``RMRLS_ENGINE`` and
-    falls back to ``reference``).
+    ``engine`` (a :class:`~repro.pprm.engine.PPRMEngine`) converts the
+    kernel's fixtures to that backend; ``None`` keeps them on
+    ``reference``.
     """
-    from repro.pprm.engine import resolve_engine
-
     factory = KERNELS.get(name)
     if factory is None:
         raise ValueError(
             f"unknown kernel {name!r}; known: {', '.join(KERNELS)}"
         )
-    body, ops = factory(quick, resolve_engine(engine))
+    body, ops = factory(quick, engine)
     if repeats is None:
         repeats = 7 if quick else 9
     if warmup is None:
@@ -215,7 +213,7 @@ def run_kernel(
 # -- workloads -----------------------------------------------------------
 
 
-def _workload_exhaustive3(quick: bool, engine=None):
+def _workload_exhaustive3(quick: bool):
     """A deterministic slice of the Table I sweep: synthesize seeded
     random 3-variable permutations back to back."""
     from repro.functions.permutation import Permutation
@@ -237,7 +235,7 @@ def _workload_exhaustive3(quick: bool, engine=None):
         steps = 0
         for spec in specs:
             result = synthesize(
-                spec, max_steps=max_steps, dedupe_states=True, engine=engine
+                spec, max_steps=max_steps, dedupe_states=True
             )
             solved += result.solved
             steps += result.stats.steps
@@ -246,7 +244,7 @@ def _workload_exhaustive3(quick: bool, engine=None):
     return body
 
 
-def _workload_rd53(quick: bool, engine=None):
+def _workload_rd53(quick: bool):
     """The rd53-class benchmark under the paper's greedy heuristics,
     step-capped so the workload is identical whether or not it solves."""
     from repro.benchlib.specs import benchmark
@@ -258,7 +256,7 @@ def _workload_rd53(quick: bool, engine=None):
     def body():
         result = synthesize(
             system, greedy_k=3, restart_steps=1_000, max_steps=max_steps,
-            dedupe_states=True, stop_at_first=True, engine=engine,
+            dedupe_states=True, stop_at_first=True,
         )
         return {
             "solved": result.solved,
@@ -269,7 +267,7 @@ def _workload_rd53(quick: bool, engine=None):
     return body
 
 
-def _workload_scalability_probe(quick: bool, engine=None):
+def _workload_scalability_probe(quick: bool):
     """One Sec. V-E-style probe: resynthesize a seeded random cascade
     on 8 lines.  The search runs to its hard step cap (no
     ``stop_at_first``) so every run performs the same amount of work —
@@ -285,7 +283,6 @@ def _workload_scalability_probe(quick: bool, engine=None):
     def body():
         result = synthesize(
             system, greedy_k=3, restart_steps=5_000, max_steps=max_steps,
-            engine=engine,
         )
         return {
             "solved": result.solved,
@@ -310,7 +307,7 @@ def _fixture_portfolio_spec(num_vars: int, index: int):
     return Permutation(images)
 
 
-def _workload_portfolio(quick: bool, engine=None):
+def _workload_portfolio(quick: bool):
     """Serial vs 4-way portfolio race on a restart-heavy spec.
 
     Times the same seeded synthesis twice — once serial, once through
@@ -332,7 +329,7 @@ def _workload_portfolio(quick: bool, engine=None):
     else:
         spec = _fixture_portfolio_spec(5, 5)
         kwargs = dict(greedy_k=2, restart_steps=500, max_steps=30_000)
-    kwargs.update(dedupe_states=True, stop_at_first=True, engine=engine)
+    kwargs.update(dedupe_states=True, stop_at_first=True)
     jobs = 4
 
     def body():
@@ -372,7 +369,7 @@ def _workload_portfolio(quick: bool, engine=None):
     return body
 
 
-def _workload_portfolio_strategies(quick: bool, engine=None):
+def _workload_portfolio_strategies(quick: bool):
     """Homogeneous vs heterogeneous 4-way portfolio on the same spec.
 
     Times the seed-slice portfolio against the ``default`` strategy
@@ -391,7 +388,7 @@ def _workload_portfolio_strategies(quick: bool, engine=None):
     else:
         spec = _fixture_portfolio_spec(5, 5)
         kwargs = dict(greedy_k=2, restart_steps=500, max_steps=30_000)
-    kwargs.update(dedupe_states=True, stop_at_first=True, engine=engine)
+    kwargs.update(dedupe_states=True, stop_at_first=True)
     jobs = 4
 
     def body():
@@ -431,7 +428,7 @@ def _workload_portfolio_strategies(quick: bool, engine=None):
     return body
 
 
-def _workload_tracing_overhead(quick: bool, engine=None):
+def _workload_tracing_overhead(quick: bool):
     """Search-loop cost of distributed tracing, traced vs untraced.
 
     Runs the exhaustive3 spec set twice: bare, and with a live
@@ -472,7 +469,7 @@ def _workload_tracing_overhead(quick: bool, engine=None):
                 observers = (SpanProgressObserver(session, span),)
             result = synthesize(
                 spec, max_steps=max_steps, dedupe_states=True,
-                engine=engine, observers=observers,
+                observers=observers,
             )
             if span is not None:
                 span.end(status="ok" if result.solved else "unsolved")
@@ -520,7 +517,7 @@ def _workload_tracing_overhead(quick: bool, engine=None):
     return body
 
 
-def _workload_flight_overhead(quick: bool, engine=None):
+def _workload_flight_overhead(quick: bool):
     """Per-step cost of the flight recorder as a share of a search step.
 
     Differencing two nearly-equal end-to-end walls cannot resolve a
@@ -572,8 +569,7 @@ def _workload_flight_overhead(quick: bool, engine=None):
             start = _time.perf_counter()
             steps = sum(
                 synthesize(
-                    spec, max_steps=max_steps, dedupe_states=True,
-                    engine=engine,
+                    spec, max_steps=max_steps, dedupe_states=True
                 ).stats.steps
                 for spec in specs
             )
@@ -625,7 +621,7 @@ def _workload_flight_overhead(quick: bool, engine=None):
     return body
 
 
-def _workload_sweep_shard(quick: bool, engine=None):
+def _workload_sweep_shard(quick: bool):
     """One coverage-sweep shard end to end, ledger to merged corpus.
 
     Plans a fixed manifest over the first classes of the 3-variable
@@ -648,7 +644,7 @@ def _workload_sweep_shard(quick: bool, engine=None):
     )
 
     manifest = build_manifest(
-        "perm3", shards=1, engine=engine, limit=8 if quick else 24
+        "perm3", shards=1, limit=8 if quick else 24
     )
 
     def body():
@@ -678,16 +674,17 @@ def _workload_sweep_shard(quick: bool, engine=None):
     return body
 
 
-def _workload_engine_compare(quick: bool, engine=None):
+def _workload_engine_compare(quick: bool):
     """Head-to-head backend race on the two hottest kernels.
 
     Times ``pprm_substitute`` and ``expansion_xor`` under both the
-    ``reference`` and ``packed`` engines (the ``engine`` argument is
-    ignored — this workload *is* the comparison) and publishes each
+    ``reference`` and ``packed`` engines and publishes each
     wall as a gated ``..._ns_per_op`` metric plus an informational
     ``..._speedup`` ratio (reference / packed, higher is better for the
     packed backend).  The trajectory lands in ``BENCH_engine.json``.
     """
+
+    from repro.pprm.engine import ENGINES
 
     def body():
         metrics: dict = {}
@@ -695,7 +692,9 @@ def _workload_engine_compare(quick: bool, engine=None):
         for kernel in ("pprm_substitute", "expansion_xor"):
             walls = {}
             for backend in ("reference", "packed"):
-                timing = run_kernel(kernel, quick=quick, engine=backend)
+                timing = run_kernel(
+                    kernel, quick=quick, engine=ENGINES[backend]
+                )
                 walls[backend] = timing.ns_per_op
                 metrics[f"{kernel}_{backend}_ns_per_op"] = timing.ns_per_op
             metrics[f"{kernel}_speedup"] = (
@@ -709,8 +708,7 @@ def _workload_engine_compare(quick: bool, engine=None):
     return body
 
 
-#: name -> factory(quick, engine) -> zero-arg callable returning a
-#: summary dict.
+#: name -> factory(quick) -> zero-arg callable returning a summary dict.
 WORKLOADS = {
     "exhaustive3": _workload_exhaustive3,
     "rd53": _workload_rd53,
@@ -730,27 +728,19 @@ def workload_names() -> list[str]:
 
 def run_workload(
     name: str, *, quick: bool = False, repeats: int | None = None,
-    engine=None,
 ) -> dict:
     """Run one workload ``repeats`` times; return its summary section.
 
     The summary pairs the best (minimum) wall-clock with the hot-op
     counters of one repetition, from which the derived per-op figures
     (``ns_per_substitution``, ``steps_per_s``, ...) are computed.
-    ``engine`` selects the expansion backend the workload's syntheses
-    run on (name or engine instance; ``None`` defers to
-    ``RMRLS_ENGINE``).
     """
     factory = WORKLOADS.get(name)
     if factory is None:
         raise ValueError(
             f"unknown workload {name!r}; known: {', '.join(WORKLOADS)}"
         )
-    if engine is not None:
-        from repro.pprm.engine import resolve_engine
-
-        engine = resolve_engine(engine).name
-    body = factory(quick, engine)
+    body = factory(quick)
     if repeats is None:
         repeats = 2 if quick else 3
     import time as _time

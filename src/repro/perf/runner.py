@@ -51,7 +51,6 @@ def run_bench(
     repeats: int | None = None,
     warmup: int | None = None,
     workload_name: str | None = None,
-    engine: str | None = None,
     progress=None,
 ) -> dict:
     """Run the suite; return the validated bench-report document.
@@ -60,18 +59,12 @@ def run_bench(
     (the full ``--quick`` suite stays under ~2 minutes on commodity
     hardware).  ``kernels``/``workloads`` filter by name (``"none"``
     skips a whole granularity).  ``repeats``/``warmup`` override the
-    per-kernel defaults — test hooks, mostly.  ``engine`` picks the
-    PPRM expansion backend the kernels and workloads run on (``None``
-    defers to ``RMRLS_ENGINE``, then ``reference``); the resolved name
-    is recorded in the report's ``config``.  ``progress`` is an
+    per-kernel defaults — test hooks, mostly.  ``progress`` is an
     optional ``callable(str)`` for status lines.
     """
-    from repro.pprm.engine import resolve_engine
-
     kernel_list = _select(kernels, KERNELS, "kernel")
     workload_list = _select(workloads, WORKLOADS, "workload")
     say = progress if progress is not None else (lambda message: None)
-    resolved_engine = resolve_engine(engine)
 
     metrics: dict = {}
     kernel_sections: dict = {}
@@ -82,7 +75,6 @@ def run_bench(
             quick=quick,
             repeats=repeats,
             warmup=warmup,
-            engine=resolved_engine,
         )
         kernel_sections[name] = timing.as_dict()
         metrics[f"kernel_{name}_ns_per_op"] = timing.ns_per_op
@@ -91,7 +83,7 @@ def run_bench(
     totals = HotOpCounters()
     for name in workload_list:
         say(f"workload {name}")
-        section = run_workload(name, quick=quick, engine=resolved_engine)
+        section = run_workload(name, quick=quick)
         workload_sections[name] = section
         metrics[f"workload_{name}_seconds"] = section["seconds"]
         if "steps_per_s" in section:
@@ -128,7 +120,6 @@ def run_bench(
             "workloads": workload_list,
             "repeats": repeats,
             "warmup": warmup,
-            "engine": resolved_engine.name,
         },
     )
     return validate_bench_report(report)

@@ -6,15 +6,14 @@ search state is a :class:`PPRMSystem` of one expansion per output.
 """
 
 from repro.pprm.engine import (
-    ENGINE_ENV_VAR,
     ENGINES,
+    SEARCH_PACKED_MAX_VARS,
     PackedEngine,
     PPRMEngine,
     ReferenceEngine,
-    default_engine_name,
     get_engine,
     resolve_engine,
-    resolve_search_engine,
+    search_engine,
 )
 from repro.pprm.expansion import Expansion
 from repro.pprm.packed import PACKED_MAX_VARS, PackedExpansion, tables_for
@@ -50,15 +49,14 @@ __all__ = [
     "PACKED_MAX_VARS",
     "PackedExpansion",
     "PPRMSystem",
-    "ENGINE_ENV_VAR",
     "ENGINES",
     "PPRMEngine",
     "PackedEngine",
     "ReferenceEngine",
-    "default_engine_name",
+    "SEARCH_PACKED_MAX_VARS",
     "get_engine",
     "resolve_engine",
-    "resolve_search_engine",
+    "search_engine",
     "tables_for",
     "CONSTANT_ONE",
     "contains_variable",

@@ -16,16 +16,14 @@ Two engines ship:
   per expansion, shift/mask substitution (see
   ``docs/architecture.md``).
 
-Resolution rules: construction helpers default to ``reference`` so
-spec-building code stays backend-stable; the *search* seam
-(:func:`resolve_search_engine`) honours ``SynthesisOptions.engine``
-first, then the ``RMRLS_ENGINE`` environment variable, then keeps the
-input system's own backend.
+Construction helpers default to ``reference`` so spec-building code
+stays backend-stable.  The backend a *search* runs on is picked from
+the input width by :func:`search_engine`, whose one caller is
+``repro.synth.rmrls._as_system``.
 """
 
 from __future__ import annotations
 
-import os
 from abc import ABC, abstractmethod
 from collections.abc import Iterable, Iterator, Sequence
 
@@ -34,18 +32,15 @@ from repro.pprm.packed import PackedExpansion, tables_for
 from repro.pprm.transform import mobius_transform
 
 __all__ = [
-    "ENGINE_ENV_VAR",
     "ENGINES",
     "PPRMEngine",
     "PackedEngine",
     "ReferenceEngine",
-    "default_engine_name",
+    "SEARCH_PACKED_MAX_VARS",
     "get_engine",
     "resolve_engine",
-    "resolve_search_engine",
+    "search_engine",
 ]
-
-ENGINE_ENV_VAR = "RMRLS_ENGINE"
 
 
 class PPRMEngine(ABC):
@@ -247,23 +242,13 @@ def get_engine(name: str) -> PPRMEngine:
         ) from None
 
 
-def default_engine_name() -> str:
-    """The process-wide default: ``$RMRLS_ENGINE`` or ``reference``."""
-    name = os.environ.get(ENGINE_ENV_VAR, "").strip().lower()
-    if not name:
-        return "reference"
-    get_engine(name)  # validate eagerly so typos fail loudly
-    return name
-
-
 def resolve_engine(engine=None) -> PPRMEngine:
     """Resolve an engine argument: name, instance, or ``None``.
 
-    ``None`` falls back to :func:`default_engine_name` — the seam used
-    wherever a user-facing knob (CLI flag, options field) may be unset.
+    ``None`` means ``reference``, the construction-time default.
     """
     if engine is None:
-        return ENGINES[default_engine_name()]
+        return ENGINES["reference"]
     if isinstance(engine, str):
         return get_engine(engine)
     if isinstance(engine, PPRMEngine):
@@ -271,28 +256,20 @@ def resolve_engine(engine=None) -> PPRMEngine:
     raise TypeError(f"cannot resolve a PPRM engine from {engine!r}")
 
 
-def resolve_search_engine(preference, system) -> PPRMEngine:
-    """Pick the backend a search should run on.
+#: Widest input the search runs on the packed backend.  Packed
+#: substitution shifts whole ``2^n``-bit integers, so its cost grows
+#: with the term space while reference's grows with the live terms.
+#: Crossover table (docs/architecture.md, ``TABLE4_OPTIONS``, equal
+#: steps and gates), packed ÷ reference steps/s: 1.42–2.47× at 11–12
+#: variables (graycode, shifter, mod64adder, shift10), 0.92–1.37× at
+#: 13, 0.03–0.65× at 14–20 (graycode20: 0.03×).
+#: :data:`~repro.pprm.packed.PACKED_MAX_VARS` is the encoding's hard
+#: limit, not a speed rule.
+SEARCH_PACKED_MAX_VARS = 12
 
-    Explicit preference (``SynthesisOptions.engine``) wins, then the
-    ``RMRLS_ENGINE`` environment variable, then the backend the input
-    system was built with — so an explicitly packed specification is
-    never silently downgraded.
 
-    A width guard applies to the environment-variable path only: the
-    packed encoding is dense in the ``2^n`` term space, so a system
-    wider than :data:`~repro.pprm.packed.PACKED_MAX_VARS` falls back
-    to its own backend rather than failing a blanket
-    ``RMRLS_ENGINE=packed`` run.  An *explicit* over-wide preference
-    still raises, loudly, from the packed constructor.
-    """
-    from repro.pprm.packed import PACKED_MAX_VARS
-
-    if preference is not None:
-        return resolve_engine(preference)
-    if os.environ.get(ENGINE_ENV_VAR, "").strip():
-        engine = ENGINES[default_engine_name()]
-        if engine.name == "packed" and system.num_vars > PACKED_MAX_VARS:
-            return system.engine
-        return engine
-    return system.engine
+def search_engine(num_vars: int) -> PPRMEngine:
+    """The backend a search over ``num_vars`` variables runs on."""
+    if num_vars <= SEARCH_PACKED_MAX_VARS:
+        return ENGINES["packed"]
+    return ENGINES["reference"]

@@ -11,27 +11,13 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 
+from repro.pprm.engine import resolve_engine
 from repro.pprm.expansion import Expansion
 from repro.pprm.packed import PackedExpansion
 from repro.pprm.term import variable_name
 from repro.pprm.transform import expansion_to_truth_vector
 
 __all__ = ["PPRMSystem"]
-
-
-def _construction_engine(engine):
-    """Resolve a construction-time engine argument.
-
-    Unlike the search seam, spec *construction* defaults to the
-    ``reference`` backend even when ``RMRLS_ENGINE`` is set, so tests
-    and tools that compare against concrete :class:`Expansion` values
-    stay backend-stable; the env var takes effect when a search
-    converts its input system (see
-    :func:`repro.pprm.engine.resolve_search_engine`).
-    """
-    from repro.pprm.engine import resolve_engine
-
-    return resolve_engine(engine if engine is not None else "reference")
 
 
 class PPRMSystem:
@@ -57,10 +43,10 @@ class PPRMSystem:
 
         ``engine`` selects the expansion backend (name or
         :class:`~repro.pprm.engine.PPRMEngine`); ``None`` means the
-        ``reference`` backend so that spec construction stays stable
-        regardless of the search-time engine choice.
+        ``reference`` backend so that spec construction stays stable;
+        the search picks its own backend from the width.
         """
-        engine = _construction_engine(engine)
+        engine = resolve_engine(engine)
         return cls([engine.variable(i, num_vars) for i in range(num_vars)])
 
     @classmethod
@@ -75,7 +61,7 @@ class PPRMSystem:
         non-bijective systems for analysis.  ``engine`` picks the
         expansion backend (``None`` = ``reference``).
         """
-        engine = _construction_engine(engine)
+        engine = resolve_engine(engine)
         size = len(images)
         num_vars = (size - 1).bit_length()
         if size != 1 << num_vars or size < 2:

@@ -17,8 +17,8 @@ over all ``n!`` relabelings as the class representative, records the
 canonical ones, and derives the key from the representative's PPRM
 system in the engine's shared big-int wire format (the packed form
 underlying the search's ``dedupe_key``), which both expansion backends
-produce bit-identically — so a key written under ``RMRLS_ENGINE=packed``
-is found again under ``reference`` and vice versa.
+produce bit-identically — so a key derived from a packed system is
+found again from a reference one and vice versa.
 
 Circuits relabel contravariantly: renaming the lines of a cascade ``C``
 by ``rho`` yields a cascade computing ``sigma_rho o C o sigma_rho^{-1}``.

@@ -472,9 +472,7 @@ class SynthesisService:
             circuit = load_real(outcome.circuit)
             provenance = {
                 "source": "serve",
-                "engine": job["options"].get("engine")
-                or os.environ.get("RMRLS_ENGINE")
-                or "reference",
+                "engine": outcome.extra.get("engine"),
                 "options": dict(job["options"]),
                 "git_sha": self._git_sha,
                 "trace_id": getattr(self.trace, "trace_id", None),

@@ -1,9 +1,9 @@
 """Deterministic sweep manifests: one plan, many shards, stable ids.
 
 A manifest is the *entire* coordination contract of a distributed
-sweep.  It names a spec universe, pins the synthesis options and
-engine, and partitions the universe's canonical ranks into ``N``
-contiguous shards.  Everything in it is a pure function of its inputs
+sweep.  It names a spec universe, pins the synthesis options, and
+partitions the universe's canonical ranks into ``N`` contiguous
+shards.  Everything in it is a pure function of its inputs
 — no timestamps, no hostnames — so two nodes that load the same
 manifest file (or rebuild it from the same arguments) agree bit for
 bit on what shard ``k`` contains.
@@ -13,8 +13,7 @@ Identity is content-addressed at two levels:
 * each shard's **fingerprint** is a digest of the ordered task ids of
   that shard (task ids already hash kind, payload, options, and the
   sweep namespace — see :mod:`repro.harness.tasks`), so any change to
-  the universe slice, the options, or the engine changes the
-  fingerprint;
+  the universe slice or the options changes the fingerprint;
 * the **manifest fingerprint** folds the shard fingerprints together
   with the identity fields, so ``merge`` can refuse ledgers produced
   under a different plan.
@@ -107,7 +106,6 @@ class SweepManifest:
     universe: str
     num_vars: int
     namespace: str
-    engine: str | None
     options: dict
     limit: int | None
     items: int
@@ -161,7 +159,6 @@ class SweepManifest:
             "universe": self.universe,
             "num_vars": self.num_vars,
             "namespace": self.namespace,
-            "engine": self.engine,
             "options": dict(self.options),
             "limit": self.limit,
             "items": self.items,
@@ -180,17 +177,15 @@ def build_manifest(
     universe: str = "perm3",
     shards: int = 1,
     options: SynthesisOptions | dict | None = None,
-    engine: str | None = None,
     limit: int | None = None,
     namespace: str | None = None,
 ) -> SweepManifest:
     """Plan a sharded sweep over ``universe``.
 
     ``options`` pins the synthesis configuration (default: the Table I
-    protocol, :data:`repro.experiments.common.TABLE1_OPTIONS`);
-    ``engine`` additionally pins the PPRM backend into the options (and
-    therefore into every task id).  ``limit`` restricts the plan to the
-    first ``limit`` canonical ranks — the CI smoke slice.
+    protocol, :data:`repro.experiments.common.TABLE1_OPTIONS`).
+    ``limit`` restricts the plan to the first ``limit`` canonical
+    ranks — the CI smoke slice.
     """
     if shards < 1:
         raise ManifestError("shards must be >= 1")
@@ -200,14 +195,9 @@ def build_manifest(
 
         options = TABLE1_OPTIONS
     if isinstance(options, SynthesisOptions):
-        if engine is not None:
-            options = options.with_(engine=engine)
         payload = options_payload(options)
     else:
         payload = dict(options)
-        if engine is not None:
-            payload["engine"] = engine
-    engine = payload.get("engine")
     total = uni.size
     if limit is not None:
         if limit < 1:
@@ -228,7 +218,9 @@ def build_manifest(
         "universe": universe,
         "num_vars": uni.num_vars,
         "namespace": namespace,
-        "engine": engine,
+        # Plans written while the backend was an option pinned it here;
+        # keeping the key lets their fingerprints still verify.
+        "engine": payload.get("engine"),
         "options": payload,
         "limit": limit,
         "items": total,
@@ -253,7 +245,6 @@ def build_manifest(
         universe=universe,
         num_vars=uni.num_vars,
         namespace=namespace,
-        engine=engine,
         options=payload,
         limit=limit,
         items=total,

@@ -223,7 +223,6 @@ def coverage_summary(manifest: SweepManifest, records, report,
         "version": 1,
         "universe": manifest.universe,
         "namespace": manifest.namespace,
-        "engine": manifest.engine,
         "classes": len(records),
         "functions": sum(record["class_size"] for record in records),
         "functions_solved": functions_solved,
@@ -263,7 +262,6 @@ def merge_to_coverage(
         "universe": manifest.universe,
         "num_vars": manifest.num_vars,
         "namespace": manifest.namespace,
-        "engine": manifest.engine,
         "options": dict(manifest.options),
         "items": manifest.items,
         "functions": manifest.functions,

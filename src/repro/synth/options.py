@@ -188,13 +188,6 @@ class SynthesisOptions:
             search to the portfolio's shared incumbent; ``None``
             (default) keeps the search self-contained.  Excluded from
             equality and from task serialization like ``observers``.
-        engine: PPRM expansion backend the search runs on —
-            ``"reference"`` (frozenset algebra) or ``"packed"``
-            (big-integer bitsets; see :mod:`repro.pprm.engine` and
-            docs/architecture.md).  ``None`` defers to the
-            ``RMRLS_ENGINE`` environment variable, falling back to the
-            backend the input system was built with.  Both engines
-            produce identical circuits and stats.
     """
 
     alpha: float = 0.3
@@ -231,13 +224,8 @@ class SynthesisOptions:
     trace_dir: str | None = None
     flight_dir: str | None = None
     bound_channel: object | None = field(default=None, compare=False)
-    engine: str | None = None
 
     def __post_init__(self):
-        if self.engine is not None:
-            from repro.pprm.engine import get_engine
-
-            get_engine(self.engine)  # fail fast on unknown names
         if not isinstance(self.observers, tuple):
             object.__setattr__(self, "observers", tuple(self.observers))
         if self.portfolio_seed_ranks is not None and not isinstance(

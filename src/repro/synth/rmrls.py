@@ -36,7 +36,7 @@ from repro.obs.observer import (
     TraceObserver,
 )
 from repro.perf.hotops import HotOpCounters, global_counters
-from repro.pprm.engine import resolve_search_engine
+from repro.pprm.engine import search_engine
 from repro.pprm.system import PPRMSystem
 from repro.synth.node import SearchNode
 from repro.synth.options import SynthesisOptions
@@ -69,6 +69,8 @@ class SynthesisResult:
     stats: SearchStats
     options: SynthesisOptions
     num_vars: int
+    # Name of the PPRM backend the search ran on (see _as_system).
+    engine: str
     trace: TraceRecorder | None = None
     # Per-slice accounting when the run went through the portfolio
     # engine (a repro.parallel PortfolioSummary); None for serial runs.
@@ -96,12 +98,12 @@ class SynthesisResult:
         )
 
 
-def _as_system(specification, engine=None) -> PPRMSystem:
-    """Normalize a specification to a PPRMSystem on the search engine.
+def _as_system(specification) -> PPRMSystem:
+    """Normalize a specification to a PPRMSystem on the search backend.
 
-    ``engine`` is the search preference (``SynthesisOptions.engine``);
-    see :func:`repro.pprm.engine.resolve_search_engine` for the
-    preference / ``RMRLS_ENGINE`` / as-built resolution order.
+    This is the one place the backend is chosen: by width, through
+    :func:`repro.pprm.engine.search_engine`, whatever backend the
+    specification was built on.
     """
     if isinstance(specification, PPRMSystem):
         system = specification
@@ -114,7 +116,7 @@ def _as_system(specification, engine=None) -> PPRMSystem:
             "specification must be a PPRMSystem, Permutation, or image "
             f"list; got {type(specification).__name__}"
         )
-    return resolve_search_engine(engine, system).convert_system(system)
+    return search_engine(system.num_vars).convert_system(system)
 
 
 class _Search:
@@ -610,6 +612,7 @@ def _finalize_search(search: _Search, reason: str, best) -> SynthesisResult:
         stats=search.stats,
         options=search.options,
         num_vars=search.system.num_vars,
+        engine=search.system.engine_name,
         trace=search.trace,
     )
 
@@ -635,7 +638,7 @@ def enumerate_first_level(
         options = SynthesisOptions()
     if option_changes:
         options = options.with_(**option_changes)
-    system = _as_system(specification, options.engine)
+    system = _as_system(specification)
     search = _Search(system, options)
     if system.is_identity():
         return FirstLevel(
@@ -703,7 +706,7 @@ def synthesize(
         from repro.parallel.portfolio import synthesize_portfolio
 
         return synthesize_portfolio(specification, options)
-    system = _as_system(specification, options.engine)
+    system = _as_system(specification)
     search = _Search(system, options)
     best = search.run()
     search.stats.elapsed_seconds = search.deadline.elapsed()
@@ -715,5 +718,6 @@ def synthesize(
         stats=search.stats,
         options=options,
         num_vars=system.num_vars,
+        engine=system.engine_name,
         trace=search.trace,
     )

@@ -19,8 +19,10 @@ from pathlib import Path
 
 import pytest
 
+from repro.cli import main
 from repro.functions.permutation import Permutation
 from repro.harness.tasks import options_from_payload
+from repro.pprm import ENGINES
 from repro.sweeps import (
     circuit_from_record,
     coverage_histogram,
@@ -28,6 +30,8 @@ from repro.sweeps import (
     load_coverage,
     validate_coverage,
 )
+from repro.sweeps.manifest import load_manifest
+from repro.synth import rmrls
 from repro.synth.rmrls import synthesize
 
 DEFAULT_CORPUS = (
@@ -68,10 +72,12 @@ def _sample_solved(records, count, seed):
     return rng.sample(solved, count)
 
 
-def _resynthesize_and_diff(records, header, engine):
+def _resynthesize_and_diff(records, header, engine, monkeypatch):
     """Re-synthesize ``records`` under ``engine``; return regressions."""
     options = options_from_payload(dict(header.get("options") or {}))
-    options = options.with_(engine=engine)
+    monkeypatch.setattr(
+        rmrls, "search_engine", lambda num_vars: ENGINES[engine]
+    )
     regressions = []
     for record in records:
         spec = Permutation(list(record["images"]))
@@ -144,26 +150,68 @@ class TestCorpusIntegrity:
         assert abs(average - TABLE1_AVERAGES["ours_nct"]) < 0.15
 
 
+class TestCommittedFilesStillLoad:
+    """The committed ``results/coverage3.*`` files predate the width
+    rule: their headers pin ``options.engine = "packed"``, an option
+    that no longer exists.  They must keep loading and backing Table I
+    byte-for-byte as committed."""
+
+    RESULTS = DEFAULT_CORPUS.parent
+
+    def test_header_still_records_the_old_engine_option(self):
+        header, records = load_coverage(str(DEFAULT_CORPUS))
+        assert header["options"]["engine"] == "packed"
+        assert len(records) == 6828
+        report = validate_coverage(str(DEFAULT_CORPUS), replay=8)
+        assert report["complete"] and report["replayed"] > 0
+
+    def test_engine_key_goes_through_options_from_payload(self):
+        header, _records = load_coverage(str(DEFAULT_CORPUS))
+        options = options_from_payload(dict(header["options"]))
+        assert not hasattr(options, "engine")
+        assert options.max_steps == header["options"]["max_steps"]
+        assert options_from_payload({"engine": "reference"}) \
+            == options_from_payload({})
+
+    def test_manifest_fingerprint_still_verifies(self):
+        manifest = load_manifest(
+            str(self.RESULTS / "coverage3.manifest.json")
+        )
+        assert manifest.fingerprint == "6a49823bab04a58e"
+        assert manifest.items == 6828
+
+    def test_backs_table1_corpus(self, capsys):
+        code = main(
+            ["table1", "--corpus", str(DEFAULT_CORPUS), "--sample", "0"]
+        )
+        assert code == 0
+        assert "measured avg: 6.11" in capsys.readouterr().out
+
+
 class TestCorpusRegression:
     @pytest.mark.parametrize("engine", ["reference", "packed"])
-    def test_sampled_classes_not_regressed(self, engine):
+    def test_sampled_classes_not_regressed(self, engine, monkeypatch):
         header, records = _corpus()
         sample = _sample_solved(
             records, SAMPLE_PER_ENGINE,
             _SEED + {"reference": 1, "packed": 2}[engine],
         )
-        regressions = _resynthesize_and_diff(sample, header, engine)
+        regressions = _resynthesize_and_diff(
+            sample, header, engine, monkeypatch
+        )
         if regressions:
             _fail_with_diff_table(engine, regressions, len(sample))
 
     @pytest.mark.slow
     @pytest.mark.parametrize("engine", ["reference", "packed"])
-    def test_deep_pass_2000_classes(self, engine):
+    def test_deep_pass_2000_classes(self, engine, monkeypatch):
         header, records = _corpus()
         sample = _sample_solved(
             records, SLOW_SAMPLE_TOTAL // 2, _SEED ^ 0x510
         )
-        regressions = _resynthesize_and_diff(sample, header, engine)
+        regressions = _resynthesize_and_diff(
+            sample, header, engine, monkeypatch
+        )
         if regressions:
             _fail_with_diff_table(engine, regressions, len(sample))
 

@@ -3,25 +3,27 @@
 The ``reference`` frozenset backend is the ground truth.  These tests
 drive both engines through the same seeded inputs — algebra, queries,
 serialization, candidate enumeration, and full synthesis — and demand
-bit-identical behaviour everywhere the engine seam promises it.
+bit-identical behaviour everywhere the engine seam promises it.  Full
+syntheses force each backend through the search's one decision point
+(``search_engine``), so the reference search stays oracle-checked at
+the small widths where the width rule would pick packed.
 """
 
 import random
 
 import pytest
 
+from repro.benchlib.symbolic import graycode_system
 from repro.functions.permutation import Permutation, random_permutation
 from repro.pprm import (
-    ENGINE_ENV_VAR,
     ENGINES,
     PACKED_MAX_VARS,
     PackedExpansion,
     PPRMSystem,
     get_engine,
     resolve_engine,
-    resolve_search_engine,
 )
-from repro.pprm.engine import default_engine_name
+from repro.synth import rmrls
 from repro.synth.options import SynthesisOptions
 from repro.synth.rmrls import synthesize
 from repro.synth.substitutions import enumerate_substitutions
@@ -30,6 +32,14 @@ REFERENCE = ENGINES["reference"]
 PACKED = ENGINES["packed"]
 
 FAST = SynthesisOptions(dedupe_states=True, max_steps=20_000)
+
+
+def synthesize_on(name, monkeypatch, specification, options):
+    """Run ``synthesize`` with the search forced onto backend ``name``."""
+    monkeypatch.setattr(rmrls, "search_engine", lambda num_vars: ENGINES[name])
+    result = synthesize(specification, options)
+    assert result.engine == name
+    return result
 
 
 def _random_terms(rng, num_vars, max_terms=12):
@@ -192,15 +202,15 @@ class TestSystemDifferential:
 
 
 class TestSynthesisDifferential:
-    def test_byte_identical_cascades_on_quick_suite(self):
+    def test_byte_identical_cascades_on_quick_suite(self, monkeypatch):
         """Both engines must produce the same circuit, gate for gate."""
         rng = random.Random(2004)
         suite = [random_permutation(3, rng) for _ in range(12)]
         suite.append(Permutation([1, 0, 7, 2, 3, 4, 5, 6]))  # Example 1
         suite.append(Permutation([7, 0, 1, 2, 3, 4, 5, 6]))
         for permutation in suite:
-            ref = synthesize(permutation, FAST.with_(engine="reference"))
-            packed = synthesize(permutation, FAST.with_(engine="packed"))
+            ref = synthesize_on("reference", monkeypatch, permutation, FAST)
+            packed = synthesize_on("packed", monkeypatch, permutation, FAST)
             assert ref.solved == packed.solved
             assert ref.stats.steps == packed.stats.steps
             if ref.circuit is None:
@@ -208,12 +218,12 @@ class TestSynthesisDifferential:
             assert str(ref.circuit) == str(packed.circuit)
             assert packed.circuit.implements(permutation)
 
-    def test_greedy_options_also_match(self):
+    def test_greedy_options_also_match(self, monkeypatch):
         options = FAST.with_(greedy_k=3, restart_steps=5_000)
         rng = random.Random(7)
         for permutation in [random_permutation(3, rng) for _ in range(6)]:
-            ref = synthesize(permutation, options.with_(engine="reference"))
-            packed = synthesize(permutation, options.with_(engine="packed"))
+            ref = synthesize_on("reference", monkeypatch, permutation, options)
+            packed = synthesize_on("packed", monkeypatch, permutation, options)
             assert ref.solved == packed.solved
             if ref.circuit is not None:
                 assert str(ref.circuit) == str(packed.circuit)
@@ -227,41 +237,28 @@ class TestEngineResolution:
     def test_resolve_engine_accepts_instances_and_names(self):
         assert resolve_engine("packed") is PACKED
         assert resolve_engine(PACKED) is PACKED
+        assert resolve_engine() is REFERENCE
         with pytest.raises(TypeError):
             resolve_engine(42)
 
-    def test_env_var_sets_default(self, monkeypatch):
-        monkeypatch.setenv(ENGINE_ENV_VAR, "packed")
-        assert default_engine_name() == "packed"
-        monkeypatch.delenv(ENGINE_ENV_VAR)
-        assert default_engine_name() == "reference"
-
-    def test_options_preference_beats_env(self, monkeypatch):
-        monkeypatch.setenv(ENGINE_ENV_VAR, "packed")
-        system = PPRMSystem.from_permutation([0, 1, 3, 2])
-        assert resolve_search_engine("reference", system) is REFERENCE
-        assert resolve_search_engine(None, system) is PACKED
-        monkeypatch.delenv(ENGINE_ENV_VAR)
-        assert resolve_search_engine(None, system) is REFERENCE
-
-    def test_packed_input_is_not_downgraded(self, monkeypatch):
-        monkeypatch.delenv(ENGINE_ENV_VAR, raising=False)
+    def test_packed_input_is_not_downgraded(self):
         system = PPRMSystem.from_permutation([0, 1, 3, 2], engine="packed")
-        assert resolve_search_engine(None, system) is PACKED
+        assert synthesize(system, FAST).engine == "packed"
 
-    def test_env_packed_falls_back_on_overwide_systems(self, monkeypatch):
-        monkeypatch.setenv(ENGINE_ENV_VAR, "packed")
-
-        class Wide:
-            num_vars = PACKED_MAX_VARS + 6
-            engine = REFERENCE
-
-        assert resolve_search_engine(None, Wide()) is REFERENCE
+    @pytest.mark.parametrize(
+        "num_vars, expected",
+        [(12, "packed"), (13, "reference"), (20, "reference")],
+    )
+    def test_search_runs_on_the_width_rule_backend(self, num_vars, expected):
+        # Whichever backend the input was built on, the search
+        # converts it by width.
+        for engine in ("reference", "packed"):
+            if engine == "packed" and num_vars > PACKED_MAX_VARS:
+                continue
+            system = graycode_system(num_vars, engine=engine)
+            result = synthesize(system, max_steps=2)
+            assert result.engine == expected
 
     def test_packed_width_guard(self):
         with pytest.raises(ValueError, match="at most"):
             PackedExpansion(0, PACKED_MAX_VARS + 1)
-
-    def test_options_validate_engine_eagerly(self):
-        with pytest.raises(ValueError, match="unknown"):
-            SynthesisOptions(engine="turbo")

@@ -103,6 +103,16 @@ class TestBuildAndValidate:
         assert report["metrics"] is None
         assert report["phases"] is None
 
+    def test_engine_is_the_backend_that_ran(self):
+        from repro.benchlib.symbolic import graycode_system
+        from repro.pprm import PPRMSystem
+
+        packed = PPRMSystem.from_permutation([1, 0, 3, 2], engine="packed")
+        report = build_run_report(synthesize(packed))
+        assert report["engine"] == "packed"
+        wide = synthesize(graycode_system(13), max_steps=2)
+        assert build_run_report(wide)["engine"] == "reference"
+
     def test_extra_annotations(self, fig1_spec):
         result = synthesize(fig1_spec, SynthesisOptions(max_steps=5_000))
         report = build_run_report(result, extra={"seed": 2004})

@@ -14,6 +14,7 @@ import pytest
 from repro.circuits.circuit import Circuit
 from repro.functions.permutation import Permutation
 from repro.gates.toffoli import ToffoliGate
+from repro.pprm import PPRMSystem
 from repro.store import CanonicalizationError, canonicalize, relabel_circuit
 from repro.store.canonical import RELABEL_ENV_VAR, bit_permutation
 from repro.synth.options import SynthesisOptions
@@ -74,11 +75,12 @@ class TestKeyInvariance:
             == canonicalize(circuit.to_permutation()).key
         )
 
-    def test_key_stable_across_engines(self, fig1_spec, monkeypatch):
-        monkeypatch.setenv("RMRLS_ENGINE", "reference")
-        reference = canonicalize(Permutation(list(fig1_spec.images))).key
-        monkeypatch.setenv("RMRLS_ENGINE", "packed")
-        packed = canonicalize(Permutation(list(fig1_spec.images))).key
+    def test_key_stable_across_engines(self, fig1_spec):
+        images = list(fig1_spec.images)
+        reference = canonicalize(PPRMSystem.from_permutation(images)).key
+        packed = canonicalize(
+            PPRMSystem.from_permutation(images, engine="packed")
+        ).key
         assert reference == packed
 
 

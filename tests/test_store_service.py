@@ -61,6 +61,15 @@ class TestCacheOutcomes:
         finally:
             service.close()
 
+    def test_provenance_names_the_engine_that_ran(self, tmp_path):
+        service, store, _registry = make_service(tmp_path)
+        try:
+            assert service.synthesize(SWAP_01)["cache"] == "miss"
+            record = store.get(canonicalize(SWAP_01).key)
+            assert record.provenance["engine"] == "packed"
+        finally:
+            service.close()
+
     def test_relabeled_spec_hits_and_replays(self, tmp_path):
         service, _store, registry = make_service(tmp_path)
         try:

@@ -63,7 +63,7 @@ class TestStrategyVariant:
         names = [entry.name for entry in BUILTIN_VARIANTS]
         assert names == [
             "paper", "greedy", "wide", "deepen", "eliminate",
-            "inverse", "inverse-greedy", "packed",
+            "inverse", "inverse-greedy",
         ]
         assert DECKS["default"] == ("paper", "greedy", "inverse", "eliminate")
         assert DECKS["full"] == tuple(names)

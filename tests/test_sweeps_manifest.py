@@ -22,8 +22,8 @@ class TestBuildManifest:
         assert sum(spec.items for spec in manifest.shards) == 14
 
     def test_fingerprints_are_reproducible(self):
-        first = build_manifest("perm2", shards=3, engine="packed")
-        second = build_manifest("perm2", shards=3, engine="packed")
+        first = build_manifest("perm2", shards=3)
+        second = build_manifest("perm2", shards=3)
         assert first.fingerprint == second.fingerprint
         assert [s.fingerprint for s in first.shards] == [
             s.fingerprint for s in second.shards
@@ -33,8 +33,6 @@ class TestBuildManifest:
         base = build_manifest("perm2", shards=2)
         assert build_manifest("perm2", shards=3).fingerprint \
             != base.fingerprint
-        assert build_manifest("perm2", shards=2, engine="packed") \
-            .fingerprint != base.fingerprint
 
     def test_task_ids_are_shard_layout_independent(self):
         two = build_manifest("perm2", shards=2)
@@ -76,7 +74,7 @@ class TestBuildManifest:
 
 class TestManifestFile:
     def test_write_load_round_trip(self, tmp_path):
-        manifest = build_manifest("perm2", shards=3, engine="reference")
+        manifest = build_manifest("perm2", shards=3)
         path = str(tmp_path / "manifest.json")
         write_manifest(manifest, path)
         loaded = load_manifest(path)

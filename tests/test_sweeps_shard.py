@@ -3,6 +3,7 @@
 import json
 import os
 
+from repro.experiments.common import TABLE1_OPTIONS
 from repro.harness import HarnessConfig
 from repro.obs import MetricsRegistry, derive_shard_metrics
 from repro.sweeps import (
@@ -87,14 +88,16 @@ class TestAdoption:
         self, tmp_path
     ):
         manifest = build_manifest("perm2", shards=1)
-        other = build_manifest("perm2", shards=1, engine="packed")
+        other = build_manifest(
+            "perm2", shards=1, options=TABLE1_OPTIONS.with_(max_steps=999)
+        )
         out_other = str(tmp_path / "other")
         _run_all(other, out_other)
         bogus = tmp_path / "bogus.jsonl"
         bogus.write_text("not a ledger\n")
         summary = run_shard(
             manifest, 0, str(tmp_path / "mine"),
-            # Different engine -> different task ids -> nothing matches;
+            # Different options -> different task ids -> nothing matches;
             # the unreadable file is skipped, not fatal.
             adopt=[shard_ledger_path(out_other, other, 0), str(bogus)],
         )
