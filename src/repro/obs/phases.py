@@ -10,7 +10,9 @@ bias, while the instrumentation overhead shrinks by the same factor.
 The four instrumented phases (see ``docs/observability.md``):
 
 * ``enumerate_substitutions`` — candidate generation per expansion;
-* ``substitute`` — ``PPRMSystem.substitute`` plus term counting;
+* ``substitute`` — the fused child evaluation: every candidate
+  applied to the parent's raw state, term-counted and
+  identity-tested;
 * ``dedupe`` — visited-table lookups and inserts;
 * ``queue`` — priority-queue push/pop traffic.
 """

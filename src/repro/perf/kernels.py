@@ -4,7 +4,8 @@ Two granularities, matching how perf regressions actually appear:
 
 * **kernels** — the isolated inner-loop operations the search lives in
   (PPRM substitution, expansion XOR, state hashing/dedup, priority-
-  queue churn, candidate enumeration), each timed over a fixed,
+  queue churn, candidate enumeration, per-candidate child-state
+  evaluation), each timed over a fixed,
   deterministic input so runs are comparable across commits;
 * **workloads** — short end-to-end syntheses (a 3-variable exhaustive
   slice, the rd53-class benchmark, one scalability probe) whose
@@ -173,6 +174,28 @@ def _kernel_enumerate(quick: bool, engine=None):
     return body, rounds * len(systems)
 
 
+def _kernel_child_state(quick: bool, engine=None):
+    """What the search runs per candidate: the fused substitution over
+    every output of the raw state, then its term count."""
+    system = _fixture_system(engine=engine)
+    engine = system.engine
+    state = system.dedupe_key()
+    candidates = [
+        (candidate.target, candidate.factor)
+        for candidate in _fixture_candidates(system)
+    ]
+    substitute_state = engine.substitute_state
+    state_term_count = engine.state_term_count
+    rounds = 4 if quick else 16
+
+    def body():
+        for _ in range(rounds):
+            for target, factor in candidates:
+                state_term_count(substitute_state(state, target, factor))
+
+    return body, rounds * len(candidates)
+
+
 #: name -> factory(quick, engine) -> (callable, ops_per_call)
 KERNELS = {
     "pprm_substitute": _kernel_pprm_substitute,
@@ -180,6 +203,7 @@ KERNELS = {
     "dedupe_probe": _kernel_dedupe_probe,
     "queue_churn": _kernel_queue_churn,
     "enumerate_substitutions": _kernel_enumerate,
+    "child_state": _kernel_child_state,
 }
 
 

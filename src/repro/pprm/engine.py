@@ -8,6 +8,15 @@ canonical hashable dedupe key, and a serialization form shared by all
 backends (the packed big-integer bitset, bit ``t`` set ⇔ term ``t``
 present).
 
+The search itself runs on raw **states**: the per-output tuple that is
+a system's dedupe key (bitset ints for packed, term frozensets for
+reference).  :meth:`PPRMEngine.substitute_state` applies one
+substitution to every output of a state in a single call,
+:meth:`PPRMEngine.state_term_count` counts its terms, and
+:meth:`PPRMEngine.system_from_state` builds a :class:`PPRMSystem` only
+for the children a search keeps (see "Count before you materialize" in
+``docs/architecture.md``).
+
 Two engines ship:
 
 * ``reference`` — the frozenset algebra of
@@ -29,7 +38,10 @@ from collections.abc import Iterable, Iterator, Sequence
 
 from repro.pprm.expansion import Expansion
 from repro.pprm.packed import PackedExpansion, tables_for
+from repro.pprm.system import PPRMSystem
+from repro.pprm.term import format_term
 from repro.pprm.transform import mobius_transform
+from repro.utils.bitops import bits_of
 
 __all__ = [
     "ENGINES",
@@ -135,11 +147,40 @@ class PPRMEngine(ABC):
 
     def unpack_system(self, packed_outputs: Sequence[int], num_vars: int):
         """Rebuild a system from per-output big-int bitsets."""
-        from repro.pprm.system import PPRMSystem
-
         return PPRMSystem(
             [self.unpack(bits, num_vars) for bits in packed_outputs]
         )
+
+    # -- search states --------------------------------------------------
+    #
+    # A state is ``system.dedupe_key()``: one raw backend value per
+    # output.  Reversible systems are square, so ``len(state)`` is the
+    # variable count.
+
+    def identity_state(self, num_vars: int) -> tuple:
+        """The state of the identity system ``v_out,i = v_i``."""
+        return tuple(
+            self.variable(index, num_vars).dedupe_key()
+            for index in range(num_vars)
+        )
+
+    @abstractmethod
+    def substitute_state(self, state: tuple, index: int, factor: int) -> tuple:
+        """Apply ``x_index := x_index XOR factor`` to every output of
+        ``state``; same result and same ``ValueError`` checks as
+        :meth:`PPRMSystem.substitute`."""
+
+    @abstractmethod
+    def state_term_count(self, state: tuple) -> int:
+        """Total number of terms across the outputs of ``state``."""
+
+    @abstractmethod
+    def output_terms(self, raw) -> list[int]:
+        """One output's term masks in increasing order."""
+
+    @abstractmethod
+    def system_from_state(self, state: tuple) -> PPRMSystem:
+        """Build the :class:`PPRMSystem` whose dedupe key is ``state``."""
 
 
 class ReferenceEngine(PPRMEngine):
@@ -167,6 +208,41 @@ class ReferenceEngine(PPRMEngine):
             )
         )
 
+    def substitute_state(self, state: tuple, index: int, factor: int) -> tuple:
+        var = 1 << index
+        if factor & var:
+            raise ValueError(
+                f"factor {format_term(factor)} contains the target "
+                f"variable {format_term(var)}"
+            )
+        children = []
+        for terms in state:
+            # Same rewrite as Expansion.substitute: every term holding
+            # the target moves to (term \ target) * factor, colliding
+            # images cancel pairwise, and the moved set is XORed in.
+            delta = None
+            for term in terms:
+                if term & var:
+                    image = (term ^ var) | factor
+                    if delta is None:
+                        delta = {image}
+                    elif image in delta:
+                        delta.discard(image)
+                    else:
+                        delta.add(image)
+            children.append(terms if delta is None else terms ^ delta)
+        return tuple(children)
+
+    def state_term_count(self, state: tuple) -> int:
+        return sum(map(len, state))
+
+    def output_terms(self, raw: frozenset) -> list[int]:
+        return sorted(raw)
+
+    def system_from_state(self, state: tuple) -> PPRMSystem:
+        make = Expansion._make
+        return PPRMSystem([make(terms) for terms in state])
+
     def pack(self, a: Expansion) -> int:
         bits = 0
         for term in a.terms:
@@ -174,8 +250,6 @@ class ReferenceEngine(PPRMEngine):
         return bits
 
     def unpack(self, bits: int, num_vars: int) -> Expansion:
-        from repro.utils.bitops import bits_of
-
         return Expansion._make(frozenset(bits_of(bits)))
 
     def convert(self, expansion, num_vars: int) -> Expansion:
@@ -211,6 +285,44 @@ class PackedEngine(PPRMEngine):
             if coeff:
                 bits |= 1 << term
         return PackedExpansion._make(bits, tables_for(num_vars))
+
+    def substitute_state(self, state: tuple, index: int, factor: int) -> tuple:
+        var = 1 << index
+        if factor & var:
+            raise ValueError(
+                f"factor {format_term(factor)} contains the target "
+                f"variable {format_term(var)}"
+            )
+        tables = tables_for(len(state))
+        if index >= tables.num_vars or factor >= tables.size:
+            raise ValueError(
+                f"substitution x{index} ^= {format_term(factor)} exceeds "
+                f"num_vars={tables.num_vars}"
+            )
+        selector = tables.var_masks[index]
+        folds = tables.folds(factor)
+        children = []
+        for bits in state:
+            moved = bits & selector
+            if moved:
+                # Same shift/mask folds as PackedExpansion.substitute.
+                moved >>= var
+                for low, keep, lift in folds:
+                    moved = (moved & keep) ^ ((moved & lift) << low)
+                bits ^= moved
+            children.append(bits)
+        return tuple(children)
+
+    def state_term_count(self, state: tuple) -> int:
+        return sum(map(int.bit_count, state))
+
+    def output_terms(self, raw: int) -> list[int]:
+        return list(bits_of(raw))
+
+    def system_from_state(self, state: tuple) -> PPRMSystem:
+        tables = tables_for(len(state))
+        make = PackedExpansion._make
+        return PPRMSystem([make(bits, tables) for bits in state])
 
     def pack(self, a: PackedExpansion) -> int:
         return a.bits

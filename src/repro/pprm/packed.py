@@ -46,6 +46,10 @@ __all__ = [
 #: frozenset backend.
 PACKED_MAX_VARS = 24
 
+#: Most factors one :class:`PackedTables` caches folds for: every
+#: factor of a 12-variable search (the widest the search runs packed).
+FOLD_CACHE_SIZE = 1 << 12
+
 
 class PackedTables:
     """Shift/mask tables for one variable count.
@@ -54,7 +58,7 @@ class PackedTables:
     variable ``i``; ``full`` selects all ``2^num_vars`` positions.
     """
 
-    __slots__ = ("num_vars", "size", "full", "var_masks")
+    __slots__ = ("num_vars", "size", "full", "var_masks", "_folds")
 
     def __init__(self, num_vars: int):
         if num_vars < 1:
@@ -78,6 +82,29 @@ class PackedTables:
                 mask |= pattern << base
             masks.append(mask)
         self.var_masks = tuple(masks)
+        self._folds: dict[int, tuple] = {}
+
+    def folds(self, factor: int) -> tuple:
+        """The ``t -> t | bit_j`` folds that multiply by ``factor``.
+
+        One ``(2^j, S_j, full ^ S_j)`` triple per literal ``j`` of the
+        factor, lowest first.  Cached per factor because the search
+        applies the same few factors to every state it expands; the
+        cache is capped so wide tables cannot grow it without bound.
+        """
+        folds = self._folds.get(factor)
+        if folds is None:
+            folds = []
+            remaining = factor
+            while remaining:
+                low = remaining & -remaining
+                remaining ^= low
+                keep = self.var_masks[low.bit_length() - 1]
+                folds.append((low, keep, self.full ^ keep))
+            folds = tuple(folds)
+            if len(self._folds) < FOLD_CACHE_SIZE:
+                self._folds[factor] = folds
+        return folds
 
 
 @lru_cache(maxsize=None)
@@ -241,15 +268,10 @@ class PackedExpansion:
                 f"num_vars={tables.num_vars}"
             )
         bits = self._bits
-        masks = tables.var_masks
-        remaining = term
-        while remaining:
-            low = remaining & -remaining
-            remaining ^= low
-            selector = masks[low.bit_length() - 1]
+        for low, keep, lift in tables.folds(term):
             # t -> t | bit_j: positions already containing the literal
             # stay, the rest shift onto them; XOR cancels collisions.
-            bits = (bits & selector) ^ ((bits & ~selector) << low)
+            bits = (bits & keep) ^ ((bits & lift) << low)
         return PackedExpansion._make(bits, tables)
 
     def substitute(self, index: int, factor: int) -> "PackedExpansion":
@@ -272,13 +294,8 @@ class PackedExpansion:
             return self
         # Drop the target literal: position t moves to t - 2^index.
         moved = selected >> var
-        masks = tables.var_masks
-        remaining = factor
-        while remaining:
-            low = remaining & -remaining
-            remaining ^= low
-            selector = masks[low.bit_length() - 1]
-            moved = (moved & selector) ^ ((moved & ~selector) << low)
+        for low, keep, lift in tables.folds(factor):
+            moved = (moved & keep) ^ ((moved & lift) << low)
         return PackedExpansion._make(self._bits ^ moved, tables)
 
     # -- evaluation -------------------------------------------------------

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 
-from repro.pprm.engine import resolve_engine
 from repro.pprm.expansion import Expansion
 from repro.pprm.packed import PackedExpansion
 from repro.pprm.term import variable_name
@@ -46,6 +45,8 @@ class PPRMSystem:
         ``reference`` backend so that spec construction stays stable;
         the search picks its own backend from the width.
         """
+        from repro.pprm.engine import resolve_engine
+
         engine = resolve_engine(engine)
         return cls([engine.variable(i, num_vars) for i in range(num_vars)])
 
@@ -61,6 +62,8 @@ class PPRMSystem:
         non-bijective systems for analysis.  ``engine`` picks the
         expansion backend (``None`` = ``reference``).
         """
+        from repro.pprm.engine import resolve_engine
+
         engine = resolve_engine(engine)
         size = len(images)
         num_vars = (size - 1).bit_length()

@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from operator import eq
 
 from repro.circuits.circuit import Circuit
 from repro.functions.permutation import Permutation
@@ -42,8 +43,7 @@ from repro.synth.node import SearchNode
 from repro.synth.options import SynthesisOptions
 from repro.synth.priority import MaxPriorityQueue, node_priority
 from repro.synth.stats import SearchStats, TraceRecorder
-from repro.synth.substitutions import enumerate_substitutions
-from repro.utils.bitops import popcount
+from repro.synth.substitutions import enumerate_state
 from repro.utils.timer import Deadline
 
 __all__ = [
@@ -125,6 +125,8 @@ class _Search:
     def __init__(self, system: PPRMSystem, options: SynthesisOptions):
         self.options = options
         self.system = system
+        self.engine = system.engine
+        self.identity_state = self.engine.identity_state(system.num_vars)
         self.stats = SearchStats(initial_terms=system.term_count())
         self.trace = TraceRecorder() if options.record_trace else None
         observers = [StatsObserver(self.stats)]
@@ -268,16 +270,14 @@ class _Search:
                 continue
 
             step = self.stats.steps
-            if phases is not None:
-                self.timed_step = phases.start_step(step)
+            timed = phases is not None and phases.start_step(step)
+            self.timed_step = timed
             self.steps_since_restart += 1
-            if self.timed_step:
-                clock = phases.clock
-                start = clock()
-                parent = self.queue.pop()
-                phases.add("queue", clock() - start)
-            else:
-                parent = self.queue.pop()
+            if timed:
+                start = phases.clock()
+            parent = self.queue.pop()
+            if timed:
+                phases.add("queue", phases.clock() - start)
             self.hot.queue_pops += 1
             observer.on_step(step + 1, parent, len(self.queue))
             if parent.depth >= self.best_depth - 1:
@@ -290,47 +290,51 @@ class _Search:
     # -- expansion ----------------------------------------------------------------
 
     def _expand(self, parent: SearchNode) -> None:
+        """Expand ``parent``: count every child on its raw state, build
+        a system and a node only for the children that survive."""
         observer = self.observer
         observer.on_expand(parent)
         options = self.options
-        phases = self.phases if self.timed_step else None
-        if phases is None:
-            candidates = enumerate_substitutions(parent.pprm, options)
-        else:
-            clock = phases.clock
+        engine = self.engine
+        hot = self.hot
+        timed = self.timed_step
+        if timed:
+            clock = self.phases.clock
+            add_phase = self.phases.add
             start = clock()
-            candidates = enumerate_substitutions(parent.pprm, options)
-            phases.add("enumerate_substitutions", clock() - start)
+        state = parent.pprm.dedupe_key()
+        candidates = enumerate_state(state, engine, options)
+        if timed:
+            add_phase("enumerate_substitutions", clock() - start)
+            start = clock()
+        # Evaluate each child as a raw state: its term count, identity
+        # test, lower-bound count and dedupe key all come from the
+        # per-output tuple (see "Count before you materialize" in
+        # docs/architecture.md).
+        substitute_state = engine.substitute_state
+        state_term_count = engine.state_term_count
+        identity = self.identity_state
+        parent_terms = parent.terms
+        depth = parent.depth + 1
         evaluated: list[tuple] = []
         any_decreasing = False
-        depth = parent.depth + 1
-        hot = self.hot
         # Hot-op accounting is batched through local ints and flushed
         # once per expansion: per-candidate slot increments cost ~3% of
         # the whole search (see docs/benchmarking.md).
         applied = 0
         terms_out = 0
         try:
-            for candidate in candidates:
-                if phases is None:
-                    child_system = parent.pprm.substitute(
-                        candidate.target, candidate.factor
-                    )
-                    terms = child_system.term_count()
-                else:
-                    start = clock()
-                    child_system = parent.pprm.substitute(
-                        candidate.target, candidate.factor
-                    )
-                    terms = child_system.term_count()
-                    phases.add("substitute", clock() - start)
+            for target, factor, allow_growth in candidates:
+                child_state = substitute_state(state, target, factor)
+                terms = state_term_count(child_state)
                 applied += 1
                 terms_out += terms
-                elim = parent.terms - terms
-                if child_system.is_identity():
+                elim = parent_terms - terms
+                if child_state == identity:
                     if depth < self.best_depth:
                         child = self._make_child(
-                            parent, candidate, child_system, terms, elim, 0.0
+                            parent, target, factor, child_state, terms, elim,
+                            0.0,
                         )
                         self.best_depth = depth
                         self.best_node = child
@@ -342,16 +346,22 @@ class _Search:
                     continue
                 if elim > 0:
                     any_decreasing = True
-                evaluated.append((candidate, child_system, terms, elim))
+                evaluated.append(
+                    (target, factor, allow_growth, child_state, terms, elim)
+                )
         finally:
             hot.substitutions_applied += applied
-            hot.pprm_terms_in += applied * parent.terms
+            hot.pprm_terms_in += applied * parent_terms
             hot.pprm_terms_out += terms_out
+            if timed:
+                add_phase("substitute", clock() - start)
 
         # children grouped per target variable for greedy pruning
         per_variable: dict[int, list[SearchNode]] = {}
-        for candidate, child_system, terms, elim in evaluated:
-            if elim <= 0 and not candidate.allow_growth:
+        visited = self.visited
+        num_vars = len(state)
+        for target, factor, allow_growth, child_state, terms, elim in evaluated:
+            if elim <= 0 and not allow_growth:
                 # Fig. 4 line 31 discards growth children; the Sec. IV-F
                 # convergence proof keeps them.  We keep them only when
                 # the node is otherwise stuck (no decreasing child).
@@ -364,29 +374,24 @@ class _Search:
                 observer.on_prune(parent, PRUNE_CHILD_DEPTH)
                 continue
             if options.lower_bound_pruning:
-                unsolved = child_system.num_vars - child_system.solved_outputs()
+                unsolved = num_vars - sum(map(eq, child_state, identity))
                 if depth + unsolved >= self.best_depth:
                     observer.on_prune(parent, PRUNE_LOWER_BOUND)
                     continue
-            if self.visited is not None:
+            if visited is not None:
+                # The state is the dedupe key.
                 hot.dedupe_probes += 1
-                child_key = child_system.dedupe_key()
-                if phases is None:
-                    known_depth = self.visited.get(child_key)
-                    if known_depth is not None and known_depth <= depth:
-                        hot.dedupe_hits += 1
-                        continue
-                    self._visited_record(known_depth, child_key, depth)
-                else:
+                if timed:
                     start = clock()
-                    known_depth = self.visited.get(child_key)
-                    duplicate = known_depth is not None and known_depth <= depth
-                    if not duplicate:
-                        self._visited_record(known_depth, child_key, depth)
-                    phases.add("dedupe", clock() - start)
-                    if duplicate:
-                        hot.dedupe_hits += 1
-                        continue
+                known_depth = visited.get(child_state)
+                duplicate = known_depth is not None and known_depth <= depth
+                if not duplicate:
+                    self._visited_record(known_depth, child_state, depth)
+                if timed:
+                    add_phase("dedupe", clock() - start)
+                if duplicate:
+                    hot.dedupe_hits += 1
+                    continue
             priority_elim = (
                 self.stats.initial_terms - terms
                 if options.cumulative_elim_priority
@@ -399,12 +404,12 @@ class _Search:
             else:
                 priority_depth = depth
             priority = node_priority(
-                priority_depth, priority_elim, popcount(candidate.factor), options
+                priority_depth, priority_elim, factor.bit_count(), options
             )
             child = self._make_child(
-                parent, candidate, child_system, terms, elim, priority
+                parent, target, factor, child_state, terms, elim, priority
             )
-            per_variable.setdefault(candidate.target, []).append(child)
+            per_variable.setdefault(target, []).append(child)
 
         pushed = False
         for children in per_variable.values():
@@ -416,12 +421,11 @@ class _Search:
             for child in children:
                 if parent.is_root():
                     self.first_level.append(child)
-                if phases is None:
-                    self.queue.push(child)
-                else:
+                if timed:
                     start = clock()
-                    self.queue.push(child)
-                    phases.add("queue", clock() - start)
+                self.queue.push(child)
+                if timed:
+                    add_phase("queue", clock() - start)
                 hot.queue_pushes += 1
                 pushed = True
         if pushed:
@@ -454,13 +458,14 @@ class _Search:
         self.visited[child_key] = depth
 
     def _make_child(
-        self, parent, candidate, child_system, terms, elim, priority
+        self, parent, target, factor, child_state, terms, elim, priority
     ) -> SearchNode:
+        """Materialize a surviving child: its system and its node."""
         child = SearchNode(
             parent=parent,
-            target=candidate.target,
-            factor=candidate.factor,
-            pprm=child_system,
+            target=target,
+            factor=factor,
+            pprm=self.engine.system_from_state(child_state),
             terms=terms,
             elim=elim,
             priority=priority,
@@ -658,6 +663,9 @@ def enumerate_first_level(
             seeds=[],
             shortcut=_finalize_search(search, "solved", search.best_node),
         )
+    # No on_finish here: the search goes on in the portfolio workers,
+    # but the root expansion's work is metered all the same.
+    search._seal_hot_ops()
     seeds = [
         FirstLevelSeed(
             rank=rank,

@@ -28,9 +28,8 @@ from dataclasses import dataclass
 from repro.pprm.system import PPRMSystem
 from repro.pprm.term import CONSTANT_ONE
 from repro.synth.options import SynthesisOptions
-from repro.utils.bitops import bit, popcount
 
-__all__ = ["Candidate", "enumerate_substitutions"]
+__all__ = ["Candidate", "enumerate_state", "enumerate_substitutions"]
 
 
 @dataclass(frozen=True)
@@ -43,51 +42,58 @@ class Candidate:
     allow_growth: bool
 
 
-def enumerate_substitutions(
-    system: PPRMSystem, options: SynthesisOptions
-) -> list[Candidate]:
-    """List the substitutions to try on ``system``.
+def enumerate_state(
+    state: tuple, engine, options: SynthesisOptions
+) -> list[tuple[int, int, bool]]:
+    """List the substitutions to try on a search state.
 
-    The union of the kinds is *every* legal substitution (the
-    convergence argument of Sec. IV-F); the basic configuration
-    restricts to kind 1.
+    ``state`` is a system's per-output dedupe key and ``engine`` its
+    backend (:mod:`repro.pprm.engine`).  Each candidate is a plain
+    ``(target, factor, allow_growth)`` tuple.  The union of the kinds
+    is *every* legal substitution (the convergence argument of
+    Sec. IV-F); the basic configuration restricts to kind 1.
     """
     exempt = options.growth_exempt_literals
-    candidates: list[Candidate] = []
-    for target in range(system.num_vars):
-        expansion = system.output(target)
-        target_bit = bit(target)
-        linear_present = expansion.contains_term(target_bit)
-        if linear_present and expansion.term_count() == 1:
+    extended = options.extended_substitutions
+    complement = options.complement_substitutions
+    output_terms = engine.output_terms
+    candidates: list[tuple[int, int, bool]] = []
+    for target, raw in enumerate(state):
+        target_bit = 1 << target
+        # Canonical increasing-mask order, so every backend enumerates
+        # — and therefore tie-breaks — the same way.
+        terms = output_terms(raw)
+        linear_present = target_bit in terms
+        if linear_present and len(terms) == 1:
             # Output already solved; un-solving a line is never
             # productive.
             continue
-        factor_terms_used = linear_present or options.extended_substitutions
+        factor_terms_used = linear_present or extended
         if factor_terms_used:
-            # Canonical increasing-mask order (iter_terms) so every
-            # backend enumerates — and therefore tie-breaks — the same
-            # way; the frozenset backend used to iterate in hash order.
-            for factor in expansion.iter_terms():
-                if factor & target_bit:
-                    continue
-                candidates.append(
-                    Candidate(
-                        target=target,
-                        factor=factor,
-                        allow_growth=popcount(factor) <= exempt,
+            for factor in terms:
+                if not factor & target_bit:
+                    candidates.append(
+                        (target, factor, factor.bit_count() <= exempt)
                     )
-                )
         # The complement factor is skipped only when the loop above
         # already emitted it, i.e. when the expansion carries the
-        # constant-1 term (CONSTANT_ONE never contains the target bit).
-        if options.complement_substitutions and not (
-            factor_terms_used and expansion.contains_term(CONSTANT_ONE)
+        # constant-1 term (it sorts first and never contains the
+        # target bit).
+        if complement and not (
+            factor_terms_used and terms and terms[0] == CONSTANT_ONE
         ):
-            candidates.append(
-                Candidate(
-                    target=target,
-                    factor=CONSTANT_ONE,
-                    allow_growth=0 <= exempt,
-                )
-            )
+            candidates.append((target, CONSTANT_ONE, 0 <= exempt))
     return candidates
+
+
+def enumerate_substitutions(
+    system: PPRMSystem, options: SynthesisOptions
+) -> list[Candidate]:
+    """:func:`enumerate_state` on ``system``, as :class:`Candidate`
+    records."""
+    return [
+        Candidate(*candidate)
+        for candidate in enumerate_state(
+            system.dedupe_key(), system.engine, options
+        )
+    ]

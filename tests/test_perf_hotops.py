@@ -12,7 +12,8 @@ from repro.perf.hotops import (
     reset_global,
     snapshot_global,
 )
-from repro.synth.rmrls import synthesize
+from repro.obs.observer import SearchObserver
+from repro.synth.rmrls import enumerate_first_level, synthesize
 
 
 class TestHotOpCounters:
@@ -113,6 +114,41 @@ class TestSearchInstrumentation:
         result = synthesize(Permutation([1, 0, 3, 2, 5, 7, 4, 6]).to_pprm())
         delta = snapshot_global().diff(before)
         assert delta.as_dict() == result.stats.hot_ops
+
+    def test_first_level_seed_path_is_metered(self):
+        # The root expansion behind the portfolio's seed ranking must
+        # reach the process-global meter exactly like the first step
+        # of a serial search does.
+        spec = Permutation(
+            [15, 0, 14, 1, 13, 2, 12, 3, 11, 4, 10, 5, 9, 6, 8, 7]
+        )
+        before = snapshot_global()
+        first = enumerate_first_level(spec)
+        delta = snapshot_global().diff(before)
+        assert first.shortcut is None and len(first.seeds) == 10
+        one_step = synthesize(spec, max_steps=1)
+        assert delta.substitutions_applied == 10
+        assert delta.as_dict() == one_step.stats.hot_ops
+
+    @pytest.mark.parametrize(
+        "images, finishes",
+        [
+            ([0, 1, 2, 3, 4, 5, 6, 7], 1),  # identity shortcut
+            ([1, 0, 3, 2, 5, 4, 7, 6], 1),  # single-gate shortcut
+            ([1, 0, 7, 2, 3, 4, 5, 6], 0),  # seeds: the search goes on
+        ],
+    )
+    def test_first_level_finishes_observers_at_most_once(
+        self, images, finishes
+    ):
+        class CountFinish(SearchObserver):
+            calls = 0
+
+            def on_finish(self, reason, stats):
+                CountFinish.calls += 1
+
+        enumerate_first_level(Permutation(images), observers=(CountFinish(),))
+        assert CountFinish.calls == finishes
 
     def test_restart_counters(self):
         # A spec hard enough to trigger restarts under a tiny budget.

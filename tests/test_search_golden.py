@@ -1,0 +1,123 @@
+"""Golden search fixture: the RMRLS search reproduces recorded runs.
+
+``tests/data/search_golden.json`` holds, for a few fixed searches, the
+gate sequence, every non-timing :class:`SearchStats` field, the hot-op
+counters and a digest of the Fig. 5 trace event list.  Any change to
+candidate order, filter order, node-id assignment or observer dispatch
+in the search hot path shows up here as a mismatch, whatever the
+change's intent.
+
+Regenerate (only when a behaviour change is intended)::
+
+    PYTHONPATH=src python tests/test_search_golden.py
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import random
+import sys
+
+import pytest
+
+from repro.benchlib.specs import benchmark
+from repro.experiments.common import TABLE2_OPTIONS
+from repro.functions.permutation import Permutation
+from repro.synth.options import SynthesisOptions
+from repro.synth.rmrls import synthesize
+
+GOLDEN_PATH = os.path.join(
+    os.path.dirname(__file__), "data", "search_golden.json"
+)
+
+#: Fields of SearchStats that depend on the wall clock.
+TIMING_FIELDS = ("elapsed_seconds",)
+
+#: Seeds of the three random 4-variable specs.
+SPEC_SEEDS = (1, 2, 3)
+
+
+def _seeded_spec(seed: int) -> Permutation:
+    images = list(range(16))
+    random.Random(seed).shuffle(images)
+    return Permutation(images)
+
+
+def golden_cases() -> dict:
+    """name -> (specification, options) of every recorded search."""
+    cases = {
+        # The options of `rmrls profile --benchmark hwb4 --greedy-k 3
+        # --max-steps 20000`.
+        "hwb4": (
+            benchmark("hwb4").pprm(),
+            SynthesisOptions(greedy_k=3, max_steps=20_000, dedupe_states=True),
+        ),
+    }
+    for seed in SPEC_SEEDS:
+        cases[f"random4_seed{seed}"] = (
+            _seeded_spec(seed), TABLE2_OPTIONS.with_(max_steps=2_000)
+        )
+    return cases
+
+
+def _trace_digest(events) -> str:
+    digest = hashlib.sha256()
+    for event in events:
+        digest.update(repr((
+            event.kind, event.node_id, event.parent_id, event.depth,
+            event.substitution, event.terms, event.elim, event.priority,
+        )).encode())
+        digest.update(b"\n")
+    return digest.hexdigest()
+
+
+def record(specification, options: SynthesisOptions) -> dict:
+    """Run one search with tracing and return its golden record."""
+    result = synthesize(specification, options.with_(record_trace=True))
+    stats = result.stats.as_dict()
+    for name in TIMING_FIELDS:
+        stats.pop(name)
+    events = result.trace.events
+    kinds: dict = {}
+    for event in events:
+        kinds[event.kind] = kinds.get(event.kind, 0) + 1
+    gates = (
+        None if result.circuit is None
+        else [[gate.controls, gate.target] for gate in result.circuit.gates]
+    )
+    return {
+        "gates": gates,
+        "stats": stats,
+        "trace_events": len(events),
+        "trace_kinds": dict(sorted(kinds.items())),
+        "trace_sha256": _trace_digest(events),
+    }
+
+
+def _load_golden() -> dict:
+    with open(GOLDEN_PATH) as handle:
+        return json.load(handle)
+
+
+@pytest.mark.parametrize("name", sorted(golden_cases()))
+def test_search_reproduces_golden_record(name):
+    specification, options = golden_cases()[name]
+    assert record(specification, options) == _load_golden()[name]
+
+
+def test_golden_file_covers_every_case():
+    assert sorted(_load_golden()) == sorted(golden_cases())
+
+
+if __name__ == "__main__":
+    records = {
+        name: record(specification, options)
+        for name, (specification, options) in golden_cases().items()
+    }
+    os.makedirs(os.path.dirname(GOLDEN_PATH), exist_ok=True)
+    with open(GOLDEN_PATH, "w") as handle:
+        json.dump(records, handle, indent=1, sort_keys=True)
+        handle.write("\n")
+    sys.stdout.write(f"wrote {GOLDEN_PATH}\n")

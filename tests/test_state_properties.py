@@ -1,0 +1,139 @@
+"""Differential properties of the raw search state.
+
+The search evaluates every candidate child on the per-output state
+tuple (:meth:`PPRMEngine.substitute_state` and friends) and builds a
+:class:`PPRMSystem` only for survivors.  These properties pin the state
+operations to the system-level oracle on both backends: same term
+count, identity test, solved outputs and dedupe key for every
+enumerated candidate, the same system when one is built, the same
+candidate sequence as the expansion-level enumeration, and the same
+errors.
+"""
+
+from operator import eq
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.functions.permutation import Permutation
+from repro.pprm import ENGINES, PPRMSystem
+from repro.pprm.expansion import Expansion
+from repro.pprm.term import CONSTANT_ONE
+from repro.synth.options import SynthesisOptions
+from repro.synth.substitutions import enumerate_state, enumerate_substitutions
+
+
+@st.composite
+def systems(draw):
+    """A square system over 1-6 variables on either backend: the PPRM
+    of a permutation, or arbitrary per-output term sets."""
+    num_vars = draw(st.integers(1, 6))
+    size = 1 << num_vars
+    if draw(st.booleans()):
+        images = draw(st.permutations(range(size)))
+        system = Permutation(images).to_pprm()
+    else:
+        outputs = draw(st.lists(
+            st.frozensets(st.integers(0, size - 1), max_size=12),
+            min_size=num_vars, max_size=num_vars,
+        ))
+        system = PPRMSystem([Expansion(terms) for terms in outputs])
+    engine = ENGINES[draw(st.sampled_from(sorted(ENGINES)))]
+    return engine.convert_system(system)
+
+
+option_mixes = st.builds(
+    SynthesisOptions,
+    extended_substitutions=st.booleans(),
+    complement_substitutions=st.booleans(),
+    growth_exempt_literals=st.integers(-1, 2),
+)
+
+
+def expansion_enumeration(system, options):
+    """The candidate rule read off the expansion API (the oracle)."""
+    exempt = options.growth_exempt_literals
+    candidates = []
+    for target in range(system.num_vars):
+        expansion = system.output(target)
+        target_bit = 1 << target
+        linear_present = expansion.contains_term(target_bit)
+        if linear_present and expansion.term_count() == 1:
+            continue
+        used = linear_present or options.extended_substitutions
+        if used:
+            for factor in expansion.iter_terms():
+                if not factor & target_bit:
+                    candidates.append(
+                        (target, factor, factor.bit_count() <= exempt)
+                    )
+        if options.complement_substitutions and not (
+            used and expansion.contains_term(CONSTANT_ONE)
+        ):
+            candidates.append((target, CONSTANT_ONE, 0 <= exempt))
+    return candidates
+
+
+@settings(max_examples=150, deadline=None)
+@given(system=systems(), options=option_mixes)
+def test_child_states_agree_with_substituted_systems(system, options):
+    engine = system.engine
+    state = system.dedupe_key()
+    identity = engine.identity_state(system.num_vars)
+    assert identity == PPRMSystem.identity(system.num_vars, engine).dedupe_key()
+    assert engine.state_term_count(state) == system.term_count()
+    for target, factor, _ in enumerate_state(state, engine, options):
+        child = engine.substitute_state(state, target, factor)
+        expected = system.substitute(target, factor)
+        assert engine.state_term_count(child) == expected.term_count()
+        assert (child == identity) == expected.is_identity()
+        assert sum(map(eq, child, identity)) == expected.solved_outputs()
+        assert child == expected.dedupe_key()
+        built = engine.system_from_state(child)
+        assert built == expected
+        assert built.engine_name == engine.name
+
+
+@settings(max_examples=150, deadline=None)
+@given(system=systems(), options=option_mixes)
+def test_one_enumerator_for_tuples_and_candidates(system, options):
+    tuples = enumerate_state(system.dedupe_key(), system.engine, options)
+    assert tuples == expansion_enumeration(system, options)
+    assert tuples == [
+        (c.target, c.factor, c.allow_growth)
+        for c in enumerate_substitutions(system, options)
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(system=systems(), data=st.data())
+def test_factor_containing_the_target_raises(system, data):
+    engine = system.engine
+    target = data.draw(st.integers(0, system.num_vars - 1))
+    factor = data.draw(st.integers(0, (1 << system.num_vars) - 1)) | (
+        1 << target
+    )
+    with pytest.raises(ValueError, match="contains the target"):
+        engine.substitute_state(system.dedupe_key(), target, factor)
+    with pytest.raises(ValueError, match="contains the target"):
+        system.substitute(target, factor)
+
+
+@settings(max_examples=150, deadline=None)
+@given(system=systems(), data=st.data())
+def test_out_of_range_substitutions_fail_alike(system, data):
+    """Packed rejects indices and factors beyond its width; reference
+    accepts them.  Either way the state and the system agree."""
+    width = system.num_vars
+    target = data.draw(st.integers(0, width + 1))
+    factor = data.draw(st.integers(0, (1 << (width + 2)) - 1)) & ~(1 << target)
+    try:
+        expected = system.substitute(target, factor).dedupe_key()
+    except ValueError:
+        with pytest.raises(ValueError):
+            system.engine.substitute_state(system.dedupe_key(), target, factor)
+    else:
+        assert system.engine.substitute_state(
+            system.dedupe_key(), target, factor
+        ) == expected
