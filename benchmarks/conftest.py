@@ -8,17 +8,12 @@ The rendered paper-vs-measured tables print to stdout — run with
 captures and discards passing tests' prints; the committed results/
 directory and EXPERIMENTS.md keep representative renders).
 
-Set ``RMRLS_METRICS_DIR=/some/dir`` to drop one machine-readable
-``rmrls-bench-report`` JSON per bench run alongside the committed
-results — wall-clock, git commit, hot-op counter totals, scale, and
-environment info (see docs/benchmarking.md for the schema) — so table
-regenerations can be diffed across commits instead of eyeballed.
+Each regeneration's timing is pytest-benchmark's own: add
+``--benchmark-json PATH`` to keep it.  End-to-end performance is
+measured by ``perfbench/`` (see docs/benchmarking.md).
 """
 
 from __future__ import annotations
-
-import os
-import time
 
 import pytest
 
@@ -35,32 +30,10 @@ def run_once(benchmark, function, *args, **kwargs):
 
 
 @pytest.fixture
-def once(benchmark, request):
-    """Fixture wrapper around :func:`run_once`.
-
-    When ``RMRLS_METRICS_DIR`` is set, each run additionally writes a
-    per-run bench report named after the bench node id, via the same
-    writer and schema as ``rmrls bench`` (repro.perf.report).  The
-    hot-op section is the delta of the process-global counters across
-    the run, attributing the wall-clock to search work.
-    """
+def once(benchmark):
+    """Fixture wrapper around :func:`run_once`."""
 
     def runner(function, *args, **kwargs):
-        from repro.perf import snapshot_global, write_pytest_bench_report
-
-        before = snapshot_global()
-        start = time.perf_counter()
-        result = run_once(benchmark, function, *args, **kwargs)
-        elapsed = time.perf_counter() - start
-        directory = os.environ.get("RMRLS_METRICS_DIR")
-        if directory:
-            write_pytest_bench_report(
-                directory,
-                request.node.nodeid,
-                elapsed,
-                hot_ops=snapshot_global().diff(before).as_dict(),
-                scale=os.environ.get("REPRO_BENCH_SCALE"),
-            )
-        return result
+        return run_once(benchmark, function, *args, **kwargs)
 
     return runner

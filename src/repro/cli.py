@@ -6,8 +6,7 @@ Subcommands::
     rmrls synth --benchmark rd53 --draw         # synthesize a benchmark
     rmrls synth --benchmark rd53 --json         # machine-readable report
     rmrls profile --benchmark rd53              # phase-time breakdown
-    rmrls bench --quick                         # micro-benchmark suite
-    rmrls bench --compare BENCH_quick.json      # perf regression gate
+    rmrls bench --quick                         # kernel micro-suite
     rmrls trace summarize run.jsonl             # analyze a JSONL trace
     rmrls trace collate runs/t1                 # merge span shards
     rmrls trace view runs/t1                    # timeline + critical path
@@ -32,12 +31,10 @@ every search event as JSON lines, and ``--progress-every N`` prints a
 steps/sec status line to stderr every N steps.
 
 Performance observability (see docs/benchmarking.md): ``rmrls bench``
-times the kernel/workload suite and emits a versioned bench report;
-``--append`` grows a ``BENCH_<workload>.json`` trajectory and
-``--compare`` gates against a baseline with a non-zero exit on
-regression.  ``rmrls trace summarize`` post-processes a
-``--trace-jsonl`` file into substitution frequencies, queue-depth
-percentiles, and the restart timeline.
+times the search's kernel micro-suite and prints one row per kernel;
+end-to-end benchmarking is ``perfbench/``.  ``rmrls trace summarize``
+post-processes a ``--trace-jsonl`` file into substitution
+frequencies, queue-depth percentiles, and the restart timeline.
 
 Distributed tracing (see docs/observability.md): ``--trace-dir DIR``
 on ``synth`` and ``sweep`` makes every process write span shards under
@@ -442,73 +439,26 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    """Run the micro-benchmark suite; optionally append to a trajectory
-    and gate against a baseline (see docs/benchmarking.md)."""
-    from repro.perf import (
-        append_to_trajectory,
-        baseline_from_path,
-        compare_reports,
-        render_bench_report,
-        render_comparison,
-        run_bench,
-        trajectory_path,
-        write_bench_report,
-    )
+    """Time the kernel micro-suite and print its table (see
+    docs/benchmarking.md)."""
+    from repro.perf import KERNELS, run_kernel
 
-    progress = (
-        None if args.json
-        else (lambda message: print(f"... {message}", file=sys.stderr))
-    )
-    try:
-        report = run_bench(
-            quick=args.quick,
-            kernels=args.kernels,
-            workloads=args.workloads,
-            repeats=args.repeats,
-            warmup=args.warmup,
-            workload_name=args.workload_name,
-            progress=progress,
-        )
-    except ValueError as error:
-        print(str(error), file=sys.stderr)
+    names = list(KERNELS)
+    if args.kernels is not None:
+        names = [part.strip() for part in args.kernels.split(",")
+                 if part.strip()]
+    unknown = [name for name in names if name not in KERNELS]
+    if unknown:
+        print(f"unknown kernel {unknown[0]!r}; known: {', '.join(KERNELS)}",
+              file=sys.stderr)
         return 2
-
-    if args.output:
-        write_bench_report(report, args.output)
-        if not args.json:
-            print(f"wrote bench report to {args.output}", file=sys.stderr)
-    if args.append:
-        path = trajectory_path(report["workload"], args.append)
-        append_to_trajectory(report, path)
-        if not args.json:
-            print(f"appended to trajectory {path}", file=sys.stderr)
-
-    comparison = None
-    if args.compare:
-        try:
-            baseline = baseline_from_path(args.compare)
-        except ValueError as error:
-            print(f"--compare: {error}", file=sys.stderr)
-            return 2
-        if args.threshold is None:
-            comparison = compare_reports(report, baseline)
-        else:
-            comparison = compare_reports(
-                report, baseline, threshold=args.threshold
-            )
-
-    if args.json:
-        document = dict(report)
-        if comparison is not None:
-            document["comparison"] = comparison.as_dict()
-        print(json.dumps(document, indent=2))
-    else:
-        print(render_bench_report(report))
-        if comparison is not None:
-            print()
-            print(render_comparison(comparison))
-    if comparison is not None and comparison.has_regressions:
-        return 0 if args.warn_only else 1
+    print(f"  {'kernel':<26} {'ns/op':>10} {'ops/s':>14} "
+          f"{'reps':>5} {'rej':>4}")
+    for name in names:
+        timing = run_kernel(name, quick=args.quick)
+        print(f"  {name:<26} {timing.ns_per_op:>10,.1f} "
+              f"{timing.ops_per_s:>14,.0f} "
+              f"{len(timing.samples):>5} {timing.rejected:>4}")
     return 0
 
 
@@ -1507,39 +1457,13 @@ def main(argv: list[str] | None = None) -> int:
 
     bench = commands.add_parser(
         "bench",
-        help="run the micro-benchmark suite and emit a versioned "
-             "bench report (see docs/benchmarking.md)",
+        help="time the search's kernel micro-suite "
+             "(see docs/benchmarking.md)",
     )
     bench.add_argument("--quick", action="store_true",
-                       help="smoke-test sizes (the whole suite stays "
-                            "well under two minutes)")
+                       help="smoke-test sizes (a few seconds)")
     bench.add_argument("--kernels", metavar="NAMES", default=None,
-                       help="comma-separated kernel names, or 'none' "
-                            "(default: all)")
-    bench.add_argument("--workloads", metavar="NAMES", default=None,
-                       help="comma-separated workload names, or 'none' "
-                            "(default: all)")
-    bench.add_argument("--repeats", type=int, default=None,
-                       help="override timed repeats per kernel")
-    bench.add_argument("--warmup", type=int, default=None,
-                       help="override warmup runs per kernel")
-    bench.add_argument("--workload-name", metavar="NAME", default=None,
-                       help="label stamped into the report (default: "
-                            "'quick' or 'full')")
-    bench.add_argument("--output", metavar="PATH",
-                       help="write the bench report JSON to PATH")
-    bench.add_argument("--append", metavar="DIR",
-                       help="append the report to DIR/BENCH_<name>.json")
-    bench.add_argument("--compare", metavar="PATH",
-                       help="compare against a baseline: a bench report "
-                            "or a BENCH_*.json trajectory (latest entry)")
-    bench.add_argument("--threshold", type=float, default=None,
-                       help="regression threshold as a fraction "
-                            "(default 0.50 = 50%%)")
-    bench.add_argument("--warn-only", action="store_true",
-                       help="report regressions but exit 0")
-    bench.add_argument("--json", action="store_true",
-                       help="print the report (and comparison) as JSON")
+                       help="comma-separated kernel names (default: all)")
     bench.set_defaults(handler=_cmd_bench)
 
     trace = commands.add_parser(

@@ -130,8 +130,8 @@ def fold_digest(digest: int, *values: int) -> int:
     """Fold integers into a cumulative 64-bit FNV-1a-style digest.
 
     A few integer ops per value — run once per stride point, solution,
-    and restart (the recorder's <5% overhead budget is gated by the
-    ``flight_overhead`` bench workload).
+    and restart (the recorder's <5% overhead budget is gated by
+    ``tests/test_flight_recorder.py``).
     """
     for value in values:
         digest = ((digest ^ (value & _DIGEST_MASK)) * _FNV_PRIME) \
@@ -477,10 +477,10 @@ class FlightObserver(SearchObserver):
         self.last_step = step
         # Fold (and ring) only at stride points: per-step work off the
         # stride is one modulo plus an attribute store, which is what
-        # keeps the recorder inside the <5% budget the
-        # ``flight_overhead`` workload gates.  The digest is still
-        # cumulative over *all* stride points — including ones whose
-        # ring slots were later evicted — so any surviving suffix
+        # keeps the recorder inside its <5% budget (the test suite
+        # gates it).  The digest is still cumulative over *all* stride
+        # points — including ones whose ring slots were later
+        # evicted — so any surviving suffix
         # checks the whole recorded history.  _ReplayObserver folds at
         # the same stride (recovered from the dump's ``meta.every``),
         # bit-identically.

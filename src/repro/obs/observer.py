@@ -156,7 +156,7 @@ class MultiObserver(SearchObserver):
     search fires ``on_child``/``on_prune``/``on_queue`` hundreds of
     thousands of times per second and a naive fan-out loop over
     observers that mostly inherit the base no-ops costs ~10% of the
-    whole search (measured by the ``tracing_overhead`` bench workload).
+    whole search, measured as a traced against an untraced search.
     Events nobody overrides get a shared no-op; events exactly one
     observer overrides are bound straight to that observer's method (as
     cheap as having that observer installed alone); only genuinely

@@ -699,8 +699,8 @@ def _merge_fleet(
         if entry.stats:
             fleet.merge(SearchStats.from_dict(entry.stats))
     # Hot-op totals travel inside each slice's stats; feed the fleet
-    # aggregate into the process-global meter so `rmrls bench` and the
-    # sweep harness see portfolio work like any other search work.
+    # aggregate into the process-global meter so the sweep harness
+    # sees portfolio work like any other search work.
     # (Inline fleets skip this: their searches already metered live.)
     if fleet.hot_ops and merge_hot_ops:
         global_counters().merge_dict(fleet.hot_ops)

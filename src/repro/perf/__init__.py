@@ -1,67 +1,31 @@
-"""Performance observability for the RMRLS reproduction.
+"""Performance instrumentation for the RMRLS reproduction.
 
-Three layers (see ``docs/benchmarking.md``):
+End-to-end and per-layer measurement lives in ``perfbench/`` (see
+``docs/benchmarking.md``); this package holds what the search and the
+``rmrls bench`` kernel table need:
 
 * **hot-op counters** (:mod:`repro.perf.hotops`) — always-on integer
   counters at the search's innermost loops (substitutions applied,
   PPRM terms walked, queue and dedupe-table traffic, restart
   overhead), surfaced through ``SearchStats.hot_ops``, the metrics
   registry (``hotop_*``), and a process-global aggregate;
-* **micro-benchmarks** (:mod:`repro.perf.kernels`,
-  :mod:`repro.perf.timing`, :mod:`repro.perf.runner`) — deterministic
-  kernel and workload timings with warmup, repeats, and MAD outlier
-  rejection, emitted as versioned ``rmrls-bench-report`` documents
-  (:mod:`repro.perf.report`) carrying git SHA, environment, and
-  hot-op totals;
-* **trajectory + regression gate** (:mod:`repro.perf.trajectory`,
-  :mod:`repro.perf.compare`) — reports append into committed
-  ``BENCH_<workload>.json`` histories, and ``rmrls bench --compare``
-  flags per-metric deltas past a noise threshold with a non-zero
-  exit for CI.
+* **kernel micro-suite** (:mod:`repro.perf.kernels`,
+  :mod:`repro.perf.timing`) — the search's inner-loop operations timed
+  over fixed seeded inputs with warmup, repeats, and MAD outlier
+  rejection;
+* :func:`repro.perf.report.git_info` — the commit a measurement was
+  taken at.
 """
 
-from repro.perf.compare import (
-    DEFAULT_THRESHOLD,
-    Comparison,
-    MetricDelta,
-    compare_reports,
-    metric_direction,
-    render_comparison,
-)
 from repro.perf.hotops import (
     HOT_OP_FIELDS,
     HotOpCounters,
     global_counters,
     snapshot_global,
 )
-from repro.perf.kernels import (
-    KERNELS,
-    WORKLOADS,
-    kernel_names,
-    run_kernel,
-    run_workload,
-    workload_names,
-)
-from repro.perf.report import (
-    BENCH_REPORT_SCHEMA,
-    BENCH_REPORT_VERSION,
-    build_bench_report,
-    git_info,
-    validate_bench_report,
-    write_bench_report,
-    write_pytest_bench_report,
-)
-from repro.perf.runner import render_bench_report, run_bench
+from repro.perf.kernels import KERNELS, kernel_names, run_kernel
+from repro.perf.report import git_info
 from repro.perf.timing import TimingResult, mad_keep_mask, time_callable
-from repro.perf.trajectory import (
-    TRAJECTORY_SCHEMA,
-    TRAJECTORY_VERSION,
-    append_to_trajectory,
-    baseline_from_path,
-    latest_entry,
-    load_trajectory,
-    trajectory_path,
-)
 
 __all__ = [
     "HOT_OP_FIELDS",
@@ -72,31 +36,7 @@ __all__ = [
     "mad_keep_mask",
     "time_callable",
     "KERNELS",
-    "WORKLOADS",
     "kernel_names",
-    "workload_names",
     "run_kernel",
-    "run_workload",
-    "run_bench",
-    "render_bench_report",
-    "BENCH_REPORT_SCHEMA",
-    "BENCH_REPORT_VERSION",
     "git_info",
-    "build_bench_report",
-    "validate_bench_report",
-    "write_bench_report",
-    "write_pytest_bench_report",
-    "TRAJECTORY_SCHEMA",
-    "TRAJECTORY_VERSION",
-    "trajectory_path",
-    "load_trajectory",
-    "append_to_trajectory",
-    "latest_entry",
-    "baseline_from_path",
-    "DEFAULT_THRESHOLD",
-    "MetricDelta",
-    "Comparison",
-    "metric_direction",
-    "compare_reports",
-    "render_comparison",
 ]

@@ -1,43 +1,16 @@
-"""Versioned ``rmrls-bench-report`` documents.
+"""The git commit a measurement was taken at.
 
-One schema serves both producers: the ``rmrls bench`` micro-benchmark
-runner (kernel timings + workload sections) and the pytest benchmark
-suite's per-run reports (one timed experiment regeneration).  Every
-report carries the git commit, the environment, and the hot-op counter
-totals, which is what makes two reports from different commits
-*comparable* — the v1 conftest reports carried only wall-clock and
-environment, so a slowdown could never be attributed.
-
-The flat ``metrics`` section is the comparison surface: metric names
-ending in ``_ns_per_op``, ``_seconds``, or ``_ns_per_substitution``
-are lower-is-better timings; names ending in ``_per_s`` are
-higher-is-better rates; anything else (the hot-op totals) is carried
-for attribution but not gated (see :mod:`repro.perf.compare`).
+``perfbench/run.py`` stamps it into every benchmark run and
+``store/service.py`` into store provenance, so numbers and circuits
+from different commits stay attributable.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import re
 import subprocess
-import time
 
-__all__ = [
-    "BENCH_REPORT_SCHEMA",
-    "BENCH_REPORT_VERSION",
-    "git_info",
-    "build_bench_report",
-    "validate_bench_report",
-    "write_bench_report",
-    "write_pytest_bench_report",
-]
-
-#: Schema identifier and version stamped into every bench report.
-#: Version 2 added ``git``, ``hot_ops``, and ``metrics`` (v1 reports —
-#: pre-perf-subsystem conftest output — had none of the three).
-BENCH_REPORT_SCHEMA = "rmrls-bench-report"
-BENCH_REPORT_VERSION = 2
+__all__ = ["git_info"]
 
 
 def _git(args: list[str], cwd: str | None) -> str | None:
@@ -72,133 +45,3 @@ def git_info(cwd: str | None = None) -> dict:
         return {"sha": None, "dirty": None}
     status = _git(["status", "--porcelain"], cwd)
     return {"sha": sha, "dirty": None if status is None else bool(status)}
-
-
-def build_bench_report(
-    *,
-    workload: str,
-    kernels: dict | None = None,
-    workloads: dict | None = None,
-    hot_ops: dict | None = None,
-    metrics: dict | None = None,
-    config: dict | None = None,
-    extra: dict | None = None,
-) -> dict:
-    """Assemble one bench-report document (not yet validated).
-
-    ``workload`` names the suite configuration (``quick``, ``full``, or
-    a bench node id) and keys the ``BENCH_<workload>.json`` trajectory
-    the report may later append to.
-    """
-    from repro.obs.report import environment_info
-
-    report = {
-        "schema": BENCH_REPORT_SCHEMA,
-        "version": BENCH_REPORT_VERSION,
-        "generated_unix": time.time(),
-        "workload": workload,
-        "git": git_info(),
-        "environment": environment_info(),
-        "config": dict(config or {}),
-        "kernels": dict(kernels or {}),
-        "workloads": dict(workloads or {}),
-        "hot_ops": dict(hot_ops or {}),
-        "metrics": dict(metrics or {}),
-    }
-    if extra:
-        report["extra"] = dict(extra)
-    return report
-
-
-def _fail(message: str) -> None:
-    raise ValueError(f"invalid bench report: {message}")
-
-
-def validate_bench_report(report: dict) -> dict:
-    """Check ``report`` against the v2 schema; return it unchanged.
-
-    Structural, like :func:`repro.obs.report.validate_run_report`:
-    required keys, value types, numeric metrics, and end-to-end JSON
-    serializability.  Raises :class:`ValueError` on any violation.
-    """
-    if not isinstance(report, dict):
-        _fail("not a JSON object")
-    if report.get("schema") != BENCH_REPORT_SCHEMA:
-        _fail(
-            f"schema is {report.get('schema')!r}, want "
-            f"{BENCH_REPORT_SCHEMA!r}"
-        )
-    if report.get("version") != BENCH_REPORT_VERSION:
-        _fail(f"unsupported version {report.get('version')!r}")
-    required = {
-        "generated_unix": (int, float),
-        "workload": str,
-        "git": dict,
-        "environment": dict,
-        "kernels": dict,
-        "workloads": dict,
-        "hot_ops": dict,
-        "metrics": dict,
-    }
-    for key, types in required.items():
-        if key not in report:
-            _fail(f"missing key {key!r}")
-        if not isinstance(report[key], types):
-            _fail(f"key {key!r} has type {type(report[key]).__name__}")
-    if "sha" not in report["git"]:
-        _fail("git section lacks a sha (null is fine; absence is not)")
-    for name, value in report["metrics"].items():
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            _fail(f"metric {name!r} is not a number")
-    for name, timing in report["kernels"].items():
-        if not isinstance(timing, dict) or "ns_per_op" not in timing:
-            _fail(f"kernel {name!r} lacks ns_per_op")
-    for name, value in report["hot_ops"].items():
-        if not isinstance(value, int) or isinstance(value, bool):
-            _fail(f"hot op {name!r} is not an integer count")
-    json.dumps(report)  # must be serializable end-to-end
-    return report
-
-
-def write_bench_report(report: dict, path) -> None:
-    """Validate and write ``report`` as indented JSON to ``path``."""
-    validate_bench_report(report)
-    with open(path, "w") as handle:
-        json.dump(report, handle, indent=2, sort_keys=False)
-        handle.write("\n")
-
-
-def bench_slug(name: str) -> str:
-    """Filesystem-safe slug of a bench/workload identifier."""
-    return re.sub(r"[^A-Za-z0-9_.-]+", "_", name).strip("_")
-
-
-def write_pytest_bench_report(
-    directory: str,
-    nodeid: str,
-    seconds: float,
-    *,
-    hot_ops: dict | None = None,
-    scale: str | None = None,
-) -> str:
-    """Write the per-run report for one pytest bench; return its path.
-
-    This is the single writer behind ``benchmarks/conftest.py``
-    (``RMRLS_METRICS_DIR``): same schema, same validator, same git and
-    hot-op sections as the ``rmrls bench`` reports, with the bench's
-    wall-clock exposed through the ``metrics`` comparison surface as
-    ``bench_seconds``.
-    """
-    os.makedirs(directory, exist_ok=True)
-    metrics: dict = {"bench_seconds": seconds}
-    for name, value in (hot_ops or {}).items():
-        metrics[f"hotop_{name}"] = value
-    report = build_bench_report(
-        workload=nodeid,
-        hot_ops=hot_ops,
-        metrics=metrics,
-        config={"scale": scale, "seconds": seconds},
-    )
-    path = os.path.join(directory, f"{bench_slug(nodeid)}.json")
-    write_bench_report(report, path)
-    return path

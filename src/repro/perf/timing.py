@@ -9,7 +9,8 @@ deviation (MAD) before summarizing.  The *minimum* of the kept
 samples is the headline per-op number — with one-sided noise the min
 is the least-biased estimate of the kernel's true cost, and by far
 the most stable across runs on a shared machine (which is what the
-regression gate compares); median and mean are reported alongside.
+packed-vs-reference kernel test compares); median and mean are
+reported alongside.
 """
 
 from __future__ import annotations
@@ -103,7 +104,7 @@ class TimingResult:
 
         The minimum, not the median: noise is one-sided, so the min is
         both the least-biased cost estimate and the most stable number
-        across runs — which is what the regression gate compares.
+        across runs, which is what two timings get compared on.
         """
         return self.min_seconds / self.ops * 1e9
 

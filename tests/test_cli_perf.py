@@ -6,85 +6,14 @@ import pytest
 
 from repro.cli import main
 
-#: Fast, deterministic bench settings for CLI-level tests.
-FAST = ["bench", "--quick", "--kernels", "queue_churn",
-        "--workloads", "none", "--repeats", "3"]
-
 
 class TestBenchCommand:
-    def test_json_report(self, capsys):
-        assert main(FAST + ["--json"]) == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["schema"] == "rmrls-bench-report"
-        assert "kernel_queue_churn_ns_per_op" in report["metrics"]
-
     def test_human_report(self, capsys):
-        assert main(FAST) == 0
-        captured = capsys.readouterr()
-        assert "queue_churn" in captured.out
-        assert "kernel queue_churn" in captured.err
-
-    def test_output_and_append(self, tmp_path, capsys):
-        out = tmp_path / "bench.json"
-        assert main(FAST + ["--output", str(out),
-                            "--append", str(tmp_path)]) == 0
-        assert out.exists()
-        trajectory = tmp_path / "BENCH_quick.json"
-        document = json.loads(trajectory.read_text())
-        assert document["schema"] == "rmrls-bench-trajectory"
-        assert len(document["entries"]) == 1
-        capsys.readouterr()
-
-    def test_workload_name_flag(self, tmp_path, capsys):
-        assert main(FAST + ["--workload-name", "smoke",
-                            "--append", str(tmp_path)]) == 0
-        assert (tmp_path / "BENCH_smoke.json").exists()
-        capsys.readouterr()
-
-    def test_compare_same_run_quiet(self, tmp_path, capsys):
-        assert main(FAST + ["--append", str(tmp_path)]) == 0
-        capsys.readouterr()
-        trajectory = str(tmp_path / "BENCH_quick.json")
-        # Re-running the same suite at the same commit must not trip
-        # the gate (generous threshold absorbs timer noise).
-        assert main(FAST + ["--compare", trajectory]) == 0
-        assert "no regressions" in capsys.readouterr().out
-
-    def test_compare_missing_baseline_is_clean(self, tmp_path, capsys):
-        assert main(
-            FAST + ["--compare", str(tmp_path / "absent.json")]
-        ) == 0
-        assert "no baseline" in capsys.readouterr().out
-
-    def test_compare_regression_exits_nonzero(self, tmp_path, capsys):
-        assert main(FAST + ["--append", str(tmp_path)]) == 0
-        capsys.readouterr()
-        trajectory = tmp_path / "BENCH_quick.json"
-        document = json.loads(trajectory.read_text())
-        # Shrink the recorded baseline so the fresh run looks 2x slower.
-        for key, value in document["entries"][-1]["metrics"].items():
-            if key.endswith("_ns_per_op"):
-                document["entries"][-1]["metrics"][key] = value / 2.0
-        trajectory.write_text(json.dumps(document))
-        assert main(FAST + ["--compare", str(trajectory)]) == 1
-        assert "REGRESSION" in capsys.readouterr().out
-        assert main(FAST + ["--compare", str(trajectory),
-                            "--warn-only"]) == 0
-        capsys.readouterr()
-
-    def test_compare_json_embeds_comparison(self, tmp_path, capsys):
-        assert main(FAST + ["--append", str(tmp_path)]) == 0
-        capsys.readouterr()
-        assert main(FAST + ["--json", "--compare",
-                            str(tmp_path / "BENCH_quick.json")]) == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["comparison"]["baseline_found"] is True
-
-    def test_garbage_baseline_is_usage_error(self, tmp_path, capsys):
-        bad = tmp_path / "bad.json"
-        bad.write_text("][")
-        assert main(FAST + ["--compare", str(bad)]) == 2
-        capsys.readouterr()
+        assert main(["bench", "--quick", "--kernels", "queue_churn"]) == 0
+        out = capsys.readouterr().out
+        assert "queue_churn" in out
+        assert "ns/op" in out
+        assert "pprm_substitute" not in out
 
     def test_unknown_kernel_is_usage_error(self, capsys):
         assert main(["bench", "--kernels", "bogus"]) == 2

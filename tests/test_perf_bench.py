@@ -1,42 +1,11 @@
-"""Bench reports, trajectories, kernels, and the suite runner."""
-
-import json
+"""The kernel micro-suite, ``git_info``, and the packed-engine gate."""
 
 import pytest
 
 from repro.perf.hotops import HotOpCounters
-from repro.perf.kernels import (
-    KERNELS,
-    WORKLOADS,
-    kernel_names,
-    run_kernel,
-    run_workload,
-    workload_names,
-)
-from repro.perf.report import (
-    BENCH_REPORT_SCHEMA,
-    BENCH_REPORT_VERSION,
-    bench_slug as slug_of,  # aliased: pytest collects bench_* names
-    build_bench_report,
-    git_info,
-    validate_bench_report,
-    write_bench_report,
-    write_pytest_bench_report,
-)
-from repro.perf.runner import render_bench_report, run_bench
-from repro.perf.trajectory import (
-    append_to_trajectory,
-    baseline_from_path,
-    latest_entry,
-    load_trajectory,
-    trajectory_path,
-)
-
-
-def minimal_report(workload="quick", **overrides):
-    report = build_bench_report(workload=workload)
-    report.update(overrides)
-    return report
+from repro.perf.kernels import KERNELS, kernel_names, run_kernel
+from repro.perf.report import git_info
+from repro.pprm.engine import ENGINES
 
 
 class TestGitInfo:
@@ -53,120 +22,14 @@ class TestGitInfo:
         assert info["sha"] is None or len(info["sha"]) == 40
 
 
-class TestReportSchema:
-    def test_build_validates(self):
-        report = build_bench_report(
-            workload="quick",
-            hot_ops={"queue_pops": 3},
-            metrics={"kernel_x_ns_per_op": 12.5},
-        )
-        assert validate_bench_report(report) is report
-        assert report["schema"] == BENCH_REPORT_SCHEMA
-        assert report["version"] == BENCH_REPORT_VERSION
-
-    @pytest.mark.parametrize("mutate, match", [
-        (lambda r: r.update(schema="bogus"), "schema"),
-        (lambda r: r.update(version=1), "version"),
-        (lambda r: r.pop("metrics"), "missing key"),
-        (lambda r: r.update(metrics={"x": "fast"}), "not a number"),
-        (lambda r: r.update(metrics={"x": True}), "not a number"),
-        (lambda r: r.update(hot_ops={"x": 1.5}), "not an integer"),
-        (lambda r: r.update(kernels={"k": {}}), "ns_per_op"),
-        (lambda r: r["git"].pop("sha"), "sha"),
-    ])
-    def test_rejects_malformed(self, mutate, match):
-        report = minimal_report()
-        mutate(report)
-        with pytest.raises(ValueError, match=match):
-            validate_bench_report(report)
-
-    def test_write_and_reload(self, tmp_path):
-        path = tmp_path / "bench.json"
-        write_bench_report(minimal_report(), path)
-        reloaded = json.loads(path.read_text())
-        assert validate_bench_report(reloaded)
-
-    def test_slug(self):
-        assert slug_of("benchmarks/x.py::test[a b]") == (
-            "benchmarks_x.py_test_a_b"
-        )
-
-
-class TestPytestReportWriter:
-    def test_writes_valid_report(self, tmp_path):
-        path = write_pytest_bench_report(
-            str(tmp_path),
-            "benchmarks/bench_x.py::bench_x",
-            1.5,
-            hot_ops={"queue_pops": 7, "dedupe_hits": 0},
-            scale="2",
-        )
-        report = validate_bench_report(json.loads(open(path).read()))
-        assert report["metrics"]["bench_seconds"] == 1.5
-        assert report["metrics"]["hotop_queue_pops"] == 7
-        assert report["config"]["scale"] == "2"
-        assert report["workload"] == "benchmarks/bench_x.py::bench_x"
-
-
-class TestTrajectory:
-    def test_create_append_load(self, tmp_path):
-        path = trajectory_path("quick", str(tmp_path))
-        assert path.endswith("BENCH_quick.json")
-        append_to_trajectory(minimal_report(), path)
-        append_to_trajectory(minimal_report(), path)
-        document = load_trajectory(path)
-        assert len(document["entries"]) == 2
-        assert latest_entry(document) == document["entries"][-1]
-
-    def test_workload_mismatch_rejected(self, tmp_path):
-        path = trajectory_path("quick", str(tmp_path))
-        append_to_trajectory(minimal_report("quick"), path)
-        with pytest.raises(ValueError, match="tracks workload"):
-            append_to_trajectory(minimal_report("full"), path)
-
-    def test_baseline_from_missing_file(self, tmp_path):
-        assert baseline_from_path(str(tmp_path / "nope.json")) is None
-
-    def test_baseline_from_trajectory(self, tmp_path):
-        path = trajectory_path("quick", str(tmp_path))
-        first = minimal_report()
-        second = minimal_report()
-        second["metrics"] = {"marker_seconds": 1.0}
-        append_to_trajectory(first, path)
-        append_to_trajectory(second, path)
-        baseline = baseline_from_path(path)
-        assert baseline["metrics"] == {"marker_seconds": 1.0}
-
-    def test_baseline_from_single_report(self, tmp_path):
-        path = tmp_path / "report.json"
-        write_bench_report(minimal_report(), path)
-        assert baseline_from_path(str(path))["workload"] == "quick"
-
-    def test_baseline_from_garbage(self, tmp_path):
-        path = tmp_path / "garbage.json"
-        path.write_text("not json at all")
-        with pytest.raises(ValueError):
-            baseline_from_path(str(path))
-
-    def test_load_rejects_wrong_schema(self, tmp_path):
-        path = tmp_path / "t.json"
-        path.write_text(json.dumps({"schema": "other", "version": 1}))
-        with pytest.raises(ValueError, match="schema"):
-            load_trajectory(str(path))
-
-
 class TestKernels:
     def test_names(self):
         assert kernel_names() == list(KERNELS)
-        assert workload_names() == list(WORKLOADS)
         assert "pprm_substitute" in KERNELS
-        assert "exhaustive3" in WORKLOADS
 
     def test_unknown_kernel(self):
         with pytest.raises(ValueError, match="unknown kernel"):
             run_kernel("bogus")
-        with pytest.raises(ValueError, match="unknown workload"):
-            run_workload("bogus")
 
     def test_run_kernel_quick(self):
         result = run_kernel("queue_churn", quick=True, repeats=3)
@@ -180,52 +43,19 @@ class TestKernels:
         second = run_kernel("dedupe_probe", quick=True, repeats=1, warmup=0)
         assert first.ops == second.ops
 
-    def test_run_workload_quick(self):
-        section = run_workload("rd53", quick=True, repeats=1)
-        assert section["seconds"] > 0
-        assert section["hot_ops"]["substitutions_applied"] > 0
-        assert section["summary"]["steps"] > 0
 
+class TestPackedEngineGate:
+    """The packed backend earns its place on the search path only while
+    it is at least as fast as reference on the two hottest kernels."""
 
-class TestRunBench:
-    def test_selection_and_metrics(self):
-        report = run_bench(
-            quick=True, kernels="queue_churn", workloads="none", repeats=2
+    @pytest.mark.parametrize("kernel", ["pprm_substitute", "expansion_xor"])
+    def test_packed_at_least_as_fast_as_reference(self, kernel):
+        reference = run_kernel(kernel, quick=True, engine=ENGINES["reference"])
+        packed = run_kernel(kernel, quick=True, engine=ENGINES["packed"])
+        speedup = reference.ns_per_op / packed.ns_per_op
+        assert speedup >= 1.0, (
+            f"packed slower than reference on {kernel}: {speedup:.2f}x"
         )
-        assert list(report["kernels"]) == ["queue_churn"]
-        assert report["workloads"] == {}
-        assert "kernel_queue_churn_ns_per_op" in report["metrics"]
-        assert report["workload"] == "quick"
-
-    def test_workload_hotops_aggregated(self):
-        report = run_bench(
-            quick=True, kernels="none", workloads="rd53"
-        )
-        assert report["hot_ops"]["substitutions_applied"] > 0
-        assert report["metrics"]["hotop_substitutions_applied"] == (
-            report["hot_ops"]["substitutions_applied"]
-        )
-        assert "workload_rd53_seconds" in report["metrics"]
-
-    def test_unknown_selection(self):
-        with pytest.raises(ValueError, match="unknown kernel"):
-            run_bench(kernels="bogus")
-
-    def test_progress_callback(self):
-        lines = []
-        run_bench(
-            quick=True, kernels="queue_churn", workloads="none",
-            repeats=1, warmup=0, progress=lines.append,
-        )
-        assert lines == ["kernel queue_churn"]
-
-    def test_render(self):
-        report = run_bench(
-            quick=True, kernels="queue_churn", workloads="none", repeats=2
-        )
-        text = render_bench_report(report)
-        assert "queue_churn" in text
-        assert "ns/op" in text
 
 
 class TestHotOpTotalsHelper:

@@ -31,7 +31,7 @@ from repro.synth import enumerate_first_level, synthesize
 from repro.synth.options import SynthesisOptions
 from repro.synth.stats import SearchStats
 
-from conftest import random_spec
+from conftest import _fixture_portfolio_spec, random_spec
 
 
 class TestPartitionSeeds:
@@ -187,6 +187,20 @@ class TestDifferentialAgainstSerial:
             ]
             assert len(winner) == 1
             assert winner[0].gate_count == raced.gate_count
+
+
+class TestRestartHeavyFixture:
+    def test_serial_and_portfolio_both_verify(self):
+        # The 4-variable sibling of the 5-variable serial dive: the
+        # serial search burns restart budgets before its first solution.
+        spec = _fixture_portfolio_spec(4, 5)
+        options = dict(greedy_k=1, restart_steps=120, max_steps=4_000,
+                       dedupe_states=True, stop_at_first=True)
+        serial = synthesize(spec, **options)
+        assert serial.solved and serial.stats.restarts >= 1
+        assert serial.circuit.implements(spec)
+        raced = synthesize(spec, portfolio_jobs=2, **options)
+        assert raced.solved and raced.circuit.implements(spec)
 
 
 class TestDeterminism:
