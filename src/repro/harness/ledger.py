@@ -1,32 +1,28 @@
 """The resumable sweep ledger — append-only JSONL checkpoints.
 
 Line 1 is a header identifying the schema and the sweep; every further
-line is one finished task's :class:`~repro.harness.taxonomy.TaskOutcome`
-as JSON.  Because task ids are content hashes of the task definition
-(see :mod:`repro.harness.tasks`), resuming is just: regenerate the task
+line is one finished task's :class:`~repro.harness.taxonomy.TaskOutcome`.
+Because task ids are content hashes of the task definition (see
+:mod:`repro.harness.tasks`), resuming is just: regenerate the task
 list from the same seed, skip every id already present, replay the
 recorded outcomes so aggregate results match an uninterrupted run.
 
 Interrupted or in-flight tasks are never written, so a killed sweep
-re-runs exactly the unfinished work.  Records are flushed per line —
-a SIGKILL of the *sweep* loses at most the line being written — and
-with ``fsync=True`` each line is also fsynced, so even a power cut
-loses at most that line.  The resume reader is tolerant in the style
-of the trace-shard readers (:mod:`repro.obs.collate`): damaged lines —
-a truncated tail, an interleaved partial write, a record that stopped
-parsing — are skipped and counted in :attr:`SweepLedger.skipped_lines`
-rather than aborting the resume; every intact record before, between,
-and after them is still replayed.  Only a header mismatch (wrong
-schema, version, or sweep) raises, because resuming the wrong ledger
-would silently skip the wrong tasks.
+re-runs exactly the unfinished work.  The file is an append log in the
+shared line format of :mod:`repro.applog` (docs/formats.md, "Append
+logs"), fsynced per line when asked.  Damaged lines are skipped and
+counted in :attr:`SweepLedger.skipped_lines`, and their tasks re-run.
+A header torn mid-write reads as an empty ledger.  Any other header
+mismatch (wrong schema, version, or sweep) raises, because resuming
+the wrong ledger would silently skip the wrong tasks.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import time
 
+from repro.applog import AppendLog, read_log
 from repro.harness.taxonomy import STATUS_INTERRUPTED, TaskOutcome
 
 __all__ = [
@@ -38,6 +34,45 @@ __all__ = [
 
 LEDGER_SCHEMA = "rmrls-sweep-ledger"
 LEDGER_VERSION = 1
+
+
+def _accept(record: dict):
+    if record.get("schema") == LEDGER_SCHEMA:
+        return record
+    return TaskOutcome.from_dict(record)
+
+
+def _read(path: str):
+    """Parse one ledger: ``(header, outcomes, skipped, interrupted)``.
+
+    ``header`` is ``None`` when nothing is recorded yet: the file is
+    empty, or its only line is a header torn mid-write (a kill between
+    creating the file and its first flush).  ``outcomes`` maps task id
+    to the last *terminal* outcome.  Raises :class:`ValueError` when
+    the file is not a sweep ledger.
+    """
+    records, problems = read_log(path, _accept)
+    head = [(p["line"], p["kind"]) for p in problems[:1]]
+    if head == [(1, "torn")] or not (records or problems):
+        return None, {}, 0, 0
+    header = records[0][1] if records and records[0][0] == 1 else None
+    if not isinstance(header, dict):
+        raise ValueError(f"{path} is not a {LEDGER_SCHEMA} file")
+    if header.get("version") != LEDGER_VERSION:
+        raise ValueError(
+            f"{path}: unsupported ledger version {header.get('version')!r}"
+        )
+    outcomes: dict[str, TaskOutcome] = {}
+    skipped = len(problems)
+    interrupted = 0
+    for _, outcome in records[1:]:
+        if not isinstance(outcome, TaskOutcome):
+            skipped += 1  # a stray second header
+        elif outcome.status == STATUS_INTERRUPTED:
+            interrupted += 1
+        else:
+            outcomes[outcome.task_id] = outcome  # last terminal wins
+    return header, outcomes, skipped, interrupted
 
 
 class SweepLedger:
@@ -56,7 +91,7 @@ class SweepLedger:
         self.sweep = sweep
         self.fsync = fsync
         #: Damaged lines the last :meth:`load` skipped (torn tail,
-        #: partial write, unparseable record).
+        #: partial write, checksum mismatch, unparseable record).
         self.skipped_lines = 0
         #: ``interrupted`` records the last :meth:`load` ignored.  They
         #: are written when a pool shutdown cancels in-flight tasks;
@@ -68,11 +103,12 @@ class SweepLedger:
     def load(self) -> dict[str, TaskOutcome]:
         """Read completed outcomes from an existing ledger file.
 
-        Returns an empty dict when the file does not exist.  Raises
-        :class:`ValueError` when the file belongs to a different sweep
-        (resuming the wrong ledger would silently skip wrong tasks).
-        Damaged outcome lines — the truncated tail of a killed sweep,
-        or any line that no longer parses — are skipped and counted in
+        Returns an empty dict when the file does not exist, is empty,
+        or holds only a torn header.  Raises :class:`ValueError` when
+        the file belongs to a different sweep (resuming the wrong
+        ledger would silently skip wrong tasks).  Damaged outcome lines
+        — the truncated tail of a killed sweep, or any line that no
+        longer parses or checksums — are skipped and counted in
         :attr:`skipped_lines`; their tasks simply re-run.
 
         Only **terminal** records count: an ``interrupted`` record (a
@@ -85,70 +121,30 @@ class SweepLedger:
         self.interrupted_records = 0
         if not os.path.exists(self.path):
             return {}
-        outcomes: dict[str, TaskOutcome] = {}
-        with open(self.path) as handle:
-            lines = handle.read().splitlines()
-        if not lines:
-            return {}
-        header = self._parse_line(lines[0])
-        if header is None or header.get("schema") != LEDGER_SCHEMA:
-            raise ValueError(
-                f"{self.path} is not a {LEDGER_SCHEMA} file"
-            )
-        if header.get("version") != LEDGER_VERSION:
-            raise ValueError(
-                f"{self.path}: unsupported ledger version "
-                f"{header.get('version')!r}"
-            )
-        if header.get("sweep") != self.sweep:
+        header, outcomes, self.skipped_lines, self.interrupted_records = (
+            _read(self.path)
+        )
+        if header is not None and header.get("sweep") != self.sweep:
             raise ValueError(
                 f"{self.path} belongs to sweep {header.get('sweep')!r}, "
                 f"not {self.sweep!r}; refusing to resume"
             )
-        for line in lines[1:]:
-            if not line.strip():
-                continue
-            data = self._parse_line(line)
-            if data is None:
-                self.skipped_lines += 1
-                continue
-            try:
-                outcome = TaskOutcome.from_dict(data)
-            except (KeyError, TypeError, ValueError):
-                self.skipped_lines += 1
-                continue
-            if outcome.status == STATUS_INTERRUPTED:
-                self.interrupted_records += 1
-                continue
-            outcomes[outcome.task_id] = outcome  # last terminal wins
         return outcomes
 
-    @staticmethod
-    def _parse_line(line: str):
-        try:
-            data = json.loads(line)
-        except json.JSONDecodeError:
-            return None
-        return data if isinstance(data, dict) else None
-
     def open(self) -> "SweepLedger":
-        """Open the file for appending, writing the header if new."""
+        """Open the file for appending, writing the header if new (or
+        rewriting a header torn mid-write in place)."""
         if self._handle is not None:
             return self
-        is_new = (
-            not os.path.exists(self.path) or os.path.getsize(self.path) == 0
-        )
-        directory = os.path.dirname(os.path.abspath(self.path))
-        os.makedirs(directory, exist_ok=True)
-        self._handle = open(self.path, "a")
-        if is_new:
-            header = {
+        fresh = not os.path.exists(self.path) or _read(self.path)[0] is None
+        self._handle = AppendLog(self.path, fsync=self.fsync, truncate=fresh)
+        if fresh:
+            self._handle.write({
                 "schema": LEDGER_SCHEMA,
                 "version": LEDGER_VERSION,
                 "sweep": self.sweep,
                 "created_unix": time.time(),
-            }
-            self._write_line(header)
+            })
         return self
 
     def record(self, outcome: TaskOutcome) -> None:
@@ -156,14 +152,7 @@ class SweepLedger:
         fsynced when the ledger was opened with ``fsync=True``)."""
         if self._handle is None:
             raise RuntimeError("ledger is not open for appending")
-        self._write_line(outcome.as_dict())
-
-    def _write_line(self, data: dict) -> None:
-        self._handle.write(json.dumps(data, separators=(",", ":")))
-        self._handle.write("\n")
-        self._handle.flush()
-        if self.fsync:
-            os.fsync(self._handle.fileno())
+        self._handle.write(outcome.as_dict())
 
     def close(self) -> None:
         """Close the append handle (load() still works afterwards)."""
@@ -191,38 +180,11 @@ def read_ledger(path: str) -> dict:
     "interrupted_records"}`` where ``outcomes`` maps task id to the
     last *terminal* :class:`TaskOutcome`, with the same tolerance for
     torn or damaged lines as a resume.  Raises :class:`ValueError`
-    only when the file is not a sweep ledger at all.
+    when the file is not a sweep ledger or holds no header yet.
     """
-    with open(path) as handle:
-        lines = handle.read().splitlines()
-    if not lines:
+    header, outcomes, skipped, interrupted = _read(path)
+    if header is None:
         raise ValueError(f"{path} is empty, not a {LEDGER_SCHEMA} file")
-    header = SweepLedger._parse_line(lines[0])
-    if header is None or header.get("schema") != LEDGER_SCHEMA:
-        raise ValueError(f"{path} is not a {LEDGER_SCHEMA} file")
-    if header.get("version") != LEDGER_VERSION:
-        raise ValueError(
-            f"{path}: unsupported ledger version {header.get('version')!r}"
-        )
-    outcomes: dict[str, TaskOutcome] = {}
-    skipped = 0
-    interrupted = 0
-    for line in lines[1:]:
-        if not line.strip():
-            continue
-        data = SweepLedger._parse_line(line)
-        if data is None:
-            skipped += 1
-            continue
-        try:
-            outcome = TaskOutcome.from_dict(data)
-        except (KeyError, TypeError, ValueError):
-            skipped += 1
-            continue
-        if outcome.status == STATUS_INTERRUPTED:
-            interrupted += 1
-            continue
-        outcomes[outcome.task_id] = outcome
     return {
         "header": header,
         "outcomes": outcomes,

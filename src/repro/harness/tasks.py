@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import json
 from dataclasses import dataclass, field
 
+from repro.applog import canonical_json
 from repro.synth.options import SynthesisOptions
 
 __all__ = [
@@ -68,15 +68,13 @@ def task_fingerprint(
     kind: str, payload: dict, options: dict, namespace: str = ""
 ) -> str:
     """Deterministic 16-hex-digit id for a task definition."""
-    canonical = json.dumps(
+    canonical = canonical_json(
         {
             "namespace": namespace,
             "kind": kind,
             "payload": payload,
             "options": options,
         },
-        sort_keys=True,
-        separators=(",", ":"),
         default=str,
     )
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]

@@ -6,9 +6,10 @@ contends on a shared file, and a SIGKILLed worker costs at most one
 truncated trailing line.  :func:`collate_shards` joins the shards into
 a single causally-ordered trace:
 
-* **tolerant reading** — truncated or otherwise malformed lines are
-  skipped and *counted*, never raised (killed workers are a normal
-  outcome, not an error);
+* **tolerant reading** — shards are append logs
+  (:mod:`repro.applog`; docs/formats.md, "Append logs"), so torn,
+  malformed or checksum-failing lines are skipped and *counted*, never
+  raised (killed workers are a normal outcome, not an error);
 * **deduplication** — a span whose ``span`` (end) record arrived
   supersedes its ``start`` record; a ``start`` without an end survives
   as an *open* span (the worker died mid-flight — itself a finding);
@@ -24,9 +25,9 @@ linkage (every span's parent exists, one trace id throughout).
 
 from __future__ import annotations
 
-import json
 import os
 
+from repro.applog import canonical_json, read_log
 from repro.obs.spans import TRACE_SCHEMA, TRACE_SCHEMA_VERSION
 
 __all__ = [
@@ -49,29 +50,12 @@ class TraceValidationError(ValueError):
 
 
 def read_shard(stream) -> tuple[list[dict], int]:
-    """Parse one shard; return ``(records, skipped_lines)``.
-
-    ``stream`` yields text lines (an open file works).  Lines that are
-    empty, truncated mid-JSON (a killed writer), or not JSON objects
-    are skipped and counted — the shard of a SIGKILLed worker must
-    still collate.
-    """
-    records: list[dict] = []
-    skipped = 0
-    for line in stream:
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            skipped += 1
-            continue
-        if not isinstance(record, dict) or "kind" not in record:
-            skipped += 1
-            continue
-        records.append(record)
-    return records, skipped
+    """Parse one shard (an open file); return ``(records,
+    skipped_lines)``.  Every damaged line, and every record without a
+    ``kind``, is skipped and counted — the shard of a SIGKILLed worker
+    must still collate."""
+    records, problems = read_log(stream, lambda r: r if "kind" in r else None)
+    return [record for _, record in records], len(problems)
 
 
 def _record_time(record: dict) -> float:
@@ -85,10 +69,6 @@ def _record_time(record: dict) -> float:
     return float(value) if isinstance(value, (int, float)) else 0.0
 
 
-def _canonical(record: dict) -> str:
-    return json.dumps(record, separators=(",", ":"), sort_keys=True)
-
-
 def _sort_key(record: dict):
     # Total order: time, then kind rank, then span id, then the full
     # canonical text as the final tie-break — identical shards in any
@@ -97,7 +77,7 @@ def _sort_key(record: dict):
         _record_time(record),
         _KIND_RANK.get(record.get("kind"), 9),
         str(record.get("span_id") or ""),
-        _canonical(record),
+        canonical_json(record),
     )
 
 
@@ -172,9 +152,9 @@ def collate_shards(trace_dir: str) -> dict:
 
 def write_collated(collated: dict, stream) -> None:
     """Serialize a collated trace as deterministic JSONL."""
-    stream.write(_canonical(collated["header"]) + "\n")
+    stream.write(canonical_json(collated["header"]) + "\n")
     for record in collated["records"]:
-        stream.write(_canonical(record) + "\n")
+        stream.write(canonical_json(record) + "\n")
 
 
 def collate_to_file(trace_dir: str, output_path: str) -> dict:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import re
 
+from repro.applog import atomic_write
 from repro.obs.trace_view import build_timeline, cancellation_report
 
 __all__ = [
@@ -150,9 +151,9 @@ def render_openmetrics(registry) -> str:
 
 
 def write_openmetrics(registry, path: str) -> None:
-    """Write the textfile-collector form of ``registry`` to ``path``."""
-    with open(path, "w") as handle:
-        handle.write(render_openmetrics(registry))
+    """Write the textfile-collector form of ``registry`` to ``path``
+    atomically (a collector must never scrape a half-written file)."""
+    atomic_write(path, render_openmetrics(registry), fsync=False)
 
 
 def parse_openmetrics(text: str) -> dict:

@@ -14,9 +14,9 @@ an aircraft black box does:
 * :class:`FlightRecorder` — one per process: the ring file, a
   write-once ``<ring>.meta.json`` sidecar holding the *decision log*
   (task kind/payload/options, seed ranks, pids, trace linkage), and a
-  flushed ``<ring>.decisions.jsonl`` sidecar for the rare
-  nondeterministic inputs (shared-bound adoptions) that a replay must
-  re-apply.  On a clean exit the whole set is discarded; on an
+  flushed ``<ring>.decisions.jsonl`` append log (:mod:`repro.applog`)
+  for the rare nondeterministic inputs (shared-bound adoptions) that a
+  replay must re-apply.  On a clean exit the whole set is discarded; on an
   abnormal one it becomes a checksummed ``rmrls-flight-dump``
   document — written in-process for ``crash``/``unsound``/``oom``
   (plus an ``atexit`` backstop), or recovered from the ring by the
@@ -58,6 +58,7 @@ import threading
 import time
 import zlib
 
+from repro.applog import AppendLog, atomic_write, checksum, read_log
 from repro.obs.observer import SearchObserver
 
 __all__ = [
@@ -324,10 +325,11 @@ class FlightRecorder:
             else os.environ.get(FAULTS_ENV_VAR)
         self._fault = parse_faults(fault_text)
         meta_path, _ = _sidecar_paths(self.path)
-        with open(meta_path, "w") as handle:
-            json.dump(self.meta, handle, sort_keys=True, default=str)
-            handle.write("\n")
-            handle.flush()
+        atomic_write(
+            meta_path,
+            json.dumps(self.meta, sort_keys=True, default=str) + "\n",
+            fsync=False,
+        )
 
     # -- recording ---------------------------------------------------------
 
@@ -360,12 +362,8 @@ class FlightRecorder:
             self._decisions.append(record)
             if self._decision_stream is None:
                 _, decisions_path = _sidecar_paths(self.path)
-                self._decision_stream = open(decisions_path, "a")
-            self._decision_stream.write(
-                json.dumps(record, separators=(",", ":"), sort_keys=True)
-                + "\n"
-            )
-            self._decision_stream.flush()
+                self._decision_stream = AppendLog(decisions_path)
+            self._decision_stream.write(record)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -423,21 +421,8 @@ class FlightRecorder:
         self._retire()
 
     def _retire(self) -> None:
-        self.armed = False
-        self._ring.close()
-        if self._decision_stream is not None:
-            try:
-                self._decision_stream.close()
-            except OSError:  # pragma: no cover - close race
-                pass
-        meta_path, decisions_path = _sidecar_paths(self.path)
-        for stale in (self.path, meta_path, decisions_path):
-            try:
-                os.unlink(stale)
-            except FileNotFoundError:
-                pass
-            except OSError:  # pragma: no cover - unlink race
-                pass
+        self.close()
+        discard_ring(self.path)
 
     def close(self) -> None:
         """Close handles without deleting anything (leave the ring for
@@ -445,10 +430,7 @@ class FlightRecorder:
         self.armed = False
         self._ring.close()
         if self._decision_stream is not None:
-            try:
-                self._decision_stream.close()
-            except OSError:  # pragma: no cover - close race
-                pass
+            self._decision_stream.close()
 
 
 # -- the search-side tap -------------------------------------------------------
@@ -604,12 +586,7 @@ def _dump_path(ring_path: str) -> str:
 
 def dump_checksum(document: dict) -> str:
     """CRC32 (hex) over the canonical JSON body, ``checksum`` excluded."""
-    body = {key: value for key, value in document.items()
-            if key != "checksum"}
-    canonical = json.dumps(
-        body, sort_keys=True, separators=(",", ":"), default=str
-    )
-    return format(zlib.crc32(canonical.encode("utf-8")), "08x")
+    return checksum(document, "checksum")
 
 
 def validate_dump(document: dict) -> None:
@@ -647,16 +624,11 @@ def load_dump(path: str) -> dict:
 
 
 def write_dump(document: dict, path: str) -> None:
-    """Atomically write a dump document (tmp + rename)."""
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    tmp = path + ".tmp"
-    with open(tmp, "w") as handle:
-        json.dump(document, handle, sort_keys=True, indent=1, default=str)
-        handle.write("\n")
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
+    """Atomically write a dump document."""
+    atomic_write(
+        path,
+        json.dumps(document, sort_keys=True, indent=1, default=str) + "\n",
+    )
 
 
 def recover_ring(ring_path: str, reason: str = "recovered",
@@ -676,20 +648,11 @@ def recover_ring(ring_path: str, reason: str = "recovered",
     except (OSError, ValueError):
         meta = {"meta_lost": True}
     events, dropped = RingFile.read(ring_path)
-    decisions = []
-    skipped_decisions = 0
     try:
-        with open(decisions_path) as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    decisions.append(json.loads(line))
-                except ValueError:
-                    skipped_decisions += 1
+        records, problems = read_log(decisions_path)
     except OSError:
-        pass
+        records, problems = [], []
+    decisions = [record for _, record in records]
     document = {
         "schema": FLIGHT_SCHEMA,
         "version": FLIGHT_SCHEMA_VERSION,
@@ -700,7 +663,7 @@ def recover_ring(ring_path: str, reason: str = "recovered",
         "decisions": decisions,
         "last_step": _last_step(events),
         "dropped_slots": dropped,
-        "skipped_decisions": skipped_decisions,
+        "skipped_decisions": len(problems),
         "recovered": True,
         "dumped_unix": round(time.time(), 6),
     }
@@ -714,12 +677,7 @@ def recover_ring_to_file(ring_path: str, reason: str = "recovered",
     document = recover_ring(ring_path, reason=reason, error=error)
     target = _dump_path(ring_path)
     write_dump(document, target)
-    meta_path, decisions_path = _sidecar_paths(ring_path)
-    for stale in (ring_path, meta_path, decisions_path):
-        try:
-            os.unlink(stale)
-        except OSError:
-            pass
+    discard_ring(ring_path)
     return target
 
 

@@ -1,18 +1,19 @@
 """Streaming emission: JSONL event traces and periodic progress lines.
 
-:class:`JsonlTraceObserver` writes one compact JSON object per search
-event, suitable for ``jq``/pandas post-processing of full search runs
-(unlike :class:`~repro.synth.stats.TraceRecorder`, nothing is retained
-in memory).  :class:`ProgressObserver` prints a steps/sec status line
+:class:`JsonlTraceObserver` writes one append-log line
+(:mod:`repro.applog`) per search event, suitable for ``jq``/pandas
+post-processing of full search runs (unlike
+:class:`~repro.synth.stats.TraceRecorder`, nothing is retained in
+memory).  :class:`ProgressObserver` prints a steps/sec status line
 every N steps for long-running syntheses.
 """
 
 from __future__ import annotations
 
-import json
 import sys
 import time
 
+from repro.applog import encode_line
 from repro.obs.observer import SearchObserver
 
 __all__ = ["JSONL_SCHEMA_VERSION", "JsonlTraceObserver", "ProgressObserver"]
@@ -40,8 +41,8 @@ class JsonlTraceObserver(SearchObserver):
 
     Construct with an open text stream, or use :meth:`open` with a
     path (then :meth:`close` flushes and closes it; the observer also
-    works as a context manager).  Records carry ``v`` (schema version)
-    and ``event`` keys; see ``docs/observability.md`` for the full
+    works as a context manager).  Records carry ``v`` (schema version),
+    ``event`` and ``sum`` keys; see ``docs/observability.md`` for the full
     schema.
     """
 
@@ -69,15 +70,10 @@ class JsonlTraceObserver(SearchObserver):
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def _write(self, record: dict) -> None:
-        self.stream.write(
-            json.dumps(record, separators=(",", ":")) + "\n"
-        )
-
     def _event(self, event: str, **fields) -> None:
         record = {"v": JSONL_SCHEMA_VERSION, "event": event, "step": self._step}
         record.update(fields)
-        self._write(record)
+        self.stream.write(encode_line(record) + "\n")
 
     def on_step(self, step, node, queue_size):
         self._step = step

@@ -15,6 +15,8 @@ import platform
 import sys
 import time
 
+from repro.applog import atomic_write
+
 __all__ = [
     "REPORT_SCHEMA",
     "REPORT_VERSION",
@@ -161,6 +163,4 @@ def validate_run_report(report: dict) -> dict:
 def write_run_report(report: dict, path) -> None:
     """Validate and write ``report`` as indented JSON to ``path``."""
     validate_run_report(report)
-    with open(path, "w") as handle:
-        json.dump(report, handle, indent=2, sort_keys=False)
-        handle.write("\n")
+    atomic_write(path, json.dumps(report, indent=2) + "\n", fsync=False)

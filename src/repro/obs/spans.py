@@ -12,10 +12,10 @@ shape (trace → spans → events) with no external dependencies:
   epoch ``t0``, and the shard directory.  ``to_wire``/``from_wire``
   keep it JSON-safe so it travels next to a
   :class:`~repro.harness.tasks.Task` without entering the fingerprint.
-* :class:`ShardWriter` — one append-only JSONL shard per process.
-  Every record is flushed as a single line, so a SIGKILLed worker
-  leaves at most one truncated line (which the readers skip and
-  count — see :mod:`repro.obs.collate`).
+* :class:`ShardWriter` — one append-only JSONL shard per process, an
+  :class:`~repro.applog.AppendLog`: every record is flushed as a single
+  checksummed line, so a SIGKILLed worker leaves at most one truncated
+  line (which the readers skip and count — see :mod:`repro.obs.collate`).
 * :class:`TraceSession` — coordinator-side recorder: begin/end spans,
   point events, child contexts.
 * :class:`WorkerTraceSession` — worker-side recorder built from a wire
@@ -30,8 +30,8 @@ shape (trace → spans → events) with no external dependencies:
   shared incumbent channel, and periodic progress events (step, queue
   size, best depth) that feed ``rmrls top``.
 
-Shard record kinds (one compact JSON object per line, ``"v"`` stamped
-with :data:`TRACE_SCHEMA_VERSION`):
+Shard record kinds (one append-log line each, ``"v"`` stamped with
+:data:`TRACE_SCHEMA_VERSION`):
 
 * ``meta`` — once per shard: schema, trace id, process label, pid,
   negotiated ``clock_offset``;
@@ -45,10 +45,10 @@ and the clock-offset caveats.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 
+from repro.applog import AppendLog
 from repro.obs.observer import SearchObserver
 
 __all__ = [
@@ -152,32 +152,8 @@ class SpanHandle:
         self.end(status="ok" if exc_type is None else "error")
 
 
-class ShardWriter:
-    """Append-only JSONL shard: one flushed line per record.
-
-    ``append=True`` (worker restarts into the same shard path) never
-    truncates; each line is written and flushed atomically enough that
-    a SIGKILL leaves at most one partial trailing line.
-    """
-
-    def __init__(self, path: str, append: bool = False):
-        self.path = str(path)
-        directory = os.path.dirname(self.path)
-        if directory:
-            os.makedirs(directory, exist_ok=True)
-        self._stream = open(self.path, "a" if append else "w")
-
-    def write(self, record: dict) -> None:
-        self._stream.write(
-            json.dumps(record, separators=(",", ":"), sort_keys=True) + "\n"
-        )
-        self._stream.flush()
-
-    def close(self) -> None:
-        try:
-            self._stream.close()
-        except OSError:  # pragma: no cover - close-time race
-            pass
+#: A trace shard is a plain, unsynced append log.
+ShardWriter = AppendLog
 
 
 class _BaseSession:
@@ -292,7 +268,9 @@ class TraceSession(_BaseSession):
         cls, trace_dir: str, process: str = "coord", trace_id=None,
     ) -> "TraceSession":
         trace_id = trace_id if trace_id else new_trace_id()
-        writer = ShardWriter(os.path.join(trace_dir, f"{process}.jsonl"))
+        writer = ShardWriter(
+            os.path.join(trace_dir, f"{process}.jsonl"), truncate=True
+        )
         session = cls(writer, trace_id, time.monotonic(), process)
         session.trace_dir = str(trace_dir)
         session._meta(unix_t0=round(time.time(), 3))
@@ -330,8 +308,7 @@ class WorkerTraceSession(_BaseSession):
             shard_name if shard_name else f"worker-{context.span_id}"
         )
         writer = ShardWriter(
-            os.path.join(context.trace_dir, f"{process}.jsonl"),
-            append=True,
+            os.path.join(context.trace_dir, f"{process}.jsonl")
         )
         session = cls(
             writer, context.trace_id, context.t0, process,

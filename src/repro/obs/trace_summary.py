@@ -10,8 +10,9 @@ fired, and how the run ended.
 
 from __future__ import annotations
 
-import json
 from collections import Counter as TallyCounter
+
+from repro.applog import read_log
 
 __all__ = ["summarize_trace", "render_trace_summary"]
 
@@ -30,8 +31,8 @@ def _percentile(ordered: list, fraction: float):
 def summarize_trace(stream, top: int = 10) -> dict:
     """Fold a JSONL trace into a summary dict.
 
-    ``stream`` yields trace lines (an open file works); ``top`` caps
-    the substitution-frequency table.  Returns a JSON-safe dict with
+    ``stream`` is an open trace file (anything with ``read()``); ``top``
+    caps the substitution-frequency table.  Returns a JSON-safe dict with
     ``events`` (count per event kind), ``top_substitutions``
     (``[{substitution, count}]`` sorted by count), ``queue_depth``
     (p50/p90/p99/max over pop-time samples), ``restarts``
@@ -39,8 +40,9 @@ def summarize_trace(stream, top: int = 10) -> dict:
     (``[{step, node, depth}]``), ``finish`` (reason + final stats,
     when the trace ran to completion), and ``skipped_lines``.
 
-    Malformed lines — truncated JSON from a killed writer, interleaved
-    garbage, records without an ``event`` key — are skipped and
+    Damaged lines — truncated JSON from a killed writer, interleaved
+    garbage, checksum mismatches (:mod:`repro.applog`), records without
+    an ``event`` key — are skipped and
     *counted*, never raised: a trace cut short by SIGKILL or OOM is a
     normal artifact of the harness, and the partial summary (with its
     skip count) is exactly what post-mortems need.
@@ -52,19 +54,10 @@ def summarize_trace(stream, top: int = 10) -> dict:
     solutions: list[dict] = []
     finish = None
     last_step = 0
-    skipped = 0
-    for line in stream:
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            skipped += 1
-            continue
-        if not isinstance(record, dict) or record.get("event") is None:
-            skipped += 1
-            continue
+    records, problems = read_log(
+        stream, lambda r: r if r.get("event") is not None else None
+    )
+    for _, record in records:
         kind = record["event"]
         events[kind] += 1
         last_step = record.get("step", last_step)
@@ -111,7 +104,7 @@ def summarize_trace(stream, top: int = 10) -> dict:
         "restarts": restarts,
         "solutions": solutions,
         "finish": finish,
-        "skipped_lines": skipped,
+        "skipped_lines": len(problems),
     }
 
 

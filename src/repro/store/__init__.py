@@ -9,8 +9,9 @@ This package provides the three layers:
   their relabeling equivalence class, with the witness relabeling
   recorded so cached circuits replay onto the caller's wire order;
 * :mod:`repro.store.store` (over :mod:`repro.store.segments`) —
-  append-only checksummed JSONL segments, atomic rewrites,
-  ``verify``/``repair`` that quarantines damage instead of dying;
+  append-only checksummed JSONL segments (:mod:`repro.applog`),
+  atomic rewrites, ``verify``/``repair`` that quarantines damage
+  instead of dying;
 * :mod:`repro.store.service` — the cache-through daemon (``rmrls
   serve``): store hit ⇒ verified replay; miss ⇒ single-flighted,
   batched synthesis on the worker pool; store trouble ⇒ synthesize
@@ -35,13 +36,7 @@ from repro.store.faults import (
     InjectedFault,
     faults_from_env,
 )
-from repro.store.segments import (
-    SegmentScan,
-    SegmentWriter,
-    decode_line,
-    encode_record,
-    scan_segment,
-)
+from repro.store.segments import encode_record, scan_segment
 from repro.store.service import (
     StoreServer,
     SynthesisService,
@@ -71,8 +66,6 @@ __all__ = [
     "InjectedFault",
     "STORE_SCHEMA",
     "STORE_VERSION",
-    "SegmentScan",
-    "SegmentWriter",
     "StoreError",
     "StoreReadOnly",
     "StoreRecord",
@@ -80,7 +73,6 @@ __all__ = [
     "StoreUnavailable",
     "SynthesisService",
     "canonicalize",
-    "decode_line",
     "default_service_options",
     "encode_record",
     "faults_from_env",

@@ -9,7 +9,7 @@ comma-separated — and arms the *n*-th matching store operation
     RMRLS_STORE_FAULTS="torn_write@3" rmrls sweep ... --store cache/
     RMRLS_STORE_FAULTS="sigkill@2,checksum_flip@5" ...
 
-Kinds (all hooked inside :mod:`repro.store.segments`):
+Kinds (all hooked in the append-log byte layer, :mod:`repro.applog`):
 
 * ``torn_write`` — the append writes only the first half of the
   record's bytes (no newline), fsyncs the torn prefix so it *survives*,
@@ -32,6 +32,8 @@ from __future__ import annotations
 import os
 from collections import defaultdict
 
+from repro.applog import InjectedFault
+
 __all__ = [
     "FAULT_KINDS",
     "FAULTS_ENV_VAR",
@@ -45,10 +47,6 @@ FAULTS_ENV_VAR = "RMRLS_STORE_FAULTS"
 
 #: Recognized fault kinds.
 FAULT_KINDS = ("torn_write", "sigkill", "checksum_flip", "short_read")
-
-
-class InjectedFault(RuntimeError):
-    """Raised (in lieu of a real crash) when an armed fault fires."""
 
 
 class FaultPlan:

@@ -1,239 +1,48 @@
-"""Append-only JSONL segments with per-record checksums.
+"""Circuit-store segments: append logs of checksummed circuit records.
 
-The durability substrate of the circuit store.  A segment is a plain
-JSONL file; each line is one record object carrying a ``"sum"`` field —
-the CRC32 of the record's canonical JSON serialization (sorted keys,
-compact separators) *without* the ``sum`` field.  Because every record
-self-authenticates, a reader never has to trust file length or write
-ordering: a torn tail, a bit flip, or an interleaved partial write is
-detected per line and skipped, never propagated.
-
-Write path guarantees (:class:`SegmentWriter`):
-
-* records are appended as one ``write`` + ``flush`` (+ ``fsync`` unless
-  disabled), so a crash loses at most the line being written;
-* the file is opened in append mode and never seeked — earlier records
-  are immutable once their bytes are down.
-
-Read path (:func:`scan_segment`): tolerant by construction.  Problems
-are *classified* (``torn`` trailing line, ``malformed`` interior line,
-``checksum`` mismatch, ``schema`` stranger) and returned alongside the
-intact records; raising is reserved for the file simply not opening.
-
-:func:`replace_segment` rewrites a segment atomically — temp file in
-the same directory, ``fsync``, ``rename``, directory ``fsync`` — which
-is how ``repair`` and ``gc`` mutate history without ever exposing a
-half-written segment.
-
-All writer- and reader-side fault hooks
-(:class:`~repro.store.faults.FaultPlan`) live here, at the byte layer
-where real crashes strike.
+A segment is an append log in the shared line format of
+:mod:`repro.applog` (docs/formats.md, "Append logs"), written by an
+:class:`~repro.applog.AppendLog` and read by
+:func:`~repro.applog.read_log`.  This module adds only what is specific
+to circuit records: their schema stamp and which intact lines a store
+admits.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import signal
-import zlib
-from dataclasses import dataclass, field
-
-from repro.store.faults import FaultPlan, InjectedFault
+from repro.applog import SUM_FIELD, LogScan, encode_line, read_log
 
 __all__ = [
     "RECORD_SCHEMA",
     "RECORD_VERSION",
-    "SegmentScan",
-    "SegmentWriter",
+    "accept_record",
     "encode_record",
-    "decode_line",
-    "record_checksum",
     "scan_segment",
-    "replace_segment",
-    "fsync_directory",
 ]
 
 #: Schema stamped into every circuit record.
 RECORD_SCHEMA = "rmrls-circuit"
 RECORD_VERSION = 1
 
-
-def record_checksum(record: dict) -> str:
-    """CRC32 (8 hex digits) over the record's canonical JSON, with any
-    ``sum`` field excluded."""
-    body = {key: value for key, value in record.items() if key != "sum"}
-    payload = json.dumps(body, sort_keys=True, separators=(",", ":"))
-    return format(zlib.crc32(payload.encode("utf-8")) & 0xFFFFFFFF, "08x")
+#: A store record's segment line (no newline).
+encode_record = encode_line
 
 
-def encode_record(record: dict) -> str:
-    """Serialize ``record`` to one checksummed JSONL line (no newline)."""
-    body = {key: value for key, value in record.items() if key != "sum"}
-    body["sum"] = record_checksum(body)
-    return json.dumps(body, sort_keys=True, separators=(",", ":"))
+def accept_record(record: dict):
+    """Admit a checksummed circuit record whose core fields have the
+    right types; anything else is a ``rejected`` problem."""
+    admitted = (
+        SUM_FIELD in record
+        and record.get("schema") == RECORD_SCHEMA
+        and isinstance(record.get("key"), str)
+        and isinstance(record.get("num_vars"), int)
+        and isinstance(record.get("gates"), int)
+        and isinstance(record.get("real"), str)
+    )
+    return record if admitted else None
 
 
-def decode_line(line: str, final: bool = False):
-    """Parse one segment line; returns ``(record, problem)``.
-
-    Exactly one of the pair is ``None``.  ``problem`` is ``"torn"`` for
-    an undecodable *final* line (the torn-tail signature of a crash
-    mid-append), ``"malformed"`` for an undecodable interior line,
-    ``"checksum"`` when the CRC disagrees, ``"schema"`` when the record
-    is well-formed but not a circuit record.
-    """
-    try:
-        record = json.loads(line)
-    except json.JSONDecodeError:
-        return None, ("torn" if final else "malformed")
-    if not isinstance(record, dict):
-        return None, ("torn" if final else "malformed")
-    if record.get("sum") != record_checksum(record):
-        return None, "checksum"
-    if record.get("schema") != RECORD_SCHEMA:
-        return None, "schema"
-    return record, None
-
-
-def fsync_directory(path: str) -> None:
-    """Fsync a directory so a rename inside it is durable."""
-    try:
-        fd = os.open(path, os.O_RDONLY)
-    except OSError:  # pragma: no cover - platform without dir-open
-        return
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
-
-
-class SegmentWriter:
-    """Append checksummed records to one segment file."""
-
-    def __init__(
-        self,
-        path: str,
-        fsync: bool = True,
-        faults: FaultPlan | None = None,
-    ):
-        self.path = str(path)
-        self.fsync = fsync
-        self.faults = faults
-        self._stream = open(self.path, "ab")
-        self.records_written = 0
-
-    def append(self, record: dict) -> None:
-        """Write one record as a single flushed (and fsynced) line.
-
-        Armed faults fire here: ``checksum_flip`` corrupts the line's
-        checksum before writing, ``torn_write``/``sigkill`` persist only
-        a prefix of the line's bytes and then crash.
-        """
-        line = encode_record(record)
-        if self.faults is not None and self.faults.check("checksum_flip"):
-            bad = dict(record)
-            bad["sum"] = "0" * 8
-            line = json.dumps(bad, sort_keys=True, separators=(",", ":"))
-        data = line.encode("utf-8") + b"\n"
-        if self.faults is not None and self.faults.check("torn_write"):
-            self._stream.write(data[: max(1, len(data) // 2)])
-            self._flush_sync()
-            raise InjectedFault(f"torn write injected at {self.path}")
-        if self.faults is not None and self.faults.check("sigkill"):
-            self._stream.write(data[: max(1, len(data) // 2)])
-            self._flush_sync()
-            os.kill(os.getpid(), signal.SIGKILL)
-        self._stream.write(data)
-        self._flush_sync()
-        self.records_written += 1
-
-    def _flush_sync(self) -> None:
-        self._stream.flush()
-        if self.fsync:
-            os.fsync(self._stream.fileno())
-
-    def close(self) -> None:
-        try:
-            self._stream.close()
-        except OSError:  # pragma: no cover - close-time race
-            pass
-
-
-@dataclass
-class SegmentScan:
-    """Everything a tolerant pass over one segment found."""
-
-    path: str
-    #: Intact records as ``(line_number, record)`` (1-based lines).
-    records: list = field(default_factory=list)
-    #: Damaged lines as ``{"line": n, "kind": ..., "raw": text}``.
-    problems: list = field(default_factory=list)
-    #: Segment size in bytes, as read.
-    size: int = 0
-
-    def problem_counts(self) -> dict:
-        counts: dict[str, int] = {}
-        for problem in self.problems:
-            counts[problem["kind"]] = counts.get(problem["kind"], 0) + 1
-        return counts
-
-
-def scan_segment(path: str, faults: FaultPlan | None = None) -> SegmentScan:
-    """Read one segment tolerantly; never raises on damaged contents.
-
-    The ``short_read`` fault truncates the byte stream here, modelling
-    an interrupted read; the resulting partial final line is then
-    classified (and skipped) like any other torn tail.
-    """
-    with open(path, "rb") as handle:
-        data = handle.read()
-    if faults is not None and faults.check("short_read"):
-        data = data[: (len(data) * 2) // 3]
-    scan = SegmentScan(path=str(path), size=len(data))
-    text = data.decode("utf-8", errors="replace")
-    if not text:
-        return scan
-    # splitlines() would hide whether the final line was terminated;
-    # a terminated undecodable line is corruption, an unterminated one
-    # is the expected torn tail of a crash mid-append.
-    lines = text.split("\n")
-    unterminated_tail = lines[-1] != ""
-    if not unterminated_tail:
-        lines.pop()
-    for number, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        final = unterminated_tail and number == len(lines)
-        record, problem = decode_line(line, final=final)
-        if record is not None:
-            scan.records.append((number, record))
-        else:
-            scan.problems.append(
-                {"line": number, "kind": problem, "raw": line}
-            )
-    return scan
-
-
-def replace_segment(path: str, records, fsync: bool = True) -> int:
-    """Atomically rewrite ``path`` to contain exactly ``records``.
-
-    Written to a sibling temp file, fsynced, renamed over the original,
-    with the directory fsynced after — a reader (or a crash) sees
-    either the old segment or the new one, never a mixture.  Returns
-    the number of records written.
-    """
-    directory = os.path.dirname(os.path.abspath(path))
-    tmp_path = path + ".tmp"
-    count = 0
-    with open(tmp_path, "w") as handle:
-        for record in records:
-            handle.write(encode_record(record))
-            handle.write("\n")
-            count += 1
-        handle.flush()
-        if fsync:
-            os.fsync(handle.fileno())
-    os.replace(tmp_path, path)
-    if fsync:
-        fsync_directory(directory)
-    return count
+def scan_segment(path: str, faults=None) -> LogScan:
+    """Read one segment tolerantly: ``(records, problems)`` where
+    ``records`` holds ``(line, record)`` pairs."""
+    return read_log(path, accept_record, faults=faults)

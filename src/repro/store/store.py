@@ -19,17 +19,12 @@ The index is a convenience snapshot — rewritten atomically
 humans and external tools that want the best-per-key view without
 replaying segments.
 
-Durability stance, in one line each:
-
-* **appends** are one flushed+fsynced line; a crash loses at most the
-  in-flight record, and the torn tail is detected by checksum;
-* **rewrites** (``repair``, ``gc``, index snapshots) go through
-  temp-file + ``os.replace`` + directory fsync, so no reader ever
-  observes a half-rewritten file;
-* **reads** never trust bytes: every record re-authenticates against
-  its CRC, and damaged lines are counted, skipped, and (on ``repair``)
-  moved to ``quarantine/`` with their origin recorded — never deleted,
-  never served.
+Durability comes from :mod:`repro.applog`: appends are one
+flushed+fsynced checksummed line; reads re-authenticate every line and
+count and skip damage, which ``repair`` moves to ``quarantine/`` with
+its origin (never deleted, never served); rewrites (``repair``, ``gc``,
+index snapshots) go through :func:`~repro.applog.atomic_write`, so no
+reader ever observes a half-rewritten file.
 
 Degraded modes: ``read_only=True`` opens without write access (puts
 raise :class:`StoreReadOnly`); a root that cannot be created or opened
@@ -43,8 +38,10 @@ import json
 import os
 import threading
 import time
+from collections import Counter
 from dataclasses import dataclass
 
+from repro.applog import AppendLog, atomic_write, fsync_directory, read_log
 from repro.circuits.circuit import Circuit
 from repro.io.real_format import RealFormatError, dump_real, load_real
 from repro.store.canonical import CanonicalSpec, canonicalize
@@ -52,10 +49,7 @@ from repro.store.faults import FaultPlan, faults_from_env
 from repro.store.segments import (
     RECORD_SCHEMA,
     RECORD_VERSION,
-    SegmentWriter,
     encode_record,
-    fsync_directory,
-    replace_segment,
     scan_segment,
 )
 
@@ -139,15 +133,6 @@ class StoreRecord:
         )
 
 
-def _record_fields_ok(record: dict) -> bool:
-    return (
-        isinstance(record.get("key"), str)
-        and isinstance(record.get("num_vars"), int)
-        and isinstance(record.get("gates"), int)
-        and isinstance(record.get("real"), str)
-    )
-
-
 class CircuitStore:
     """Best-known canonical circuits, durably.
 
@@ -177,7 +162,7 @@ class CircuitStore:
         self._index: dict[str, StoreRecord] = {}
         self._records_scanned = 0
         self._problem_counts: dict[str, int] = {}
-        self._writer: SegmentWriter | None = None
+        self._writer: AppendLog | None = None
         self._active_segment: str | None = None
         self._active_records = 0
         self._appends_since_index = 0
@@ -214,42 +199,26 @@ class CircuitStore:
         """Rebuild the in-memory index from the segments, tolerantly."""
         self._index.clear()
         self._records_scanned = 0
-        self._problem_counts = {}
         names = self._segment_names()
+        problems = Counter()
         for name in names:
             scan = scan_segment(self._segment_path(name), faults=self.faults)
             for line, record in scan.records:
-                self._admit(record, name, line)
-            for kind, count in scan.problem_counts().items():
-                self._problem_counts[kind] = (
-                    self._problem_counts.get(kind, 0) + count
-                )
+                self._records_scanned += 1
+                candidate = StoreRecord.from_record(record, name, line)
+                best = self._index.get(candidate.key)
+                if best is None or candidate.gates < best.gates:
+                    self._index[candidate.key] = candidate
+            problems.update(problem["kind"] for problem in scan.problems)
+        self._problem_counts = dict(problems)
         if names:
             self._active_segment = names[-1]
-            self._active_records = sum(
-                1
-                for line, record in scan_segment(
-                    self._segment_path(names[-1])
-                ).records
+            self._active_records = len(
+                scan_segment(self._segment_path(names[-1])).records
             )
         else:
             self._active_segment = None
             self._active_records = 0
-
-    def _admit(self, record: dict, segment: str, line: int) -> bool:
-        """Fold one intact record into the best-per-key index."""
-        if not _record_fields_ok(record):
-            self._problem_counts["schema"] = (
-                self._problem_counts.get("schema", 0) + 1
-            )
-            return False
-        self._records_scanned += 1
-        candidate = StoreRecord.from_record(record, segment, line)
-        best = self._index.get(candidate.key)
-        if best is None or candidate.gates < best.gates:
-            self._index[candidate.key] = candidate
-            return True
-        return False
 
     # -- queries -------------------------------------------------------------
 
@@ -311,7 +280,7 @@ class CircuitStore:
                 segment=self._ensure_writer(),
                 line=self._active_records + 1,
             )
-            self._writer.append(record.as_record())
+            self._writer.write(record.as_record())
             self._active_records += 1
             self._records_scanned += 1
             self._index[canonical.key] = record
@@ -342,7 +311,7 @@ class CircuitStore:
             self._active_segment = name
             self._active_records = 0
         if self._writer is None:
-            self._writer = SegmentWriter(
+            self._writer = AppendLog(
                 self._segment_path(self._active_segment),
                 fsync=self.fsync,
                 faults=self.faults,
@@ -361,16 +330,20 @@ class CircuitStore:
                 self._index[key].as_record() for key in sorted(self._index)
             ],
         }
-        tmp_path = os.path.join(self.root, _INDEX_NAME + ".tmp")
-        with open(tmp_path, "w") as handle:
-            json.dump(document, handle, separators=(",", ":"))
-            handle.flush()
-            if self.fsync:
-                os.fsync(handle.fileno())
-        os.replace(tmp_path, os.path.join(self.root, _INDEX_NAME))
-        if self.fsync:
-            fsync_directory(self.root)
+        atomic_write(
+            os.path.join(self.root, _INDEX_NAME),
+            json.dumps(document, separators=(",", ":")),
+            fsync=self.fsync,
+        )
         self._appends_since_index = 0
+
+    def _rewrite_segment(self, name: str, records) -> None:
+        """Atomically replace segment ``name`` with exactly ``records``."""
+        atomic_write(
+            self._segment_path(name),
+            "".join(encode_record(record) + "\n" for record in records),
+            fsync=self.fsync,
+        )
 
     # -- verify / repair / gc ---------------------------------------------------
 
@@ -399,28 +372,21 @@ class CircuitStore:
                 "ok": True,
             }
             keys = set()
+            problems = Counter()
             for name in self._segment_names():
                 scan = scan_segment(
                     self._segment_path(name), faults=self.faults
                 )
-                entry = {
+                counts = Counter(problem["kind"] for problem in scan.problems)
+                problems.update(counts)
+                report["segments"].append({
                     "segment": name,
                     "records": len(scan.records),
-                    "bytes": scan.size,
-                    "problems": scan.problem_counts(),
-                }
-                report["segments"].append(entry)
+                    "bytes": os.path.getsize(self._segment_path(name)),
+                    "problems": dict(counts),
+                })
                 report["records"] += len(scan.records)
-                for kind, count in entry["problems"].items():
-                    report["problems"][kind] = (
-                        report["problems"].get(kind, 0) + count
-                    )
                 for line, record in scan.records:
-                    if not _record_fields_ok(record):
-                        report["problems"]["schema"] = (
-                            report["problems"].get("schema", 0) + 1
-                        )
-                        continue
                     keys.add(record["key"])
                     if deep:
                         failure = self._replay_failure(record)
@@ -434,6 +400,7 @@ class CircuitStore:
                                 }
                             )
             report["keys"] = len(keys)
+            report["problems"] = dict(problems)
             report["ok"] = not report["problems"] and not report[
                 "replay_failures"
             ]
@@ -502,17 +469,10 @@ class CircuitStore:
                 scan = scan_segment(
                     self._segment_path(name), faults=self.faults
                 )
-                bad = [
-                    {"line": p["line"], "kind": p["kind"], "raw": p["raw"]}
-                    for p in scan.problems
-                ]
+                bad = list(scan.problems)
                 keep = []
                 for line, record in scan.records:
-                    reason = None
-                    if not _record_fields_ok(record):
-                        reason = "schema fields missing or mistyped"
-                    elif deep:
-                        reason = self._replay_failure(record)
+                    reason = self._replay_failure(record) if deep else None
                     if reason is None:
                         keep.append(record)
                     else:
@@ -530,28 +490,20 @@ class CircuitStore:
                 quarantine_path = os.path.join(
                     quarantine_dir, f"{name}.quarantine"
                 )
-                with open(quarantine_path, "a") as handle:
+                quarantine = AppendLog(quarantine_path, fsync=self.fsync)
+                try:
                     for problem in sorted(bad, key=lambda p: p["line"]):
-                        handle.write(
-                            json.dumps(
-                                {
-                                    "segment": name,
-                                    "line": problem["line"],
-                                    "kind": problem["kind"],
-                                    "reason": problem.get("reason"),
-                                    "raw": problem["raw"],
-                                    "quarantined_unix": time.time(),
-                                },
-                                separators=(",", ":"),
-                            )
-                            + "\n"
-                        )
-                    handle.flush()
-                    if self.fsync:
-                        os.fsync(handle.fileno())
-                replace_segment(
-                    self._segment_path(name), keep, fsync=self.fsync
-                )
+                        quarantine.write({
+                            "segment": name,
+                            "line": problem["line"],
+                            "kind": problem["kind"],
+                            "reason": problem.get("reason"),
+                            "raw": problem["raw"],
+                            "quarantined_unix": time.time(),
+                        })
+                finally:
+                    quarantine.close()
+                self._rewrite_segment(name, keep)
                 report["quarantined"] += len(bad)
                 report["quarantine"][name] = len(bad)
                 report["segments_rewritten"] += 1
@@ -576,10 +528,8 @@ class CircuitStore:
             records_before = self._records_scanned
             best = [self._index[key] for key in sorted(self._index)]
             target = names[-1] if names else "seg-000000.jsonl"
-            replace_segment(
-                self._segment_path(target),
-                (record.as_record() for record in best),
-                fsync=self.fsync,
+            self._rewrite_segment(
+                target, (record.as_record() for record in best)
             )
             for name in names[:-1]:
                 os.remove(self._segment_path(name))
@@ -612,11 +562,8 @@ class CircuitStore:
             quarantined = 0
             if os.path.isdir(quarantine_dir):
                 for name in os.listdir(quarantine_dir):
-                    path = os.path.join(quarantine_dir, name)
-                    with open(path) as handle:
-                        quarantined += sum(
-                            1 for line in handle if line.strip()
-                        )
+                    scan = read_log(os.path.join(quarantine_dir, name))
+                    quarantined += len(scan.records) + len(scan.problems)
             gate_counts = sorted(
                 record.gates for record in self._index.values()
             )

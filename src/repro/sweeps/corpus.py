@@ -16,8 +16,8 @@ so merging the same ledgers in any order, or re-sharding the same plan
 into a different shard count, reproduces the file byte for byte.
 
 Record fields (canonical JSON, sorted keys, compact separators, plus a
-``crc`` field in the segment-checksum idiom of
-:mod:`repro.store.segments`):
+``crc`` field: the append-log checksum of :mod:`repro.applog` under the
+corpus's own committed field name):
 
 ``class_rank``, ``perm_rank``, ``images``, ``class_size``
     The class identity, straight from the universe enumeration.
@@ -36,9 +36,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-import zlib
 
+from repro.applog import atomic_write, canonical_json, checksum, encode_line
 from repro.circuits import Circuit
 from repro.functions.permutation import Permutation
 from repro.gates import ToffoliGate
@@ -55,7 +54,6 @@ __all__ = [
     "load_coverage",
     "validate_coverage",
     "coverage_histogram",
-    "record_checksum",
 ]
 
 COVERAGE_SCHEMA = "rmrls-coverage"
@@ -64,14 +62,6 @@ COVERAGE_VERSION = 1
 
 class CoverageError(ValueError):
     """A coverage file failed schema, checksum, or coverage validation."""
-
-
-def record_checksum(record: dict) -> str:
-    """CRC32 (8 hex digits) over the record's canonical JSON with any
-    ``crc`` field excluded — the per-line idiom of the store segments."""
-    body = {key: value for key, value in record.items() if key != "crc"}
-    payload = json.dumps(body, sort_keys=True, separators=(",", ":"))
-    return format(zlib.crc32(payload.encode("utf-8")) & 0xFFFFFFFF, "08x")
 
 
 def encode_circuit(circuit: Circuit) -> list[list[int]]:
@@ -96,12 +86,6 @@ def circuit_from_record(record: dict) -> Circuit:
     )
 
 
-def _encode_line(record: dict) -> str:
-    body = {key: value for key, value in record.items() if key != "crc"}
-    body["crc"] = record_checksum(body)
-    return json.dumps(body, sort_keys=True, separators=(",", ":"))
-
-
 def coverage_lines(header_fields: dict, records) -> list[str]:
     """Assemble the full deterministic line list of a coverage file.
 
@@ -112,7 +96,7 @@ def coverage_lines(header_fields: dict, records) -> list[str]:
     newline), so the file self-authenticates end to end.
     """
     lines = [
-        _encode_line(record)
+        encode_line(record, "crc")
         for record in sorted(records, key=lambda r: r["class_rank"])
     ]
     digest = hashlib.sha256()
@@ -123,22 +107,13 @@ def coverage_lines(header_fields: dict, records) -> list[str]:
     header.update(header_fields)
     header["records"] = len(lines)
     header["body_digest"] = digest.hexdigest()
-    return [json.dumps(header, sort_keys=True, separators=(",", ":"))] + lines
+    return [canonical_json(header)] + lines
 
 
 def write_coverage(path: str, header_fields: dict, records) -> str:
     """Write a coverage file atomically; returns its body digest."""
     lines = coverage_lines(header_fields, records)
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    tmp_path = path + ".tmp"
-    with open(tmp_path, "w") as handle:
-        for line in lines:
-            handle.write(line)
-            handle.write("\n")
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp_path, path)
+    atomic_write(path, "".join(line + "\n" for line in lines))
     return json.loads(lines[0])["body_digest"]
 
 
@@ -180,7 +155,7 @@ def load_coverage(path: str, verify: bool = True):
             raise CoverageError(
                 f"{path}:{number}: record is not JSON"
             ) from None
-        if verify and record.get("crc") != record_checksum(record):
+        if verify and record.get("crc") != checksum(record, "crc"):
             raise CoverageError(f"{path}:{number}: checksum mismatch")
         records.append(record)
     if verify:

@@ -29,8 +29,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from dataclasses import dataclass
+
+from repro.applog import atomic_write, canonical_json
 
 from repro.harness.tasks import Task, options_payload
 from repro.sweeps.universe import CanonicalClass, Universe, get_universe
@@ -80,9 +81,7 @@ class ShardSpec:
 
 
 def _digest(data) -> str:
-    canonical = json.dumps(
-        data, sort_keys=True, separators=(",", ":"), default=str
-    )
+    canonical = canonical_json(data, default=str)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
 
@@ -257,12 +256,11 @@ def build_manifest(
 
 
 def write_manifest(manifest: SweepManifest, path: str) -> None:
-    """Write the manifest as deterministic, human-readable JSON."""
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    with open(path, "w") as handle:
-        json.dump(manifest.as_dict(), handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    """Atomically write the manifest as deterministic, human-readable
+    JSON."""
+    atomic_write(
+        path, json.dumps(manifest.as_dict(), indent=2, sort_keys=True) + "\n"
+    )
 
 
 def load_manifest(path: str) -> SweepManifest:

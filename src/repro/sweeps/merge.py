@@ -22,8 +22,10 @@ own circuit) is dropped as unsound and the next-best claim wins.
 
 from __future__ import annotations
 
+import json
 import os
 
+from repro.applog import atomic_write
 from repro.functions.permutation import Permutation
 from repro.harness.ledger import read_ledger
 from repro.io.real_format import RealFormatError, load_real
@@ -276,11 +278,9 @@ def merge_to_coverage(
     if summary_path is None:
         stem = out_path[:-6] if out_path.endswith(".jsonl") else out_path
         summary_path = f"{stem}.summary.json"
-    import json
-
-    with open(summary_path, "w") as handle:
-        json.dump(summary, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    atomic_write(
+        summary_path, json.dumps(summary, indent=2, sort_keys=True) + "\n"
+    )
     summary["path"] = out_path
     summary["summary_path"] = summary_path
     return summary

@@ -24,6 +24,7 @@ import json
 import os
 import time
 
+from repro.applog import atomic_write
 from repro.harness.ledger import SweepLedger, read_ledger
 from repro.harness.sweep import HarnessConfig, run_sweep
 from repro.sweeps.manifest import SweepManifest
@@ -186,7 +187,8 @@ def run_shard(
         "solved": solved,
         "report": report.as_dict(),
     }
-    with open(shard_summary_path(out_dir, manifest, index), "w") as handle:
-        json.dump(summary, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    atomic_write(
+        shard_summary_path(out_dir, manifest, index),
+        json.dumps(summary, indent=2, sort_keys=True) + "\n",
+    )
     return summary
