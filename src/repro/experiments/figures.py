@@ -138,7 +138,7 @@ def figure6_substitutions() -> str:
         Options(extended_substitutions=False, complement_substitutions=False),
     )
     extended = enumerate_substitutions(system, Options())
-    root = SearchNode.root(system)
+    root = SearchNode.root(system.dedupe_key(), system.term_count())
 
     def describe(candidates):
         labels = []
@@ -147,7 +147,7 @@ def figure6_substitutions() -> str:
                 parent=root,
                 target=candidate.target,
                 factor=candidate.factor,
-                pprm=system,
+                state=None,
                 terms=0,
                 elim=0,
                 priority=0.0,

@@ -52,6 +52,7 @@ from repro.harness.taxonomy import (
 from repro.parallel.bound import LocalBound, SharedBound
 from repro.parallel.strategy import build_deck, resolve_strategies
 from repro.perf.hotops import global_counters
+from repro.pprm.engine import search_engine
 from repro.synth.options import SynthesisOptions
 from repro.synth.rmrls import (
     SynthesisResult,
@@ -251,8 +252,8 @@ def spec_from_payload(payload: dict):
     """Invert :func:`_spec_payload`: a Permutation or a PPRMSystem.
 
     The slice worker and flight replay both rebuild through here and
-    hand the result to ``synthesize``, whose ``_as_system`` moves it
-    onto the search backend.
+    hand the result to ``synthesize``, whose search picks its backend
+    by width.
     """
     if "images" in payload:
         from repro.functions.permutation import Permutation
@@ -730,7 +731,7 @@ def _merge_fleet(
         stats=fleet,
         options=options,
         num_vars=system.num_vars,
-        engine=system.engine_name,
+        engine=search_engine(system.num_vars).name,
         trace=None,
         portfolio=summary,
     )

@@ -14,6 +14,7 @@ from __future__ import annotations
 import random
 
 from repro.perf.timing import TimingResult, time_callable
+from repro.pprm.engine import resolve_engine
 
 __all__ = ["KERNELS", "kernel_names", "run_kernel"]
 
@@ -104,20 +105,21 @@ def _kernel_expansion_xor(quick: bool, engine=None):
 
 def _kernel_dedupe_probe(quick: bool, engine=None):
     population = _fixture_child_systems(64 if quick else 256, engine=engine)
+    engine = resolve_engine(engine)
+    states = [engine.root_state(system) for system in population]
     rounds = 8 if quick else 16
 
     def body():
         # Mirrors the search's visited table: probed and stored by the
-        # engine's canonical dedupe key, not by the system object.
+        # engine's search state, which is the dedupe key.
         table: dict = {}
         for _ in range(rounds):
-            for depth, system in enumerate(population):
-                key = system.dedupe_key()
-                known = table.get(key)
+            for depth, state in enumerate(states):
+                known = table.get(state)
                 if known is None or depth < known:
-                    table[key] = depth
+                    table[state] = depth
 
-    return body, rounds * len(population)
+    return body, rounds * len(states)
 
 
 def _kernel_queue_churn(quick: bool, engine=None):
@@ -162,8 +164,8 @@ def _kernel_child_state(quick: bool, engine=None):
     """What the search runs per candidate: the fused substitution over
     every output of the raw state, then its term count."""
     system = _fixture_system(engine=engine)
-    engine = system.engine
-    state = system.dedupe_key()
+    engine = resolve_engine(engine)
+    state = engine.root_state(system)
     candidates = [
         (candidate.target, candidate.factor)
         for candidate in _fixture_candidates(system)

@@ -7,11 +7,14 @@ search state is a :class:`PPRMSystem` of one expansion per output.
 
 from repro.pprm.engine import (
     ENGINES,
+    SEARCH_LANES_MAX_VARS,
     SEARCH_PACKED_MAX_VARS,
+    LaneEngine,
     PackedEngine,
     PPRMEngine,
     ReferenceEngine,
     get_engine,
+    lane_engine,
     resolve_engine,
     search_engine,
 )
@@ -50,11 +53,14 @@ __all__ = [
     "PackedExpansion",
     "PPRMSystem",
     "ENGINES",
+    "LaneEngine",
     "PPRMEngine",
     "PackedEngine",
     "ReferenceEngine",
+    "SEARCH_LANES_MAX_VARS",
     "SEARCH_PACKED_MAX_VARS",
     "get_engine",
+    "lane_engine",
     "resolve_engine",
     "search_engine",
     "tables_for",

@@ -8,33 +8,43 @@ canonical hashable dedupe key, and a serialization form shared by all
 backends (the packed big-integer bitset, bit ``t`` set ⇔ term ``t``
 present).
 
-The search itself runs on raw **states**: the per-output tuple that is
-a system's dedupe key (bitset ints for packed, term frozensets for
-reference).  :meth:`PPRMEngine.substitute_state` applies one
-substitution to every output of a state in a single call,
+The search itself runs on raw **states**, from the root to the
+result.  :meth:`PPRMEngine.root_state` turns the specification's system
+into one, :meth:`PPRMEngine.substitute_state` applies one substitution
+to every output of a state in a single call,
 :meth:`PPRMEngine.state_term_count` counts its terms, and
-:meth:`PPRMEngine.system_from_state` builds a :class:`PPRMSystem` only
-for the children a search keeps (see "Count before you materialize" in
+:meth:`PPRMEngine.system_from_state` builds a :class:`PPRMSystem` back
+from one (see "Count before you materialize" in
 ``docs/architecture.md``).
 
-Two engines ship:
+Three engines ship:
 
 * ``reference`` — the frozenset algebra of
   :class:`repro.pprm.expansion.Expansion`; the differential oracle.
+  Its state is the tuple of per-output term frozensets.
 * ``packed`` — :class:`repro.pprm.packed.PackedExpansion`; one big int
   per expansion, shift/mask substitution (see
-  ``docs/architecture.md``).
+  ``docs/architecture.md``).  Its state is the tuple of those ints.
+* ``lanes`` — :class:`LaneEngine`, the packed expansions with one int
+  per *state*: output ``i`` in lane ``i`` of ``2^n`` bits.  It is bound
+  to one width (:func:`lane_engine`), because a lone int does not
+  carry its own.
 
 Construction helpers default to ``reference`` so spec-building code
 stays backend-stable.  The backend a *search* runs on is picked from
-the input width by :func:`search_engine`, whose one caller is
-``repro.synth.rmrls._as_system``.
+the input width by :func:`search_engine`: lanes up to
+:data:`SEARCH_LANES_MAX_VARS` variables, packed up to
+:data:`SEARCH_PACKED_MAX_VARS`, reference above.  Its callers are
+``repro.synth.rmrls._Search``, which runs on the engine it returns, and
+the portfolio driver, which names it in its result.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from collections.abc import Iterable, Iterator, Sequence
+from functools import lru_cache
+from operator import eq
 
 from repro.pprm.expansion import Expansion
 from repro.pprm.packed import PackedExpansion, tables_for
@@ -45,11 +55,14 @@ from repro.utils.bitops import bits_of
 
 __all__ = [
     "ENGINES",
+    "LaneEngine",
     "PPRMEngine",
     "PackedEngine",
     "ReferenceEngine",
+    "SEARCH_LANES_MAX_VARS",
     "SEARCH_PACKED_MAX_VARS",
     "get_engine",
+    "lane_engine",
     "resolve_engine",
     "search_engine",
 ]
@@ -153,10 +166,16 @@ class PPRMEngine(ABC):
 
     # -- search states --------------------------------------------------
     #
-    # A state is ``system.dedupe_key()``: one raw backend value per
-    # output.  Reversible systems are square, so ``len(state)`` is the
-    # variable count.
+    # By default a state is ``system.dedupe_key()``: one raw backend
+    # value per output.  Reversible systems are square, so
+    # ``len(state)`` is the variable count.  :class:`LaneEngine`
+    # overrides every method below with its one-int form.
 
+    def root_state(self, system: PPRMSystem):
+        """The state of ``system`` (any backend) on this engine."""
+        return self.convert_system(system).dedupe_key()
+
+    @lru_cache(maxsize=32)
     def identity_state(self, num_vars: int) -> tuple:
         """The state of the identity system ``v_out,i = v_i``."""
         return tuple(
@@ -174,13 +193,25 @@ class PPRMEngine(ABC):
     def state_term_count(self, state: tuple) -> int:
         """Total number of terms across the outputs of ``state``."""
 
+    def state_outputs(self, state: tuple) -> Sequence:
+        """The raw value of each output of ``state``, in output order
+        (what :meth:`output_terms` reads)."""
+        return state
+
+    def unsolved_count(self, state: tuple) -> int:
+        """How many outputs of ``state`` differ from their identity
+        output (the search's lower bound on the remaining gates)."""
+        return len(state) - sum(
+            map(eq, state, self.identity_state(len(state)))
+        )
+
     @abstractmethod
     def output_terms(self, raw) -> list[int]:
         """One output's term masks in increasing order."""
 
     @abstractmethod
     def system_from_state(self, state: tuple) -> PPRMSystem:
-        """Build the :class:`PPRMSystem` whose dedupe key is ``state``."""
+        """Build the :class:`PPRMSystem` whose state is ``state``."""
 
 
 class ReferenceEngine(PPRMEngine):
@@ -338,6 +369,131 @@ class PackedEngine(PPRMEngine):
         return PackedExpansion.from_terms(expansion.terms, num_vars)
 
 
+class LaneEngine(PackedEngine):
+    """Packed expansions with one int per search state.
+
+    The state of an ``n``-variable system is a single int of ``n``
+    lanes of ``2^n`` bits, output ``i`` in lane ``i`` (bits
+    ``i * 2^n`` up), each lane the output's packed bitset.  Term
+    positions never leave their lane under the substitution folds, so
+    one substitution is one mask, shift and fold sequence over the
+    whole state with lane-replicated selector masks; the term count is
+    one ``bit_count``, the identity test and the dedupe key are the int
+    itself.  The fold runs over every lane, including lanes with no
+    terms to move, so it loses to per-output :class:`PackedEngine` on
+    wide sparse systems (see :data:`SEARCH_LANES_MAX_VARS`).
+
+    A lone int does not carry its own width, so an instance is bound
+    to one; get it from :func:`lane_engine`.  Its expansions and
+    systems are packed ones (construction, algebra and serialization
+    are inherited).
+    """
+
+    name = "lanes"
+    state_term_count = staticmethod(int.bit_count)
+
+    def __init__(self, num_vars: int):
+        tables = tables_for(num_vars)
+        size = tables.size
+        self.num_vars = num_vars
+        self._tables = tables
+        self._offsets = tuple(range(0, num_vars * size, size))
+        # Bit 0 of every lane; multiplying a one-lane mask by it
+        # replicates the mask into every lane (no carries: the copies
+        # do not overlap).
+        bases = sum(1 << offset for offset in self._offsets)
+        full = (1 << (num_vars * size)) - 1
+        self._selectors = tuple(mask * bases for mask in tables.var_masks)
+        # One (2^j, S_j, ~S_j) fold per literal j, lane-replicated.
+        self._literal_folds = tuple(
+            (1 << j, keep, full ^ keep)
+            for j, keep in enumerate(self._selectors)
+        )
+        # Bounded by the 2^num_vars valid factors.
+        self._folds: dict[int, tuple] = {}
+        self._identity = sum(
+            1 << ((1 << index) + offset)
+            for index, offset in enumerate(self._offsets)
+        )
+        # Unsolved lanes are counted by carries: adding 2^M - 1 to a
+        # lane of M bits carries out of it exactly when the lane is
+        # nonzero.  Only every other lane is added at a time, so each
+        # carry lands in an empty lane instead of the next lane's sum.
+        even = sum(1 << offset for offset in self._offsets[::2])
+        self._even_lanes = even * tables.full
+        self._even_carries = even << size
+
+    def _check_width(self, num_vars: int) -> None:
+        if num_vars != self.num_vars:
+            raise ValueError(
+                f"this lane engine is bound to num_vars={self.num_vars}, "
+                f"got {num_vars}"
+            )
+
+    def convert_system(self, system):
+        return ENGINES["packed"].convert_system(system)
+
+    def root_state(self, system: PPRMSystem) -> int:
+        self._check_width(system.num_vars)
+        state = 0
+        for offset, output in zip(
+            self._offsets, self.convert_system(system).outputs
+        ):
+            state |= output.bits << offset
+        return state
+
+    def identity_state(self, num_vars: int) -> int:
+        self._check_width(num_vars)
+        return self._identity
+
+    def substitute_state(self, state: int, index: int, factor: int) -> int:
+        var = 1 << index
+        if factor & var:
+            raise ValueError(
+                f"factor {format_term(factor)} contains the target "
+                f"variable {format_term(var)}"
+            )
+        if index >= self.num_vars or factor >= self._tables.size:
+            raise ValueError(
+                f"substitution x{index} ^= {format_term(factor)} exceeds "
+                f"num_vars={self.num_vars}"
+            )
+        moved = state & self._selectors[index]
+        if not moved:
+            return state
+        # PackedExpansion.substitute on every lane at once.
+        moved >>= var
+        folds = self._folds.get(factor)
+        if folds is None:
+            folds = self._folds[factor] = tuple(
+                self._literal_folds[j] for j in bits_of(factor)
+            )
+        for low, keep, lift in folds:
+            moved = (moved & keep) ^ ((moved & lift) << low)
+        return state ^ moved
+
+    def state_outputs(self, state: int) -> list[int]:
+        full = self._tables.full
+        return [state >> offset & full for offset in self._offsets]
+
+    def unsolved_count(self, state: int) -> int:
+        differ = state ^ self._identity
+        lanes = self._even_lanes
+        carries = self._even_carries
+        return (
+            ((differ & lanes) + lanes) & carries
+        ).bit_count() + (
+            (((differ >> self._tables.size) & lanes) + lanes) & carries
+        ).bit_count()
+
+    def system_from_state(self, state: int) -> PPRMSystem:
+        tables = self._tables
+        make = PackedExpansion._make
+        return PPRMSystem(
+            [make(bits, tables) for bits in self.state_outputs(state)]
+        )
+
+
 ENGINES: dict[str, PPRMEngine] = {
     engine.name: engine for engine in (ReferenceEngine(), PackedEngine())
 }
@@ -368,6 +524,24 @@ def resolve_engine(engine=None) -> PPRMEngine:
     raise TypeError(f"cannot resolve a PPRM engine from {engine!r}")
 
 
+@lru_cache(maxsize=None)
+def lane_engine(num_vars: int) -> LaneEngine:
+    """The :class:`LaneEngine` bound to ``num_vars``, built once per
+    width (at most :data:`~repro.pprm.packed.PACKED_MAX_VARS`)."""
+    return LaneEngine(num_vars)
+
+
+#: Widest input the search runs on the lane backend.  Every lane
+#: operation covers all ``n`` lanes of ``2^n`` bits, while packed skips
+#: outputs with no terms to move, so lanes win while the state is small
+#: and lose on wide sparse systems.  Crossover table
+#: (docs/architecture.md, ``TABLE4_OPTIONS`` capped at 2,000 steps,
+#: equal steps and gates), lanes ÷ packed steps/s: 1.16–1.69× at 4–8
+#: variables (hwb4, 5one013, mod5adder, ham7, mod15adder), 0.95–1.06×
+#: at 9 (shifter, graycode), 0.65–0.69× at 10 (mod32adder, graycode10),
+#: 0.24–0.25× at 12 (mod64adder, shift10).
+SEARCH_LANES_MAX_VARS = 8
+
 #: Widest input the search runs on the packed backend.  Packed
 #: substitution shifts whole ``2^n``-bit integers, so its cost grows
 #: with the term space while reference's grows with the live terms.
@@ -382,6 +556,8 @@ SEARCH_PACKED_MAX_VARS = 12
 
 def search_engine(num_vars: int) -> PPRMEngine:
     """The backend a search over ``num_vars`` variables runs on."""
+    if num_vars <= SEARCH_LANES_MAX_VARS:
+        return lane_engine(num_vars)
     if num_vars <= SEARCH_PACKED_MAX_VARS:
         return ENGINES["packed"]
     return ENGINES["reference"]

@@ -1,17 +1,19 @@
 """Search-tree nodes (Fig. 4, lines 5-11 and 22-27).
 
 A node records the substitution that produced it (``target``,
-``factor``), its ``depth`` (= gates so far), the resulting PPRM system,
-and the bookkeeping quantities ``terms`` and ``elim``.  Following the
-memory optimization of Sec. IV-C, a node's PPRM system is released once
-the node has been expanded — only leaves (queue candidates) hold full
-expansions, interior nodes keep just their substitution.
+``factor``), its ``depth`` (= gates so far), the resulting search
+state, and the bookkeeping quantities ``terms`` and ``elim``.  The
+state is the engine's raw form of the PPRM system
+(:mod:`repro.pprm.engine`): a tuple of per-output values, or one int
+on the lane engine.  Following the memory optimization of Sec. IV-C, a
+node's state is released once the node has been expanded — only leaves
+(queue candidates) hold expansions, interior nodes keep just their
+substitution.
 """
 
 from __future__ import annotations
 
 from repro.gates.toffoli import ToffoliGate
-from repro.pprm.system import PPRMSystem
 from repro.pprm.term import format_term, variable_name
 
 __all__ = ["SearchNode"]
@@ -26,7 +28,7 @@ class SearchNode:
         "progress_depth",
         "target",
         "factor",
-        "pprm",
+        "state",
         "terms",
         "elim",
         "priority",
@@ -38,7 +40,7 @@ class SearchNode:
         parent: "SearchNode | None",
         target: int | None,
         factor: int | None,
-        pprm: PPRMSystem,
+        state,
         terms: int,
         elim: int,
         priority: float,
@@ -54,21 +56,22 @@ class SearchNode:
             self.progress_depth = parent.progress_depth + (1 if elim > 0 else 0)
         self.target = target
         self.factor = factor
-        self.pprm = pprm
+        self.state = state
         self.terms = terms
         self.elim = elim
         self.priority = priority
         self.node_id = node_id
 
     @classmethod
-    def root(cls, pprm: PPRMSystem, node_id: int = 0) -> "SearchNode":
-        """Create the root node (Fig. 4, lines 5-11)."""
+    def root(cls, state, terms: int, node_id: int = 0) -> "SearchNode":
+        """Create the root node (Fig. 4, lines 5-11) for ``state``,
+        which has ``terms`` terms."""
         return cls(
             parent=None,
             target=None,
             factor=None,
-            pprm=pprm,
-            terms=pprm.term_count(),
+            state=state,
+            terms=terms,
             elim=0,
             priority=float("inf"),
             node_id=node_id,
@@ -78,10 +81,10 @@ class SearchNode:
         """True for the search-tree root."""
         return self.parent is None
 
-    def release_pprm(self) -> None:
-        """Drop the PPRM system (Sec. IV-C memory optimization)."""
+    def release_state(self) -> None:
+        """Drop the search state (Sec. IV-C memory optimization)."""
         if not self.is_root():
-            self.pprm = None
+            self.state = None
 
     def gate(self) -> ToffoliGate:
         """The Toffoli gate of this node's substitution."""

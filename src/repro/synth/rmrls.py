@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from operator import eq
 
 from repro.circuits.circuit import Circuit
 from repro.functions.permutation import Permutation
@@ -69,7 +68,7 @@ class SynthesisResult:
     stats: SearchStats
     options: SynthesisOptions
     num_vars: int
-    # Name of the PPRM backend the search ran on (see _as_system).
+    # Name of the PPRM backend the search ran on (see search_engine).
     engine: str
     trace: TraceRecorder | None = None
     # Per-slice accounting when the run went through the portfolio
@@ -99,24 +98,22 @@ class SynthesisResult:
 
 
 def _as_system(specification) -> PPRMSystem:
-    """Normalize a specification to a PPRMSystem on the search backend.
+    """Normalize a specification to a PPRMSystem, on any backend.
 
-    This is the one place the backend is chosen: by width, through
-    :func:`repro.pprm.engine.search_engine`, whatever backend the
-    specification was built on.
+    The search does not care which: :class:`_Search` picks its engine
+    by width through :func:`repro.pprm.engine.search_engine` and turns
+    the system into that engine's root state.
     """
     if isinstance(specification, PPRMSystem):
-        system = specification
-    elif isinstance(specification, Permutation):
-        system = specification.to_pprm()
-    elif isinstance(specification, Sequence):
-        system = Permutation(specification).to_pprm()
-    else:
-        raise TypeError(
-            "specification must be a PPRMSystem, Permutation, or image "
-            f"list; got {type(specification).__name__}"
-        )
-    return search_engine(system.num_vars).convert_system(system)
+        return specification
+    if isinstance(specification, Permutation):
+        return specification.to_pprm()
+    if isinstance(specification, Sequence):
+        return Permutation(specification).to_pprm()
+    raise TypeError(
+        "specification must be a PPRMSystem, Permutation, or image "
+        f"list; got {type(specification).__name__}"
+    )
 
 
 class _Search:
@@ -125,7 +122,11 @@ class _Search:
     def __init__(self, system: PPRMSystem, options: SynthesisOptions):
         self.options = options
         self.system = system
-        self.engine = system.engine
+        # The one place a search's backend is chosen.  The search runs
+        # on its raw states from the root to the result; ``system`` is
+        # the only PPRMSystem it holds.
+        self.engine = search_engine(system.num_vars)
+        root_state = self.engine.root_state(system)
         self.identity_state = self.engine.identity_state(system.num_vars)
         self.stats = SearchStats(initial_terms=system.term_count())
         self.trace = TraceRecorder() if options.record_trace else None
@@ -150,7 +151,7 @@ class _Search:
         )
         self.best_node: SearchNode | None = None
         self.next_node_id = 0
-        self.root = self._make_root(system)
+        self.root = self._make_root(root_state, system.term_count())
         self.first_level: list[SearchNode] = []
         self.next_restart_index = 0
         self.steps_since_restart = 0
@@ -162,17 +163,17 @@ class _Search:
         # Depth-aware duplicate table: state -> shallowest depth seen.
         # A state reached again at the same or a greater depth leads to
         # the same or a worse subtree, so the duplicate can be dropped
-        # without losing solutions.  Keys are the engine's canonical
-        # dedupe form (term frozensets for reference, raw bitset ints
-        # for packed); one search never mixes backends in this table.
+        # without losing solutions.  Keys are the engine's states
+        # (tuples of term frozensets or bitset ints, or one lane int);
+        # one search never mixes backends in this table.
         self.visited: dict | None = (
-            {system.dedupe_key(): 0} if options.dedupe_states else None
+            {root_state: 0} if options.dedupe_states else None
         )
 
     # -- node plumbing ----------------------------------------------------
 
-    def _make_root(self, system: PPRMSystem) -> SearchNode:
-        root = SearchNode.root(system, node_id=self._claim_id())
+    def _make_root(self, state, terms: int) -> SearchNode:
+        root = SearchNode.root(state, terms, node_id=self._claim_id())
         self.observer.on_child(root, None)
         return root
 
@@ -291,7 +292,7 @@ class _Search:
 
     def _expand(self, parent: SearchNode) -> None:
         """Expand ``parent``: count every child on its raw state, build
-        a system and a node only for the children that survive."""
+        a node only for the children that survive."""
         observer = self.observer
         observer.on_expand(parent)
         options = self.options
@@ -302,14 +303,14 @@ class _Search:
             clock = self.phases.clock
             add_phase = self.phases.add
             start = clock()
-        state = parent.pprm.dedupe_key()
+        state = parent.state
         candidates = enumerate_state(state, engine, options)
         if timed:
             add_phase("enumerate_substitutions", clock() - start)
             start = clock()
         # Evaluate each child as a raw state: its term count, identity
         # test, lower-bound count and dedupe key all come from the
-        # per-output tuple (see "Count before you materialize" in
+        # state (see "Count before you materialize" in
         # docs/architecture.md).
         substitute_state = engine.substitute_state
         state_term_count = engine.state_term_count
@@ -359,25 +360,36 @@ class _Search:
         # children grouped per target variable for greedy pruning
         per_variable: dict[int, list[SearchNode]] = {}
         visited = self.visited
-        num_vars = len(state)
+        unsolved_count = engine.unsolved_count
+        # Only the loop above finds solutions, so the bound is fixed
+        # from here on and the per-expansion filter inputs are too.
+        best_depth = self.best_depth
+        keep_growth = not any_decreasing and options.growth_when_stuck
+        depth_pruned = depth >= best_depth - 1
+        # At most every output is unsolved: below this depth the lower
+        # bound cannot prune, so it is not counted.
+        bound_counts = (
+            options.lower_bound_pruning
+            and depth + self.system.num_vars >= best_depth
+        )
         for target, factor, allow_growth, child_state, terms, elim in evaluated:
-            if elim <= 0 and not allow_growth:
+            if elim <= 0 and not allow_growth and not keep_growth:
                 # Fig. 4 line 31 discards growth children; the Sec. IV-F
                 # convergence proof keeps them.  We keep them only when
                 # the node is otherwise stuck (no decreasing child).
-                if any_decreasing or not options.growth_when_stuck:
-                    observer.on_prune(parent, PRUNE_GROWTH)
-                    continue
-            if depth >= self.best_depth - 1:
+                observer.on_prune(parent, PRUNE_GROWTH)
+                continue
+            if depth_pruned:
                 # The pop-time depth prune (Fig. 4 line 16) would discard
                 # this child anyway; dropping it now saves queue traffic.
                 observer.on_prune(parent, PRUNE_CHILD_DEPTH)
                 continue
-            if options.lower_bound_pruning:
-                unsolved = num_vars - sum(map(eq, child_state, identity))
-                if depth + unsolved >= self.best_depth:
-                    observer.on_prune(parent, PRUNE_LOWER_BOUND)
-                    continue
+            if (
+                bound_counts
+                and depth + unsolved_count(child_state) >= best_depth
+            ):
+                observer.on_prune(parent, PRUNE_LOWER_BOUND)
+                continue
             if visited is not None:
                 # The state is the dedupe key.
                 hot.dedupe_probes += 1
@@ -435,7 +447,7 @@ class _Search:
             observer.on_queue(len(self.queue))
         if parent.is_root() and self._seed_restriction is not None:
             self._restrict_first_level()
-        parent.release_pprm()
+        parent.release_state()
 
     def _visited_record(self, known_depth, child_key, depth) -> None:
         """Record a child's dedupe key in the duplicate table, honoring
@@ -460,12 +472,12 @@ class _Search:
     def _make_child(
         self, parent, target, factor, child_state, terms, elim, priority
     ) -> SearchNode:
-        """Materialize a surviving child: its system and its node."""
+        """Materialize a surviving child's node."""
         child = SearchNode(
             parent=parent,
             target=target,
             factor=factor,
-            pprm=self.engine.system_from_state(child_state),
+            state=child_state,
             terms=terms,
             elim=elim,
             priority=priority,
@@ -552,10 +564,12 @@ class _Search:
         seed = ordered[self.next_restart_index]
         self.next_restart_index += 1
         hot = self.hot
-        if seed.pprm is None:
-            # Already expanded on a previous pass; recompute its system
-            # from the root (the root keeps its PPRM precisely for this).
-            seed.pprm = self.root.pprm.substitute(seed.target, seed.factor)
+        if seed.state is None:
+            # Already expanded on a previous pass; recompute its state
+            # from the root (the root keeps its state precisely for this).
+            seed.state = self.engine.substitute_state(
+                self.root.state, seed.target, seed.factor
+            )
             hot.substitutions_applied += 1
             hot.pprm_terms_in += self.root.terms
             hot.pprm_terms_out += seed.terms
@@ -617,7 +631,7 @@ def _finalize_search(search: _Search, reason: str, best) -> SynthesisResult:
         stats=search.stats,
         options=search.options,
         num_vars=search.system.num_vars,
-        engine=search.system.engine_name,
+        engine=search.engine.name,
         trace=search.trace,
     )
 
@@ -726,6 +740,6 @@ def synthesize(
         stats=search.stats,
         options=options,
         num_vars=system.num_vars,
-        engine=system.engine_name,
+        engine=search.engine.name,
         trace=search.trace,
     )

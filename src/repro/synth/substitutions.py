@@ -43,22 +43,22 @@ class Candidate:
 
 
 def enumerate_state(
-    state: tuple, engine, options: SynthesisOptions
+    state, engine, options: SynthesisOptions
 ) -> list[tuple[int, int, bool]]:
     """List the substitutions to try on a search state.
 
-    ``state`` is a system's per-output dedupe key and ``engine`` its
-    backend (:mod:`repro.pprm.engine`).  Each candidate is a plain
-    ``(target, factor, allow_growth)`` tuple.  The union of the kinds
-    is *every* legal substitution (the convergence argument of
-    Sec. IV-F); the basic configuration restricts to kind 1.
+    ``state`` is a search state of ``engine`` (:mod:`repro.pprm.engine`),
+    read one output at a time through ``engine.state_outputs``.  Each
+    candidate is a plain ``(target, factor, allow_growth)`` tuple.  The
+    union of the kinds is *every* legal substitution (the convergence
+    argument of Sec. IV-F); the basic configuration restricts to kind 1.
     """
     exempt = options.growth_exempt_literals
     extended = options.extended_substitutions
     complement = options.complement_substitutions
     output_terms = engine.output_terms
     candidates: list[tuple[int, int, bool]] = []
-    for target, raw in enumerate(state):
+    for target, raw in enumerate(engine.state_outputs(state)):
         target_bit = 1 << target
         # Canonical increasing-mask order, so every backend enumerates
         # — and therefore tie-breaks — the same way.
@@ -91,9 +91,10 @@ def enumerate_substitutions(
 ) -> list[Candidate]:
     """:func:`enumerate_state` on ``system``, as :class:`Candidate`
     records."""
+    engine = system.engine
     return [
         Candidate(*candidate)
         for candidate in enumerate_state(
-            system.dedupe_key(), system.engine, options
+            engine.root_state(system), engine, options
         )
     ]

@@ -16,6 +16,16 @@ import random
 import pytest
 
 from repro.functions.permutation import Permutation
+from repro.pprm import ENGINES, lane_engine
+
+#: Every search backend by name, as ``search_engine`` returns it for a
+#: width.  Tests force a backend by monkeypatching
+#: ``repro.synth.rmrls.search_engine`` with one of these.
+SEARCH_BACKENDS = {
+    "reference": lambda num_vars: ENGINES["reference"],
+    "packed": lambda num_vars: ENGINES["packed"],
+    "lanes": lane_engine,
+}
 
 
 @pytest.fixture

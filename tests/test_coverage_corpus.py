@@ -9,7 +9,7 @@ worse on these 7 functions" is actionable and "assert failed" is not.
 
 ``RMRLS_CORPUS`` points the suite at an alternative coverage file —
 the CI smoke job builds a 2-shard slice from scratch and runs this
-same suite against it.  The deep pass (2,000 classes, both engines)
+same suite against it.  The deep pass (2,000 classes, every engine)
 runs under ``RMRLS_SLOW=1``.
 """
 
@@ -22,7 +22,6 @@ import pytest
 from repro.cli import main
 from repro.functions.permutation import Permutation
 from repro.harness.tasks import options_from_payload
-from repro.pprm import ENGINES
 from repro.sweeps import (
     circuit_from_record,
     coverage_histogram,
@@ -34,13 +33,15 @@ from repro.sweeps.manifest import load_manifest
 from repro.synth import rmrls
 from repro.synth.rmrls import synthesize
 
+from conftest import SEARCH_BACKENDS
+
 DEFAULT_CORPUS = (
     Path(__file__).resolve().parent.parent / "results" / "coverage3.jsonl"
 )
 CORPUS_PATH = Path(os.environ.get("RMRLS_CORPUS") or DEFAULT_CORPUS)
 
-#: Seeded sample sizes: the fast pass splits ~200 classes between the
-#: two engines; the slow pass deep-checks 2,000.
+#: Seeded sample sizes: the fast pass splits ~300 classes between the
+#: three engines; the slow pass deep-checks 2,000.
 SAMPLE_PER_ENGINE = 100
 SLOW_SAMPLE_TOTAL = 2000
 
@@ -75,9 +76,7 @@ def _sample_solved(records, count, seed):
 def _resynthesize_and_diff(records, header, engine, monkeypatch):
     """Re-synthesize ``records`` under ``engine``; return regressions."""
     options = options_from_payload(dict(header.get("options") or {}))
-    monkeypatch.setattr(
-        rmrls, "search_engine", lambda num_vars: ENGINES[engine]
-    )
+    monkeypatch.setattr(rmrls, "search_engine", SEARCH_BACKENDS[engine])
     regressions = []
     for record in records:
         spec = Permutation(list(record["images"]))
@@ -189,12 +188,12 @@ class TestCommittedFilesStillLoad:
 
 
 class TestCorpusRegression:
-    @pytest.mark.parametrize("engine", ["reference", "packed"])
+    @pytest.mark.parametrize("engine", ["reference", "packed", "lanes"])
     def test_sampled_classes_not_regressed(self, engine, monkeypatch):
         header, records = _corpus()
         sample = _sample_solved(
             records, SAMPLE_PER_ENGINE,
-            _SEED + {"reference": 1, "packed": 2}[engine],
+            _SEED + {"reference": 1, "packed": 2, "lanes": 3}[engine],
         )
         regressions = _resynthesize_and_diff(
             sample, header, engine, monkeypatch
@@ -203,7 +202,7 @@ class TestCorpusRegression:
             _fail_with_diff_table(engine, regressions, len(sample))
 
     @pytest.mark.slow
-    @pytest.mark.parametrize("engine", ["reference", "packed"])
+    @pytest.mark.parametrize("engine", ["reference", "packed", "lanes"])
     def test_deep_pass_2000_classes(self, engine, monkeypatch):
         header, records = _corpus()
         sample = _sample_solved(

@@ -1,12 +1,14 @@
-"""Differential tests: the packed engine against the reference oracle.
+"""Differential tests: the packed and lane engines against the
+reference oracle.
 
 The ``reference`` frozenset backend is the ground truth.  These tests
-drive both engines through the same seeded inputs — algebra, queries,
-serialization, candidate enumeration, and full synthesis — and demand
-bit-identical behaviour everywhere the engine seam promises it.  Full
-syntheses force each backend through the search's one decision point
-(``search_engine``), so the reference search stays oracle-checked at
-the small widths where the width rule would pick packed.
+drive the engines through the same seeded inputs — algebra, queries,
+serialization, candidate enumeration, search states, and full
+synthesis — and demand bit-identical behaviour everywhere the engine
+seam promises it.  Full syntheses force each backend through the
+search's one decision point (``search_engine``), so the reference and
+packed searches stay oracle-checked at the small widths where the
+width rule would pick lanes.
 """
 
 import random
@@ -18,15 +20,19 @@ from repro.functions.permutation import Permutation, random_permutation
 from repro.pprm import (
     ENGINES,
     PACKED_MAX_VARS,
+    SEARCH_LANES_MAX_VARS,
     PackedExpansion,
     PPRMSystem,
     get_engine,
+    lane_engine,
     resolve_engine,
 )
 from repro.synth import rmrls
 from repro.synth.options import SynthesisOptions
 from repro.synth.rmrls import synthesize
 from repro.synth.substitutions import enumerate_substitutions
+
+from conftest import SEARCH_BACKENDS
 
 REFERENCE = ENGINES["reference"]
 PACKED = ENGINES["packed"]
@@ -36,7 +42,7 @@ FAST = SynthesisOptions(dedupe_states=True, max_steps=20_000)
 
 def synthesize_on(name, monkeypatch, specification, options):
     """Run ``synthesize`` with the search forced onto backend ``name``."""
-    monkeypatch.setattr(rmrls, "search_engine", lambda num_vars: ENGINES[name])
+    monkeypatch.setattr(rmrls, "search_engine", SEARCH_BACKENDS[name])
     result = synthesize(specification, options)
     assert result.engine == name
     return result
@@ -201,6 +207,93 @@ class TestSystemDifferential:
             assert ref_candidates == packed_candidates
 
 
+class TestLaneStateDifferential:
+    """The lane engine's one-int state against the system oracle, at
+    every width of its band."""
+
+    @pytest.mark.parametrize("num_vars", range(1, SEARCH_LANES_MAX_VARS + 1))
+    def test_state_operations_match_the_system(self, num_vars):
+        rng = random.Random(30 + num_vars)
+        engine = lane_engine(num_vars)
+        identity = engine.identity_state(num_vars)
+        assert engine.system_from_state(identity) == PPRMSystem.identity(
+            num_vars, "packed"
+        )
+        for _ in range(3):
+            system = PPRMSystem(
+                [PACKED.from_terms(_random_terms(rng, num_vars), num_vars)
+                 for _ in range(num_vars)]
+            )
+            state = engine.root_state(system)
+            assert engine.system_from_state(state) == system
+            for _ in range(8):
+                target = rng.randrange(num_vars)
+                factor = rng.randrange(1 << num_vars) & ~(1 << target)
+                child = engine.substitute_state(state, target, factor)
+                expected = system.substitute(target, factor)
+                assert engine.state_term_count(child) == expected.term_count()
+                assert (child == identity) == expected.is_identity()
+                assert engine.unsolved_count(child) == (
+                    num_vars - expected.solved_outputs()
+                )
+                assert engine.system_from_state(child) == expected
+                assert engine.root_state(expected) == child
+                assert [
+                    list(engine.output_terms(raw))
+                    for raw in engine.state_outputs(child)
+                ] == [list(output.iter_terms()) for output in expected]
+                system, state = expected, child
+
+    @pytest.mark.parametrize("num_vars", range(1, SEARCH_LANES_MAX_VARS + 1))
+    def test_dedupe_discriminates_like_the_system(self, num_vars):
+        rng = random.Random(40 + num_vars)
+        engine = lane_engine(num_vars)
+        systems = []
+        for _ in range(12):
+            terms = [_random_terms(rng, num_vars, 3) for _ in range(num_vars)]
+            # Each system twice, the copy built from reversed term lists.
+            for order in (list, lambda masks: masks[::-1]):
+                systems.append(PPRMSystem(
+                    [PACKED.from_terms(order(masks), num_vars)
+                     for masks in terms]
+                ))
+        for left in systems:
+            for right in systems:
+                assert (
+                    engine.root_state(left) == engine.root_state(right)
+                ) == (left.dedupe_key() == right.dedupe_key())
+        assert len({engine.root_state(system) for system in systems}) == len(
+            {system.dedupe_key() for system in systems}
+        )
+
+    @pytest.mark.parametrize("num_vars", range(1, SEARCH_LANES_MAX_VARS + 1))
+    def test_substitution_errors_match_packed(self, num_vars):
+        engine = lane_engine(num_vars)
+        state = engine.identity_state(num_vars)
+        packed_state = PACKED.identity_state(num_vars)
+        top = num_vars - 1
+        bad = [
+            (top, 1 << top),            # factor contains the target
+            (0, (1 << num_vars) | 1),   # factor contains the target
+            (num_vars, 0),              # index outside the width
+            (0, 1 << num_vars),         # factor outside the width
+        ]
+        for target, factor in bad:
+            with pytest.raises(ValueError) as lane_error:
+                engine.substitute_state(state, target, factor)
+            with pytest.raises(ValueError) as packed_error:
+                PACKED.substitute_state(packed_state, target, factor)
+            assert str(lane_error.value) == str(packed_error.value)
+
+    def test_bound_to_its_width(self):
+        engine = lane_engine(3)
+        assert lane_engine(3) is engine
+        with pytest.raises(ValueError, match="bound to num_vars=3"):
+            engine.identity_state(4)
+        with pytest.raises(ValueError, match="bound to num_vars=3"):
+            engine.root_state(PPRMSystem.identity(2))
+
+
 class TestSynthesisDifferential:
     def test_byte_identical_cascades_on_quick_suite(self, monkeypatch):
         """Both engines must produce the same circuit, gate for gate."""
@@ -210,23 +303,27 @@ class TestSynthesisDifferential:
         suite.append(Permutation([7, 0, 1, 2, 3, 4, 5, 6]))
         for permutation in suite:
             ref = synthesize_on("reference", monkeypatch, permutation, FAST)
-            packed = synthesize_on("packed", monkeypatch, permutation, FAST)
-            assert ref.solved == packed.solved
-            assert ref.stats.steps == packed.stats.steps
-            if ref.circuit is None:
-                continue
-            assert str(ref.circuit) == str(packed.circuit)
-            assert packed.circuit.implements(permutation)
+            for name in ("packed", "lanes"):
+                other = synthesize_on(name, monkeypatch, permutation, FAST)
+                assert ref.solved == other.solved
+                assert ref.stats.steps == other.stats.steps
+                assert ref.stats.hot_ops == other.stats.hot_ops
+                if ref.circuit is None:
+                    continue
+                assert str(ref.circuit) == str(other.circuit)
+                assert other.circuit.implements(permutation)
 
     def test_greedy_options_also_match(self, monkeypatch):
         options = FAST.with_(greedy_k=3, restart_steps=5_000)
         rng = random.Random(7)
         for permutation in [random_permutation(3, rng) for _ in range(6)]:
             ref = synthesize_on("reference", monkeypatch, permutation, options)
-            packed = synthesize_on("packed", monkeypatch, permutation, options)
-            assert ref.solved == packed.solved
-            if ref.circuit is not None:
-                assert str(ref.circuit) == str(packed.circuit)
+            for name in ("packed", "lanes"):
+                other = synthesize_on(name, monkeypatch, permutation, options)
+                assert ref.solved == other.solved
+                assert ref.stats.hot_ops == other.stats.hot_ops
+                if ref.circuit is not None:
+                    assert str(ref.circuit) == str(other.circuit)
 
 
 class TestEngineResolution:
@@ -242,12 +339,21 @@ class TestEngineResolution:
             resolve_engine(42)
 
     def test_packed_input_is_not_downgraded(self):
+        # A 2-variable packed input runs on the lane band, which is
+        # packed expansions with a one-int state.
         system = PPRMSystem.from_permutation([0, 1, 3, 2], engine="packed")
-        assert synthesize(system, FAST).engine == "packed"
+        assert synthesize(system, FAST).engine == "lanes"
 
     @pytest.mark.parametrize(
         "num_vars, expected",
-        [(12, "packed"), (13, "reference"), (20, "reference")],
+        [
+            (2, "lanes"),
+            (SEARCH_LANES_MAX_VARS, "lanes"),
+            (SEARCH_LANES_MAX_VARS + 1, "packed"),
+            (12, "packed"),
+            (13, "reference"),
+            (20, "reference"),
+        ],
     )
     def test_search_runs_on_the_width_rule_backend(self, num_vars, expected):
         # Whichever backend the input was built on, the search

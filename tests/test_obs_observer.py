@@ -24,9 +24,10 @@ from repro.synth.stats import SearchStats, TraceRecorder
 
 def _nodes():
     system = PPRMSystem.identity(2)
-    root = SearchNode.root(system, node_id=0)
+    state = system.dedupe_key()
+    root = SearchNode.root(state, system.term_count(), node_id=0)
     child = SearchNode(
-        parent=root, target=0, factor=0b10, pprm=system,
+        parent=root, target=0, factor=0b10, state=state,
         terms=2, elim=1, priority=1.5, node_id=1,
     )
     return root, child

@@ -109,7 +109,7 @@ class TestBuildAndValidate:
 
         packed = PPRMSystem.from_permutation([1, 0, 3, 2], engine="packed")
         report = build_run_report(synthesize(packed))
-        assert report["engine"] == "packed"
+        assert report["engine"] == "lanes"
         wide = synthesize(graycode_system(13), max_steps=2)
         assert build_run_report(wide)["engine"] == "reference"
 

@@ -114,11 +114,12 @@ class TestPeakQueueAcrossRestarts:
 def _chain(length):
     """Build root -> n1 -> n2 -> ... as create-event fodder."""
     system = PPRMSystem.identity(2)
-    nodes = [SearchNode.root(system, node_id=0)]
+    state = system.dedupe_key()
+    nodes = [SearchNode.root(state, system.term_count(), node_id=0)]
     for index in range(1, length + 1):
         nodes.append(
             SearchNode(
-                parent=nodes[-1], target=0, factor=0b10, pprm=system,
+                parent=nodes[-1], target=0, factor=0b10, state=state,
                 terms=2, elim=1, priority=1.0, node_id=index,
             )
         )

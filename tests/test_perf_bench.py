@@ -1,11 +1,11 @@
-"""The kernel micro-suite, ``git_info``, and the packed-engine gate."""
+"""The kernel micro-suite, ``git_info``, and the engine gates."""
 
 import pytest
 
 from repro.perf.hotops import HotOpCounters
 from repro.perf.kernels import KERNELS, kernel_names, run_kernel
 from repro.perf.report import git_info
-from repro.pprm.engine import ENGINES
+from repro.pprm.engine import ENGINES, lane_engine
 
 
 class TestGitInfo:
@@ -55,6 +55,20 @@ class TestPackedEngineGate:
         speedup = reference.ns_per_op / packed.ns_per_op
         assert speedup >= 1.0, (
             f"packed slower than reference on {kernel}: {speedup:.2f}x"
+        )
+
+
+class TestLaneEngineGate:
+    """The lane backend earns its width band only while its one-int
+    child state is at least as fast as packed's per-output tuple, at
+    the kernel fixture's 5 variables."""
+
+    def test_lanes_at_least_as_fast_as_packed_on_child_state(self):
+        packed = run_kernel("child_state", quick=True, engine=ENGINES["packed"])
+        lanes = run_kernel("child_state", quick=True, engine=lane_engine(5))
+        speedup = packed.ns_per_op / lanes.ns_per_op
+        assert speedup >= 1.0, (
+            f"lanes slower than packed on child_state: {speedup:.2f}x"
         )
 
 

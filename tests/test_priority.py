@@ -43,7 +43,9 @@ def _node(priority, node_id=0):
     import repro.pprm.system as system_module
 
     system = system_module.PPRMSystem.identity(2)
-    node = SearchNode.root(system, node_id=node_id)
+    node = SearchNode.root(
+        system.dedupe_key(), system.term_count(), node_id=node_id
+    )
     node.priority = priority
     return node
 

@@ -1,33 +1,33 @@
 """Differential properties of the raw search state.
 
-The search evaluates every candidate child on the per-output state
-tuple (:meth:`PPRMEngine.substitute_state` and friends) and builds a
-:class:`PPRMSystem` only for survivors.  These properties pin the state
-operations to the system-level oracle on both backends: same term
-count, identity test, solved outputs and dedupe key for every
-enumerated candidate, the same system when one is built, the same
-candidate sequence as the expansion-level enumeration, and the same
-errors.
+The search runs on raw states (:meth:`PPRMEngine.substitute_state`
+and friends): per-output tuples on reference and packed, one lane int
+on the lane engine.  These properties pin the state operations to the
+system-level oracle on all three backends: same term count, identity
+test, unsolved outputs and dedupe key for every enumerated candidate,
+the same system when one is built back, the same candidate sequence as
+the expansion-level enumeration, and the same errors.
 """
-
-from operator import eq
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.functions.permutation import Permutation
-from repro.pprm import ENGINES, PPRMSystem
+from repro.pprm import PPRMSystem
 from repro.pprm.expansion import Expansion
 from repro.pprm.term import CONSTANT_ONE
 from repro.synth.options import SynthesisOptions
 from repro.synth.substitutions import enumerate_state, enumerate_substitutions
 
+from conftest import SEARCH_BACKENDS
+
 
 @st.composite
 def systems(draw):
-    """A square system over 1-6 variables on either backend: the PPRM
-    of a permutation, or arbitrary per-output term sets."""
+    """A square system over 1-6 variables and a search engine for it:
+    the PPRM of a permutation, or arbitrary per-output term sets, on
+    the engine's backend."""
     num_vars = draw(st.integers(1, 6))
     size = 1 << num_vars
     if draw(st.booleans()):
@@ -39,8 +39,9 @@ def systems(draw):
             min_size=num_vars, max_size=num_vars,
         ))
         system = PPRMSystem([Expansion(terms) for terms in outputs])
-    engine = ENGINES[draw(st.sampled_from(sorted(ENGINES)))]
-    return engine.convert_system(system)
+    name = draw(st.sampled_from(sorted(SEARCH_BACKENDS)))
+    engine = SEARCH_BACKENDS[name](num_vars)
+    return engine.convert_system(system), engine
 
 
 option_mixes = st.builds(
@@ -75,30 +76,36 @@ def expansion_enumeration(system, options):
     return candidates
 
 
-@settings(max_examples=150, deadline=None)
-@given(system=systems(), options=option_mixes)
-def test_child_states_agree_with_substituted_systems(system, options):
-    engine = system.engine
-    state = system.dedupe_key()
-    identity = engine.identity_state(system.num_vars)
-    assert identity == PPRMSystem.identity(system.num_vars, engine).dedupe_key()
+@settings(max_examples=200, deadline=None)
+@given(drawn=systems(), options=option_mixes)
+def test_child_states_agree_with_substituted_systems(drawn, options):
+    system, engine = drawn
+    width = system.num_vars
+    state = engine.root_state(system)
+    identity = engine.identity_state(width)
+    assert identity == engine.root_state(PPRMSystem.identity(width))
     assert engine.state_term_count(state) == system.term_count()
+    assert engine.unsolved_count(state) == width - system.solved_outputs()
+    assert engine.system_from_state(state) == system
     for target, factor, _ in enumerate_state(state, engine, options):
         child = engine.substitute_state(state, target, factor)
         expected = system.substitute(target, factor)
         assert engine.state_term_count(child) == expected.term_count()
         assert (child == identity) == expected.is_identity()
-        assert sum(map(eq, child, identity)) == expected.solved_outputs()
-        assert child == expected.dedupe_key()
+        assert engine.unsolved_count(child) == (
+            width - expected.solved_outputs()
+        )
+        assert child == engine.root_state(expected)
         built = engine.system_from_state(child)
         assert built == expected
-        assert built.engine_name == engine.name
+        assert built.engine_name == system.engine_name
 
 
 @settings(max_examples=150, deadline=None)
-@given(system=systems(), options=option_mixes)
-def test_one_enumerator_for_tuples_and_candidates(system, options):
-    tuples = enumerate_state(system.dedupe_key(), system.engine, options)
+@given(drawn=systems(), options=option_mixes)
+def test_one_enumerator_for_tuples_and_candidates(drawn, options):
+    system, engine = drawn
+    tuples = enumerate_state(engine.root_state(system), engine, options)
     assert tuples == expansion_enumeration(system, options)
     assert tuples == [
         (c.target, c.factor, c.allow_growth)
@@ -107,33 +114,34 @@ def test_one_enumerator_for_tuples_and_candidates(system, options):
 
 
 @settings(max_examples=150, deadline=None)
-@given(system=systems(), data=st.data())
-def test_factor_containing_the_target_raises(system, data):
-    engine = system.engine
+@given(drawn=systems(), data=st.data())
+def test_factor_containing_the_target_raises(drawn, data):
+    system, engine = drawn
     target = data.draw(st.integers(0, system.num_vars - 1))
     factor = data.draw(st.integers(0, (1 << system.num_vars) - 1)) | (
         1 << target
     )
     with pytest.raises(ValueError, match="contains the target"):
-        engine.substitute_state(system.dedupe_key(), target, factor)
+        engine.substitute_state(engine.root_state(system), target, factor)
     with pytest.raises(ValueError, match="contains the target"):
         system.substitute(target, factor)
 
 
 @settings(max_examples=150, deadline=None)
-@given(system=systems(), data=st.data())
-def test_out_of_range_substitutions_fail_alike(system, data):
-    """Packed rejects indices and factors beyond its width; reference
-    accepts them.  Either way the state and the system agree."""
+@given(drawn=systems(), data=st.data())
+def test_out_of_range_substitutions_fail_alike(drawn, data):
+    """Packed and lanes reject indices and factors beyond their width;
+    reference accepts them.  Either way the state and the system
+    agree."""
+    system, engine = drawn
     width = system.num_vars
+    state = engine.root_state(system)
     target = data.draw(st.integers(0, width + 1))
     factor = data.draw(st.integers(0, (1 << (width + 2)) - 1)) & ~(1 << target)
     try:
-        expected = system.substitute(target, factor).dedupe_key()
+        expected = engine.root_state(system.substitute(target, factor))
     except ValueError:
         with pytest.raises(ValueError):
-            system.engine.substitute_state(system.dedupe_key(), target, factor)
+            engine.substitute_state(state, target, factor)
     else:
-        assert system.engine.substitute_state(
-            system.dedupe_key(), target, factor
-        ) == expected
+        assert engine.substitute_state(state, target, factor) == expected

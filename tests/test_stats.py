@@ -29,12 +29,13 @@ class TestSearchStats:
 class TestTraceRecorder:
     def _nodes(self):
         system = PPRMSystem.identity(2)
-        root = SearchNode.root(system, node_id=0)
+        state = system.dedupe_key()
+        root = SearchNode.root(state, system.term_count(), node_id=0)
         child = SearchNode(
             parent=root,
             target=0,
             factor=0b10,
-            pprm=system,
+            state=state,
             terms=2,
             elim=1,
             priority=1.5,

@@ -66,7 +66,7 @@ class TestCacheOutcomes:
         try:
             assert service.synthesize(SWAP_01)["cache"] == "miss"
             record = store.get(canonicalize(SWAP_01).key)
-            assert record.provenance["engine"] == "packed"
+            assert record.provenance["engine"] == "lanes"
         finally:
             service.close()
 
