@@ -145,19 +145,23 @@ def _kernel_queue_churn(quick: bool, engine=None):
 
 
 def _kernel_enumerate(quick: bool, engine=None):
+    """What the search runs per expansion: the candidate enumeration
+    over the engine's raw state."""
     from repro.synth.options import SynthesisOptions
-    from repro.synth.substitutions import enumerate_substitutions
+    from repro.synth.substitutions import enumerate_state
 
-    systems = _fixture_child_systems(8 if quick else 32, engine=engine)
+    population = _fixture_child_systems(8 if quick else 32, engine=engine)
+    engine = resolve_engine(engine)
+    states = [engine.root_state(system) for system in population]
     options = SynthesisOptions()
     rounds = 8 if quick else 16
 
     def body():
         for _ in range(rounds):
-            for system in systems:
-                enumerate_substitutions(system, options)
+            for state in states:
+                enumerate_state(state, engine, options)
 
-    return body, rounds * len(systems)
+    return body, rounds * len(states)
 
 
 def _kernel_child_state(quick: bool, engine=None):

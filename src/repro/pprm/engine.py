@@ -49,7 +49,7 @@ from operator import eq
 from repro.pprm.expansion import Expansion
 from repro.pprm.packed import PackedExpansion, tables_for
 from repro.pprm.system import PPRMSystem
-from repro.pprm.term import format_term
+from repro.pprm.term import CONSTANT_ONE, format_term
 from repro.pprm.transform import mobius_transform
 from repro.utils.bitops import bits_of
 
@@ -210,6 +210,19 @@ class PPRMEngine(ABC):
         """One output's term masks in increasing order."""
 
     @abstractmethod
+    def output_scan(self, raw, index: int, num_vars: int) -> tuple:
+        """Read one output as the target of ``x_index := x_index XOR f``
+        without listing its terms.
+
+        Returns ``(terms, linear, constant, factors, finisher)``: the
+        output's term count, whether it holds the linear term
+        ``x_index`` and the constant 1, how many of its terms lack
+        ``x_index`` (the candidate factors), and the factor ``f`` with
+        output ``== x_index XOR f`` (the substitution that solves it),
+        or ``-1`` when there is none.
+        """
+
+    @abstractmethod
     def system_from_state(self, state: tuple) -> PPRMSystem:
         """Build the :class:`PPRMSystem` whose state is ``state``."""
 
@@ -269,6 +282,18 @@ class ReferenceEngine(PPRMEngine):
 
     def output_terms(self, raw: frozenset) -> list[int]:
         return sorted(raw)
+
+    def output_scan(self, raw: frozenset, index: int, num_vars: int) -> tuple:
+        var = 1 << index
+        terms = len(raw)
+        linear = var in raw
+        # term & var is var or 0, so the sum is var times the count of
+        # terms holding x_index (one C-level pass, no sorted list).
+        factors = terms - (sum(map(var.__and__, raw)) >> index)
+        finisher = -1
+        if linear and terms == 2 and factors == 1:
+            (finisher,) = raw - {var}
+        return terms, linear, CONSTANT_ONE in raw, factors, finisher
 
     def system_from_state(self, state: tuple) -> PPRMSystem:
         make = Expansion._make
@@ -349,6 +374,18 @@ class PackedEngine(PPRMEngine):
 
     def output_terms(self, raw: int) -> list[int]:
         return list(bits_of(raw))
+
+    def output_scan(self, raw: int, index: int, num_vars: int) -> tuple:
+        factors = raw ^ (raw & tables_for(num_vars).var_masks[index])
+        terms = raw.bit_count()
+        linear = raw >> (1 << index) & 1
+        count = factors.bit_count()
+        finisher = (
+            factors.bit_length() - 1
+            if linear and terms == 2 and count == 1
+            else -1
+        )
+        return terms, linear, raw & 1, count, finisher
 
     def system_from_state(self, state: tuple) -> PPRMSystem:
         tables = tables_for(len(state))

@@ -86,7 +86,12 @@ class SynthesisOptions:
             targeting gate — so (depth + unsolved outputs) lower-bounds
             any solution through the node.  An admissible-bound
             addition of this reproduction (not in the paper); it only
-            removes provably non-improving paths.
+            removes provably non-improving paths.  It is evaluated
+            once per expansion, on the parent: a child has the
+            parent's unsolved outputs, or one fewer if its
+            substitution solves its target line, so when the bound
+            binds only those finishing children are substituted (see
+            "Bound the parent" in docs/architecture.md).
         cumulative_elim_priority: equation (4) reads
             ``beta * elim / depth``; Fig. 4 line 27 defines ``elim``
             per stage, yet the text calls the quantity "the number of

@@ -42,7 +42,7 @@ from repro.synth.node import SearchNode
 from repro.synth.options import SynthesisOptions
 from repro.synth.priority import MaxPriorityQueue, node_priority
 from repro.synth.stats import SearchStats, TraceRecorder
-from repro.synth.substitutions import enumerate_state
+from repro.synth.substitutions import enumerate_state, scan_finishers
 from repro.utils.timer import Deadline
 
 __all__ = [
@@ -292,7 +292,16 @@ class _Search:
 
     def _expand(self, parent: SearchNode) -> None:
         """Expand ``parent``: count every child on its raw state, build
-        a node only for the children that survive."""
+        a node only for the children that survive.
+
+        A substitution changes only its target output, so every child
+        keeps the parent's unsolved outputs except its target's
+        *finisher*, which solves one more (:func:`scan_finishers`).
+        The depth prune and the lower bound are therefore decided once,
+        from the parent.  When they reject a non-finishing child, only
+        the finishers are substituted; the rest are only counted (see
+        "Bound the parent" in docs/architecture.md).
+        """
         observer = self.observer
         observer.on_expand(parent)
         options = self.options
@@ -304,19 +313,29 @@ class _Search:
             add_phase = self.phases.add
             start = clock()
         state = parent.state
-        candidates = enumerate_state(state, engine, options)
+        depth = parent.depth + 1
+        bounded = options.lower_bound_pruning
+        if bounded:
+            # The fewest gates a solution through a non-finishing child
+            # needs; a finisher's paths need one fewer.
+            fewest = depth + engine.unsolved_count(state)
+        finishing = depth >= self.best_depth - 1 or (
+            bounded and fewest >= self.best_depth
+        )
+        if finishing:
+            candidates, others = scan_finishers(state, engine, options)
+        else:
+            candidates, others = enumerate_state(state, engine, options), 0
         if timed:
             add_phase("enumerate_substitutions", clock() - start)
             start = clock()
         # Evaluate each child as a raw state: its term count, identity
-        # test, lower-bound count and dedupe key all come from the
-        # state (see "Count before you materialize" in
-        # docs/architecture.md).
+        # test and dedupe key all come from the state (see "Count
+        # before you materialize" in docs/architecture.md).
         substitute_state = engine.substitute_state
         state_term_count = engine.state_term_count
         identity = self.identity_state
         parent_terms = parent.terms
-        depth = parent.depth + 1
         evaluated: list[tuple] = []
         any_decreasing = False
         # Hot-op accounting is batched through local ints and flushed
@@ -357,38 +376,43 @@ class _Search:
             if timed:
                 add_phase("substitute", clock() - start)
 
+        # Only the loop above finds solutions, so the bound is fixed
+        # from here on.  A solution found in it makes every sibling
+        # too deep.
+        best_depth = self.best_depth
+        if depth >= best_depth - 1:
+            # The pop-time depth prune (Fig. 4 line 16) would discard
+            # every child anyway; dropping them now saves queue traffic.
+            pruned, reason = others + len(evaluated), PRUNE_CHILD_DEPTH
+            evaluated = []
+        elif bounded and fewest - 1 >= best_depth:
+            pruned, reason = others + len(evaluated), PRUNE_LOWER_BOUND
+            evaluated = []
+        else:
+            # The finishers survive; the other candidates of a
+            # finishing expansion fail the bound (the full path has
+            # none).
+            pruned, reason = others, PRUNE_LOWER_BOUND
+        if pruned:
+            observer.on_prune(parent, reason, pruned)
+        keep_growth = not any_decreasing and options.growth_when_stuck
+        if keep_growth and others and any(
+            elim <= 0 and not allow_growth
+            for _, _, allow_growth, _, _, elim in evaluated
+        ):
+            # The growth rule asks whether *any* sibling decreases the
+            # term count, and the non-finishers were never substituted.
+            keep_growth = not self._sibling_decreases(parent, candidates)
+
         # children grouped per target variable for greedy pruning
         per_variable: dict[int, list[SearchNode]] = {}
         visited = self.visited
-        unsolved_count = engine.unsolved_count
-        # Only the loop above finds solutions, so the bound is fixed
-        # from here on and the per-expansion filter inputs are too.
-        best_depth = self.best_depth
-        keep_growth = not any_decreasing and options.growth_when_stuck
-        depth_pruned = depth >= best_depth - 1
-        # At most every output is unsolved: below this depth the lower
-        # bound cannot prune, so it is not counted.
-        bound_counts = (
-            options.lower_bound_pruning
-            and depth + self.system.num_vars >= best_depth
-        )
         for target, factor, allow_growth, child_state, terms, elim in evaluated:
             if elim <= 0 and not allow_growth and not keep_growth:
                 # Fig. 4 line 31 discards growth children; the Sec. IV-F
                 # convergence proof keeps them.  We keep them only when
                 # the node is otherwise stuck (no decreasing child).
                 observer.on_prune(parent, PRUNE_GROWTH)
-                continue
-            if depth_pruned:
-                # The pop-time depth prune (Fig. 4 line 16) would discard
-                # this child anyway; dropping it now saves queue traffic.
-                observer.on_prune(parent, PRUNE_CHILD_DEPTH)
-                continue
-            if (
-                bound_counts
-                and depth + unsolved_count(child_state) >= best_depth
-            ):
-                observer.on_prune(parent, PRUNE_LOWER_BOUND)
                 continue
             if visited is not None:
                 # The state is the dedupe key.
@@ -448,6 +472,40 @@ class _Search:
         if parent.is_root() and self._seed_restriction is not None:
             self._restrict_first_level()
         parent.release_state()
+
+    def _sibling_decreases(self, parent: SearchNode, finishers) -> bool:
+        """Whether a candidate of ``parent`` other than ``finishers``
+        lowers the term count.  Substitutes them in candidate order
+        until one does."""
+        engine = self.engine
+        hot = self.hot
+        timed = self.timed_step
+        if timed:
+            clock = self.phases.clock
+            add_phase = self.phases.add
+            start = clock()
+        state = parent.state
+        candidates = enumerate_state(state, engine, self.options)
+        if timed:
+            add_phase("enumerate_substitutions", clock() - start)
+            start = clock()
+        parent_terms = parent.terms
+        decreases = False
+        for target, factor, allow_growth in candidates:
+            if (target, factor, allow_growth) in finishers:
+                continue
+            terms = engine.state_term_count(
+                engine.substitute_state(state, target, factor)
+            )
+            hot.substitutions_applied += 1
+            hot.pprm_terms_in += parent_terms
+            hot.pprm_terms_out += terms
+            if terms < parent_terms:
+                decreases = True
+                break
+        if timed:
+            add_phase("substitute", clock() - start)
+        return decreases
 
     def _visited_record(self, known_depth, child_key, depth) -> None:
         """Record a child's dedupe key in the duplicate table, honoring

@@ -29,7 +29,12 @@ from repro.pprm.system import PPRMSystem
 from repro.pprm.term import CONSTANT_ONE
 from repro.synth.options import SynthesisOptions
 
-__all__ = ["Candidate", "enumerate_state", "enumerate_substitutions"]
+__all__ = [
+    "Candidate",
+    "enumerate_state",
+    "enumerate_substitutions",
+    "scan_finishers",
+]
 
 
 @dataclass(frozen=True)
@@ -84,6 +89,46 @@ def enumerate_state(
         ):
             candidates.append((target, CONSTANT_ONE, 0 <= exempt))
     return candidates
+
+
+def scan_finishers(
+    state, engine, options: SynthesisOptions
+) -> tuple[list[tuple[int, int, bool]], int]:
+    """Split :func:`enumerate_state`'s candidates without listing them.
+
+    A substitution changes only its target output, so a candidate's
+    child solves one more output than ``state`` exactly when it is its
+    target's *finisher*: the factor ``f`` with output
+    ``== x_target XOR f``.  Each target has at most one.  Returns the
+    finishers, as :func:`enumerate_state` tuples in its order, and the
+    number of its other candidates.  Each output is read through
+    ``engine.output_scan`` in a few int (or set) operations.
+    """
+    exempt = options.growth_exempt_literals
+    extended = options.extended_substitutions
+    complement = options.complement_substitutions
+    outputs = engine.state_outputs(state)
+    width = len(outputs)
+    output_scan = engine.output_scan
+    finishers: list[tuple[int, int, bool]] = []
+    others = 0
+    for target, raw in enumerate(outputs):
+        terms, linear, constant, factors, finisher = output_scan(
+            raw, target, width
+        )
+        if linear and terms == 1:
+            continue  # solved: enumerate_state proposes nothing
+        used = linear or extended
+        if finisher >= 0:
+            finishers.append(
+                (target, finisher, finisher.bit_count() <= exempt)
+            )
+            factors -= 1
+        if used:
+            others += factors
+        if complement and not (used and constant):
+            others += 1
+    return finishers, others
 
 
 def enumerate_substitutions(

@@ -107,6 +107,28 @@ def test_search_reproduces_golden_record(name):
     assert record(specification, options) == _load_golden()[name]
 
 
+#: Growth rejections plus depth and lower-bound prunes per case, as
+#: counted when every candidate child was substituted.  Finishing
+#: expansions (docs/architecture.md, "Bound the parent") substitute
+#: fewer children and may book a rejection under the other reason, but
+#: no candidate may drop out of the accounting.
+REJECTED_CHILDREN = {
+    "hwb4": 165_310,
+    "random4_seed1": 22_669,
+    "random4_seed2": 10_777,
+    "random4_seed3": 15_081,
+}
+
+
+@pytest.mark.parametrize("name", sorted(REJECTED_CHILDREN))
+def test_every_rejected_child_is_counted(name):
+    stats = _load_golden()[name]["stats"]
+    assert (
+        stats["children_rejected_growth"] + stats["nodes_pruned_depth"]
+        == REJECTED_CHILDREN[name]
+    )
+
+
 def test_golden_file_covers_every_case():
     assert sorted(_load_golden()) == sorted(golden_cases())
 

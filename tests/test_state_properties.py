@@ -6,7 +6,9 @@ on the lane engine.  These properties pin the state operations to the
 system-level oracle on all three backends: same term count, identity
 test, unsolved outputs and dedupe key for every enumerated candidate,
 the same system when one is built back, the same candidate sequence as
-the expansion-level enumeration, and the same errors.
+the expansion-level enumeration, and the same errors.  The finisher
+scan that finishing expansions use instead of the enumeration is
+checked against it here too.
 """
 
 import pytest
@@ -18,7 +20,11 @@ from repro.pprm import PPRMSystem
 from repro.pprm.expansion import Expansion
 from repro.pprm.term import CONSTANT_ONE
 from repro.synth.options import SynthesisOptions
-from repro.synth.substitutions import enumerate_state, enumerate_substitutions
+from repro.synth.substitutions import (
+    enumerate_state,
+    enumerate_substitutions,
+    scan_finishers,
+)
 
 from conftest import SEARCH_BACKENDS
 
@@ -111,6 +117,29 @@ def test_one_enumerator_for_tuples_and_candidates(drawn, options):
         (c.target, c.factor, c.allow_growth)
         for c in enumerate_substitutions(system, options)
     ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(drawn=systems(), options=option_mixes)
+def test_only_finishers_solve_an_output(drawn, options):
+    """Every candidate's child keeps the parent's unsolved outputs, but
+    a finisher solves one more; the scan names exactly the finishers,
+    in candidate order, and counts the rest."""
+    system, engine = drawn
+    state = engine.root_state(system)
+    unsolved = engine.unsolved_count(state)
+    candidates = enumerate_state(state, engine, options)
+    finishers, others = scan_finishers(state, engine, options)
+    assert len(finishers) + others == len(candidates)
+    assert finishers == [
+        candidate for candidate in candidates if candidate in finishers
+    ]
+    for candidate in candidates:
+        target, factor, _ = candidate
+        child = engine.substitute_state(state, target, factor)
+        assert engine.unsolved_count(child) == (
+            unsolved - 1 if candidate in finishers else unsolved
+        )
 
 
 @settings(max_examples=150, deadline=None)
