@@ -232,9 +232,7 @@ def _cmd_synth(args) -> int:
                 print(f"--{flag}: directory does not exist: {directory}",
                       file=sys.stderr)
                 return 2
-    options, registry, phases, jsonl = _attach_observers(
-        args, _options_from_args(args)
-    )
+    options = _options_from_args(args)
     if args.trace_dir:
         options = options.with_(trace_dir=args.trace_dir)
     if getattr(args, "flight_dir", None):
@@ -263,6 +261,15 @@ def _cmd_synth(args) -> int:
         )
     if getattr(args, "no_share_bound", False):
         options = options.with_(portfolio_share_bound=False)
+    if jobs is not None and jobs > 1:
+        # Portfolio workers run without the caller's observers.
+        for flag in ("trace_jsonl", "progress_every"):
+            if getattr(args, flag):
+                print(f"--{flag.replace('_', '-')} does not work with a "
+                      "portfolio run (--jobs above 1 or --strategies); "
+                      "trace it with --trace-dir", file=sys.stderr)
+                return 2
+    options, registry, phases, jsonl = _attach_observers(args, options)
     direction = getattr(args, "direction", None) or (
         "bidirectional" if args.bidirectional else "forward"
     )

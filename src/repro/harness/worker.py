@@ -228,11 +228,11 @@ def _run_portfolio(
             bound = RecordedBound(bound, recorder)
         synth_options = synth_options.with_(bound_channel=bound)
     if session is not None:
-        from repro.obs.spans import SpanProgressObserver
+        from repro.obs.jsonl import ProgressObserver
 
         synth_options = synth_options.with_(
             observers=synth_options.observers
-            + (SpanProgressObserver(session, span),)
+            + (ProgressObserver(every=512, session=session, span=span),)
         )
     registry = None
     if payload.get("metrics"):

@@ -1,18 +1,26 @@
 """Structured observability for the RMRLS search.
 
-The search loop in :mod:`repro.synth.rmrls` reports every notable event
-(steps, expansions, child creation, pruning, solutions, restarts)
-through a single :class:`SearchObserver` dispatch point.  This package
-provides the protocol plus a toolbox of observers:
+The search loop in :mod:`repro.synth.rmrls` keeps its own
+:class:`~repro.synth.stats.SearchStats` counters and reports every
+notable event (steps, expansions, child creation, pruning, solutions,
+restarts) through a single :class:`SearchObserver` dispatch point —
+when an observer is attached; with none it makes no observer call.
+This package provides the protocol plus a toolbox of observers:
 
-* :class:`StatsObserver` / :class:`TraceObserver` — the built-in
-  :class:`~repro.synth.stats.SearchStats` counters and Fig. 5 trace
-  recording, refactored onto the protocol;
+* :class:`~repro.synth.stats.TraceRecorder` (in :mod:`repro.synth`) —
+  the Fig. 5 trace, installed by ``record_trace``; it and
+  :class:`JsonlTraceObserver` take a node's fields from one
+  :func:`node_record` mapping;
 * :class:`MetricsObserver` — counters, gauges, and fixed-bucket
-  histograms in an in-process :class:`MetricsRegistry`;
+  histograms in an in-process :class:`MetricsRegistry`; the effort
+  counters are published from the search's stats at finish;
 * :class:`JsonlTraceObserver` — one JSON object per event, streamed to
   a file for offline analysis;
-* :class:`ProgressObserver` — periodic steps/sec progress lines;
+* :class:`ProgressObserver` — one strided progress record with two
+  sinks: a steps/sec line on stderr, and span events in a trace shard
+  (which ``rmrls top`` reads);
+* :class:`FlightObserver` — the flight recorder's digest fold, used
+  both to record a ring and to check a replay against it;
 * :class:`PhaseTimer` — sampled wall-clock attribution to the four hot
   phases of the search (substitution enumeration, PPRM substitution,
   dedupe-table lookups, queue traffic);
@@ -38,8 +46,7 @@ Distributed tracing lives alongside the per-process observers:
 
 Observers attach through ``SynthesisOptions.observers``; the phase
 timer through ``SynthesisOptions.phase_timer``.  With neither set the
-search pays only for its own counters, exactly as before the
-refactor.
+search pays only for its own counters.
 """
 
 from repro.obs.collate import (
@@ -90,8 +97,7 @@ from repro.obs.observer import (
     MultiObserver,
     NullObserver,
     SearchObserver,
-    StatsObserver,
-    TraceObserver,
+    node_record,
 )
 from repro.obs.phases import PhaseTimer
 from repro.obs.report import (
@@ -107,7 +113,6 @@ from repro.obs.spans import (
     TRACE_SCHEMA,
     TRACE_SCHEMA_VERSION,
     ShardWriter,
-    SpanProgressObserver,
     TraceContext,
     TracedBound,
     TraceSession,
@@ -128,8 +133,7 @@ __all__ = [
     "SearchObserver",
     "NullObserver",
     "MultiObserver",
-    "StatsObserver",
-    "TraceObserver",
+    "node_record",
     "PRUNE_DEPTH",
     "PRUNE_CHILD_DEPTH",
     "PRUNE_LOWER_BOUND",
@@ -160,7 +164,6 @@ __all__ = [
     "WorkerTraceSession",
     "ShardWriter",
     "TracedBound",
-    "SpanProgressObserver",
     "new_trace_id",
     "TraceValidationError",
     "collate_shards",

@@ -437,64 +437,90 @@ class FlightRecorder:
 
 
 class FlightObserver(SearchObserver):
-    """Fold each stride point's step into the digest and ring it (plus
-    every solution, restart, and the finish).
+    """Fold each stride point's step into the digest; ring it (plus
+    every solution, restart, and the finish) or check it.
+
+    Recording: ``FlightObserver(recorder, every)``.  Replay:
+    ``FlightObserver(None, every, expected)`` folds the same digest at
+    the same stride and compares it with ``expected`` (recorded step →
+    digest) wherever a recorded step survived; ``checked`` and
+    ``mismatches`` hold the verdict.
 
     Overrides must be class-level methods for
     :class:`~repro.obs.observer.MultiObserver`'s per-event dispatch
     specialization to route them.
     """
 
-    __slots__ = ("recorder", "every", "digest", "last_step")
+    __slots__ = (
+        "recorder", "every", "digest", "last_step", "expected", "checked",
+        "mismatches",
+    )
 
-    def __init__(self, recorder: FlightRecorder, every: int = DEFAULT_EVERY):
+    def __init__(self, recorder: FlightRecorder | None,
+                 every: int = DEFAULT_EVERY, expected: dict | None = None):
         if every < 1:
             raise ValueError(f"every must be >= 1, got {every}")
         self.recorder = recorder
         self.every = every
         self.digest = 0
         self.last_step = 0
+        self.expected = expected
+        self.checked = 0
+        self.mismatches: list[dict] = []
 
     def on_step(self, step, node, queue_size):
         self.last_step = step
-        # Fold (and ring) only at stride points: per-step work off the
-        # stride is one modulo plus an attribute store, which is what
-        # keeps the recorder inside its <5% budget (the test suite
-        # gates it).  The digest is still cumulative over *all* stride
-        # points — including ones whose ring slots were later
-        # evicted — so any surviving suffix
-        # checks the whole recorded history.  _ReplayObserver folds at
-        # the same stride (recovered from the dump's ``meta.every``),
-        # bit-identically.
-        if step % self.every == 0:
-            self.digest = fold_digest(
-                self.digest, step, node.depth, node.terms, queue_size
-            )
+        # Fold only at stride points: per-step work off the stride is
+        # one modulo plus an attribute store, which is what keeps the
+        # recorder inside its <5% budget (the test suite gates it).
+        # The digest is still cumulative over *all* stride points —
+        # including ones whose ring slots were later evicted — so any
+        # surviving suffix checks the whole recorded history.
+        if step % self.every:
+            return
+        self.digest = fold_digest(
+            self.digest, step, node.depth, node.terms, queue_size
+        )
+        if self.recorder is not None:
             self.recorder.record(
                 "step", step=step, digest=self.digest, depth=node.depth,
                 terms=node.terms, queue=queue_size,
             )
+        if self.expected is not None:
+            recorded = self.expected.get(step)
+            if recorded is not None:
+                self.checked += 1
+                if recorded != self.digest:
+                    self.mismatches.append({
+                        "step": step,
+                        "recorded": recorded,
+                        "replayed": self.digest,
+                    })
 
     def on_solution(self, node, parent):
         self.digest = fold_digest(self.digest, _SALT_SOLUTION, node.depth)
-        self.recorder.record(
-            "solution", step=self.last_step, depth=node.depth,
-            digest=self.digest,
-        )
+        if self.recorder is not None:
+            self.recorder.record(
+                "solution", step=self.last_step, depth=node.depth,
+                digest=self.digest,
+            )
 
     def on_restart(self, seed, queue_size):
         self.digest = fold_digest(
             self.digest, _SALT_RESTART, seed.target, seed.factor
         )
-        self.recorder.record(
-            "restart", step=self.last_step, target=seed.target,
-            factor=seed.factor, digest=self.digest,
-        )
+        if self.recorder is not None:
+            self.recorder.record(
+                "restart", step=self.last_step, target=seed.target,
+                factor=seed.factor, digest=self.digest,
+            )
 
     def on_finish(self, reason, stats):
-        self.recorder.record(
-            "finish", reason=reason, steps=stats.steps, digest=self.digest,
-        )
+        if self.recorder is not None:
+            self.recorder.record(
+                "finish", reason=reason, steps=stats.steps,
+                digest=self.digest,
+            )
 
 
 class RecordedBound:
@@ -769,49 +795,6 @@ def _rebuild_spec(meta: dict):
     raise ValueError(f"cannot rebuild a spec for task kind {kind!r}")
 
 
-class _ReplayObserver(SearchObserver):
-    """Recompute the digest fold; compare at every recorded step."""
-
-    __slots__ = (
-        "expected", "every", "digest", "checked", "mismatches", "last_step",
-    )
-
-    def __init__(self, expected: dict, every: int = DEFAULT_EVERY):
-        self.expected = expected  # step -> recorded digest
-        self.every = max(1, int(every))
-        self.digest = 0
-        self.checked = 0
-        self.mismatches: list[dict] = []
-        self.last_step = 0
-
-    def on_step(self, step, node, queue_size):
-        self.last_step = step
-        # Mirror FlightObserver.on_step exactly: fold only at stride
-        # points, with the stride recovered from the dump's meta.
-        if step % self.every != 0:
-            return
-        self.digest = fold_digest(
-            self.digest, step, node.depth, node.terms, queue_size
-        )
-        recorded = self.expected.get(step)
-        if recorded is not None:
-            self.checked += 1
-            if recorded != self.digest:
-                self.mismatches.append({
-                    "step": step,
-                    "recorded": recorded,
-                    "replayed": self.digest,
-                })
-
-    def on_solution(self, node, parent):
-        self.digest = fold_digest(self.digest, _SALT_SOLUTION, node.depth)
-
-    def on_restart(self, seed, queue_size):
-        self.digest = fold_digest(
-            self.digest, _SALT_RESTART, seed.target, seed.factor
-        )
-
-
 def replay_dump(document: dict) -> dict:
     """Re-run a dump's recorded search; assert it reaches the same state.
 
@@ -856,8 +839,9 @@ def replay_dump(document: dict) -> dict:
     from repro.harness.tasks import options_from_payload
 
     options = options_from_payload(dict(meta["options"]))
-    observer = _ReplayObserver(
-        expected, every=int(meta.get("every") or DEFAULT_EVERY)
+    observer = FlightObserver(
+        None, every=max(1, int(meta.get("every") or DEFAULT_EVERY)),
+        expected=expected,
     )
     adoptions = [
         (decision["poll"], decision["depth"])

@@ -1,11 +1,12 @@
-"""Streaming emission: JSONL event traces and periodic progress lines.
+"""Streaming emission: JSONL event traces and periodic progress records.
 
 :class:`JsonlTraceObserver` writes one append-log line
 (:mod:`repro.applog`) per search event, suitable for ``jq``/pandas
 post-processing of full search runs (unlike
 :class:`~repro.synth.stats.TraceRecorder`, nothing is retained in
-memory).  :class:`ProgressObserver` prints a steps/sec status line
-every N steps for long-running syntheses.
+memory).  :class:`ProgressObserver` builds one progress record every N
+steps and hands it to its sinks: a steps/sec status line, and a trace
+session's span events (which ``rmrls top`` reads).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import sys
 import time
 
 from repro.applog import encode_line
-from repro.obs.observer import SearchObserver
+from repro.obs.observer import SearchObserver, node_record
 
 __all__ = ["JSONL_SCHEMA_VERSION", "JsonlTraceObserver", "ProgressObserver"]
 
@@ -24,16 +25,12 @@ JSONL_SCHEMA_VERSION = 1
 
 
 def _node_fields(node) -> dict:
-    return {
-        "node": node.node_id,
-        "depth": node.depth,
-        "terms": node.terms,
-        "elim": node.elim,
-        "priority": round(node.priority, 6)
-        if node.priority != float("inf")
-        else None,
-        "sub": node.substitution_string(),
-    }
+    fields = node_record(node)
+    priority = fields["priority"]
+    fields["priority"] = (
+        None if priority == float("inf") else round(priority, 6)
+    )
+    return fields
 
 
 class JsonlTraceObserver(SearchObserver):
@@ -118,33 +115,56 @@ class JsonlTraceObserver(SearchObserver):
 
 
 class ProgressObserver(SearchObserver):
-    """Print a one-line status every ``every`` steps.
+    """One strided progress record, handed to up to two sinks.
 
-    The line reports instantaneous steps/sec (since the previous
-    line), current queue size, the best solution depth so far, and the
-    fewest PPRM terms seen on any popped node (distance-to-identity
-    proxy).
+    Every ``every`` steps the observer takes one record: the step, the
+    current queue size, the best solution depth so far, and the fewest
+    PPRM terms seen on any popped node (distance-to-identity proxy).
+
+    * ``stream`` gets a one-line status with the instantaneous
+      steps/sec since the previous line.  It defaults to stderr unless
+      a ``session`` is given.
+    * ``session`` (a :class:`~repro.obs.spans.TraceSession` or worker
+      session) gets a ``progress`` event on ``span``, which
+      ``rmrls top`` tails; each improving solution is reported at once
+      as ``solution_found``, and the finish as ``search_finished``.
     """
 
-    def __init__(self, every: int = 1000, stream=None, clock=time.monotonic):
+    def __init__(self, every: int = 1000, stream=None, clock=time.monotonic,
+                 session=None, span=None):
         if every < 1:
             raise ValueError(f"every must be >= 1, got {every}")
         self.every = every
-        self.stream = stream if stream is not None else sys.stderr
+        if stream is None and session is None:
+            stream = sys.stderr
+        self.stream = stream
         self.clock = clock
+        self.session = session
+        self.span = span
         self._last_time = None
         self._last_step = 0
+        self._queue = 0
         self.best_depth = None
         self.min_terms = None
         self.lines_emitted = 0
 
     def on_step(self, step, node, queue_size):
+        self._queue = queue_size
         if self.min_terms is None or node.terms < self.min_terms:
             self.min_terms = node.terms
         if self._last_time is None:
             self._last_time = self.clock()
             self._last_step = step - 1
-        if step % self.every:
+        if step % self.every == 0:
+            self._report(step, queue_size)
+
+    def _report(self, step, queue_size) -> None:
+        if self.session is not None:
+            self.session.event(
+                "progress", span=self.span, step=step,
+                queue_size=queue_size, best_depth=self.best_depth,
+            )
+        if self.stream is None:
             return
         now = self.clock()
         elapsed = now - self._last_time
@@ -164,6 +184,16 @@ class ProgressObserver(SearchObserver):
     def on_solution(self, node, parent):
         if self.best_depth is None or node.depth < self.best_depth:
             self.best_depth = node.depth
+            if self.session is not None:
+                self.session.event(
+                    "solution_found", span=self.span, depth=node.depth,
+                )
 
     def on_finish(self, reason, stats):
-        self.stream.flush()
+        if self.session is not None:
+            self.session.event(
+                "search_finished", span=self.span, reason=reason,
+                steps=stats.steps, queue_size=self._queue,
+            )
+        if self.stream is not None:
+            self.stream.flush()

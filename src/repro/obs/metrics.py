@@ -333,12 +333,13 @@ class MetricsObserver(SearchObserver):
     Registered metrics (all under the ``search_`` namespace):
 
     * counters ``search_steps``, ``search_expansions``,
-      ``search_children``, ``search_solutions``, ``search_restarts``,
-      ``search_pruned_<reason>`` per prune reason,
-      ``search_guard_<kind>`` per guard-rail event,
-      ``search_finish_<reason>`` per finish reason, and
-      ``hotop_<name>`` per hot-op counter published from
-      ``stats.hot_ops`` at finish (see :mod:`repro.perf.hotops`);
+      ``search_children`` (non-root nodes created),
+      ``search_solutions``, ``search_restarts``,
+      ``search_finish_<reason>`` per finish reason, and ``hotop_<name>``
+      per hot-op counter (see :mod:`repro.perf.hotops`), all published
+      from the search's own ``stats`` at finish;
+    * counters ``search_pruned_<reason>`` per prune reason and
+      ``search_guard_<kind>`` per guard-rail event, counted per event;
     * gauges ``search_queue_size`` (current; max tracks the peak) and
       ``search_best_depth`` (best solution depth so far);
     * histograms ``elim`` (terms eliminated per accepted child),
@@ -369,18 +370,13 @@ class MetricsObserver(SearchObserver):
             self._children_this_expansion = 0
             self._open_expansion = False
 
-    def on_step(self, step, node, queue_size):
-        self._steps.inc()
-
     def on_expand(self, parent):
         self._flush_expansion()
         self._open_expansion = True
-        self._expansions.inc()
 
     def on_child(self, child, parent):
         if parent is None:
             return
-        self._children.inc()
         self._elim.observe(child.elim)
         if self._open_expansion:
             self._children_this_expansion += 1
@@ -392,11 +388,7 @@ class MetricsObserver(SearchObserver):
         self.registry.counter(f"search_guard_{kind}").inc(count)
 
     def on_solution(self, node, parent):
-        self._solutions.inc()
         self._best_depth.set(node.depth)
-
-    def on_restart(self, seed, queue_size):
-        self._restarts.inc()
 
     def on_queue(self, size):
         self._queue_gauge.set(size)
@@ -404,6 +396,11 @@ class MetricsObserver(SearchObserver):
 
     def on_finish(self, reason, stats):
         self._flush_expansion()
+        self._steps.inc(stats.steps)
+        self._expansions.inc(stats.nodes_expanded)
+        self._children.inc(stats.nodes_created - 1)
+        self._solutions.inc(stats.solutions_found)
+        self._restarts.inc(stats.restarts)
         self.registry.counter(f"search_finish_{reason}").inc()
         for name, value in getattr(stats, "hot_ops", {}).items():
             if value:

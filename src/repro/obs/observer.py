@@ -1,13 +1,14 @@
 """The search-observer protocol and its built-in implementations.
 
-:class:`~repro.synth.rmrls._Search` reports every notable search event
-through exactly one observer object.  :class:`StatsObserver` (always
-installed) accumulates the :class:`~repro.synth.stats.SearchStats`
-counters; :class:`TraceObserver` reproduces the Fig. 5
-:class:`~repro.synth.stats.TraceRecorder` stream bit-for-bit; further
-observers (metrics, JSONL, progress) attach via
-``SynthesisOptions.observers`` and are fanned out by
-:class:`MultiObserver`.
+:class:`~repro.synth.rmrls._Search` keeps its own
+:class:`~repro.synth.stats.SearchStats` counters and reports every
+notable search event through at most one observer object: the Fig. 5
+:class:`~repro.synth.stats.TraceRecorder` when ``record_trace`` is set,
+plus any observers attached via ``SynthesisOptions.observers``
+(metrics, JSONL, progress, flight), fanned out by
+:class:`MultiObserver`.  With neither, the search makes no observer
+call at all.  Every sink that records a node takes its fields from
+:func:`node_record`.
 
 Callback contract (all are no-ops on the base class):
 
@@ -46,8 +47,7 @@ __all__ = [
     "SearchObserver",
     "NullObserver",
     "MultiObserver",
-    "StatsObserver",
-    "TraceObserver",
+    "node_record",
     "PRUNE_DEPTH",
     "PRUNE_CHILD_DEPTH",
     "PRUNE_LOWER_BOUND",
@@ -122,6 +122,18 @@ class SearchObserver:
         """The run ended with ``reason`` (see :data:`FINISH_REASONS`)."""
 
 
+def node_record(node) -> dict:
+    """The fields every event sink records for ``node``."""
+    return {
+        "node": node.node_id,
+        "depth": node.depth,
+        "terms": node.terms,
+        "elim": node.elim,
+        "priority": node.priority,
+        "sub": node.substitution_string(),
+    }
+
+
 class NullObserver(SearchObserver):
     """An explicitly zero-overhead observer (all callbacks inherited
     no-ops); useful as a placeholder and in overhead tests."""
@@ -181,90 +193,3 @@ class MultiObserver(SearchObserver):
                 setattr(self, name, getattr(handlers[0], name))
             else:
                 setattr(self, name, _fan_out(handlers, name))
-
-
-class StatsObserver(SearchObserver):
-    """Accumulate :class:`~repro.synth.stats.SearchStats` counters.
-
-    One instance is always installed by the search; it owns no state of
-    its own and writes straight into the shared ``stats`` object.
-    """
-
-    __slots__ = ("stats",)
-
-    def __init__(self, stats):
-        self.stats = stats
-
-    def on_step(self, step, node, queue_size):
-        self.stats.steps += 1
-
-    def on_expand(self, parent):
-        self.stats.nodes_expanded += 1
-
-    def on_child(self, child, parent):
-        self.stats.nodes_created += 1
-
-    def on_prune(self, node, reason, count=1):
-        if reason == PRUNE_GROWTH:
-            self.stats.children_rejected_growth += count
-        elif reason == PRUNE_GREEDY:
-            self.stats.children_pruned_greedy += count
-        else:
-            self.stats.nodes_pruned_depth += count
-
-    def on_solution(self, node, parent):
-        self.stats.solutions_found += 1
-
-    def on_restart(self, seed, queue_size):
-        self.stats.restarts += 1
-
-    def on_queue(self, size):
-        if size > self.stats.peak_queue_size:
-            self.stats.peak_queue_size = size
-
-    def on_guard(self, kind, count=1):
-        if kind == GUARD_VISITED_OVERFLOW:
-            self.stats.visited_overflows += count
-
-    def on_finish(self, reason, stats):
-        self.stats.finish_reason = reason
-        if reason == "timeout":
-            self.stats.timed_out = True
-        elif reason == "step_limit":
-            self.stats.step_limited = True
-        elif reason == "memory_limit":
-            self.stats.memory_limited = True
-        elif reason == "interrupted":
-            self.stats.interrupted = True
-
-
-class TraceObserver(SearchObserver):
-    """Feed a :class:`~repro.synth.stats.TraceRecorder`.
-
-    Emits exactly the event stream the pre-observer search recorded
-    inline: ``pop`` on every step, ``create`` for non-root children,
-    ``prune`` only for pop-time depth prunes, ``solution``, and
-    ``restart``.
-    """
-
-    __slots__ = ("trace",)
-
-    def __init__(self, trace):
-        self.trace = trace
-
-    def on_step(self, step, node, queue_size):
-        self.trace.record("pop", node)
-
-    def on_child(self, child, parent):
-        if parent is not None:
-            self.trace.record("create", child, parent)
-
-    def on_prune(self, node, reason, count=1):
-        if reason == PRUNE_DEPTH:
-            self.trace.record("prune", node)
-
-    def on_solution(self, node, parent):
-        self.trace.record("solution", node, parent)
-
-    def on_restart(self, seed, queue_size):
-        self.trace.record("restart", seed)

@@ -25,10 +25,11 @@ shape (trace → spans → events) with no external dependencies:
   reading lands before the launch time the context carries) the worker
   shifts itself forward so causality is preserved, and records the
   applied offset in its shard's ``meta`` line.
-* :class:`TracedBound` / :class:`SpanProgressObserver` — the two
-  search-side taps: bound publications/adoptions on the portfolio's
-  shared incumbent channel, and periodic progress events (step, queue
-  size, best depth) that feed ``rmrls top``.
+* :class:`TracedBound` — the search-side tap on the portfolio's
+  shared incumbent channel (bound publications/adoptions).  Periodic
+  progress events (step, queue size, best depth) that feed
+  ``rmrls top`` come from :class:`~repro.obs.jsonl.ProgressObserver`
+  with a session as its sink.
 
 Shard record kinds (one append-log line each, ``"v"`` stamped with
 :data:`TRACE_SCHEMA_VERSION`):
@@ -49,7 +50,6 @@ import os
 import time
 
 from repro.applog import AppendLog
-from repro.obs.observer import SearchObserver
 
 __all__ = [
     "TRACE_SCHEMA",
@@ -60,7 +60,6 @@ __all__ = [
     "WorkerTraceSession",
     "SpanHandle",
     "TracedBound",
-    "SpanProgressObserver",
     "new_trace_id",
 ]
 
@@ -348,42 +347,3 @@ class TracedBound:
             self._seen = depth
             self._session.event("bound_adopted", span=self._span, depth=depth)
         return depth
-
-
-class SpanProgressObserver(SearchObserver):
-    """Periodic search progress events for the live dashboard.
-
-    Every ``every`` steps one ``progress`` event (step, queue size,
-    best depth so far) lands in the worker's shard; ``rmrls top`` tails
-    it.  Solutions are always reported immediately.
-    """
-
-    def __init__(self, session, span=None, every: int = 512):
-        if every < 1:
-            raise ValueError(f"every must be >= 1, got {every}")
-        self.session = session
-        self.span = span
-        self.every = every
-        self._best = None
-        self._queue = 0
-
-    def on_step(self, step, node, queue_size):
-        self._queue = queue_size
-        if step % self.every == 0:
-            self.session.event(
-                "progress", span=self.span, step=step,
-                queue_size=queue_size, best_depth=self._best,
-            )
-
-    def on_solution(self, node, parent):
-        if self._best is None or node.depth < self._best:
-            self._best = node.depth
-            self.session.event(
-                "solution_found", span=self.span, depth=node.depth,
-            )
-
-    def on_finish(self, reason, stats):
-        self.session.event(
-            "search_finished", span=self.span, reason=reason,
-            steps=stats.steps, queue_size=self._queue,
-        )

@@ -722,6 +722,10 @@ def _merge_fleet(
         summary.winner_rank = winner.solution_rank
         summary.winner_variant = winner.variant
         fleet.finish_reason = winner.finish_reason or "solved"
+        # Merging keeps the last slice's gauge value; the fleet's best
+        # depth is the answer's.
+        for registry in registries:
+            registry.gauge("search_best_depth").set(circuit.gate_count())
     else:
         fleet.finish_reason = _merged_finish_reason(summary.slices)
         fleet.timed_out = fleet.timed_out or fleet.finish_reason == "timeout"

@@ -9,11 +9,12 @@ extended substitutions and the Sec. IV-E heuristics (greedy per-variable
 pruning, restarts from alternative first-level substitutions) available
 through :class:`~repro.synth.options.SynthesisOptions`.
 
-Every notable search event is reported through a single
-:class:`~repro.obs.observer.SearchObserver` dispatch point: the
-:class:`SearchStats` counters and the Fig. 5 trace are the two built-in
-observers, and callers can attach more (metrics, JSONL, progress) via
-``SynthesisOptions.observers`` without touching this module.
+The search keeps its :class:`SearchStats` counters itself, next to its
+hot-op counters.  Every notable search event is also reported through a
+single :class:`~repro.obs.observer.SearchObserver` dispatch point, when
+there is anyone to report to: the Fig. 5 :class:`TraceRecorder` under
+``record_trace``, and whatever callers attach (metrics, JSONL,
+progress) via ``SynthesisOptions.observers``.
 """
 
 from __future__ import annotations
@@ -32,8 +33,6 @@ from repro.obs.observer import (
     PRUNE_GROWTH,
     PRUNE_LOWER_BOUND,
     MultiObserver,
-    StatsObserver,
-    TraceObserver,
 )
 from repro.perf.hotops import HotOpCounters, global_counters
 from repro.pprm.engine import search_engine
@@ -130,15 +129,16 @@ class _Search:
         self.identity_state = self.engine.identity_state(system.num_vars)
         self.stats = SearchStats(initial_terms=system.term_count())
         self.trace = TraceRecorder() if options.record_trace else None
-        observers = [StatsObserver(self.stats)]
-        if self.trace is not None:
-            observers.append(TraceObserver(self.trace))
+        observers = [] if self.trace is None else [self.trace]
         observers.extend(options.observers)
-        # Single dispatch point: the common single-observer case skips
-        # the MultiObserver fan-out loop entirely.
-        self.observer = (
-            observers[0] if len(observers) == 1 else MultiObserver(observers)
-        )
+        # Single dispatch point, or none: every call site checks for
+        # ``None``, and a single observer skips the fan-out loop.
+        if not observers:
+            self.observer = None
+        elif len(observers) == 1:
+            self.observer = observers[0]
+        else:
+            self.observer = MultiObserver(observers)
         self.phases = options.phase_timer
         # Always-on hot-operation counters (plain integer adds; the
         # measured overhead budget is 5 % — see docs/benchmarking.md).
@@ -174,7 +174,9 @@ class _Search:
 
     def _make_root(self, state, terms: int) -> SearchNode:
         root = SearchNode.root(state, terms, node_id=self._claim_id())
-        self.observer.on_child(root, None)
+        self.stats.nodes_created += 1
+        if self.observer is not None:
+            self.observer.on_child(root, None)
         return root
 
     def _claim_id(self) -> int:
@@ -186,14 +188,12 @@ class _Search:
 
     def run(self) -> SearchNode | None:
         """Execute the Fig. 4 loop; return the best solution node."""
-        observer = self.observer
         if self.system.is_identity():
-            self._seal_hot_ops()
-            observer.on_finish("identity", self.stats)
+            self._finish("identity")
             return self.root
         self.queue.push(self.root)
         self.hot.queue_pushes += 1
-        observer.on_queue(len(self.queue))
+        self._queue_changed()
         try:
             reason = self._loop()
         except KeyboardInterrupt:
@@ -201,9 +201,23 @@ class _Search:
             # "interrupted", best solution so far) instead of a lost
             # run; sweep drivers check ``stats.interrupted`` to stop.
             reason = "interrupted"
-        self._seal_hot_ops()
-        observer.on_finish(reason, self.stats)
+        self._finish(reason)
         return self.best_node
+
+    def _finish(self, reason: str) -> None:
+        """Seal the counters and report the finish."""
+        self._seal_hot_ops()
+        self.stats.finish(reason)
+        if self.observer is not None:
+            self.observer.on_finish(reason, self.stats)
+
+    def _queue_changed(self) -> None:
+        """Track the queue's peak and report its new size."""
+        size = len(self.queue)
+        if size > self.stats.peak_queue_size:
+            self.stats.peak_queue_size = size
+        if self.observer is not None:
+            self.observer.on_queue(size)
 
     def _seal_hot_ops(self) -> None:
         """Snapshot the hot-op counters into the stats (so reports and
@@ -228,6 +242,7 @@ class _Search:
     def _loop(self) -> str:
         """The search loop proper; returns the finish reason."""
         observer = self.observer
+        stats = self.stats
         phases = self.phases
         # The deadline is polled every deadline_poll_steps iterations;
         # a countdown starting at zero guarantees the very first
@@ -259,7 +274,7 @@ class _Search:
                 bound_countdown -= 1
             if (
                 self.options.max_steps is not None
-                and self.stats.steps >= self.options.max_steps
+                and stats.steps >= self.options.max_steps
             ):
                 return "step_limit"
             if (
@@ -270,7 +285,7 @@ class _Search:
             ):
                 continue
 
-            step = self.stats.steps
+            step = stats.steps
             timed = phases is not None and phases.start_step(step)
             self.timed_step = timed
             self.steps_since_restart += 1
@@ -280,9 +295,13 @@ class _Search:
             if timed:
                 phases.add("queue", phases.clock() - start)
             self.hot.queue_pops += 1
-            observer.on_step(step + 1, parent, len(self.queue))
+            stats.steps = step + 1
+            if observer is not None:
+                observer.on_step(step + 1, parent, len(self.queue))
             if parent.depth >= self.best_depth - 1:
-                observer.on_prune(parent, PRUNE_DEPTH)
+                stats.nodes_pruned_depth += 1
+                if observer is not None:
+                    observer.on_prune(parent, PRUNE_DEPTH)
                 continue
             self._expand(parent)
             if self.options.stop_at_first and self.best_node is not None:
@@ -303,7 +322,10 @@ class _Search:
         "Bound the parent" in docs/architecture.md).
         """
         observer = self.observer
-        observer.on_expand(parent)
+        stats = self.stats
+        stats.nodes_expanded += 1
+        if observer is not None:
+            observer.on_expand(parent)
         options = self.options
         engine = self.engine
         hot = self.hot
@@ -358,7 +380,9 @@ class _Search:
                         )
                         self.best_depth = depth
                         self.best_node = child
-                        observer.on_solution(child, parent)
+                        stats.solutions_found += 1
+                        if observer is not None:
+                            observer.on_solution(child, parent)
                         if self.bound is not None:
                             self.bound.publish(depth)
                         if options.stop_at_first:
@@ -394,7 +418,9 @@ class _Search:
             # none).
             pruned, reason = others, PRUNE_LOWER_BOUND
         if pruned:
-            observer.on_prune(parent, reason, pruned)
+            stats.nodes_pruned_depth += pruned
+            if observer is not None:
+                observer.on_prune(parent, reason, pruned)
         keep_growth = not any_decreasing and options.growth_when_stuck
         if keep_growth and others and any(
             elim <= 0 and not allow_growth
@@ -412,7 +438,9 @@ class _Search:
                 # Fig. 4 line 31 discards growth children; the Sec. IV-F
                 # convergence proof keeps them.  We keep them only when
                 # the node is otherwise stuck (no decreasing child).
-                observer.on_prune(parent, PRUNE_GROWTH)
+                stats.children_rejected_growth += 1
+                if observer is not None:
+                    observer.on_prune(parent, PRUNE_GROWTH)
                 continue
             if visited is not None:
                 # The state is the dedupe key.
@@ -429,7 +457,7 @@ class _Search:
                     hot.dedupe_hits += 1
                     continue
             priority_elim = (
-                self.stats.initial_terms - terms
+                stats.initial_terms - terms
                 if options.cumulative_elim_priority
                 else elim
             )
@@ -451,8 +479,10 @@ class _Search:
         for children in per_variable.values():
             if options.greedy_k is not None and len(children) > options.greedy_k:
                 children.sort(key=lambda node: node.priority, reverse=True)
-                dropped = children[options.greedy_k :]
-                observer.on_prune(parent, PRUNE_GREEDY, len(dropped))
+                dropped = len(children) - options.greedy_k
+                stats.children_pruned_greedy += dropped
+                if observer is not None:
+                    observer.on_prune(parent, PRUNE_GREEDY, dropped)
                 children = children[: options.greedy_k]
             for child in children:
                 if parent.is_root():
@@ -465,10 +495,10 @@ class _Search:
                 hot.queue_pushes += 1
                 pushed = True
         if pushed:
-            # One callback per expansion: the queue only grows while a
+            # One update per expansion: the queue only grows while a
             # node expands, so the final size equals the running peak
             # and per-push notifications would add nothing but overhead.
-            observer.on_queue(len(self.queue))
+            self._queue_changed()
         if parent.is_root() and self._seed_restriction is not None:
             self._restrict_first_level()
         parent.release_state()
@@ -522,7 +552,9 @@ class _Search:
             and cap is not None
             and len(self.visited) >= cap
         ):
-            self.observer.on_guard(GUARD_VISITED_OVERFLOW)
+            self.stats.visited_overflows += 1
+            if self.observer is not None:
+                self.observer.on_guard(GUARD_VISITED_OVERFLOW)
             return
         self.hot.dedupe_inserts += 1
         self.visited[child_key] = depth
@@ -541,7 +573,9 @@ class _Search:
             priority=priority,
             node_id=self._claim_id(),
         )
-        self.observer.on_child(child, parent)
+        self.stats.nodes_created += 1
+        if self.observer is not None:
+            self.observer.on_child(child, parent)
         return child
 
     # -- portfolio wiring (see repro.parallel) -----------------------------
@@ -574,12 +608,12 @@ class _Search:
         ordered = self._ranked_first_level()
         keep = [ordered[rank] for rank in allowed if rank < len(ordered)]
         self.queue.clear()
-        self.observer.on_queue(0)
+        self._queue_changed()
         self.first_level = keep
         for seed in keep:
             self.queue.push(seed)
             self.hot.queue_pushes += 1
-        self.observer.on_queue(len(self.queue))
+        self._queue_changed()
 
     # -- restarts (Sec. IV-E) ----------------------------------------------------------
 
@@ -635,12 +669,14 @@ class _Search:
         hot.restart_dropped_nodes += len(self.queue)
         self.queue.clear()
         # Queue-size gauges must see the clear, not just the pushes.
-        self.observer.on_queue(0)
+        self._queue_changed()
         self.queue.push(seed)
         hot.queue_pushes += 1
-        self.observer.on_queue(len(self.queue))
+        self._queue_changed()
         self.steps_since_restart = 0
-        self.observer.on_restart(seed, len(self.queue))
+        self.stats.restarts += 1
+        if self.observer is not None:
+            self.observer.on_restart(seed, len(self.queue))
         return True
 
 
@@ -676,10 +712,8 @@ class FirstLevel:
     shortcut: SynthesisResult | None = None
 
 
-def _finalize_search(search: _Search, reason: str, best) -> SynthesisResult:
-    """Seal a search that never entered (or already left) the loop."""
-    search._seal_hot_ops()
-    search.observer.on_finish(reason, search.stats)
+def _result(search: _Search, best) -> SynthesisResult:
+    """The result of a finished search whose best solution is ``best``."""
     search.stats.elapsed_seconds = search.deadline.elapsed()
     circuit = None
     if best is not None:
@@ -692,6 +726,12 @@ def _finalize_search(search: _Search, reason: str, best) -> SynthesisResult:
         engine=search.engine.name,
         trace=search.trace,
     )
+
+
+def _finalize_search(search: _Search, reason: str, best) -> SynthesisResult:
+    """Seal a search that never entered (or already left) the loop."""
+    search._finish(reason)
+    return _result(search, best)
 
 
 def enumerate_first_level(
@@ -724,7 +764,7 @@ def enumerate_first_level(
         )
     search.queue.push(search.root)
     search.hot.queue_pushes += 1
-    search.observer.on_queue(len(search.queue))
+    search._queue_changed()
     root = search.queue.pop()
     search.hot.queue_pops += 1
     search._expand(root)
@@ -786,18 +826,5 @@ def synthesize(
         from repro.parallel.portfolio import synthesize_portfolio
 
         return synthesize_portfolio(specification, options)
-    system = _as_system(specification)
-    search = _Search(system, options)
-    best = search.run()
-    search.stats.elapsed_seconds = search.deadline.elapsed()
-    circuit = None
-    if best is not None:
-        circuit = Circuit(system.num_vars, best.gate_sequence())
-    return SynthesisResult(
-        circuit=circuit,
-        stats=search.stats,
-        options=options,
-        num_vars=system.num_vars,
-        engine=search.engine.name,
-        trace=search.trace,
-    )
+    search = _Search(_as_system(specification), options)
+    return _result(search, search.run())

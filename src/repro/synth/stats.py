@@ -1,16 +1,27 @@
 """Search statistics and optional trace recording.
 
-:class:`SearchStats` summarizes a run for the experiment tables;
-:class:`TraceRecorder` captures the search-tree events needed to
-regenerate Figs. 5 and 6 (node creation with priorities, pops, pruning
-decisions, solutions).
+:class:`SearchStats` summarizes a run for the experiment tables; the
+search writes it directly.  :class:`TraceRecorder` is the observer that
+captures the search-tree events needed to regenerate Figs. 5 and 6
+(node creation with priorities, pops, pruning decisions, solutions).
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, fields
 
+from repro.obs.observer import PRUNE_DEPTH, SearchObserver, node_record
+
 __all__ = ["SearchStats", "TraceEvent", "TraceRecorder"]
+
+
+#: The budget flag each budget-bound finish reason raises.
+_BUDGET_FLAGS = {
+    "timeout": "timed_out",
+    "step_limit": "step_limited",
+    "memory_limit": "memory_limited",
+    "interrupted": "interrupted",
+}
 
 
 @dataclass
@@ -53,6 +64,13 @@ class SearchStats:
         known = {f.name for f in fields(cls)}
         return cls(**{k: v for k, v in data.items() if k in known})
 
+    def finish(self, reason: str) -> None:
+        """Record why the run ended, raising its budget flag if any."""
+        self.finish_reason = reason
+        flag = _BUDGET_FLAGS.get(reason)
+        if flag is not None:
+            setattr(self, flag, True)
+
     def merge(self, other: "SearchStats") -> None:
         """Fold another run's counters into this one (fleet totals).
 
@@ -73,9 +91,7 @@ class SearchStats:
         self.elapsed_seconds = max(self.elapsed_seconds, other.elapsed_seconds)
         if not self.initial_terms:
             self.initial_terms = other.initial_terms
-        for flag in (
-            "timed_out", "step_limited", "memory_limited", "interrupted"
-        ):
+        for flag in _BUDGET_FLAGS.values():
             setattr(self, flag, getattr(self, flag) or getattr(other, flag))
         for key, value in other.hot_ops.items():
             if isinstance(value, (int, float)):
@@ -98,25 +114,48 @@ class TraceEvent:
 
 
 @dataclass
-class TraceRecorder:
-    """Accumulates :class:`TraceEvent` items when tracing is enabled."""
+class TraceRecorder(SearchObserver):
+    """Accumulates :class:`TraceEvent` items when tracing is enabled.
+
+    As an observer it records ``pop`` on every step, ``create`` for
+    non-root children, ``prune`` only for pop-time depth prunes,
+    ``solution``, and ``restart``.
+    """
 
     events: list[TraceEvent] = field(default_factory=list)
 
     def record(self, kind: str, node, parent=None) -> None:
         """Record one event for ``node``."""
+        data = node_record(node)
         self.events.append(
             TraceEvent(
                 kind=kind,
-                node_id=node.node_id,
+                node_id=data["node"],
                 parent_id=None if parent is None else parent.node_id,
-                depth=node.depth,
-                substitution=node.substitution_string(),
-                terms=node.terms,
-                elim=node.elim,
-                priority=node.priority,
+                depth=data["depth"],
+                substitution=data["sub"],
+                terms=data["terms"],
+                elim=data["elim"],
+                priority=data["priority"],
             )
         )
+
+    def on_step(self, step, node, queue_size):
+        self.record("pop", node)
+
+    def on_child(self, child, parent):
+        if parent is not None:
+            self.record("create", child, parent)
+
+    def on_prune(self, node, reason, count=1):
+        if reason == PRUNE_DEPTH:
+            self.record("prune", node)
+
+    def on_solution(self, node, parent):
+        self.record("solution", node, parent)
+
+    def on_restart(self, seed, queue_size):
+        self.record("restart", seed)
 
     def render(self) -> str:
         """Render the trace as the Fig. 5-style narration."""

@@ -178,6 +178,26 @@ class TestObservabilityFlags:
         err = capsys.readouterr().err
         assert "[rmrls] step=" in err
 
+    @pytest.mark.parametrize(
+        "flag,value", [("--trace-jsonl", None), ("--progress-every", "1")]
+    )
+    @pytest.mark.parametrize(
+        "portfolio", [["--jobs", "2"], ["--strategies", "default"]]
+    )
+    def test_portfolio_rejects_per_event_flags(
+        self, capsys, tmp_path, flag, value, portfolio
+    ):
+        # Portfolio workers run without the caller's observers, so the
+        # flag would silently do nothing.
+        path = tmp_path / "trace.jsonl"
+        code = main(
+            ["synth", "--spec", "1,0,7,2,3,4,5,6", *portfolio,
+             flag, value if value is not None else str(path)]
+        )
+        assert code == 2
+        assert flag in capsys.readouterr().err
+        assert not path.exists()
+
 
 class TestProfileCommand:
     def test_profile_spec(self, capsys):

@@ -15,7 +15,7 @@ import pytest
 
 from repro.functions.permutation import Permutation
 from repro.harness import WorkerPool, permutation_task
-from repro.obs import SpanProgressObserver, TraceSession
+from repro.obs import ProgressObserver, TraceSession
 from repro.obs.flight import (
     DUMP_STATUSES,
     EVERY_ENV_VAR,
@@ -252,7 +252,8 @@ class TestOverheadBudget:
         session = TraceSession.create(str(tmp_path))
         try:
             span = session.begin_span("search")
-            step_ns = _per_call_ns(SpanProgressObserver(session, span).on_step)
+            observer = ProgressObserver(every=512, session=session, span=span)
+            step_ns = _per_call_ns(observer.on_step)
             span.end(status="ok")
         finally:
             session.close()

@@ -1,5 +1,10 @@
 """Tests for the SearchObserver protocol and built-in observers."""
 
+import ast
+import random
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.functions.permutation import Permutation
@@ -9,11 +14,10 @@ from repro.obs.observer import (
     PRUNE_GREEDY,
     PRUNE_GROWTH,
     PRUNE_LOWER_BOUND,
+    FINISH_REASONS,
     MultiObserver,
     NullObserver,
     SearchObserver,
-    StatsObserver,
-    TraceObserver,
 )
 from repro.pprm.system import PPRMSystem
 from repro.synth.node import SearchNode
@@ -88,22 +92,38 @@ class TestProtocol:
         assert [call[0] for call in first.calls] == ["step", "child", "finish"]
 
 
+def _restarting_search(*observers):
+    """A 4-variable search that restarts, solves twice and fires every
+    prune reason."""
+    images = list(range(16))
+    random.Random(4).shuffle(images)
+    return synthesize(
+        Permutation(images),
+        SynthesisOptions(
+            max_steps=3_000, greedy_k=1, restart_steps=100,
+            observers=observers,
+        ),
+    )
+
+
+def _tally(calls, kind):
+    return sum(1 for call in calls if call[0] == kind)
+
+
 class TestStatsObserver:
+    """The search keeps ``SearchStats`` itself; every counter must agree
+    with the events an attached observer sees."""
+
     def test_counter_mapping(self):
-        root, child = _nodes()
-        stats = SearchStats()
-        observer = StatsObserver(stats)
-        observer.on_child(root, None)
-        observer.on_child(child, root)
-        observer.on_step(1, root, 5)
-        observer.on_expand(root)
-        observer.on_solution(child, root)
-        observer.on_restart(child, 1)
-        assert stats.nodes_created == 2
-        assert stats.steps == 1
-        assert stats.nodes_expanded == 1
-        assert stats.solutions_found == 1
-        assert stats.restarts == 1
+        recorder = RecordingObserver()
+        stats = _restarting_search(recorder).stats
+        calls = recorder.calls
+        assert stats.restarts > 0 and stats.solutions_found > 1
+        assert stats.nodes_created == _tally(calls, "child")
+        assert stats.steps == _tally(calls, "step")
+        assert stats.nodes_expanded == _tally(calls, "expand")
+        assert stats.solutions_found == _tally(calls, "solution")
+        assert stats.restarts == _tally(calls, "restart")
 
     @pytest.mark.parametrize(
         "reason,field",
@@ -116,43 +136,148 @@ class TestStatsObserver:
         ],
     )
     def test_prune_reason_mapping(self, reason, field):
-        stats = SearchStats()
-        StatsObserver(stats).on_prune(None, reason, 3)
-        assert getattr(stats, field) == 3
+        buckets = {
+            PRUNE_DEPTH: "nodes_pruned_depth",
+            PRUNE_CHILD_DEPTH: "nodes_pruned_depth",
+            PRUNE_LOWER_BOUND: "nodes_pruned_depth",
+            PRUNE_GROWTH: "children_rejected_growth",
+            PRUNE_GREEDY: "children_pruned_greedy",
+        }
+        recorder = RecordingObserver()
+        stats = _restarting_search(recorder).stats
+        pruned = {}
+        for call in recorder.calls:
+            if call[0] == "prune":
+                pruned[call[1]] = pruned.get(call[1], 0) + call[2]
+        assert pruned.get(reason, 0) > 0
+        assert getattr(stats, field) == sum(
+            count for name, count in pruned.items() if buckets[name] == field
+        )
 
     def test_peak_queue_tracks_maximum(self):
-        stats = SearchStats()
-        observer = StatsObserver(stats)
-        for size in (2, 9, 4, 0):
-            observer.on_queue(size)
-        assert stats.peak_queue_size == 9
+        recorder = RecordingObserver()
+        stats = _restarting_search(recorder).stats
+        sizes = [call[1] for call in recorder.calls if call[0] == "queue"]
+        # Restarts clear the queue, so the last size is not the peak.
+        assert 0 in sizes and sizes[-1] < max(sizes)
+        assert stats.peak_queue_size == max(sizes)
 
-    def test_finish_sets_budget_flags(self):
-        for reason, flag in (("timeout", "timed_out"),
-                             ("step_limit", "step_limited")):
-            stats = SearchStats()
-            StatsObserver(stats).on_finish(reason, stats)
-            assert getattr(stats, flag)
-        stats = SearchStats()
-        StatsObserver(stats).on_finish("solved", stats)
-        assert not stats.timed_out and not stats.step_limited
+    def test_finish_sets_budget_flags(self, fig1_spec):
+        class Interrupt(SearchObserver):
+            def on_step(self, step, node, queue_size):
+                if step == 3:
+                    raise KeyboardInterrupt
+
+        hard = Permutation(list(range(1, 16)) + [0])
+        runs = {
+            "identity": (Permutation([0, 1, 2, 3]), {}),
+            "solved": (fig1_spec, {}),
+            "queue_exhausted": (fig1_spec, {"max_gates": 1}),
+            "timeout": (hard, {"time_limit": 0}),
+            "step_limit": (hard, {"max_steps": 3}),
+            "memory_limit": (hard, {"max_nodes": 2}),
+            "interrupted": (hard, {"observers": (Interrupt(),)}),
+        }
+        assert set(runs) == set(FINISH_REASONS)
+        flags = {
+            "timeout": "timed_out",
+            "step_limit": "step_limited",
+            "memory_limit": "memory_limited",
+            "interrupted": "interrupted",
+        }
+        for reason, (spec, changes) in runs.items():
+            stats = synthesize(spec, SynthesisOptions(**changes)).stats
+            assert stats.finish_reason == reason
+            for flag in flags.values():
+                assert getattr(stats, flag) == (flags.get(reason) == flag), (
+                    reason, flag,
+                )
 
 
 class TestTraceObserver:
+    """``TraceRecorder`` is itself the Fig. 5 trace observer."""
+
     def test_event_stream_matches_recorder_semantics(self):
         root, child = _nodes()
         trace = TraceRecorder()
-        observer = TraceObserver(trace)
-        observer.on_child(root, None)       # root creation: not recorded
-        observer.on_step(1, root, 1)        # pop
-        observer.on_child(child, root)      # create
-        observer.on_prune(child, PRUNE_GROWTH)       # not recorded
-        observer.on_prune(child, PRUNE_CHILD_DEPTH)  # not recorded
-        observer.on_prune(child, PRUNE_DEPTH)        # recorded
-        observer.on_solution(child, root)
-        observer.on_restart(child, 1)
+        trace.on_child(root, None)       # root creation: not recorded
+        trace.on_step(1, root, 1)        # pop
+        trace.on_child(child, root)      # create
+        trace.on_prune(child, PRUNE_GROWTH)       # not recorded
+        trace.on_prune(child, PRUNE_CHILD_DEPTH)  # not recorded
+        trace.on_prune(child, PRUNE_DEPTH)        # recorded
+        trace.on_solution(child, root)
+        trace.on_restart(child, 1)
         kinds = [event.kind for event in trace.events]
         assert kinds == ["pop", "create", "prune", "solution", "restart"]
+
+
+class TestNoObserver:
+    def test_untraced_search_without_observers_makes_no_observer_call(
+        self, fig1_spec
+    ):
+        def observer_calls(options):
+            seen = []
+
+            def profile(frame, event, arg):
+                if event == "call" and frame.f_code.co_name.startswith("on_"):
+                    seen.append(frame.f_code.co_name)
+
+            sys.setprofile(profile)
+            try:
+                result = synthesize(fig1_spec, options)
+            finally:
+                sys.setprofile(None)
+            assert result.solved
+            return seen
+
+        assert observer_calls(SynthesisOptions()) == []
+        # The probe does see calls once anyone listens.
+        assert "on_step" in observer_calls(
+            SynthesisOptions(observers=(NullObserver(),))
+        )
+        assert "on_step" in observer_calls(SynthesisOptions(record_trace=True))
+
+
+def _observer_classes(root):
+    """Names of every class under ``root`` that derives, directly or
+    through another such class, from ``SearchObserver``."""
+    bases = {}
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                bases[node.name] = {
+                    base.id if isinstance(base, ast.Name) else base.attr
+                    for base in node.bases
+                    if isinstance(base, (ast.Name, ast.Attribute))
+                }
+    found = {"SearchObserver"}
+    grown = True
+    while grown:
+        grown = False
+        for name, parents in bases.items():
+            if name not in found and parents & found:
+                found.add(name)
+                grown = True
+    return found - {"SearchObserver"}
+
+
+class TestObserverRegrowth:
+    def test_observer_set_is_pinned(self):
+        src = Path(__file__).resolve().parent.parent / "src" / "repro"
+        assert _observer_classes(src) == {
+            "NullObserver",
+            "MultiObserver",
+            "TraceRecorder",
+            "MetricsObserver",
+            "JsonlTraceObserver",
+            "ProgressObserver",
+            "FlightObserver",
+        }, (
+            "a new SearchObserver subclass: fold it into an existing "
+            "observer, or count it in the search's own stats"
+        )
 
 
 class TestSearchIntegration:
@@ -177,8 +302,7 @@ class TestSearchIntegration:
         builtin = synthesize(fig1_spec, options.with_(record_trace=True))
         external_trace = TraceRecorder()
         external = synthesize(
-            fig1_spec,
-            options.with_(observers=(TraceObserver(external_trace),)),
+            fig1_spec, options.with_(observers=(external_trace,)),
         )
         assert external.circuit == builtin.circuit
         assert external_trace.events == builtin.trace.events

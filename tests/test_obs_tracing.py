@@ -19,8 +19,8 @@ from repro.functions.permutation import Permutation
 from repro.harness import HarnessConfig, RetryPolicy, probe_task, run_sweep
 from repro.obs import (
     MetricsRegistry,
+    ProgressObserver,
     ShardWriter,
-    SpanProgressObserver,
     TRACE_SCHEMA,
     TRACE_SCHEMA_VERSION,
     TraceContext,
@@ -814,7 +814,7 @@ class TestSpanProgressObserver:
 
         session = TraceSession.create(str(tmp_path))
         span = session.begin_span("task:perm")
-        observer = SpanProgressObserver(session, span, every=8)
+        observer = ProgressObserver(every=8, session=session, span=span)
         result = synthesize(
             Permutation([1, 0, 3, 2, 5, 7, 4, 6]),
             SynthesisOptions(observers=(observer,)),
@@ -837,4 +837,4 @@ class TestSpanProgressObserver:
 
     def test_every_must_be_positive(self):
         with pytest.raises(ValueError):
-            SpanProgressObserver(None, every=0)
+            ProgressObserver(every=0, session=None)

@@ -277,6 +277,20 @@ class TestFleetMerging:
         )
         assert merged_steps > 0
 
+    @pytest.mark.parametrize("share_bound", [True, False])
+    def test_merged_best_depth_is_the_fleet_answer(
+        self, fig1_spec, share_bound
+    ):
+        registry = MetricsRegistry()
+        options = SynthesisOptions(
+            observers=(MetricsObserver(registry),), portfolio_jobs=2,
+            portfolio_share_bound=share_bound,
+        )
+        result = synthesize(fig1_spec, options)
+        assert result.solved and len(result.portfolio.slices) == 2
+        gauge = registry.gauge("search_best_depth")
+        assert gauge.value == result.gate_count
+
 
 class TestServingDegenerateFleets:
     def test_jobs_1_is_serial_with_summary(self, fig1_spec):
