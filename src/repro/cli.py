@@ -47,8 +47,8 @@ fleet metrics derived from the trace — in Prometheus text format.
 Durable synthesis cache (see docs/robustness.md): ``rmrls serve``
 answers synthesis requests over a unix socket through the crash-safe
 canonical circuit store — hits replay a stored circuit onto the
-caller's wire order, misses are single-flighted and batched onto the
-worker pool, and the result seeds the store.  ``rmrls store`` has the
+caller's wire order, misses are single-flighted onto the worker pool
+as they arrive, and the verified result seeds the store.  ``rmrls store`` has the
 offline tools (``stats``, ``verify [--deep] [--repair]``, ``gc``,
 ``export``), all emitting JSON.  ``rmrls sweep --store DIR`` warms a
 store from every circuit a sweep synthesizes; ``--fsync-ledger``

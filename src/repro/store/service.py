@@ -7,7 +7,11 @@ circuit relabeled back onto the caller's wires and re-verified by
 simulation before it is served), and otherwise synthesized on the PR-2
 :class:`~repro.harness.pool.WorkerPool` — with all concurrently
 arriving requests for the same canonical class *single-flighted* onto
-one search, and consecutive misses batched onto one pool run.
+one search.  An idle batcher starts a miss the moment it arrives;
+misses that arrive while a pool run is in flight share the next run.
+A synthesized circuit is simulation-verified against the canonical
+class before it is stored, and again on the caller's wires before it
+is served; a circuit failing either check is answered ``unsound``.
 
 The service never fails a request because of the cache:
 
@@ -104,12 +108,11 @@ def parse_images(spec) -> list[int]:
 class _Flight:
     """One in-flight canonical class: a result slot plus its latch."""
 
-    __slots__ = ("event", "result", "waiters")
+    __slots__ = ("event", "result")
 
     def __init__(self):
         self.event = threading.Event()
         self.result = None
-        self.waiters = 0
 
 
 class SynthesisService:
@@ -122,7 +125,6 @@ class SynthesisService:
         jobs: int = 1,
         metrics: MetricsRegistry | None = None,
         trace=None,
-        batch_window_seconds: float = 0.05,
         verify_hits: bool = True,
         wall_seconds: float | None = None,
         mem_limit_mb: int | None = None,
@@ -135,7 +137,6 @@ class SynthesisService:
         )
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.trace = trace
-        self.batch_window_seconds = batch_window_seconds
         self.verify_hits = verify_hits
         self.flight = None
         if flight_dir:
@@ -312,6 +313,11 @@ class SynthesisService:
             cache = "miss"
         flight.event.wait()
         result = flight.result
+        if result["status"] == "ok":
+            circuit = canonical.from_canonical(result["circuit"])
+            if not circuit.implements(permutation):
+                result = {"status": "unsound",
+                          "error": "relabeled circuit fails simulation"}
 
         if result["status"] != "ok":
             if result["status"] == "unsolved":
@@ -325,8 +331,6 @@ class SynthesisService:
                 "gates": None,
                 "error": result.get("error"),
             }
-        canonical_circuit = load_real(result["real"])
-        circuit = canonical.from_canonical(canonical_circuit)
         return {
             **base,
             "status": "ok",
@@ -373,7 +377,6 @@ class SynthesisService:
         with self._cond:
             flight = self._flights.get(canonical.key)
             if flight is not None:
-                flight.waiters += 1
                 return flight, False
             flight = _Flight()
             self._flights[canonical.key] = flight
@@ -386,24 +389,21 @@ class SynthesisService:
     # -- the miss batcher ------------------------------------------------------
 
     def _batch_loop(self):
+        # Everything queued when the batcher wakes is one pool run; misses
+        # arriving during that run queue up as the next one.
         while True:
             with self._cond:
                 while not self._queue and not self._stopped:
-                    self._cond.wait(timeout=0.5)
-                if self._stopped and not self._queue:
+                    self._cond.wait()
+                if not self._queue:
                     return
-            # Let a burst of misses accumulate into one pool run.
-            if self.batch_window_seconds > 0:
-                time.sleep(self.batch_window_seconds)
-            with self._cond:
                 jobs, self._queue = self._queue, []
-            if jobs:
-                try:
-                    self._run_batch(jobs)
-                except BaseException as error:  # the batcher must survive
-                    self._resolve_all(
-                        jobs, {"status": "error", "error": repr(error)}
-                    )
+            try:
+                self._run_batch(jobs)
+            except BaseException as error:  # the batcher must survive
+                self._resolve_all(
+                    jobs, {"status": "error", "error": repr(error)}
+                )
 
     def _run_batch(self, jobs) -> None:
         self.metrics.counter("serve_batches_total").inc()
@@ -446,30 +446,30 @@ class SynthesisService:
 
     def _finish_job(self, job, outcome) -> None:
         canonical = job["canonical"]
-        if outcome.status == "ok" and outcome.circuit:
-            self._store_result(job, outcome)
-            result = {
-                "status": "ok",
-                "real": outcome.circuit,
-                "gates": outcome.gate_count,
-            }
-        else:
-            result = {
-                "status": outcome.status,
-                "error": outcome.error,
-            }
+        result = {"status": outcome.status, "error": outcome.error}
+        if outcome.status == "ok":
+            try:
+                circuit = load_real(outcome.circuit or "")
+                sound = circuit.implements(canonical.canonical_permutation())
+            except ValueError:
+                sound = False
+            if sound:
+                self._store_result(job, outcome, circuit)
+                result = {"status": "ok", "circuit": circuit}
+            else:
+                result = {"status": "unsound",
+                          "error": "worker circuit fails simulation"}
         with self._cond:
             self._flights.pop(canonical.key, None)
         job["flight"].result = result
         job["flight"].event.set()
 
-    def _store_result(self, job, outcome) -> None:
-        """Persist a fresh result; a failing store never fails the job."""
+    def _store_result(self, job, outcome, circuit) -> None:
+        """Persist a verified result; a failing store never fails the job."""
         if self.store is None:
             return
         canonical = job["canonical"]
         try:
-            circuit = load_real(outcome.circuit)
             provenance = {
                 "source": "serve",
                 "engine": outcome.extra.get("engine"),

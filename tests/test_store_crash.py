@@ -149,7 +149,6 @@ class TestWarmCacheAfterRecovery:
         service = SynthesisService(
             store=store, metrics=registry,
             options=SynthesisOptions(dedupe_states=True, max_steps=40_000),
-            batch_window_seconds=0.01,
         )
         try:
             for key in store.keys():

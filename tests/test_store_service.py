@@ -9,10 +9,13 @@ with OpenMetrics export.
 import json
 import os
 import threading
+import time
 
 from repro.circuits.circuit import Circuit
 from repro.functions.permutation import Permutation
 from repro.gates.toffoli import ToffoliGate
+from repro.harness.taxonomy import TaskOutcome
+from repro.io.real_format import dump_real
 from repro.obs import MetricsRegistry
 from repro.store import (
     CircuitStore,
@@ -32,17 +35,60 @@ SWAP_01 = [0, 2, 1, 3, 4, 6, 5, 7]
 SWAP_02 = [0, 4, 2, 6, 1, 5, 3, 7]
 
 
+#: Three more 3-variable classes, each distinct from SWAP_01's.
+OTHER_CLASSES = (
+    [1, 0, 3, 2, 5, 4, 7, 6],
+    [0, 1, 2, 3, 4, 5, 7, 6],
+    [1, 0, 7, 2, 3, 4, 5, 6],
+)
+
+
 def counter(registry, name) -> int:
     metric = registry.as_dict().get(name)
     return 0 if metric is None else metric["value"]
+
+
+def wait_until(predicate, timeout=60.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "timed out waiting"
+        time.sleep(0.005)
+
+
+class HeldPool:
+    """Wraps the service's real pool; its first run blocks until the
+    test sets ``release``, so requests can queue behind it."""
+
+    def __init__(self, pool):
+        self.pool = pool
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def run(self, tasks, on_final=None):
+        if not self.entered.is_set():
+            self.entered.set()
+            assert self.release.wait(timeout=60)
+        return self.pool.run(tasks, on_final=on_final)
+
+
+class WrongCircuitPool:
+    """A pool whose every task comes back ``ok`` with a circuit that
+    computes something else."""
+
+    def run(self, tasks, on_final=None):
+        wrong = dump_real(Circuit(3, [ToffoliGate(0, 2)]))
+        for task in tasks:
+            on_final(task, TaskOutcome(
+                task_id=task.task_id, status="ok", gate_count=1,
+                circuit=wrong,
+            ))
 
 
 def make_service(tmp_path, **kwargs):
     registry = MetricsRegistry()
     store = CircuitStore(str(tmp_path / "store"))
     service = SynthesisService(
-        store=store, options=QUICK, metrics=registry,
-        batch_window_seconds=0.01, **kwargs,
+        store=store, options=QUICK, metrics=registry, **kwargs,
     )
     return service, store, registry
 
@@ -87,6 +133,7 @@ class TestCacheOutcomes:
 
     def test_concurrent_duplicates_are_single_flighted(self, tmp_path):
         service, _store, registry = make_service(tmp_path)
+        service._pool = held = HeldPool(service._pool)
         try:
             responses = [None] * 6
             def work(i):
@@ -95,6 +142,11 @@ class TestCacheOutcomes:
                        for i in range(6)]
             for t in threads:
                 t.start()
+            # Release the search only once all six have joined its flight.
+            wait_until(lambda: counter(registry, "store_cache_misses_total")
+                       + counter(registry,
+                                 "store_singleflight_coalesced_total") == 6)
+            held.release.set()
             for t in threads:
                 t.join()
             assert all(r["status"] == "ok" for r in responses)
@@ -104,13 +156,41 @@ class TestCacheOutcomes:
                 registry, "store_singleflight_coalesced_total"
             ) == 5
         finally:
+            held.release.set()
+            service.close()
+
+    def test_misses_during_a_pool_run_share_the_next_run(self, tmp_path):
+        keys = {canonicalize(spec).key for spec in (SWAP_01, *OTHER_CLASSES)}
+        assert len(keys) == 4
+        service, _store, registry = make_service(tmp_path)
+        service._pool = held = HeldPool(service._pool)
+        try:
+            responses = []
+            def work(spec):
+                responses.append(service.synthesize(spec))
+            threads = [threading.Thread(target=work, args=(SWAP_01,))]
+            threads[0].start()
+            assert held.entered.wait(timeout=60)  # batch of one is running
+            for spec in OTHER_CLASSES:
+                threads.append(threading.Thread(target=work, args=(spec,)))
+                threads[-1].start()
+            wait_until(
+                lambda: counter(registry, "store_cache_misses_total") == 4
+            )
+            held.release.set()
+            for t in threads:
+                t.join()
+            assert [r["status"] for r in responses] == ["ok"] * 4
+            assert counter(registry, "serve_batches_total") == 2
+            assert counter(registry, "serve_batch_tasks_total") == 4
+        finally:
+            held.release.set()
             service.close()
 
     def test_no_store_means_bypass(self):
         registry = MetricsRegistry()
         service = SynthesisService(
             store=None, options=QUICK, metrics=registry,
-            batch_window_seconds=0.01,
         )
         try:
             response = service.synthesize(SWAP_01)
@@ -159,6 +239,36 @@ class TestHitVerification:
             assert counter(
                 registry, "store_cache_quarantined_total"
             ) == 1
+        finally:
+            service.close()
+
+
+class TestMissVerification:
+    def test_wrong_worker_circuit_is_unsound_and_not_stored(self, tmp_path):
+        service, store, registry = make_service(tmp_path)
+        service._pool = WrongCircuitPool()
+        try:
+            response = service.synthesize(SWAP_01)
+            assert response["status"] == "unsound"
+            assert response["cache"] == "miss"
+            assert "real" not in response
+            assert counter(registry, "serve_errors_total") == 1
+            assert store.get(canonicalize(SWAP_01).key) is None
+            assert len(store) == 0
+        finally:
+            service.close()
+
+    def test_wrong_relabeling_is_unsound(self, tmp_path, monkeypatch):
+        service, store, registry = make_service(tmp_path)
+        try:
+            monkeypatch.setattr(
+                type(canonicalize(SWAP_01)), "from_canonical",
+                lambda self, circuit: Circuit(3, [ToffoliGate(0, 2)]),
+            )
+            response = service.synthesize(SWAP_02)
+            assert response["status"] == "unsound"
+            assert "real" not in response
+            assert counter(registry, "serve_errors_total") == 1
         finally:
             service.close()
 
