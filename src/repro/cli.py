@@ -9,8 +9,6 @@ Subcommands::
     rmrls bench --quick                         # kernel micro-suite
     rmrls trace summarize run.jsonl             # analyze a JSONL trace
     rmrls trace collate runs/t1                 # merge span shards
-    rmrls trace view runs/t1                    # timeline + critical path
-    rmrls top runs/t1                           # live fleet dashboard
     rmrls benchmarks                            # list known benchmarks
     rmrls table1 --sample 100                   # reproduce Table I
     rmrls table2 --sample 20 / table3 --sample 10
@@ -39,10 +37,7 @@ frequencies, queue-depth percentiles, and the restart timeline.
 Distributed tracing (see docs/observability.md): ``--trace-dir DIR``
 on ``synth`` and ``sweep`` makes every process write span shards under
 DIR; ``rmrls trace collate`` merges them into one schema-validated
-timeline, ``rmrls trace view`` renders it (critical path, flamegraph
-export, cancellation latency), and ``rmrls top`` tails the shards live.
-``synth --openmetrics PATH`` exports the run's metrics — including
-fleet metrics derived from the trace — in Prometheus text format.
+timeline.
 
 Durable synthesis cache (see docs/robustness.md): ``rmrls serve``
 answers synthesis requests over a unix socket through the crash-safe
@@ -122,10 +117,6 @@ def _add_observability_flags(parser: argparse.ArgumentParser) -> None:
                         help="write distributed-tracing span shards under "
                              "DIR (one JSONL file per process; collate "
                              "with `rmrls trace collate`)")
-    parser.add_argument("--openmetrics", metavar="PATH", default=None,
-                        help="export run metrics (plus trace-derived fleet "
-                             "metrics when --trace-dir is set) in "
-                             "Prometheus/OpenMetrics text format")
     parser.add_argument("--flight-dir", metavar="DIR", default=None,
                         help="arm a black-box flight recorder in every "
                              "process; abnormal exits leave crash dumps "
@@ -176,7 +167,7 @@ def _attach_observers(args, options):
     phases = None
     jsonl = None
     observers = []
-    if args.json or args.metrics or getattr(args, "openmetrics", None):
+    if args.json or args.metrics:
         registry = MetricsRegistry()
         phases = PhaseTimer()
         observers.append(MetricsObserver(registry))
@@ -193,45 +184,17 @@ def _attach_observers(args, options):
     return options, registry, phases, jsonl
 
 
-def _export_openmetrics(args, registry) -> None:
-    """Write the run's metrics as an OpenMetrics textfile.
-
-    When the run also traced (``--trace-dir``), the collated trace is
-    folded into fleet metrics (worker utilization, straggler ratio,
-    cancellation latency) first; a trace that cannot be collated only
-    loses the fleet section, never the export.
-    """
-    from repro.obs import (
-        TraceValidationError,
-        collate_shards,
-        derive_fleet_metrics,
-        write_openmetrics,
-    )
-
-    if args.trace_dir and os.path.isdir(args.trace_dir):
-        try:
-            derive_fleet_metrics(collate_shards(args.trace_dir), registry)
-        except TraceValidationError as error:
-            print(f"fleet metrics skipped: {error}", file=sys.stderr)
-    write_openmetrics(registry, args.openmetrics)
-    if not args.json:
-        print(f"wrote OpenMetrics export to {args.openmetrics}",
-              file=sys.stderr)
-
-
 def _cmd_synth(args) -> int:
     resolved = _resolve_spec(args)
     if resolved is None:
         return 2
     permutation, system, verify = resolved
-    for flag in ("metrics", "openmetrics"):
-        path = getattr(args, flag)
-        if path:
-            directory = os.path.dirname(os.path.abspath(path))
-            if not os.path.isdir(directory):
-                print(f"--{flag}: directory does not exist: {directory}",
-                      file=sys.stderr)
-                return 2
+    if args.metrics:
+        directory = os.path.dirname(os.path.abspath(args.metrics))
+        if not os.path.isdir(directory):
+            print(f"--metrics: directory does not exist: {directory}",
+                  file=sys.stderr)
+            return 2
     options = _options_from_args(args)
     if args.trace_dir:
         options = options.with_(trace_dir=args.trace_dir)
@@ -315,8 +278,6 @@ def _cmd_synth(args) -> int:
         write_run_report(report, args.metrics)
         if not args.json:
             print(f"wrote run report to {args.metrics}", file=sys.stderr)
-    if args.openmetrics:
-        _export_openmetrics(args, registry)
     if result.circuit is not None:
         assert verify(result.circuit), (
             "synthesized circuit failed verification"
@@ -491,79 +452,21 @@ def _cmd_trace_summarize(args) -> int:
 
 def _cmd_trace_collate(args) -> int:
     """Merge per-process span shards into one validated timeline."""
-    from repro.obs import (
-        TraceValidationError,
-        collate_shards,
-        validate_trace,
-        write_collated,
-    )
+    from repro.obs import TraceValidationError, collate_to_file
 
-    try:
-        collated = collate_shards(args.trace_dir)
-        validate_trace(collated)
-    except (OSError, TraceValidationError) as error:
-        print(f"collate failed: {error}", file=sys.stderr)
-        return 2
     output = args.output or os.path.join(
         args.trace_dir, "collated.trace.jsonl"
     )
-    with open(output, "w") as handle:
-        write_collated(collated, handle)
-    header = collated["header"]
+    try:
+        header = collate_to_file(args.trace_dir, output)
+    except (OSError, TraceValidationError) as error:
+        print(f"collate failed: {error}", file=sys.stderr)
+        return 2
     skipped = header.get("skipped_lines", 0)
     print(f"trace {header['trace_id']}: {header['records']} records "
           f"from {len(header['shards'])} shard(s) -> {output}"
           + (f" ({skipped} malformed line(s) skipped)" if skipped else ""))
     return 0
-
-
-def _load_trace_arg(path: str) -> dict:
-    """Accept either a shard directory or a collated trace file."""
-    from repro.obs import collate_shards, load_collated
-
-    if os.path.isdir(path):
-        return collate_shards(path)
-    with open(path) as handle:
-        return load_collated(handle)
-
-
-def _cmd_trace_view(args) -> int:
-    """Render a collated trace as a timeline with attribution."""
-    from repro.obs import (
-        TraceValidationError,
-        build_timeline,
-        folded_stacks,
-        render_trace_view,
-    )
-
-    try:
-        collated = _load_trace_arg(args.trace)
-    except (OSError, TraceValidationError) as error:
-        print(f"cannot load trace: {error}", file=sys.stderr)
-        return 2
-    print(render_trace_view(collated, events=args.events))
-    if args.folded:
-        text = folded_stacks(build_timeline(collated))
-        with open(args.folded, "w") as handle:
-            handle.write(text)
-        print(f"wrote folded stacks to {args.folded}", file=sys.stderr)
-    return 0
-
-
-def _cmd_top(args) -> int:
-    """Live fleet dashboard tailing the span shards of a running sweep."""
-    from repro.obs import run_top
-
-    if args.interval <= 0:
-        print("--interval must be positive", file=sys.stderr)
-        return 2
-    return run_top(
-        args.trace_dir,
-        once=args.once,
-        interval=args.interval,
-        iterations=args.iterations,
-        flight_dir=args.flight_dir,
-    )
 
 
 def _cmd_postmortem(args) -> int:
@@ -804,8 +707,7 @@ def _add_harness_flags(parser: argparse.ArgumentParser) -> None:
                              "(combine with --resume to continue later)")
     parser.add_argument("--trace-dir", metavar="DIR", default=None,
                         help="write distributed-tracing span shards under "
-                             "DIR (watch live with `rmrls top DIR`, merge "
-                             "with `rmrls trace collate DIR`)")
+                             "DIR (merge with `rmrls trace collate DIR`)")
     parser.add_argument("--flight-dir", metavar="DIR", default=None,
                         help="arm a flight recorder in every worker "
                              "(needs --isolate); dead workers leave crash "
@@ -1256,8 +1158,7 @@ def _cmd_serve(args) -> int:
               file=sys.stderr)
 
     try:
-        serve(args.socket, service, openmetrics=args.openmetrics,
-              ready=ready)
+        serve(args.socket, service, ready=ready)
     finally:
         if trace is not None:
             trace.close()
@@ -1500,37 +1401,6 @@ def main(argv: list[str] | None = None) -> int:
                          help="output file (default: "
                               "TRACE_DIR/collated.trace.jsonl)")
     collate.set_defaults(handler=_cmd_trace_collate)
-    view = trace_sub.add_parser(
-        "view",
-        help="text timeline of a traced run with critical-path "
-             "attribution and cancellation latencies",
-    )
-    view.add_argument("trace",
-                      help="collated trace file, or a shard directory "
-                           "to collate on the fly")
-    view.add_argument("--events", action="store_true",
-                      help="interleave point events into the timeline")
-    view.add_argument("--folded", metavar="PATH", default=None,
-                      help="also write folded stacks (flamegraph.pl "
-                           "input) to PATH")
-    view.set_defaults(handler=_cmd_trace_view)
-
-    top = commands.add_parser(
-        "top",
-        help="live fleet dashboard: tail the span shards of a running "
-             "traced sweep (per-worker state, bounds, retries)",
-    )
-    top.add_argument("trace_dir", help="shard directory from --trace-dir")
-    top.add_argument("--once", action="store_true",
-                     help="print one snapshot and exit (CI artifact mode)")
-    top.add_argument("--interval", type=float, default=1.0, metavar="S",
-                     help="refresh period in seconds (default 1.0)")
-    top.add_argument("--iterations", type=int, default=None, metavar="N",
-                     help="stop after N redraws (default: until Ctrl-C)")
-    top.add_argument("--flight-dir", metavar="DIR", default=None,
-                     help="flight-recorder directory for the armed-rings/"
-                          "crash-dumps row (default: TRACE_DIR)")
-    top.set_defaults(handler=_cmd_top)
 
     postmortem = commands.add_parser(
         "postmortem",
@@ -1748,9 +1618,6 @@ def main(argv: list[str] | None = None) -> int:
     serve_cmd.add_argument("--trace-dir", metavar="DIR", default=None,
                            help="write request/synthesis span shards "
                                 "under DIR")
-    serve_cmd.add_argument("--openmetrics", metavar="PATH", default=None,
-                           help="export hit/miss/quarantine counters here "
-                                "after every request")
     serve_cmd.add_argument("--flight-dir", metavar="DIR", default=None,
                            help="arm flight recorders in the daemon and "
                                 "its workers; crash dumps land under DIR")

@@ -392,8 +392,9 @@ class WorkerPool:
         attrs = {}
         if attempt.cancelled:
             # SIGKILLed by the stop condition: the span's end time is
-            # the moment the loser actually died, which trace_view
-            # turns into per-slice cancellation latency.
+            # the moment the loser actually died, so the collated trace
+            # gives per-slice cancellation latency against the
+            # incumbent_arrived event.
             attrs["cancelled"] = True
         elif attempt.killed:
             attrs["killed"] = True

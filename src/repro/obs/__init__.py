@@ -17,8 +17,7 @@ This package provides the protocol plus a toolbox of observers:
 * :class:`JsonlTraceObserver` — one JSON object per event, streamed to
   a file for offline analysis;
 * :class:`ProgressObserver` — one strided progress record with two
-  sinks: a steps/sec line on stderr, and span events in a trace shard
-  (which ``rmrls top`` reads);
+  sinks: a steps/sec line on stderr, and span events in a trace shard;
 * :class:`FlightObserver` — the flight recorder's digest fold, used
   both to record a ring and to check a replay against it;
 * :class:`PhaseTimer` — sampled wall-clock attribution to the four hot
@@ -34,11 +33,6 @@ Distributed tracing lives alongside the per-process observers:
   per-process JSONL shard writers;
 * :mod:`repro.obs.collate` — deterministic shard collation and the
   ``rmrls-trace`` schema validator;
-* :mod:`repro.obs.trace_view` — text timeline, critical-path
-  attribution, flamegraph folded stacks, cancellation report;
-* :mod:`repro.obs.top` — the live ``rmrls top`` fleet dashboard;
-* :mod:`repro.obs.export` — OpenMetrics textfile export and
-  fleet-level derived metrics;
 * :mod:`repro.obs.flight` — the black-box flight recorder: mmap ring
   buffers armed in every process, checksummed crash dumps recovered
   after SIGKILL/OOM deaths, ``rmrls postmortem`` fleet timelines, and
@@ -57,14 +51,6 @@ from repro.obs.collate import (
     validate_trace,
     write_collated,
 )
-from repro.obs.export import (
-    derive_fleet_metrics,
-    derive_shard_metrics,
-    parse_openmetrics,
-    render_openmetrics,
-    write_openmetrics,
-)
-
 from repro.obs.flight import (
     FLIGHT_SCHEMA,
     FLIGHT_SCHEMA_VERSION,
@@ -119,15 +105,7 @@ from repro.obs.spans import (
     WorkerTraceSession,
     new_trace_id,
 )
-from repro.obs.top import FleetSnapshot, render_top, run_top, scan_shards
 from repro.obs.trace_summary import render_trace_summary, summarize_trace
-from repro.obs.trace_view import (
-    build_timeline,
-    cancellation_report,
-    critical_path,
-    folded_stacks,
-    render_trace_view,
-)
 
 __all__ = [
     "SearchObserver",
@@ -171,20 +149,6 @@ __all__ = [
     "load_collated",
     "validate_trace",
     "write_collated",
-    "build_timeline",
-    "critical_path",
-    "folded_stacks",
-    "cancellation_report",
-    "render_trace_view",
-    "FleetSnapshot",
-    "scan_shards",
-    "render_top",
-    "run_top",
-    "derive_fleet_metrics",
-    "derive_shard_metrics",
-    "render_openmetrics",
-    "parse_openmetrics",
-    "write_openmetrics",
     "FLIGHT_SCHEMA",
     "FLIGHT_SCHEMA_VERSION",
     "FlightRecorder",

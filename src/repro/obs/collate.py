@@ -19,15 +19,18 @@ a single causally-ordered trace:
 
 The collated file is itself JSONL: one ``header`` record (schema,
 version, trace id, shard census, skip counts) followed by the ordered
-records.  :func:`validate_trace` checks schema conformance and causal
-linkage (every span's parent exists, one trace id throughout).
+records.  That leading ``header`` is also what keeps a collated file
+out of a later collation of the same directory, whatever its name.
+:func:`validate_trace` checks schema conformance and causal linkage
+(every span's parent exists, one trace id throughout).
 """
 
 from __future__ import annotations
 
+import io
 import os
 
-from repro.applog import canonical_json, read_log
+from repro.applog import atomic_write, canonical_json, read_log
 from repro.obs.spans import TRACE_SCHEMA, TRACE_SCHEMA_VERSION
 
 __all__ = [
@@ -84,9 +87,9 @@ def _sort_key(record: dict):
 def collate_shards(trace_dir: str) -> dict:
     """Join every ``*.jsonl`` shard under ``trace_dir``.
 
-    ``*.trace.jsonl`` files are excluded: that suffix is reserved for
-    collated output, which may legitimately live in the shard
-    directory without being re-read as a shard.
+    A file whose first record is a ``header`` is collated output, not
+    a shard, and is skipped: collated files may live in the shard
+    directory under any name.
 
     Returns ``{"header": {...}, "records": [...]}`` where the header
     carries the trace id, per-shard skip counts, and the census of
@@ -96,22 +99,24 @@ def collate_shards(trace_dir: str) -> dict:
     :class:`TraceValidationError` when the shards disagree on the
     trace id.
     """
-    names = sorted(
-        name for name in os.listdir(trace_dir)
-        if name.endswith(".jsonl") and not name.endswith(".trace.jsonl")
-    )
+    names: list[str] = []
+    records: list[dict] = []
+    skipped: dict[str, int] = {}
+    for name in sorted(os.listdir(trace_dir)):
+        if not name.endswith(".jsonl"):
+            continue
+        with open(os.path.join(trace_dir, name)) as handle:
+            shard_records, shard_skipped = read_shard(handle)
+        if shard_records and shard_records[0]["kind"] == "header":
+            continue
+        names.append(name)
+        if shard_skipped:
+            skipped[name] = shard_skipped
+        records.extend(shard_records)
     if not names:
         raise TraceValidationError(
             f"no .jsonl shards found under {trace_dir!r}"
         )
-    records: list[dict] = []
-    skipped: dict[str, int] = {}
-    for name in names:
-        with open(os.path.join(trace_dir, name)) as handle:
-            shard_records, shard_skipped = read_shard(handle)
-        if shard_skipped:
-            skipped[name] = shard_skipped
-        records.extend(shard_records)
 
     trace_ids = {
         record["trace_id"] for record in records if "trace_id" in record
@@ -158,10 +163,13 @@ def write_collated(collated: dict, stream) -> None:
 
 
 def collate_to_file(trace_dir: str, output_path: str) -> dict:
-    """Collate ``trace_dir`` into ``output_path``; return the header."""
-    collated = collate_shards(trace_dir)
-    with open(output_path, "w") as handle:
-        write_collated(collated, handle)
+    """Collate and validate ``trace_dir``, then replace ``output_path``
+    atomically (a killed collate leaves no half-written file to be
+    misread later); return the header."""
+    collated = validate_trace(collate_shards(trace_dir))
+    text = io.StringIO()
+    write_collated(collated, text)
+    atomic_write(output_path, text.getvalue())
     return collated["header"]
 
 

@@ -740,7 +740,7 @@ def recover_rings(directory: str) -> list[str]:
 
 def scan_flight_dir(directory: str) -> dict:
     """Count armed rings and crash dumps under ``directory`` (and its
-    ``flight/`` subdirectory) — the ``rmrls top`` dashboard row."""
+    ``flight/`` subdirectory); after a clean run both are zero."""
     rings = 0
     dumps = 0
     for root in (directory, os.path.join(directory, "flight")):

@@ -6,7 +6,7 @@ post-processing of full search runs (unlike
 :class:`~repro.synth.stats.TraceRecorder`, nothing is retained in
 memory).  :class:`ProgressObserver` builds one progress record every N
 steps and hands it to its sinks: a steps/sec status line, and a trace
-session's span events (which ``rmrls top`` reads).
+session's span events (read back through ``rmrls trace collate``).
 """
 
 from __future__ import annotations
@@ -125,9 +125,9 @@ class ProgressObserver(SearchObserver):
       steps/sec since the previous line.  It defaults to stderr unless
       a ``session`` is given.
     * ``session`` (a :class:`~repro.obs.spans.TraceSession` or worker
-      session) gets a ``progress`` event on ``span``, which
-      ``rmrls top`` tails; each improving solution is reported at once
-      as ``solution_found``, and the finish as ``search_finished``.
+      session) gets a ``progress`` event on ``span`` in the collated
+      trace; each improving solution is reported at once as
+      ``solution_found``, and the finish as ``search_finished``.
     """
 
     def __init__(self, every: int = 1000, stream=None, clock=time.monotonic,

@@ -178,9 +178,7 @@ class MetricsRegistry:
 
     Metrics may carry a label set (``registry.counter("hits",
     labels={"worker": "w1"})``); each distinct label set is its own
-    time series, keyed Prometheus-style as ``hits{worker="w1"}``.  The
-    OpenMetrics exporter (:mod:`repro.obs.export`) groups label sets of
-    the same base name into one metric family.
+    time series, keyed Prometheus-style as ``hits{worker="w1"}``.
     """
 
     def __init__(self):

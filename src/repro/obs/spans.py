@@ -27,16 +27,17 @@ shape (trace → spans → events) with no external dependencies:
   applied offset in its shard's ``meta`` line.
 * :class:`TracedBound` — the search-side tap on the portfolio's
   shared incumbent channel (bound publications/adoptions).  Periodic
-  progress events (step, queue size, best depth) that feed
-  ``rmrls top`` come from :class:`~repro.obs.jsonl.ProgressObserver`
-  with a session as its sink.
+  progress events (step, queue size, best depth) come from
+  :class:`~repro.obs.jsonl.ProgressObserver` with a session as its
+  sink.
 
 Shard record kinds (one append-log line each, ``"v"`` stamped with
 :data:`TRACE_SCHEMA_VERSION`):
 
 * ``meta`` — once per shard: schema, trace id, process label, pid,
   negotiated ``clock_offset``;
-* ``start`` — a span began (lets ``rmrls top`` see in-flight work);
+* ``start`` — a span began (a process killed before the span ended
+  leaves it, and collation keeps it as an *open* span);
 * ``span`` — a span ended (full record: start, end, status, attrs);
 * ``event`` — a point-in-time occurrence attached to a span.
 
@@ -193,8 +194,8 @@ class _BaseSession:
     # -- spans and events --------------------------------------------------
 
     def begin_span(self, name: str, parent=None, **attrs) -> SpanHandle:
-        """Start a span; a ``start`` record lands immediately so live
-        readers (``rmrls top``) can see in-flight work."""
+        """Start a span; a ``start`` record lands immediately, so a
+        process killed mid-span still leaves the span in its shard."""
         parent_id = parent.span_id if isinstance(parent, SpanHandle) else parent
         span = SpanHandle(
             self, self._next_span_id(), parent_id, name, self.now(),
@@ -299,13 +300,11 @@ class WorkerTraceSession(_BaseSession):
     """
 
     @classmethod
-    def from_wire(cls, wire: dict, shard_name: str | None = None):
+    def from_wire(cls, wire: dict):
         context = TraceContext.from_wire(wire)
         raw = time.monotonic() - context.t0
         offset = context.sent_at - raw if raw < context.sent_at else 0.0
-        process = (
-            shard_name if shard_name else f"worker-{context.span_id}"
-        )
+        process = f"worker-{context.span_id}"
         writer = ShardWriter(
             os.path.join(context.trace_dir, f"{process}.jsonl")
         )

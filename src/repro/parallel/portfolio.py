@@ -659,8 +659,8 @@ def _record_strategy_outcome(summary, result, registries, session, root_span):
     """Surface a deck run's per-variant outcome.
 
     Bumps ``strategy_slots_total``/``strategy_wins_total`` counters on
-    the caller's registries, and emits the ``strategy_win`` trace event
-    `rmrls top` folds into its per-variant rows.
+    the caller's registries, and emits the ``strategy_win`` trace
+    event.
     """
     counts: dict = {}
     for entry in summary.slices:

@@ -27,8 +27,8 @@ The service never fails a request because of the cache:
   durably).
 
 Observability: hit/miss/coalesce/quarantine counters in a PR-1
-:class:`~repro.obs.metrics.MetricsRegistry` (exportable via
-``--openmetrics``), and per-request + per-batch spans in the PR-6
+:class:`~repro.obs.metrics.MetricsRegistry` (read through the daemon's
+``stats`` op), and per-request + per-batch spans in the PR-6
 ``rmrls-trace`` schema when a trace directory is configured.
 
 :func:`serve` wraps the service in a long-running unix-socket daemon
@@ -208,8 +208,8 @@ class SynthesisService:
     )
 
     def _cache_event(self) -> None:
-        """Emit a cache-counter snapshot into the trace shard — the
-        ``rmrls top`` dashboard folds these into its cache row."""
+        """Emit a cache-counter snapshot into the trace shard, so the
+        collated trace shows the counters next to each request."""
         if self.trace is None:
             return
         attrs = {}
@@ -569,11 +569,9 @@ class StoreServer(socketserver.ThreadingMixIn, socketserver.UnixStreamServer):
     daemon_threads = True
     allow_reuse_address = True
 
-    def __init__(self, socket_path: str, service: SynthesisService,
-                 openmetrics: str | None = None):
+    def __init__(self, socket_path: str, service: SynthesisService):
         self.socket_path = str(socket_path)
         self.service = service
-        self.openmetrics = openmetrics
         if os.path.exists(self.socket_path):
             os.unlink(self.socket_path)
         super().__init__(self.socket_path, _Handler)
@@ -581,36 +579,20 @@ class StoreServer(socketserver.ThreadingMixIn, socketserver.UnixStreamServer):
     def dispatch(self, request: dict) -> dict:
         op = request.get("op", "synth")
         if op == "ping":
-            response = {"status": "ok", "op": "ping"}
-        elif op == "stats":
-            response = {"status": "ok", "stats": self.service.stats()}
-        elif op == "shutdown":
-            response = {"status": "ok", "shutting_down": True}
+            return {"status": "ok", "op": "ping"}
+        if op == "stats":
+            return {"status": "ok", "stats": self.service.stats()}
+        if op == "shutdown":
             threading.Thread(target=self.shutdown, daemon=True).start()
-        elif op == "synth":
-            if "spec" not in request:
-                response = {
-                    "status": "error",
-                    "error": "synth request needs a 'spec' field",
-                }
-            else:
-                response = self.service.synthesize(
-                    request["spec"], request.get("options")
-                )
-        else:
-            response = {"status": "error", "error": f"unknown op {op!r}"}
-        self._export_metrics()
-        return response
-
-    def _export_metrics(self) -> None:
-        if not self.openmetrics:
-            return
-        try:
-            from repro.obs.export import write_openmetrics
-
-            write_openmetrics(self.service.metrics, self.openmetrics)
-        except OSError:  # pragma: no cover - metrics export best-effort
-            pass
+            return {"status": "ok", "shutting_down": True}
+        if op != "synth":
+            return {"status": "error", "error": f"unknown op {op!r}"}
+        if "spec" not in request:
+            return {
+                "status": "error",
+                "error": "synth request needs a 'spec' field",
+            }
+        return self.service.synthesize(request["spec"], request.get("options"))
 
     def close(self) -> None:
         self.server_close()
@@ -624,7 +606,6 @@ class StoreServer(socketserver.ThreadingMixIn, socketserver.UnixStreamServer):
 def serve(
     socket_path: str,
     service: SynthesisService,
-    openmetrics: str | None = None,
     ready=None,
 ) -> None:
     """Run the daemon until a ``shutdown`` request (or KeyboardInterrupt).
@@ -632,7 +613,7 @@ def serve(
     ``ready`` is an optional callable invoked once the socket is bound
     and accepting — the tests and the CI job use it to synchronize
     instead of polling."""
-    server = StoreServer(socket_path, service, openmetrics=openmetrics)
+    server = StoreServer(socket_path, service)
     try:
         if ready is not None:
             ready(server)
@@ -651,7 +632,6 @@ def serve(
         raise
     finally:
         server.close()
-        server._export_metrics()
         service.close()
 
 

@@ -279,6 +279,29 @@ class TestObserverRegrowth:
             "observer, or count it in the search's own stats"
         )
 
+    def test_obs_module_set_is_pinned(self):
+        obs = Path(__file__).resolve().parent.parent / "src" / "repro" / "obs"
+        modules = {
+            path.relative_to(obs).with_suffix("").as_posix()
+            for path in obs.rglob("*.py")
+        }
+        assert modules == {
+            "__init__",
+            "collate",
+            "flight",
+            "jsonl",
+            "metrics",
+            "observer",
+            "phases",
+            "report",
+            "spans",
+            "trace_summary",
+        }, (
+            "a new module under repro/obs: a traced run is read through "
+            "the run report (--json, --metrics) and the collated trace "
+            "(rmrls trace collate); extend one of those instead"
+        )
+
 
 class TestSearchIntegration:
     def test_attached_observer_sees_full_run(self, fig1_spec):

@@ -1,11 +1,11 @@
-"""Distributed tracing: spans, shards, collation, view, top, export.
+"""Distributed tracing: spans, shards and collation.
 
 Covers the cross-process observability substrate end to end — wire
 contexts and clock-offset negotiation, tolerant shard readers,
 byte-identical collation (property-tested over randomized
 interleavings), retry-chain causality through the worker pool
-(including SIGKILL and OOM attempts), the fleet dashboard, and the
-OpenMetrics exporter with trace-derived fleet metrics.
+(including SIGKILL and OOM attempts), and the ``rmrls trace collate``
+command.
 """
 
 import io
@@ -18,7 +18,6 @@ import pytest
 from repro.functions.permutation import Permutation
 from repro.harness import HarnessConfig, RetryPolicy, probe_task, run_sweep
 from repro.obs import (
-    MetricsRegistry,
     ProgressObserver,
     ShardWriter,
     TRACE_SCHEMA,
@@ -27,20 +26,9 @@ from repro.obs import (
     TraceSession,
     TraceValidationError,
     WorkerTraceSession,
-    build_timeline,
-    cancellation_report,
     collate_shards,
     collate_to_file,
-    critical_path,
-    derive_fleet_metrics,
-    folded_stacks,
     load_collated,
-    parse_openmetrics,
-    render_openmetrics,
-    render_top,
-    render_trace_view,
-    run_top,
-    scan_shards,
     validate_trace,
     write_collated,
 )
@@ -392,140 +380,6 @@ class TestCollationDeterminism:
         assert reversed_order == reference
 
 
-class TestTraceView:
-    def _collated(self):
-        records = [
-            _meta_record("coord", "c" * 16),
-            _span_record("coord-1", "portfolio", 0.0, 1.0, process="coord",
-                         trace_id="c" * 16),
-            _span_record("coord-2", "attempt:slice0", 0.1, 0.9,
-                         parent="coord-1", process="coord",
-                         attrs={"slice": 0}, trace_id="c" * 16),
-            _span_record("coord-3", "attempt:slice1", 0.1, 0.8,
-                         parent="coord-1", process="coord",
-                         status="cancelled",
-                         attrs={"slice": 1, "cancelled": True},
-                         trace_id="c" * 16),
-            _event_record("incumbent_arrived", 0.6, span="coord-1",
-                          process="coord", attrs={"gate_count": 4},
-                          trace_id="c" * 16),
-        ]
-        return {
-            "header": {
-                "schema": TRACE_SCHEMA, "v": TRACE_SCHEMA_VERSION,
-                "trace_id": "c" * 16, "records": len(records),
-                "shards": ["coord.jsonl"], "skipped_lines": 0,
-                "open_spans": 0,
-            },
-            "records": records,
-        }
-
-    def test_timeline_nesting(self):
-        roots = build_timeline(self._collated())
-        assert [root.name for root in roots] == ["portfolio"]
-        assert sorted(c.name for c in roots[0].children) == [
-            "attempt:slice0", "attempt:slice1",
-        ]
-
-    def test_critical_path_charges_self_time(self):
-        path = critical_path(build_timeline(self._collated()))
-        assert [entry["name"] for entry in path] == [
-            "portfolio", "attempt:slice0",
-        ]
-        total = sum(entry["self"] for entry in path)
-        assert total == pytest.approx(1.0)
-
-    def test_folded_stacks_format(self):
-        text = folded_stacks(build_timeline(self._collated()))
-        lines = dict(
-            line.rsplit(" ", 1) for line in text.strip().splitlines()
-        )
-        assert "portfolio" in lines
-        assert "portfolio;attempt:slice0" in lines
-        assert int(lines["portfolio;attempt:slice0"]) == 800_000
-
-    def test_cancellation_latency_from_incumbent_arrival(self):
-        report = cancellation_report(build_timeline(self._collated()))
-        assert report["incumbent_arrived"] == pytest.approx(0.6)
-        assert report["incumbent"] == {"gate_count": 4}
-        (loser,) = report["losers"]
-        assert loser["slice"] == 1
-        assert loser["latency_seconds"] == pytest.approx(0.2)
-
-    def test_render_trace_view_mentions_everything(self):
-        text = render_trace_view(self._collated())
-        assert "portfolio" in text
-        assert "critical path" in text
-        assert "cancellation latency" in text
-        assert "attempt:slice1" in text
-
-
-class TestTop:
-    def test_scan_renders_from_filesystem_alone(self, tmp_path):
-        _write_shard(tmp_path / "coord.jsonl", [
-            _meta_record("coord"),
-            {
-                "v": TRACE_SCHEMA_VERSION, "kind": "start",
-                "trace_id": "t" * 16, "span_id": "coord-1",
-                "parent_id": None, "name": "attempt:x",
-                "process": "coord", "start": 0.0,
-                "attrs": {"retry_of": "coord-0"},
-            },
-            _span_record("coord-1", "attempt:x", 0.0, 0.4, process="coord",
-                         attrs={"retry_of": "coord-0"}),
-            _event_record("sched", 0.1, process="coord",
-                          attrs={"pending": 3, "running": 2, "finished": 1}),
-        ])
-        _write_shard(tmp_path / "worker-coord-1.jsonl", [
-            _meta_record("worker-coord-1"),
-            {
-                "v": TRACE_SCHEMA_VERSION, "kind": "start",
-                "trace_id": "t" * 16, "span_id": "worker-coord-1-1",
-                "parent_id": "coord-1", "name": "task:portfolio",
-                "process": "worker-coord-1", "start": 0.05, "attrs": {},
-            },
-            _event_record("progress", 0.2, span="worker-coord-1-1",
-                          process="worker-coord-1",
-                          attrs={"step": 512, "queue_size": 40,
-                                 "best_depth": 6}),
-            _event_record("bound_published", 0.3, process="worker-coord-1",
-                          attrs={"depth": 6}),
-        ])
-        snapshot = scan_shards(str(tmp_path))
-        assert snapshot.shards == 2
-        assert snapshot.sched["pending"] == 3
-        assert snapshot.workers["coord"].retries == 1
-        worker = snapshot.workers["worker-coord-1"]
-        assert worker.state.startswith("running task:portfolio")
-        assert worker.progress["step"] == 512
-        assert len(snapshot.bound_history) == 1
-        text = render_top(snapshot)
-        assert "task:portfolio" in text
-        assert "bound_published" in text
-        assert "pending=3" in text
-
-    def test_tolerates_mid_write_shards(self, tmp_path):
-        (tmp_path / "coord.jsonl").write_text(
-            json.dumps(_meta_record("coord")) + "\n" + '{"kind": "sp'
-        )
-        snapshot = scan_shards(str(tmp_path))
-        assert snapshot.skipped_lines == 1
-        assert snapshot.trace_id == "t" * 16
-
-    def test_missing_directory_is_empty_not_fatal(self, tmp_path):
-        snapshot = scan_shards(str(tmp_path / "absent"))
-        assert snapshot.shards == 0
-        assert "no shards yet" in render_top(snapshot)
-
-    def test_run_top_once_writes_one_frame(self, tmp_path):
-        _write_shard(tmp_path / "coord.jsonl", [_meta_record("coord")])
-        stream = io.StringIO()
-        assert run_top(str(tmp_path), once=True, stream=stream) == 0
-        frame = stream.getvalue()
-        assert frame.count("rmrls top") == 1
-        assert "\x1b" not in frame  # no ANSI clear on non-TTY streams
-
-
 class TestRetryChainTracing:
     """Satellite: retries reuse the trace id, fresh span ids, and a
     ``retry_of`` link — visible in the collated timeline."""
@@ -617,83 +471,6 @@ class TestRetryChainTracing:
         self._assert_chain(collated, spans, ["oom", "oom"])
 
 
-class TestExport:
-    def test_openmetrics_roundtrip_with_labels(self):
-        registry = MetricsRegistry()
-        registry.counter("steps").inc(42)
-        registry.counter("busy", labels={"worker": "w0"}).inc(3)
-        registry.counter("busy", labels={"worker": "w1"}).inc(5)
-        registry.gauge("ratio").set(1.5)
-        registry.histogram("depth", (1, 4)).observe(2)
-        text = render_openmetrics(registry)
-        assert text.endswith("# EOF\n")
-        families = parse_openmetrics(text)
-        assert families["steps"]["type"] == "counter"
-        busy = {
-            tuple(sorted(sample["labels"].items())): sample["value"]
-            for sample in families["busy"]["samples"]
-        }
-        assert busy == {(("worker", "w0"),): 3.0, (("worker", "w1"),): 5.0}
-        buckets = [
-            sample for sample in families["depth"]["samples"]
-            if sample["name"] == "depth_bucket"
-        ]
-        assert [b["value"] for b in buckets] == [0.0, 1.0, 1.0]
-
-    def test_parse_rejects_missing_eof(self):
-        with pytest.raises(ValueError, match="EOF"):
-            parse_openmetrics("# TYPE x counter\nx_total 1\n")
-
-    def test_derive_fleet_metrics(self):
-        records = [
-            _meta_record("coord", "c" * 16),
-            _span_record("coord-1", "portfolio", 0.0, 1.0, process="coord",
-                         trace_id="c" * 16),
-            _span_record("coord-2", "attempt:slice1", 0.1, 0.8,
-                         parent="coord-1", process="coord",
-                         status="cancelled",
-                         attrs={"slice": 1, "cancelled": True},
-                         trace_id="c" * 16),
-            _span_record("w0-1", "task:portfolio", 0.1, 0.7,
-                         parent="coord-1", process="w0",
-                         trace_id="c" * 16),
-            _span_record("w1-1", "task:portfolio", 0.1, 0.3,
-                         parent="coord-1", process="w1",
-                         trace_id="c" * 16),
-            _event_record("incumbent_arrived", 0.6, span="coord-1",
-                          process="coord", trace_id="c" * 16),
-            _event_record("bound_published", 0.2, span="w0-1",
-                          process="w0", attrs={"depth": 5},
-                          trace_id="c" * 16),
-            _event_record("bound_adopted", 0.25, span="w1-1",
-                          process="w1", attrs={"depth": 5},
-                          trace_id="c" * 16),
-        ]
-        collated = {
-            "header": {"trace_id": "c" * 16},
-            "records": records,
-        }
-        registry = MetricsRegistry()
-        summary = derive_fleet_metrics(collated, registry)
-        assert summary["wall_seconds"] == pytest.approx(1.0)
-        assert summary["worker_busy_seconds"]["w0"] == pytest.approx(0.6)
-        assert summary["worker_busy_seconds"]["w1"] == pytest.approx(0.2)
-        assert summary["straggler_ratio"] == pytest.approx(0.6 / 0.4)
-        assert summary["cancellation_latency_seconds"] == {
-            "1": pytest.approx(0.2),
-        }
-        assert summary["bound_adoptions"] == {"w1": 1}
-        assert summary["bound_publications"] == {"w0": 1}
-        assert registry.gauge(
-            "fleet_worker_utilization", labels={"worker": "w0"}
-        ).value == pytest.approx(0.6)
-        assert registry.gauge("fleet_straggler_ratio").value == (
-            pytest.approx(1.5)
-        )
-        text = render_openmetrics(registry)
-        assert 'fleet_cancellation_latency_seconds{slice="1"}' in text
-
-
 class TestTracedPortfolioEndToEnd:
     def test_two_job_race_collates_to_causal_timeline(self, tmp_path):
         trace_dir = tmp_path / "trace"
@@ -727,9 +504,6 @@ class TestTracedPortfolioEndToEnd:
         }
         assert "incumbent_arrived" in events
         assert "search_finished" in events
-        # The fleet view renders from the shards alone.
-        text = render_top(scan_shards(str(trace_dir)))
-        assert collated["header"]["trace_id"] in text
 
     def test_untraced_run_writes_nothing(self, tmp_path):
         options = SynthesisOptions(stop_at_first=True, max_steps=20_000)
@@ -761,7 +535,7 @@ class TestCliTracing:
         session.close()
         return directory
 
-    def test_collate_view_top_commands(self, tmp_path, capsys):
+    def test_collate_command(self, tmp_path, capsys):
         from repro.cli import main
 
         directory = self._trace_dir(tmp_path)
@@ -769,20 +543,31 @@ class TestCliTracing:
         out = capsys.readouterr().out
         assert "collated.trace.jsonl" in out
         collated_path = directory / "collated.trace.jsonl"
-        assert collated_path.exists()
+        with open(collated_path) as handle:
+            collated = validate_trace(load_collated(handle))
+        names = [r["name"] for r in collated["records"] if r["kind"] == "span"]
+        assert sorted(names) == ["attempt:x", "sweep:demo"]
 
-        assert main(["trace", "view", str(collated_path)]) == 0
-        assert "sweep:demo" in capsys.readouterr().out
+    def test_collate_output_inside_shard_dir_is_not_a_shard(
+        self, tmp_path, capsys,
+    ):
+        # A collated file written into the shard directory, under any
+        # name, must not be read back as a shard by the next collate.
+        from repro.cli import main
 
-        folded = tmp_path / "stacks.folded"
-        assert main([
-            "trace", "view", str(directory), "--folded", str(folded),
-        ]) == 0
+        directory = self._trace_dir(tmp_path)
+        merged = directory / "merged.jsonl"
+        assert main(["trace", "collate", str(directory), "-o",
+                     str(merged)]) == 0
+        first = merged.read_text()
+        again = tmp_path / "again.jsonl"
+        assert main(["trace", "collate", str(directory), "-o",
+                     str(again)]) == 0
         capsys.readouterr()
-        assert "sweep:demo;attempt:x" in folded.read_text()
-
-        assert main(["top", str(directory), "--once"]) == 0
-        assert "rmrls top" in capsys.readouterr().out
+        assert again.read_text() == first
+        with open(again) as handle:
+            header = load_collated(handle)["header"]
+        assert header["shards"] == ["coord.jsonl"]
 
     def test_collate_missing_dir_fails_cleanly(self, tmp_path, capsys):
         from repro.cli import main
@@ -790,22 +575,20 @@ class TestCliTracing:
         assert main(["trace", "collate", str(tmp_path / "absent")]) == 2
         assert "collate failed" in capsys.readouterr().err
 
-    def test_synth_trace_dir_and_openmetrics(self, tmp_path, capsys):
+    def test_synth_jobs_trace_dir_shards_collate(self, tmp_path, capsys):
         from repro.cli import main
 
         trace_dir = tmp_path / "trace"
-        metrics_path = tmp_path / "run.prom"
         code = main([
             "synth", "--spec", "1,0,3,2,5,7,4,6", "--jobs", "2",
             "--trace-dir", str(trace_dir),
-            "--openmetrics", str(metrics_path),
         ])
         capsys.readouterr()
         assert code == 0
-        families = parse_openmetrics(metrics_path.read_text())
-        assert "fleet_worker_utilization" in families
-        assert "fleet_worker_busy_seconds" in families
-        assert any(name.startswith("hotop_") for name in families)
+        collated = validate_trace(collate_shards(str(trace_dir)))
+        assert len(collated["header"]["shards"]) >= 3
+        names = {r["name"] for r in collated["records"] if r["kind"] == "span"}
+        assert "portfolio" in names and "task:portfolio" in names
 
 
 class TestSpanProgressObserver:

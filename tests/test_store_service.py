@@ -3,7 +3,7 @@
 Covers the four cache outcomes (miss, hit, coalesced, bypass), hit
 verification with quarantine-on-mismatch, graceful degradation when
 the store misbehaves, and one full daemon round trip over the socket
-with OpenMetrics export.
+with its ``stats`` op.
 """
 
 import json
@@ -293,9 +293,7 @@ class TestDaemon:
     def test_socket_round_trip_with_metrics(self, tmp_path):
         service, _store, registry = make_service(tmp_path)
         socket_path = str(tmp_path / "rmrls.sock")
-        metrics_path = str(tmp_path / "metrics.txt")
-        server = StoreServer(socket_path, service,
-                             openmetrics=metrics_path)
+        server = StoreServer(socket_path, service)
         thread = threading.Thread(
             target=server.serve_forever, kwargs={"poll_interval": 0.05},
             daemon=True,
@@ -316,15 +314,15 @@ class TestDaemon:
             assert second["real"] == first["real"]
             stats = request_over_socket(socket_path, {"op": "stats"})
             assert stats["stats"]["store"]["keys"] >= 1
+            metrics = stats["stats"]["metrics"]
+            assert metrics["store_cache_hits_total"]["value"] == 1
+            assert metrics["store_cache_misses_total"]["value"] == 1
             bad = request_over_socket(socket_path, {"op": "nonsense"})
             assert bad["status"] == "error"
             down = request_over_socket(socket_path, {"op": "shutdown"})
             assert down["shutting_down"]
             thread.join(timeout=10)
             assert not thread.is_alive()
-            text = open(metrics_path).read()
-            assert "store_cache_hits_total" in text
-            assert "store_cache_misses_total" in text
         finally:
             server.close()
             service.close()

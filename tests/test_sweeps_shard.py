@@ -5,7 +5,7 @@ import os
 
 from repro.experiments.common import TABLE1_OPTIONS
 from repro.harness import HarnessConfig
-from repro.obs import MetricsRegistry, derive_shard_metrics
+from repro.obs import MetricsRegistry
 from repro.sweeps import (
     build_manifest,
     run_shard,
@@ -115,56 +115,3 @@ class TestAdoption:
         second = run_shard(manifest, 0, out_b, adopt=[ledger])
         assert second["adopted"] == 0
         assert second["report"]["replayed"] == 14
-
-
-class TestShardFleetMetrics:
-    def test_derives_straggler_ratio_from_summaries(self, tmp_path):
-        manifest = build_manifest("perm2", shards=2)
-        out = str(tmp_path / "shards")
-        summaries = _run_all(manifest, out)
-        registry = MetricsRegistry()
-        derived = derive_shard_metrics(summaries, registry)
-        assert set(derived["shards"]) == {"1", "2"}
-        assert derived["failed_shards"] == 0
-        assert registry.gauge("sweep_shards_total").value == 2
-        for label, shard in derived["shards"].items():
-            assert shard["solved"] == shard["items"]
-            gauge = registry.gauge(
-                "sweep_shard_solved", {"shard": label}
-            )
-            assert gauge.value == shard["solved"]
-        ratio = derived["straggler_ratio"]
-        if ratio is not None:  # zero-elapsed shards on a fast machine
-            assert ratio >= 1.0
-            assert registry.gauge(
-                "sweep_shard_straggler_ratio"
-            ).value == ratio
-
-    def test_counts_failed_shards(self):
-        summaries = [
-            {
-                "shard": {"index": 0, "start": 0, "stop": 5},
-                "solved": 4,
-                "report": {
-                    "counts": {"ok": 4, "timeout": 1},
-                    "elapsed_seconds": 2.0,
-                },
-            },
-            {
-                "shard": {"index": 1, "start": 5, "stop": 10},
-                "solved": 5,
-                "report": {
-                    "counts": {"ok": 5},
-                    "elapsed_seconds": 1.0,
-                },
-            },
-        ]
-        registry = MetricsRegistry()
-        derived = derive_shard_metrics(summaries, registry)
-        assert derived["failed_shards"] == 1
-        assert derived["straggler_ratio"] == round(2.0 / 1.5, 6)
-        assert derived["shards"]["1"]["failed_tasks"] == 1
-        assert registry.gauge("sweep_shards_failed").value == 1
-        assert registry.gauge(
-            "sweep_shard_seconds_per_class", {"shard": "1"}
-        ).value == 0.4
