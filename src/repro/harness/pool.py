@@ -1,10 +1,15 @@
-"""The isolated worker pool: one subprocess per task attempt.
+"""The isolated worker pool: reused worker processes, retired on any
+unclean end.
 
-Process-per-attempt is what makes the budgets *hard*: a worker that
-hangs past its wall budget or allocates past its memory budget is
-SIGKILLed (or dies on ``MemoryError`` under ``RLIMIT_AS``) without
-taking the sweep down, and a worker that ``os._exit``\\ s or segfaults
-is classified as ``crash`` rather than aborting the run.
+A worker is a forked subprocess running attempts one at a time from a
+pipe (:func:`~repro.harness.worker.worker_loop`).  Only an ``ok``,
+``unsolved`` or ``timeout`` result returns it to the idle set; any
+other end retires it (SIGKILL, join, close its pipe), so the budgets
+stay *hard*: a worker that hangs past its wall budget or allocates
+past its memory budget is SIGKILLed (or dies on ``MemoryError`` under
+``RLIMIT_AS``) without taking the sweep down, a worker that
+``os._exit``\\ s or segfaults is classified as ``crash`` rather than
+aborting the run, and the next attempt gets a fresh fork.
 
 The pool owns scheduling (up to ``jobs`` concurrent workers), budget
 enforcement, exit classification, and the retry ladder; checkpointing
@@ -17,6 +22,7 @@ from __future__ import annotations
 
 import multiprocessing
 import multiprocessing.connection
+import multiprocessing.util
 import os
 import time
 from dataclasses import dataclass
@@ -27,14 +33,20 @@ from repro.harness.taxonomy import (
     STATUS_CRASH,
     STATUS_HANG,
     STATUS_INTERRUPTED,
+    STATUS_OK,
     STATUS_OOM,
+    STATUS_TIMEOUT,
+    STATUS_UNSOLVED,
     TaskOutcome,
 )
-from repro.harness.worker import worker_entry
+from repro.harness.worker import worker_loop
 
 __all__ = ["WorkerBudget", "WorkerPool"]
 
 _SIGKILL = 9
+
+#: Results after which a worker is clean enough to run another attempt.
+_REUSABLE = (STATUS_OK, STATUS_UNSOLVED, STATUS_TIMEOUT)
 
 
 @dataclass(frozen=True)
@@ -58,27 +70,29 @@ class WorkerBudget:
             raise ValueError("mem_limit_mb must be positive or None")
 
 
+@dataclass(eq=False)
+class _Worker:
+    """One worker process and the parent's end of its pipe."""
+
+    process: multiprocessing.Process
+    conn: multiprocessing.connection.Connection
+    mem: int | None  # the RLIMIT_AS it applied at start
+    runtime: dict | None  # inherited through the fork
+
+
+@dataclass(eq=False)
 class _Attempt:
-    """Bookkeeping for one running worker process."""
+    """Bookkeeping for one attempt running on a worker."""
 
-    __slots__ = (
-        "task", "attempt", "process", "conn",
-        "started", "deadline", "killed", "cancelled", "prior_elapsed",
-        "span",
-    )
-
-    def __init__(self, task, attempt, process, conn, started, deadline,
-                 prior_elapsed, span=None):
-        self.task = task
-        self.attempt = attempt
-        self.process = process
-        self.conn = conn
-        self.started = started
-        self.deadline = deadline
-        self.killed = False
-        self.cancelled = False
-        self.prior_elapsed = prior_elapsed
-        self.span = span
+    task: Task
+    attempt: int
+    worker: _Worker
+    started: float
+    deadline: float | None
+    prior_elapsed: float
+    span: object = None
+    killed: bool = False
+    cancelled: bool = False
 
 
 class _Pending:
@@ -98,19 +112,12 @@ class _Pending:
         self.retry_of = retry_of
 
 
-def _default_context():
-    # fork is markedly cheaper than spawn and keeps the warmed-up
-    # interpreter; fall back to the platform default elsewhere.
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX platforms
-        return multiprocessing.get_context()
-
-
 class WorkerPool:
     """Run tasks in isolated subprocesses under hard budgets.
 
-    ``jobs`` bounds concurrency; each attempt gets a fresh process.
+    ``jobs`` bounds concurrency and live workers, which are forked
+    lazily and kept across attempts and ``run()`` calls until
+    :meth:`close`.
     ``retry`` drives the escalation ladder (options, wall, and memory
     budgets all escalate per :class:`~repro.harness.retry.RetryPolicy`).
     """
@@ -120,7 +127,6 @@ class WorkerPool:
         jobs: int = 1,
         budget: WorkerBudget | None = None,
         retry: RetryPolicy | None = None,
-        context=None,
         clock=time.monotonic,
         trace=None,
         flight_dir=None,
@@ -131,7 +137,10 @@ class WorkerPool:
         self.jobs = jobs
         self.budget = budget if budget is not None else WorkerBudget()
         self.retry = retry if retry is not None else RetryPolicy()
-        self._ctx = context if context is not None else _default_context()
+        # fork keeps the warmed-up interpreter and is the only way the
+        # portfolio's shared bound (an mp.Value) reaches a worker.
+        self._ctx = multiprocessing.get_context("fork")
+        self._idle: list[_Worker] = []
         self._clock = clock
         # Optional coordinator-side TraceSession (repro.obs.spans).
         # When set, every attempt gets its own span and the worker
@@ -180,38 +189,82 @@ class WorkerPool:
         flight_wire = None
         if self.flight_dir is not None:
             flight_wire = {"dir": self.flight_dir, "task_id": task.task_id}
-        receiver, sender = self._ctx.Pipe(duplex=False)
-        process = self._ctx.Process(
-            target=worker_entry,
-            args=(sender, task.kind, task.payload, options,
-                  pending.attempt, mem, task.runtime, trace_wire,
-                  flight_wire),
-            daemon=True,
-        )
-        process.start()
-        sender.close()  # the child owns the send end now
+        worker = self._checkout(mem, task.runtime)
+        try:
+            worker.conn.send((task.kind, task.payload, options,
+                              pending.attempt, trace_wire, flight_wire))
+        except OSError:
+            pass  # the worker died; the attempt settles as its death
         started = self._clock()
         wall = self.retry.escalate_wall(
             self.budget.wall_seconds, pending.attempt
         )
         deadline = None if wall is None else started + wall
         return _Attempt(
-            task, pending.attempt, process, receiver, started, deadline,
+            task, pending.attempt, worker, started, deadline,
             pending.prior_elapsed, span,
         )
 
+    def _checkout(self, mem, runtime) -> _Worker:
+        """An idle worker with this memory budget and runtime, or a new
+        fork."""
+        for worker in list(self._idle):
+            if not worker.process.is_alive():
+                self._idle.remove(worker)
+                self._retire(worker)
+            elif worker.mem == mem and worker.runtime is runtime:
+                self._idle.remove(worker)
+                return worker
+        conn, child_end = self._ctx.Pipe()
+        # Every later fork (this worker included) closes its copy of the
+        # parent's end, so a worker sees EOF once the parent drops it.
+        multiprocessing.util.register_after_fork(conn, type(conn).close)
+        process = self._ctx.Process(
+            target=worker_loop, args=(child_end, mem, runtime), daemon=True,
+        )
+        process.start()
+        child_end.close()  # the child owns this end now
+        return _Worker(process, conn, mem, runtime)
+
+    @staticmethod
+    def _retire(worker: _Worker) -> None:
+        worker.process.kill()
+        worker.process.join()
+        worker.conn.close()
+
+    def close(self) -> None:
+        """Retire every idle worker.  A later ``run()`` forks afresh."""
+        idle, self._idle = self._idle, []
+        for worker in idle:
+            self._retire(worker)
+
+    def __enter__(self) -> "WorkerPool":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
     def _conclude(self, running: _Attempt) -> dict:
-        """Collect the raw result dict of a finished (or killed) worker."""
+        """Collect an ended attempt's raw result dict, and return its
+        worker to the idle set or retire it."""
+        worker = running.worker
         result = None
+        if running.killed:
+            worker.process.join()  # a result that raced in is kept
         try:
-            if running.conn.poll():
-                result = running.conn.recv()
+            if worker.conn.poll():
+                result = worker.conn.recv()
         except (EOFError, OSError):
+            pass  # died without (all of) a result
+        if not isinstance(result, dict) or "status" not in result:
             result = None
-        finally:
-            running.conn.close()
-        running.process.join()
-        if isinstance(result, dict) and "status" in result:
+        elif result["status"] in _REUSABLE and not running.killed:
+            self._idle.append(worker)
+            if len(self._idle) > self.jobs:  # keep at most ``jobs`` alive
+                self._retire(self._idle.pop(0))
+            return result
+        self._retire(worker)
+        if result is not None:
             return result
         if running.cancelled:
             return {
@@ -225,7 +278,7 @@ class WorkerPool:
                     "worker SIGKILLed after exceeding its wall budget"
                 ),
             }
-        exitcode = running.process.exitcode
+        exitcode = worker.process.exitcode
         if exitcode == -_SIGKILL:
             # We did not kill it — the kernel OOM killer uses SIGKILL.
             return {
@@ -239,15 +292,7 @@ class WorkerPool:
 
     def _kill(self, running: _Attempt) -> None:
         running.killed = True
-        running.process.kill()
-
-    def _terminate_all(self, running: list[_Attempt]) -> None:
-        for attempt in running:
-            if attempt.process.is_alive():
-                attempt.process.kill()
-        for attempt in running:
-            attempt.process.join()
-            attempt.conn.close()
+        running.worker.process.kill()
 
     # -- the scheduling loop -----------------------------------------------
 
@@ -256,9 +301,10 @@ class WorkerPool:
 
         ``on_final(task, outcome)`` fires as soon as a task's outcome is
         final (all retries exhausted or not needed).  On
-        ``KeyboardInterrupt`` every live worker is SIGKILLed and the
-        interrupt propagates — tasks without a final outcome simply have
-        none, which is what makes a later resume re-run them.
+        ``KeyboardInterrupt`` (or any error) every worker, running or
+        idle, is SIGKILLed and the interrupt propagates — tasks without
+        a final outcome simply have none, which is what makes a later
+        resume re-run them.
 
         ``stop_check()`` (optional) is polled between scheduling rounds;
         once it returns true, still-running workers are SIGKILLed and
@@ -295,19 +341,17 @@ class WorkerPool:
                 self._wait(pending, running, now, poll_cap)
                 now = self._clock()
                 for attempt in list(running):
-                    if attempt.process.is_alive():
-                        if (
-                            attempt.deadline is not None
-                            and now >= attempt.deadline
-                        ):
-                            self._kill(attempt)
-                            attempt.process.join()
-                        else:
+                    worker = attempt.worker
+                    # Settle on the result, not on the worker's exit.
+                    if worker.process.is_alive() and not worker.conn.poll():
+                        if attempt.deadline is None or now < attempt.deadline:
                             continue
+                        self._kill(attempt)
                     running.remove(attempt)
                     self._settle(attempt, now, pending, finished, on_final)
         except BaseException as error:
-            self._terminate_all(running)
+            self._idle.extend(attempt.worker for attempt in running)
+            self.close()
             if self.flight is not None and not isinstance(
                 error, KeyboardInterrupt
             ):
@@ -339,7 +383,6 @@ class WorkerPool:
         for attempt in list(running):
             attempt.cancelled = True
             self._kill(attempt)
-            attempt.process.join()
             running.remove(attempt)
             self._settle(attempt, now, pending, finished, on_final)
         for waiting in list(pending):
@@ -367,9 +410,9 @@ class WorkerPool:
             running.append(self._launch(ready))
 
     def _wait(self, pending, running, now, cap=None) -> None:
-        """Block until a worker exits, a deadline passes, or a backoff
-        window opens.  ``cap`` bounds the block so a ``stop_check`` is
-        re-polled promptly."""
+        """Block until a result arrives, a worker exits, a deadline
+        passes, or a backoff window opens.  ``cap`` bounds the block so
+        a ``stop_check`` is re-polled promptly."""
         horizons = [a.deadline for a in running if a.deadline is not None]
         if len(running) < self.jobs:
             horizons.extend(p.ready_at for p in pending if p.ready_at > now)
@@ -380,7 +423,8 @@ class WorkerPool:
             timeout = cap if timeout is None else min(timeout, cap)
         if running:
             multiprocessing.connection.wait(
-                [attempt.process.sentinel for attempt in running],
+                [attempt.worker.conn for attempt in running]
+                + [attempt.worker.process.sentinel for attempt in running],
                 timeout=timeout,
             )
         elif timeout:

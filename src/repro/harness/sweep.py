@@ -82,7 +82,6 @@ class HarnessConfig:
     # loses at most the line being written, same as a SIGKILL.
     ledger_fsync: bool = False
     strict: bool = False
-    mp_context: str | None = None
     metrics: object | None = field(default=None, compare=False)
     # Distributed-trace shard directory (repro.obs.spans).  When set,
     # the sweep opens a coordinator session, every executed task gets
@@ -400,19 +399,13 @@ def run_sweep(
                     mem_limit_mb=config.mem_limit_mb,
                 ),
                 retry=config.retry,
-                context=(
-                    None
-                    if config.mp_context is None
-                    else __import__("multiprocessing").get_context(
-                        config.mp_context
-                    )
-                ),
                 trace=session,
                 flight_dir=config.flight_dir,
                 flight=flight,
             )
             try:
-                pool.run(pending, on_final=on_final)
+                with pool:
+                    pool.run(pending, on_final=on_final)
             except KeyboardInterrupt:
                 report.interrupted = True
         else:

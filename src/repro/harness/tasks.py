@@ -250,7 +250,9 @@ def probe_task(
     ``os._exit``), ``hang`` (sleep ``seconds``), ``oom`` (allocate
     ``mbytes`` of memory), ``flaky`` (fail until attempt ``ok_after``),
     or ``need_steps`` (succeed once the retry ladder escalates
-    ``max_steps`` past ``min_steps``).  Parameters ride in ``params``;
+    ``max_steps`` past ``min_steps``).  ``pid`` reports the worker's
+    pid in ``extra``; ``ok`` also takes ``pad`` (a ``circuit`` of that
+    many bytes).  Parameters ride in ``params``;
     ``options`` feeds the escalation ladder like any real task's
     options.
     """

@@ -3,9 +3,9 @@
 :func:`execute_payload` runs one declarative task (see
 :mod:`repro.harness.tasks`) and returns a JSON-safe result dict with at
 least a ``status`` key from the failure taxonomy.  The same function
-backs both the inline executor and the isolated worker;
-:func:`worker_entry` wraps it for the subprocess side (memory limit,
-exception → taxonomy mapping, result hand-off over a pipe).
+backs both the inline executor and the isolated worker, whose
+:func:`worker_loop` runs each attempt through :func:`worker_entry`
+(exception → taxonomy mapping, result hand-off over a pipe).
 
 Imports of the experiment stack are deliberately lazy: the experiment
 drivers import the harness, so the harness must not import them at
@@ -33,6 +33,7 @@ from repro.harness.taxonomy import (
 __all__ = [
     "execute_payload",
     "worker_entry",
+    "worker_loop",
     "apply_memory_limit",
 ]
 
@@ -276,6 +277,13 @@ def _run_portfolio(
 
 
 def _run_probe(payload: dict, options: dict, attempt: int) -> dict:
+    result = _probe_behavior(payload, options, attempt)
+    if payload.get("pid"):
+        result.setdefault("extra", {})["pid"] = os.getpid()
+    return result
+
+
+def _probe_behavior(payload: dict, options: dict, attempt: int) -> dict:
     behavior = payload["behavior"]
     if behavior == "ok":
         if payload.get("sleep"):
@@ -283,6 +291,7 @@ def _run_probe(payload: dict, options: dict, attempt: int) -> dict:
         return {
             "status": STATUS_OK,
             "gate_count": payload.get("gate_count", 1),
+            "circuit": "#" * payload["pad"] if payload.get("pad") else None,
             "stats": {"elapsed_seconds": payload.get("elapsed", 0.0)},
         }
     if behavior in (STATUS_UNSOLVED, STATUS_TIMEOUT, STATUS_UNSOUND):
@@ -363,23 +372,38 @@ def execute_payload(
     return result
 
 
+def worker_loop(conn, mem_limit_mb: int | None,
+                runtime: dict | None = None) -> None:
+    """Subprocess main loop: run each attempt read from ``conn`` through
+    :func:`worker_entry` and send its result back.
+
+    ``RLIMIT_AS`` is applied once, here; ``runtime`` (the portfolio's
+    shared bound) is inherited through the fork, never sent.  EOF, a
+    broken pipe or Ctrl-C ends the loop quietly.
+    """
+    if mem_limit_mb is not None:
+        apply_memory_limit(mem_limit_mb)
+    try:
+        while True:
+            conn.send(worker_entry(*conn.recv(), runtime=runtime))
+    except (EOFError, OSError, KeyboardInterrupt):
+        return
+
+
 def worker_entry(
-    conn,
     kind: str,
     payload: dict,
     options: dict,
     attempt: int,
-    mem_limit_mb: int | None,
-    runtime: dict | None = None,
     trace: dict | None = None,
     flight: dict | None = None,
-) -> None:
-    """Subprocess entry point: run the task, send one result dict.
+    runtime: dict | None = None,
+) -> dict:
+    """Run one attempt in a worker and return its result dict.
 
     Every exception is converted to a taxonomy status here so that the
     parent only has to deal with three cases: a result arrived, the
     process died silently, or the parent killed it.
-
     ``trace`` is an optional wire-form
     :class:`~repro.obs.spans.TraceContext`: the worker opens its own
     JSONL shard (negotiating the clock offset at this handshake),
@@ -438,12 +462,10 @@ def worker_entry(
             runtime = dict(runtime or {})
             runtime["flight_recorder"] = recorder
             runtime["flight_observer"] = observer
-            recorder.record("task_start", kind=kind, attempt=attempt)
+            recorder.record("task_start", task_kind=kind, attempt=attempt)
         except Exception:  # pragma: no cover - recording must not kill work
             recorder = None
     try:
-        if mem_limit_mb is not None:
-            apply_memory_limit(mem_limit_mb)
         result = execute_payload(kind, payload, options, attempt, runtime)
     except MemoryError:
         result = {
@@ -481,9 +503,4 @@ def worker_entry(
             session.close()
         except Exception:  # pragma: no cover - tracing must not kill work
             pass
-    try:
-        conn.send(result)
-    except (BrokenPipeError, OSError):
-        pass  # parent already gave up on us; exit quietly
-    finally:
-        conn.close()
+    return result

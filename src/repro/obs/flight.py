@@ -56,6 +56,7 @@ import signal
 import struct
 import threading
 import time
+import weakref
 import zlib
 
 from repro.applog import AppendLog, atomic_write, checksum, read_log
@@ -320,7 +321,6 @@ class FlightRecorder:
         # per `every` steps), so a lock costs nothing measurable.
         self._lock = threading.RLock()
         self.armed = True
-        self._atexit_registered = False
         fault_text = faults if faults is not None \
             else os.environ.get(FAULTS_ENV_VAR)
         self._fault = parse_faults(fault_text)
@@ -370,17 +370,11 @@ class FlightRecorder:
     def register_atexit(self) -> None:
         """Backstop: dump on interpreter shutdown if still armed (a
         ``sys.exit`` deep in task code; ``os._exit`` and SIGKILL skip
-        this — those are the coordinator-recovery cases)."""
-        if not self._atexit_registered:
-            self._atexit_registered = True
-            atexit.register(self._atexit_dump)
-
-    def _atexit_dump(self) -> None:
-        if self.armed:
-            try:
-                self.write_dump(reason="abandoned")
-            except Exception:  # pragma: no cover - shutdown best-effort
-                pass
+        this — those are the coordinator-recovery cases).  One
+        process-wide hook serves every recorder and holds them weakly,
+        so a worker that runs many attempts keeps neither a handler nor
+        a recorder per attempt."""
+        _EXIT_RECORDERS.add(self)
 
     def build_dump(self, reason: str, error: str | None = None,
                    extra: dict | None = None) -> dict:
@@ -428,9 +422,24 @@ class FlightRecorder:
         """Close handles without deleting anything (leave the ring for
         post-mortem recovery)."""
         self.armed = False
+        _EXIT_RECORDERS.discard(self)
         self._ring.close()
         if self._decision_stream is not None:
             self._decision_stream.close()
+
+
+#: Armed recorders the interpreter-exit hook dumps (weakly held).
+_EXIT_RECORDERS: "weakref.WeakSet[FlightRecorder]" = weakref.WeakSet()
+
+
+@atexit.register
+def _dump_at_exit() -> None:
+    for recorder in list(_EXIT_RECORDERS):
+        if recorder.armed:
+            try:
+                recorder.write_dump(reason="abandoned")
+            except Exception:  # pragma: no cover - shutdown best-effort
+                pass
 
 
 # -- the search-side tap -------------------------------------------------------

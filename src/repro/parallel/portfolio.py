@@ -546,10 +546,15 @@ def _run_portfolio_driver(
         deck=[slot.as_dict() for slot in deck.slots] if deck else [],
     )
 
+    owned = pool is None and not inline
     pool = None if inline else _fleet_pool(
         pool, jobs, options, session, flight
     )
-    _run_plan(tasks, plan, summary, options, session, root_span, pool)
+    try:
+        _run_plan(tasks, plan, summary, options, session, root_span, pool)
+    finally:
+        if owned:
+            pool.close()
 
     result = _merge_fleet(
         system, options, summary, registries, started,

@@ -9,6 +9,9 @@ simulation before it is served), and otherwise synthesized on the PR-2
 arriving requests for the same canonical class *single-flighted* onto
 one search.  An idle batcher starts a miss the moment it arrives;
 misses that arrive while a pool run is in flight share the next run.
+The pool's workers outlive a miss: each is forked at the first miss
+that needs it and serves every later one until an unclean end retires
+it or :meth:`SynthesisService.close` does.
 A synthesized circuit is simulation-verified against the canonical
 class before it is stored, and again on the caller's wires before it
 is served; a circuit failing either check is answered ``unsound``.
@@ -516,7 +519,8 @@ class SynthesisService:
         }
 
     def close(self) -> None:
-        """Stop the batcher; fail any still-queued flights loudly."""
+        """Stop the batcher and retire the pool's workers; fail any
+        still-queued flights loudly."""
         with self._cond:
             self._stopped = True
             pending, self._queue = self._queue, []
@@ -525,6 +529,7 @@ class SynthesisService:
             pending, {"status": "error", "error": "service closed"}
         )
         self._batcher.join(timeout=10.0)
+        self._pool.close()
         if self.flight is not None and self.flight.armed:
             self.flight.discard()
         if self.store is not None:

@@ -6,6 +6,7 @@ SIGKILL via ``RMRLS_FLIGHT_FAULTS`` and assert the coordinator turns
 the victim's ring into a validated, replayable crash dump.
 """
 
+import atexit
 import json
 import os
 import random
@@ -14,7 +15,8 @@ import time
 import pytest
 
 from repro.functions.permutation import Permutation
-from repro.harness import WorkerPool, permutation_task
+from repro.harness import WorkerPool, permutation_task, probe_task
+from repro.harness.worker import worker_entry
 from repro.obs import ProgressObserver, TraceSession
 from repro.obs.flight import (
     DUMP_STATUSES,
@@ -301,4 +303,26 @@ class TestPoolRecovery:
         pool = WorkerPool(flight_dir=str(tmp_path))
         [outcome] = pool.run([task])
         assert outcome.status == "ok"
+        assert scan_flight_dir(str(tmp_path)) == {"rings": 0, "dumps": 0}
+
+    def test_reused_worker_keeps_no_recorder_per_attempt(self, tmp_path,
+                                                          monkeypatch):
+        # A worker runs many attempts: none may leave an atexit
+        # handler (or the recorder it holds) behind.
+        monkeypatch.delenv(FAULTS_ENV_VAR, raising=False)
+        handlers = atexit._ncallbacks()
+        for attempt in range(1, 4):
+            result = worker_entry(
+                "probe", {"behavior": "ok"}, {}, attempt,
+                flight={"dir": str(tmp_path), "task_id": "reused"},
+            )
+            assert result["status"] == "ok"
+        assert atexit._ncallbacks() == handlers
+        with WorkerPool(flight_dir=str(tmp_path)) as pool:
+            outcomes = pool.run([
+                probe_task("ok", namespace=f"reused{index}", pid=True)
+                for index in range(3)
+            ])
+        assert [outcome.status for outcome in outcomes] == ["ok"] * 3
+        assert len({outcome.extra["pid"] for outcome in outcomes}) == 1
         assert scan_flight_dir(str(tmp_path)) == {"rings": 0, "dumps": 0}

@@ -6,6 +6,11 @@ budget, one that allocates past its memory cap, and flaky ones that
 exercise the retry ladder.
 """
 
+import multiprocessing
+import os
+import signal
+import time
+
 import pytest
 
 from repro.harness import (
@@ -21,8 +26,27 @@ from repro.synth.options import SynthesisOptions
 
 
 def _pool_run(tasks, **kwargs):
-    pool = WorkerPool(**kwargs)
-    return pool.run(tasks)
+    with WorkerPool(**kwargs) as pool:
+        return pool.run(tasks)
+
+
+def _ok(label):
+    """An ``ok`` probe that reports the pid of the worker it ran in."""
+    return probe_task("ok", meta={"label": label}, namespace=label, pid=True)
+
+
+def _new_children(before):
+    """Live children forked since ``before`` was taken."""
+    return [p for p in multiprocessing.active_children() if p not in before]
+
+
+def _settled_children(timeout=10.0):
+    """The live children, once workers of earlier tests' dropped pools
+    (which exit on EOF) are gone — or whatever is left at ``timeout``."""
+    deadline = time.monotonic() + timeout
+    while multiprocessing.active_children() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return set(multiprocessing.active_children())
 
 
 class TestExitClassification:
@@ -146,3 +170,148 @@ class TestRealSynthesisIsolated:
         assert inline[0].status == isolated[0].status == "ok"
         assert inline[0].gate_count == isolated[0].gate_count
         assert inline[0].circuit == isolated[0].circuit
+
+
+class TestLargeResults:
+    def test_result_larger_than_the_pipe_buffer_comes_back(self):
+        # The worker blocks in send until the parent reads: a parent
+        # that waits only for the worker to exit never returns, or
+        # under a wall budget throws the finished result away as hang.
+        [outcome] = _pool_run(
+            [probe_task("ok", pad=256 * 1024)],
+            budget=WorkerBudget(wall_seconds=5),
+        )
+        assert outcome.status == "ok"
+        assert outcome.attempts == 1
+        assert len(outcome.circuit) == 256 * 1024
+
+
+class TestWorkerReuse:
+    def test_clean_attempts_share_one_worker_across_runs(self):
+        with WorkerPool() as pool:
+            outcomes = pool.run([_ok(f"a{index}") for index in range(3)])
+            outcomes += pool.run([_ok(f"b{index}") for index in range(2)])
+        assert [o.status for o in outcomes] == ["ok"] * 5
+        assert len({o.extra["pid"] for o in outcomes}) == 1
+
+    @pytest.mark.parametrize(
+        "bad, budget, status",
+        [
+            (probe_task("exit", code=13), WorkerBudget(), "crash"),
+            # The budget also covers the ok probes around the hang.
+            (probe_task("hang", seconds=60), WorkerBudget(wall_seconds=2),
+             "hang"),
+            (probe_task("raise"), WorkerBudget(), "crash"),
+            (probe_task("oom", mbytes=256), WorkerBudget(mem_limit_mb=128),
+             "oom"),
+            (probe_task("interrupt"), WorkerBudget(), "interrupted"),
+            (probe_task("unsound"), WorkerBudget(), "unsound"),
+        ],
+        ids=["exit", "hang", "raise", "oom", "interrupt", "unsound"],
+    )
+    def test_unclean_end_retires_the_worker(self, bad, budget, status):
+        with WorkerPool(budget=budget) as pool:
+            [before] = pool.run([_ok("before")])
+            [failed] = pool.run([bad])
+            [after] = pool.run([_ok("after")])
+        assert failed.status == status
+        assert before.status == after.status == "ok"
+        assert after.extra["pid"] != before.extra["pid"]
+
+    @pytest.mark.parametrize("behavior", ["unsolved", "timeout"])
+    def test_clean_failure_keeps_the_worker(self, behavior):
+        with WorkerPool() as pool:
+            [before] = pool.run([_ok("before")])
+            [failed] = pool.run([probe_task(behavior)])
+            [after] = pool.run([_ok("after")])
+        assert failed.status == behavior
+        assert after.extra["pid"] == before.extra["pid"]
+
+    def test_cancel_retires_the_worker(self):
+        with WorkerPool() as pool:
+            [before] = pool.run([_ok("before")])
+            stop_at = time.monotonic() + 0.3
+            [cancelled] = pool.run(
+                [probe_task("hang", seconds=60)],
+                stop_check=lambda: time.monotonic() > stop_at,
+            )
+            [after] = pool.run([_ok("after")])
+        assert cancelled.status == "interrupted"
+        assert after.status == "ok"
+        assert after.extra["pid"] != before.extra["pid"]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_escalated_memory_retry_forks_a_new_worker(self, jobs):
+        retry = RetryPolicy(max_retries=1, step_factor=2.0, mem_factor=2.0)
+        budget = WorkerBudget(mem_limit_mb=1024)
+        with WorkerPool(jobs=jobs, budget=budget, retry=retry) as pool:
+            [before] = pool.run([_ok("before")])
+            [retried] = pool.run([probe_task(
+                "need_steps", min_steps=20, options={"max_steps": 10},
+                pid=True,
+            )])
+            [after] = pool.run([_ok("after")])
+        assert retried.status == "ok" and retried.attempts == 2
+        assert retried.extra["pid"] != before.extra["pid"]
+        # Attempt 1 ended unsolved, so its worker went back to the idle
+        # set; it is still there for the base budget only if ``jobs``
+        # leaves room for both workers.
+        assert (after.extra["pid"] == before.extra["pid"]) == (jobs == 2)
+
+
+class TestLifecycle:
+    def test_close_retires_idle_workers(self):
+        before = _settled_children()
+        pool = WorkerPool(jobs=2)
+        pool.run([_ok("a"), _ok("b")])
+        assert len(_new_children(before)) == 2
+        pool.close()
+        assert _new_children(before) == []
+
+    def test_failed_run_kills_idle_workers_too(self):
+        before = _settled_children()
+        pool = WorkerPool(jobs=2)
+        pool.run([_ok("a"), _ok("b")])
+
+        def coordinator_failure(task, outcome):
+            raise RuntimeError("coordinator failure")
+
+        with pytest.raises(RuntimeError):
+            pool.run([_ok("c")], on_final=coordinator_failure)
+        assert _new_children(before) == []
+
+    @pytest.mark.parametrize("how", ["eof", "sigint"])
+    def test_idle_worker_exits_quietly(self, how, capfd):
+        pool = WorkerPool()
+        pool.run([_ok("warm")])
+        [process] = [w.process for w in pool._idle]
+        if how == "eof":
+            pool._idle[0].conn.close()
+        else:
+            os.kill(process.pid, signal.SIGINT)
+        process.join(timeout=10)
+        assert process.exitcode == 0
+        assert "Traceback" not in capfd.readouterr().err
+        pool.close()
+
+    def test_isolated_sweep_leaves_no_worker(self):
+        before = _settled_children()
+        report = run_sweep(
+            "lifecycle", [_ok("a"), _ok("b")],
+            config=HarnessConfig(isolate=True, jobs=2),
+        )
+        assert report.counts["ok"] == 2
+        assert _new_children(before) == []
+
+    def test_pooled_portfolio_leaves_no_worker(self):
+        from repro.functions.permutation import Permutation
+        from repro.synth.rmrls import synthesize
+
+        before = _settled_children()
+        result = synthesize(
+            Permutation([1, 0, 7, 2, 3, 4, 5, 6]),
+            SynthesisOptions(portfolio_jobs=2, max_steps=5000),
+        )
+        assert result.solved
+        assert result.portfolio is not None
+        assert _new_children(before) == []

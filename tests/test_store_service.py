@@ -7,6 +7,7 @@ with its ``stats`` op.
 """
 
 import json
+import multiprocessing
 import os
 import threading
 import time
@@ -70,6 +71,9 @@ class HeldPool:
             assert self.release.wait(timeout=60)
         return self.pool.run(tasks, on_final=on_final)
 
+    def close(self):
+        self.pool.close()
+
 
 class WrongCircuitPool:
     """A pool whose every task comes back ``ok`` with a circuit that
@@ -82,6 +86,9 @@ class WrongCircuitPool:
                 task_id=task.task_id, status="ok", gate_count=1,
                 circuit=wrong,
             ))
+
+    def close(self):
+        pass
 
 
 def make_service(tmp_path, **kwargs):
@@ -217,6 +224,26 @@ class TestCacheOutcomes:
             assert response["error"]
         finally:
             service.close()
+
+
+class TestWorkerReuse:
+    def test_sequential_misses_share_one_worker(self, tmp_path):
+        before = set(multiprocessing.active_children())
+        service, _store, registry = make_service(tmp_path)
+        try:
+            pids = []
+            for spec in (SWAP_01, *OTHER_CLASSES, [7, 6, 5, 4, 3, 2, 1, 0]):
+                response = service.synthesize(spec)
+                assert response["status"] == "ok", response
+                assert response["cache"] == "miss"
+                pids.append([w.process.pid for w in service._pool._idle])
+            assert counter(registry, "store_cache_misses_total") == 5
+            assert len(pids[0]) == 1 and pids == [pids[0]] * 5
+        finally:
+            service.close()
+        assert [
+            p for p in multiprocessing.active_children() if p not in before
+        ] == []
 
 
 class TestHitVerification:
