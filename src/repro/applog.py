@@ -1,6 +1,6 @@
 """One append-log primitive for every crash-safe JSONL file.
 
-The sweep ledger, trace shards, the flight recorder's decisions
+The sweep ledger, the JSONL search trace, the flight recorder's decisions
 sidecar, and the circuit store's segments and quarantine files are
 append-only JSONL logs that must survive a process killed mid-write.
 They share this module (docs/formats.md, "Append logs"):

@@ -8,7 +8,6 @@ Subcommands::
     rmrls profile --benchmark rd53              # phase-time breakdown
     rmrls bench --quick                         # kernel micro-suite
     rmrls trace summarize run.jsonl             # analyze a JSONL trace
-    rmrls trace collate runs/t1                 # merge span shards
     rmrls benchmarks                            # list known benchmarks
     rmrls table1 --sample 100                   # reproduce Table I
     rmrls table2 --sample 20 / table3 --sample 10
@@ -33,11 +32,6 @@ times the search's kernel micro-suite and prints one row per kernel;
 end-to-end benchmarking is ``perfbench/``.  ``rmrls trace summarize``
 post-processes a ``--trace-jsonl`` file into substitution
 frequencies, queue-depth percentiles, and the restart timeline.
-
-Distributed tracing (see docs/observability.md): ``--trace-dir DIR``
-on ``synth`` and ``sweep`` makes every process write span shards under
-DIR; ``rmrls trace collate`` merges them into one schema-validated
-timeline.
 
 Durable synthesis cache (see docs/robustness.md): ``rmrls serve``
 answers synthesis requests over a unix socket through the crash-safe
@@ -113,10 +107,6 @@ def _add_observability_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--progress-every", type=int, metavar="N",
                         default=None,
                         help="print a progress line to stderr every N steps")
-    parser.add_argument("--trace-dir", metavar="DIR", default=None,
-                        help="write distributed-tracing span shards under "
-                             "DIR (one JSONL file per process; collate "
-                             "with `rmrls trace collate`)")
     parser.add_argument("--flight-dir", metavar="DIR", default=None,
                         help="arm a black-box flight recorder in every "
                              "process; abnormal exits leave crash dumps "
@@ -196,8 +186,6 @@ def _cmd_synth(args) -> int:
                   file=sys.stderr)
             return 2
     options = _options_from_args(args)
-    if args.trace_dir:
-        options = options.with_(trace_dir=args.trace_dir)
     if getattr(args, "flight_dir", None):
         options = options.with_(flight_dir=args.flight_dir)
     jobs = getattr(args, "jobs", None)
@@ -230,7 +218,8 @@ def _cmd_synth(args) -> int:
             if getattr(args, flag):
                 print(f"--{flag.replace('_', '-')} does not work with a "
                       "portfolio run (--jobs above 1 or --strategies); "
-                      "trace it with --trace-dir", file=sys.stderr)
+                      "read its portfolio block in --json or --metrics",
+                      file=sys.stderr)
                 return 2
     options, registry, phases, jsonl = _attach_observers(args, options)
     direction = getattr(args, "direction", None) or (
@@ -447,25 +436,6 @@ def _cmd_trace_summarize(args) -> int:
         print(json.dumps(summary, indent=2))
     else:
         print(render_trace_summary(summary))
-    return 0
-
-
-def _cmd_trace_collate(args) -> int:
-    """Merge per-process span shards into one validated timeline."""
-    from repro.obs import TraceValidationError, collate_to_file
-
-    output = args.output or os.path.join(
-        args.trace_dir, "collated.trace.jsonl"
-    )
-    try:
-        header = collate_to_file(args.trace_dir, output)
-    except (OSError, TraceValidationError) as error:
-        print(f"collate failed: {error}", file=sys.stderr)
-        return 2
-    skipped = header.get("skipped_lines", 0)
-    print(f"trace {header['trace_id']}: {header['records']} records "
-          f"from {len(header['shards'])} shard(s) -> {output}"
-          + (f" ({skipped} malformed line(s) skipped)" if skipped else ""))
     return 0
 
 
@@ -705,9 +675,6 @@ def _add_harness_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--limit", type=int, default=None,
                         help="execute at most N unfinished tasks, then stop "
                              "(combine with --resume to continue later)")
-    parser.add_argument("--trace-dir", metavar="DIR", default=None,
-                        help="write distributed-tracing span shards under "
-                             "DIR (merge with `rmrls trace collate DIR`)")
     parser.add_argument("--flight-dir", metavar="DIR", default=None,
                         help="arm a flight recorder in every worker "
                              "(needs --isolate); dead workers leave crash "
@@ -729,7 +696,6 @@ def _harness_from_args(args, metrics=None):
         store_path=args.store,
         strict=args.strict,
         metrics=metrics,
-        trace_dir=args.trace_dir,
         flight_dir=args.flight_dir,
     )
 
@@ -1114,11 +1080,6 @@ def _cmd_serve(args) -> int:
             print(f"store unavailable ({error}); serving without cache",
                   file=sys.stderr)
             registry.counter("store_unavailable_total").inc()
-    trace = None
-    if args.trace_dir:
-        from repro.obs import TraceSession
-
-        trace = TraceSession.create(args.trace_dir, process="serve")
     from repro.harness import RetryPolicy
 
     options = _options_from_args(args)
@@ -1141,7 +1102,6 @@ def _cmd_serve(args) -> int:
         options=options,
         jobs=args.jobs,
         metrics=registry,
-        trace=trace,
         verify_hits=not args.no_verify_hits,
         wall_seconds=args.wall_limit,
         mem_limit_mb=args.mem_limit,
@@ -1157,11 +1117,7 @@ def _cmd_serve(args) -> int:
         print(f"rmrls serve: listening on {args.socket} [{cache}]",
               file=sys.stderr)
 
-    try:
-        serve(args.socket, service, ready=ready)
-    finally:
-        if trace is not None:
-            trace.close()
+    serve(args.socket, service, ready=ready)
     return 0
 
 
@@ -1287,6 +1243,14 @@ def _cmd_figures(_args) -> int:
     return 0
 
 
+def _at_least_one(text: str) -> int:
+    """argparse type for a count that must be 1 or more."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def main(argv: list[str] | None = None) -> int:
     """Entry point for the ``rmrls`` console script."""
     parser = argparse.ArgumentParser(
@@ -1390,17 +1354,6 @@ def main(argv: list[str] | None = None) -> int:
     summarize.add_argument("--json", action="store_true",
                            help="print the summary as JSON")
     summarize.set_defaults(handler=_cmd_trace_summarize)
-    collate = trace_sub.add_parser(
-        "collate",
-        help="merge the per-process span shards of one traced run "
-             "into a single schema-validated timeline file",
-    )
-    collate.add_argument("trace_dir",
-                         help="shard directory from --trace-dir")
-    collate.add_argument("-o", "--output", metavar="PATH", default=None,
-                         help="output file (default: "
-                              "TRACE_DIR/collated.trace.jsonl)")
-    collate.set_defaults(handler=_cmd_trace_collate)
 
     postmortem = commands.add_parser(
         "postmortem",
@@ -1412,10 +1365,12 @@ def main(argv: list[str] | None = None) -> int:
                             help="flight directory from --flight-dir")
     postmortem.add_argument("--json", action="store_true",
                             help="print the postmortem document as JSON")
-    postmortem.add_argument("--tail", type=int, default=5, metavar="N",
+    postmortem.add_argument("--tail", type=_at_least_one, default=5,
+                            metavar="N",
                             help="final events kept per dead process "
                                  "(default 5)")
-    postmortem.add_argument("--timeline", type=int, default=20, metavar="N",
+    postmortem.add_argument("--timeline", type=_at_least_one, default=20,
+                            metavar="N",
                             help="rows in the rendered fleet timeline "
                                  "(default 20)")
     postmortem.add_argument("--no-recover", action="store_true",
@@ -1615,9 +1570,6 @@ def main(argv: list[str] | None = None) -> int:
     serve_cmd.add_argument("--wall-limit", type=float, metavar="SECONDS",
                            default=None,
                            help="per-attempt wall budget for misses")
-    serve_cmd.add_argument("--trace-dir", metavar="DIR", default=None,
-                           help="write request/synthesis span shards "
-                                "under DIR")
     serve_cmd.add_argument("--flight-dir", metavar="DIR", default=None,
                            help="arm flight recorders in the daemon and "
                                 "its workers; crash dumps land under DIR")

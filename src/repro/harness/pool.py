@@ -90,7 +90,6 @@ class _Attempt:
     started: float
     deadline: float | None
     prior_elapsed: float
-    span: object = None
     killed: bool = False
     cancelled: bool = False
 
@@ -98,18 +97,13 @@ class _Attempt:
 class _Pending:
     """A task waiting for a worker slot (possibly in retry backoff)."""
 
-    __slots__ = ("task", "attempt", "ready_at", "prior_elapsed", "retry_of")
+    __slots__ = ("task", "attempt", "ready_at", "prior_elapsed")
 
-    def __init__(self, task, attempt=1, ready_at=0.0, prior_elapsed=0.0,
-                 retry_of=None):
+    def __init__(self, task, attempt=1, ready_at=0.0, prior_elapsed=0.0):
         self.task = task
         self.attempt = attempt
         self.ready_at = ready_at
         self.prior_elapsed = prior_elapsed
-        # Span id of the previous attempt (tracing only): a retried
-        # task keeps its trace_id but each attempt gets a fresh span,
-        # linked back through a ``retry_of`` attribute.
-        self.retry_of = retry_of
 
 
 class WorkerPool:
@@ -128,7 +122,6 @@ class WorkerPool:
         budget: WorkerBudget | None = None,
         retry: RetryPolicy | None = None,
         clock=time.monotonic,
-        trace=None,
         flight_dir=None,
         flight=None,
     ):
@@ -142,10 +135,6 @@ class WorkerPool:
         self._ctx = multiprocessing.get_context("fork")
         self._idle: list[_Worker] = []
         self._clock = clock
-        # Optional coordinator-side TraceSession (repro.obs.spans).
-        # When set, every attempt gets its own span and the worker
-        # inherits a wire context making that span its parent.
-        self.trace = trace
         # Optional flight recording (repro.obs.flight): ``flight_dir``
         # arms a ring-buffer recorder inside every worker (the wire is
         # a plain dict — live recorders cannot cross a spawn pickle);
@@ -157,42 +146,19 @@ class WorkerPool:
 
     # -- process plumbing --------------------------------------------------
 
-    def _attempt_span(self, pending: _Pending):
-        """Coordinator-side span for one launch (or ``None`` untraced)."""
-        if self.trace is None:
-            return None
-        task = pending.task
-        attrs = {"task_id": task.task_id, "attempt": pending.attempt}
-        if "slice" in task.meta:
-            attrs["slice"] = task.meta["slice"]
-        if pending.retry_of is not None:
-            attrs["retry_of"] = pending.retry_of
-        parent = (task.trace or {}).get("span_id")
-        return self.trace.begin_span(
-            f"attempt:{task.label()}", parent=parent, **attrs
-        )
-
     def _launch(self, pending: _Pending) -> _Attempt:
         task = pending.task
         options = self.retry.escalate_options(task.options, pending.attempt)
         mem = self.retry.escalate_mem(
             self.budget.mem_limit_mb, pending.attempt
         )
-        span = self._attempt_span(pending)
-        if span is not None:
-            trace_wire = self.trace.context_for(span)
-        else:
-            # A pool without its own session still forwards the task's
-            # inherited context, so workers trace even when the
-            # coordinator side does not.
-            trace_wire = task.trace
         flight_wire = None
         if self.flight_dir is not None:
             flight_wire = {"dir": self.flight_dir, "task_id": task.task_id}
         worker = self._checkout(mem, task.runtime)
         try:
             worker.conn.send((task.kind, task.payload, options,
-                              pending.attempt, trace_wire, flight_wire))
+                              pending.attempt, flight_wire))
         except OSError:
             pass  # the worker died; the attempt settles as its death
         started = self._clock()
@@ -202,7 +168,7 @@ class WorkerPool:
         deadline = None if wall is None else started + wall
         return _Attempt(
             task, pending.attempt, worker, started, deadline,
-            pending.prior_elapsed, span,
+            pending.prior_elapsed,
         )
 
     def _checkout(self, mem, runtime) -> _Worker:
@@ -324,20 +290,14 @@ class WorkerPool:
                     break
                 now = self._clock()
                 self._fill_slots(pending, running, now)
-                if self.trace is not None or self.flight is not None:
+                if self.flight is not None:
                     sched = (len(pending), len(running), len(finished))
                     if sched != last_sched:
                         last_sched = sched
-                        if self.trace is not None:
-                            self.trace.event(
-                                "sched", pending=sched[0], running=sched[1],
-                                finished=sched[2],
-                            )
-                        if self.flight is not None:
-                            self.flight.record(
-                                "sched", pending=sched[0], running=sched[1],
-                                finished=sched[2],
-                            )
+                        self.flight.record(
+                            "sched", pending=sched[0], running=sched[1],
+                            finished=sched[2],
+                        )
                 self._wait(pending, running, now, poll_cap)
                 now = self._clock()
                 for attempt in list(running):
@@ -430,20 +390,6 @@ class WorkerPool:
         elif timeout:
             time.sleep(min(timeout, 0.05))
 
-    def _end_span(self, attempt, status) -> None:
-        if attempt.span is None:
-            return
-        attrs = {}
-        if attempt.cancelled:
-            # SIGKILLed by the stop condition: the span's end time is
-            # the moment the loser actually died, so the collated trace
-            # gives per-slice cancellation latency against the
-            # incumbent_arrived event.
-            attrs["cancelled"] = True
-        elif attempt.killed:
-            attrs["killed"] = True
-        attempt.span.end(status=status, **attrs)
-
     def _reap_flight(self, attempt, raw: dict) -> None:
         """Recover (or clean up) a settled attempt's flight ring.
 
@@ -489,23 +435,13 @@ class WorkerPool:
         status = raw["status"]
         if self.flight_dir is not None:
             self._reap_flight(attempt, raw)
-        self._end_span(attempt, status)
         elapsed = attempt.prior_elapsed + (now - attempt.started)
         if self.retry.should_retry(status, attempt.attempt):
             ready_at = now + self.retry.backoff(
                 attempt.task.task_id, attempt.attempt + 1
             )
             pending.append(
-                _Pending(
-                    attempt.task,
-                    attempt.attempt + 1,
-                    ready_at,
-                    elapsed,
-                    retry_of=(
-                        attempt.span.span_id
-                        if attempt.span is not None else None
-                    ),
-                )
+                _Pending(attempt.task, attempt.attempt + 1, ready_at, elapsed)
             )
             return
         outcome = TaskOutcome(

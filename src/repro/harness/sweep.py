@@ -83,10 +83,6 @@ class HarnessConfig:
     ledger_fsync: bool = False
     strict: bool = False
     metrics: object | None = field(default=None, compare=False)
-    # Distributed-trace shard directory (repro.obs.spans).  When set,
-    # the sweep opens a coordinator session, every executed task gets
-    # an attempt span, and isolated workers write their own shards.
-    trace_dir: str | None = None
     # Canonical circuit store directory (repro.store).  When set,
     # every ``ok`` outcome's circuit is canonicalized and seeded into
     # the store, deduplicated by canonical key — completed sweeps warm
@@ -195,37 +191,21 @@ def _outcome_from_raw(task: Task, raw: dict, attempts: int,
     )
 
 
-def _run_inline(tasks, config, on_final, clock=time.monotonic,
-                trace=None) -> bool:
+def _run_inline(tasks, config, on_final, clock=time.monotonic) -> bool:
     """Run tasks in-process with the same retry ladder; returns True
     when interrupted."""
     retry = config.retry
     for task in tasks:
         attempt = 1
         elapsed = 0.0
-        span = None
-        retry_of = None
         try:
             while True:
-                if trace is not None:
-                    attrs = {"task_id": task.task_id, "attempt": attempt}
-                    if retry_of is not None:
-                        attrs["retry_of"] = retry_of
-                    span = trace.begin_span(
-                        f"attempt:{task.label()}",
-                        parent=(task.trace or {}).get("span_id"),
-                        **attrs,
-                    )
                 start = clock()
                 raw = _run_inline_attempt(
                     task, retry.escalate_options(task.options, attempt),
                     attempt,
                 )
                 elapsed += clock() - start
-                if span is not None:
-                    span.end(status=raw["status"])
-                    retry_of = span.span_id
-                    span = None
                 status = raw["status"]
                 if status == STATUS_INTERRUPTED:
                     # The search caught Ctrl-C and returned a partial
@@ -335,14 +315,6 @@ def run_sweep(
             registry.counter("sweep_interrupts_total").inc()
         return report
 
-    session = None
-    root_span = None
-    if config.trace_dir:
-        from repro.obs.spans import TraceSession
-
-        session = TraceSession.create(config.trace_dir)
-        root_span = session.begin_span(f"sweep:{name}", tasks=len(tasks))
-
     flight = None
     if config.flight_dir and config.isolate:
         # The coordinator's own black box.  Fault injection stays
@@ -373,16 +345,6 @@ def run_sweep(
         if not pending:
             return finish()
 
-        if session is not None:
-            # Every executed task hangs off the sweep's root span;
-            # replays did no work this run and get no spans.
-            pending = [
-                dataclasses.replace(
-                    task, trace=session.context_for(root_span)
-                )
-                for task in pending
-            ]
-
         if ledger is not None:
             ledger.open()
 
@@ -399,7 +361,6 @@ def run_sweep(
                     mem_limit_mb=config.mem_limit_mb,
                 ),
                 retry=config.retry,
-                trace=session,
                 flight_dir=config.flight_dir,
                 flight=flight,
             )
@@ -409,17 +370,10 @@ def run_sweep(
             except KeyboardInterrupt:
                 report.interrupted = True
         else:
-            if _run_inline(pending, config, on_final, trace=session):
+            if _run_inline(pending, config, on_final):
                 report.interrupted = True
         return finish()
     finally:
-        if session is not None:
-            if root_span is not None:
-                root_span.end(
-                    status="interrupted" if report.interrupted else "ok",
-                    completed=report.completed,
-                )
-            session.close()
         if flight is not None and flight.armed:
             # A clean (or cleanly interrupted) sweep needs no coordinator
             # dump; the pool already dumped on an abnormal exit.
@@ -441,18 +395,19 @@ def harness_from_env(environ=None) -> HarnessConfig | None:
         RMRLS_ISOLATE=1 RMRLS_RETRIES=2 RMRLS_MEM_LIMIT_MB=1024 \\
             RMRLS_LEDGER=sweep.jsonl pytest benchmarks/ ...
 
-    Variables: ``RMRLS_ISOLATE`` (truthy enables subprocess isolation),
+    Variables: ``RMRLS_ISOLATE`` (truthy enables subprocess isolation;
+    ``""``, ``0``, ``false``, ``no`` and ``off`` in any case are false),
     ``RMRLS_SWEEP_JOBS``, ``RMRLS_RETRIES``, ``RMRLS_MEM_LIMIT_MB``,
     ``RMRLS_WALL_LIMIT`` (seconds), ``RMRLS_LEDGER`` (path),
     ``RMRLS_LEDGER_FSYNC`` (truthy fsyncs every ledger line),
     ``RMRLS_STORE`` (canonical circuit store directory to seed),
-    ``RMRLS_TRACE_DIR`` (distributed-trace shard directory),
     ``RMRLS_FLIGHT_DIR`` (flight-recorder ring/dump directory).
     """
     env = os.environ if environ is None else environ
 
     def truthy(var: str) -> bool:
-        return env.get(var, "") not in ("", "0", "false", "no")
+        value = env.get(var, "").strip().lower()
+        return value not in ("", "0", "false", "no", "off")
 
     isolate = truthy("RMRLS_ISOLATE")
     jobs = env.get("RMRLS_SWEEP_JOBS")
@@ -462,11 +417,10 @@ def harness_from_env(environ=None) -> HarnessConfig | None:
     ledger = env.get("RMRLS_LEDGER")
     ledger_fsync = truthy("RMRLS_LEDGER_FSYNC")
     store = env.get("RMRLS_STORE")
-    trace_dir = env.get("RMRLS_TRACE_DIR")
     flight_dir = env.get("RMRLS_FLIGHT_DIR")
     if not (
         isolate or jobs or retries or mem or wall or ledger
-        or ledger_fsync or store or trace_dir or flight_dir
+        or ledger_fsync or store or flight_dir
     ):
         return None
     return HarnessConfig(
@@ -479,7 +433,6 @@ def harness_from_env(environ=None) -> HarnessConfig | None:
         ledger_path=ledger or None,
         ledger_fsync=ledger_fsync,
         store_path=store or None,
-        trace_dir=trace_dir or None,
         flight_dir=flight_dir or None,
     )
 

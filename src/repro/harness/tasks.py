@@ -35,12 +35,11 @@ __all__ = [
 ]
 
 #: Option fields that hold live objects (they cannot cross a process
-#: boundary) or run-local plumbing like the trace shard directory —
+#: boundary) or run-local plumbing like the flight-recorder directory —
 #: none of them affect the synthesized result, so none may enter the
 #: task fingerprint.
 _UNSERIALIZABLE_OPTIONS = (
-    "observers", "phase_timer", "bound_channel", "trace_dir",
-    "flight_dir",
+    "observers", "phase_timer", "bound_channel", "flight_dir",
 )
 
 
@@ -101,12 +100,6 @@ class Task:
     # fingerprint and from equality: runtime plumbing never changes
     # what the task computes, only how fast it stops.
     runtime: dict | None = field(default=None, compare=False, repr=False)
-    # Wire-form :class:`repro.obs.spans.TraceContext` naming the parent
-    # span this task's work hangs off.  Pure observability: excluded
-    # from the fingerprint and equality exactly like ``runtime``, so a
-    # traced run and an untraced run of the same sweep share task ids
-    # (and therefore resume ledgers).
-    trace: dict | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.task_id:
@@ -207,7 +200,6 @@ def portfolio_task(
     runtime: dict | None = None,
     meta: dict | None = None,
     namespace: str = "portfolio",
-    trace: dict | None = None,
 ) -> Task:
     """One portfolio slice: search restricted to a set of seed ranks.
 
@@ -232,7 +224,6 @@ def portfolio_task(
         meta=dict(meta or {"label": f"portfolio:slice{slice_index}"}),
         namespace=namespace,
         runtime=runtime,
-        trace=trace,
     )
 
 

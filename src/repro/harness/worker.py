@@ -212,29 +212,16 @@ def _run_portfolio(
             "(permutation) specification"
         )
     bound = (runtime or {}).get("bound")
-    session = (runtime or {}).get("trace_session")
-    span = (runtime or {}).get("trace_span")
     recorder = (runtime or {}).get("flight_recorder")
     if bound is not None:
-        if session is not None:
-            from repro.obs.spans import TracedBound
-
-            bound = TracedBound(bound, session, span)
         if recorder is not None:
-            # Outermost wrapper: the poll indices and adopted values the
-            # search actually sees are what the decision log must carry
-            # for a replay to reproduce the pruning.
+            # The poll indices and adopted values the search actually
+            # sees are what the decision log must carry for a replay to
+            # reproduce the pruning.
             from repro.obs.flight import RecordedBound
 
             bound = RecordedBound(bound, recorder)
         synth_options = synth_options.with_(bound_channel=bound)
-    if session is not None:
-        from repro.obs.jsonl import ProgressObserver
-
-        synth_options = synth_options.with_(
-            observers=synth_options.observers
-            + (ProgressObserver(every=512, session=session, span=span),)
-        )
     registry = None
     if payload.get("metrics"):
         from repro.obs import MetricsObserver, MetricsRegistry
@@ -395,7 +382,6 @@ def worker_entry(
     payload: dict,
     options: dict,
     attempt: int,
-    trace: dict | None = None,
     flight: dict | None = None,
     runtime: dict | None = None,
 ) -> dict:
@@ -404,14 +390,6 @@ def worker_entry(
     Every exception is converted to a taxonomy status here so that the
     parent only has to deal with three cases: a result arrived, the
     process died silently, or the parent killed it.
-    ``trace`` is an optional wire-form
-    :class:`~repro.obs.spans.TraceContext`: the worker opens its own
-    JSONL shard (negotiating the clock offset at this handshake),
-    records a ``task:<kind>`` span around the whole payload, and hands
-    the live session to runtime-aware runners through
-    ``runtime["trace_session"]``/``runtime["trace_span"]`` so the
-    search can attach its bound and progress taps.  Tracing failures
-    never fail the task — the shard is best-effort by design.
 
     ``flight`` is the pool's flight-recorder wire dict
     (``{"dir", "task_id", "capacity"?}``): the worker arms an
@@ -420,25 +398,8 @@ def worker_entry(
     and on an abnormal outcome writes the crash dump itself
     (``crash``/``unsound``/``oom``) — silent deaths leave the ring
     behind for the pool's post-mortem recovery.  Clean outcomes discard
-    the ring.  Like tracing, recorder failures never fail the task.
+    the ring.  Recorder failures never fail the task.
     """
-    session = None
-    span = None
-    if trace is not None:
-        try:
-            from repro.obs.spans import WorkerTraceSession
-
-            session = WorkerTraceSession.from_wire(trace)
-            span = session.begin_span(
-                f"task:{kind}", parent=session.parent_span_id,
-                attempt=attempt,
-            )
-            runtime = dict(runtime or {})
-            runtime["trace_session"] = session
-            runtime["trace_span"] = span
-        except Exception:  # pragma: no cover - tracing must not kill work
-            session = None
-            span = None
     recorder = None
     if flight is not None:
         try:
@@ -450,8 +411,7 @@ def worker_entry(
 
             every = flight_every()
             recorder = arm_worker_recorder(
-                flight, kind, payload, options, attempt, trace,
-                every=every,
+                flight, kind, payload, options, attempt, every=every,
             )
             recorder.register_atexit()
             observer = FlightObserver(recorder, every=every)
@@ -495,12 +455,5 @@ def worker_entry(
             else:
                 recorder.discard()
         except Exception:  # pragma: no cover - recording must not kill work
-            pass
-    if session is not None:
-        try:
-            if span is not None:
-                span.end(status=result.get("status", "ok"))
-            session.close()
-        except Exception:  # pragma: no cover - tracing must not kill work
             pass
     return result

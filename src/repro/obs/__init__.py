@@ -16,8 +16,7 @@ This package provides the protocol plus a toolbox of observers:
   counters are published from the search's stats at finish;
 * :class:`JsonlTraceObserver` — one JSON object per event, streamed to
   a file for offline analysis;
-* :class:`ProgressObserver` — one strided progress record with two
-  sinks: a steps/sec line on stderr, and span events in a trace shard;
+* :class:`ProgressObserver` — a strided steps/sec line on stderr;
 * :class:`FlightObserver` — the flight recorder's digest fold, used
   both to record a ring and to check a replay against it;
 * :class:`PhaseTimer` — sampled wall-clock attribution to the four hot
@@ -26,31 +25,16 @@ This package provides the protocol plus a toolbox of observers:
 * :func:`build_run_report` — a single versioned JSON document merging
   stats, metrics, phase timings, options, and environment info.
 
-Distributed tracing lives alongside the per-process observers:
-
-* :mod:`repro.obs.spans` — span sessions, the wire
-  :class:`TraceContext` that crosses the worker-pool boundary, and the
-  per-process JSONL shard writers;
-* :mod:`repro.obs.collate` — deterministic shard collation and the
-  ``rmrls-trace`` schema validator;
-* :mod:`repro.obs.flight` — the black-box flight recorder: mmap ring
-  buffers armed in every process, checksummed crash dumps recovered
-  after SIGKILL/OOM deaths, ``rmrls postmortem`` fleet timelines, and
-  ``rmrls replay`` deterministic search re-execution.
+Across processes, :mod:`repro.obs.flight` is the black-box flight
+recorder: mmap ring buffers armed in every process, checksummed crash
+dumps recovered after SIGKILL/OOM deaths, ``rmrls postmortem`` fleet
+timelines, and ``rmrls replay`` deterministic search re-execution.
 
 Observers attach through ``SynthesisOptions.observers``; the phase
 timer through ``SynthesisOptions.phase_timer``.  With neither set the
 search pays only for its own counters.
 """
 
-from repro.obs.collate import (
-    TraceValidationError,
-    collate_shards,
-    collate_to_file,
-    load_collated,
-    validate_trace,
-    write_collated,
-)
 from repro.obs.flight import (
     FLIGHT_SCHEMA,
     FLIGHT_SCHEMA_VERSION,
@@ -95,16 +79,6 @@ from repro.obs.report import (
     validate_run_report,
     write_run_report,
 )
-from repro.obs.spans import (
-    TRACE_SCHEMA,
-    TRACE_SCHEMA_VERSION,
-    ShardWriter,
-    TraceContext,
-    TracedBound,
-    TraceSession,
-    WorkerTraceSession,
-    new_trace_id,
-)
 from repro.obs.trace_summary import render_trace_summary, summarize_trace
 
 __all__ = [
@@ -135,20 +109,6 @@ __all__ = [
     "write_run_report",
     "summarize_trace",
     "render_trace_summary",
-    "TRACE_SCHEMA",
-    "TRACE_SCHEMA_VERSION",
-    "TraceContext",
-    "TraceSession",
-    "WorkerTraceSession",
-    "ShardWriter",
-    "TracedBound",
-    "new_trace_id",
-    "TraceValidationError",
-    "collate_shards",
-    "collate_to_file",
-    "load_collated",
-    "validate_trace",
-    "write_collated",
     "FLIGHT_SCHEMA",
     "FLIGHT_SCHEMA_VERSION",
     "FlightRecorder",

@@ -2,9 +2,8 @@
 
 The harness deliberately kills workers — SIGKILL on wall/memory
 budgets, kernel OOM, portfolio cancellation — and before this module
-all a dead worker left behind was a taxonomy label plus whatever trace
-spans happened to flush.  The flight recorder closes that gap the way
-an aircraft black box does:
+all a dead worker left behind was a taxonomy label.  The flight
+recorder closes that gap the way an aircraft black box does:
 
 * :class:`RingFile` — a small mmap-backed ring of fixed-size slots,
   each ``length | crc32 | JSON payload``.  Writes go straight to the
@@ -13,7 +12,7 @@ an aircraft black box does:
   skipped and counted at recovery time.
 * :class:`FlightRecorder` — one per process: the ring file, a
   write-once ``<ring>.meta.json`` sidecar holding the *decision log*
-  (task kind/payload/options, seed ranks, pids, trace linkage), and a
+  (task kind/payload/options, seed ranks, pids), and a
   flushed ``<ring>.decisions.jsonl`` append log (:mod:`repro.applog`)
   for the rare nondeterministic inputs (shared-bound adoptions) that a
   replay must re-apply.  On a clean exit the whole set is discarded; on an
@@ -539,8 +538,7 @@ class RecordedBound:
     input to a portfolio slice's search (their *values* depend on
     sibling timing); recording ``(poll index, depth)`` on every change
     lets :class:`ScriptedBound` re-apply them exactly.  Duck-types the
-    :class:`repro.parallel.bound.SharedBound` protocol, stacking on
-    :class:`repro.obs.spans.TracedBound`.
+    :class:`repro.parallel.bound.SharedBound` protocol.
     """
 
     __slots__ = ("_bound", "_recorder", "_polls", "_seen")
@@ -867,7 +865,6 @@ def replay_dump(document: dict) -> dict:
         time_limit=None,
         phase_timer=None,
         bound_channel=bound,
-        trace_dir=None,
         flight_dir=None,
         portfolio_jobs=None,
         record_trace=False,
@@ -906,9 +903,11 @@ def build_postmortem(directory: str, recover: bool = True,
     SIGKILLed *coordinator*) are recovered first.  The timeline merges
     the final ``tail`` events of each dump on absolute time
     (``meta.created_unix`` + the event's monotonic offset; recorders
-    on one machine share ``CLOCK_REALTIME``, the cross-shard analogue
-    of the PR-6 clock-offset handshake).
+    on one machine share ``CLOCK_REALTIME``).  ``tail`` must be at
+    least 1.
     """
+    if tail < 1:
+        raise ValueError(f"tail must be >= 1, got {tail}")
     recovered = recover_rings(directory) if recover else []
     dumps = []
     invalid = []
@@ -943,7 +942,6 @@ def build_postmortem(directory: str, recover: bool = True,
             "dropped_slots": document.get("dropped_slots", 0),
             "recovered": bool(document.get("recovered")),
             "replayable": replayable(document),
-            "trace_id": meta.get("trace_id"),
         }
         dumps.append(entry)
         label = meta.get("process") or meta.get("task_id") or name
@@ -967,7 +965,12 @@ def build_postmortem(directory: str, recover: bool = True,
 
 
 def render_postmortem(document: dict, timeline_tail: int = 20) -> str:
-    """Plain-text fleet postmortem for the ``rmrls postmortem`` CLI."""
+    """Plain-text fleet postmortem for the ``rmrls postmortem`` CLI.
+
+    ``timeline_tail`` (at least 1) bounds the timeline lines printed.
+    """
+    if timeline_tail < 1:
+        raise ValueError(f"timeline_tail must be >= 1, got {timeline_tail}")
     dumps = document["dumps"]
     lines = [
         f"rmrls postmortem — {document['directory']}: "
@@ -1041,7 +1044,6 @@ def worker_ring_path(flight_dir: str, task_id: str, attempt: int) -> str:
 
 def arm_worker_recorder(flight: dict, kind: str, payload: dict,
                         options: dict, attempt: int,
-                        trace: dict | None = None,
                         every: int | None = None) -> FlightRecorder:
     """Arm one worker's recorder from the pool's wire dict.
 
@@ -1061,8 +1063,6 @@ def arm_worker_recorder(flight: dict, kind: str, payload: dict,
                     if key != "observers"},
         "seed_ranks": options.get("portfolio_seed_ranks"),
         "every": int(every) if every else flight_every(),
-        "trace_id": (trace or {}).get("trace_id"),
-        "parent_span": (trace or {}).get("span_id"),
     }
     return FlightRecorder(
         worker_ring_path(flight["dir"], flight["task_id"], attempt),

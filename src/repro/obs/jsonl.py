@@ -4,9 +4,8 @@
 (:mod:`repro.applog`) per search event, suitable for ``jq``/pandas
 post-processing of full search runs (unlike
 :class:`~repro.synth.stats.TraceRecorder`, nothing is retained in
-memory).  :class:`ProgressObserver` builds one progress record every N
-steps and hands it to its sinks: a steps/sec status line, and a trace
-session's span events (read back through ``rmrls trace collate``).
+memory).  :class:`ProgressObserver` writes a steps/sec status line
+every N steps.
 """
 
 from __future__ import annotations
@@ -115,41 +114,27 @@ class JsonlTraceObserver(SearchObserver):
 
 
 class ProgressObserver(SearchObserver):
-    """One strided progress record, handed to up to two sinks.
+    """A one-line status every ``every`` steps (default: to stderr).
 
-    Every ``every`` steps the observer takes one record: the step, the
-    current queue size, the best solution depth so far, and the fewest
-    PPRM terms seen on any popped node (distance-to-identity proxy).
-
-    * ``stream`` gets a one-line status with the instantaneous
-      steps/sec since the previous line.  It defaults to stderr unless
-      a ``session`` is given.
-    * ``session`` (a :class:`~repro.obs.spans.TraceSession` or worker
-      session) gets a ``progress`` event on ``span`` in the collated
-      trace; each improving solution is reported at once as
-      ``solution_found``, and the finish as ``search_finished``.
+    Each line carries the step, the instantaneous steps/sec since the
+    previous line, the current queue size, the best solution depth so
+    far, and the fewest PPRM terms seen on any popped node
+    (distance-to-identity proxy).
     """
 
-    def __init__(self, every: int = 1000, stream=None, clock=time.monotonic,
-                 session=None, span=None):
+    def __init__(self, every: int = 1000, stream=None, clock=time.monotonic):
         if every < 1:
             raise ValueError(f"every must be >= 1, got {every}")
         self.every = every
-        if stream is None and session is None:
-            stream = sys.stderr
-        self.stream = stream
+        self.stream = stream if stream is not None else sys.stderr
         self.clock = clock
-        self.session = session
-        self.span = span
         self._last_time = None
         self._last_step = 0
-        self._queue = 0
         self.best_depth = None
         self.min_terms = None
         self.lines_emitted = 0
 
     def on_step(self, step, node, queue_size):
-        self._queue = queue_size
         if self.min_terms is None or node.terms < self.min_terms:
             self.min_terms = node.terms
         if self._last_time is None:
@@ -159,13 +144,6 @@ class ProgressObserver(SearchObserver):
             self._report(step, queue_size)
 
     def _report(self, step, queue_size) -> None:
-        if self.session is not None:
-            self.session.event(
-                "progress", span=self.span, step=step,
-                queue_size=queue_size, best_depth=self.best_depth,
-            )
-        if self.stream is None:
-            return
         now = self.clock()
         elapsed = now - self._last_time
         if elapsed > 0:
@@ -184,16 +162,6 @@ class ProgressObserver(SearchObserver):
     def on_solution(self, node, parent):
         if self.best_depth is None or node.depth < self.best_depth:
             self.best_depth = node.depth
-            if self.session is not None:
-                self.session.event(
-                    "solution_found", span=self.span, depth=node.depth,
-                )
 
     def on_finish(self, reason, stats):
-        if self.session is not None:
-            self.session.event(
-                "search_finished", span=self.span, reason=reason,
-                steps=stats.steps, queue_size=self._queue,
-            )
-        if self.stream is not None:
-            self.stream.flush()
+        self.stream.flush()

@@ -10,6 +10,7 @@ fired, and how the run ended.
 
 from __future__ import annotations
 
+import math
 from collections import Counter as TallyCounter
 
 from repro.applog import read_log
@@ -20,11 +21,15 @@ __all__ = ["summarize_trace", "render_trace_summary"]
 _PERCENTILES = (50, 90, 99)
 
 
-def _percentile(ordered: list, fraction: float):
-    """Nearest-rank percentile over a pre-sorted sample list."""
+def _percentile(ordered: list, percent: int):
+    """Nearest-rank percentile over a pre-sorted sample list.
+
+    ``percent`` is an integer so whole ranks stay exact (``0.9 * 100``
+    is a hair above 90, and its ceiling is 91).
+    """
     if not ordered:
         return None
-    rank = max(1, round(fraction * len(ordered)))
+    rank = max(1, math.ceil(percent * len(ordered) / 100))
     return ordered[rank - 1]
 
 
@@ -87,7 +92,7 @@ def summarize_trace(stream, top: int = 10) -> dict:
 
     queue_samples.sort()
     queue_depth = {
-        f"p{percent}": _percentile(queue_samples, percent / 100.0)
+        f"p{percent}": _percentile(queue_samples, percent)
         for percent in _PERCENTILES
     }
     queue_depth["max"] = queue_samples[-1] if queue_samples else None

@@ -77,7 +77,6 @@ _DRIVER_FIELDS = dict(
     observers=(),
     phase_timer=None,
     bound_channel=None,
-    trace_dir=None,
     flight_dir=None,
 )
 
@@ -358,13 +357,6 @@ def synthesize_portfolio(
         inline = bool(multiprocessing.current_process().daemon)
     started = time.monotonic()
 
-    session = None
-    root_span = None
-    if options.trace_dir:
-        from repro.obs.spans import TraceSession
-
-        session = TraceSession.create(options.trace_dir)
-        root_span = session.begin_span("portfolio", jobs=jobs)
     flight = None
     if options.flight_dir:
         # The driver's black box; workers arm their own through the
@@ -378,19 +370,10 @@ def synthesize_portfolio(
             faults="none",
         )
     try:
-        result = _run_portfolio_driver(
-            specification, options, jobs, pool, started, session, root_span,
-            flight, inline,
+        return _run_portfolio_driver(
+            specification, options, jobs, pool, started, flight, inline,
         )
-        if root_span is not None:
-            root_span.end(
-                status="ok" if result.solved else "unsolved",
-                gate_count=result.gate_count,
-            )
-        return result
     except BaseException as error:
-        if root_span is not None:
-            root_span.end(status="error")
         if flight is not None and flight.armed and not isinstance(
             error, KeyboardInterrupt
         ):
@@ -403,15 +386,12 @@ def synthesize_portfolio(
                 pass
         raise
     finally:
-        if session is not None:
-            session.close()
         if flight is not None and flight.armed:
             flight.discard()
 
 
 def _run_portfolio_driver(
-    specification, options, jobs, pool, started, session, root_span,
-    flight=None, inline=False,
+    specification, options, jobs, pool, started, flight=None, inline=False,
 ):
     system = _as_system(specification)
 
@@ -498,7 +478,6 @@ def _run_portfolio_driver(
         bound = LocalBound() if inline else SharedBound()
     runtime = None if bound is None else {"bound": bound}
 
-    wire = None if session is None else session.context_for(root_span)
     tasks = []
     for index, ranks, entry in plan:
         base = options if entry is None else entry.apply(options)
@@ -522,19 +501,8 @@ def _run_portfolio_driver(
                 options=worker_options,
                 runtime=runtime,
                 meta={"label": label, "slice": index},
-                trace=wire,
             )
         )
-
-    if session is not None and deck is not None:
-        counts = deck.counts()
-        session.event("strategy_deck", span=root_span, counts=counts)
-        for entry in strategies:
-            session.event(
-                "strategy", span=root_span, variant=entry.name,
-                direction=entry.direction,
-                slots=counts.get(entry.name, 0),
-            )
 
     summary = PortfolioSummary(
         jobs=jobs,
@@ -547,11 +515,9 @@ def _run_portfolio_driver(
     )
 
     owned = pool is None and not inline
-    pool = None if inline else _fleet_pool(
-        pool, jobs, options, session, flight
-    )
+    pool = None if inline else _fleet_pool(pool, jobs, options, flight)
     try:
-        _run_plan(tasks, plan, summary, options, session, root_span, pool)
+        _run_plan(tasks, plan, summary, options, pool)
     finally:
         if owned:
             pool.close()
@@ -561,29 +527,25 @@ def _run_portfolio_driver(
         merge_hot_ops=not inline,
     )
     if deck is not None:
-        _record_strategy_outcome(
-            summary, result, registries, session, root_span
-        )
+        _record_strategy_outcome(summary, registries)
     return result
 
 
-def _fleet_pool(pool, jobs, options, session, flight) -> WorkerPool:
+def _fleet_pool(pool, jobs, options, flight) -> WorkerPool:
     """The worker pool a pooled fleet races on, wired to the portfolio's
-    trace session and flight recorder."""
+    flight recorder."""
     if pool is None:
         return WorkerPool(
             jobs=jobs, budget=WorkerBudget(), retry=RetryPolicy(),
-            trace=session, flight_dir=options.flight_dir, flight=flight,
+            flight_dir=options.flight_dir, flight=flight,
         )
-    if session is not None and pool.trace is None:
-        pool.trace = session
     if options.flight_dir and pool.flight_dir is None:
         pool.flight_dir = options.flight_dir
         pool.flight = flight
     return pool
 
 
-def _run_plan(tasks, plan, summary, options, session, root_span, pool):
+def _run_plan(tasks, plan, summary, options, pool):
     """Run every slot of the plan and record its :class:`SliceOutcome`.
 
     With a ``pool`` the slots race across worker processes.  Without
@@ -614,14 +576,6 @@ def _run_plan(tasks, plan, summary, options, session, root_span, pool):
         ):
             return
         if cancel_gates is None or outcome.gate_count <= cancel_gates:
-            if session is not None:
-                # The fleet-level reference instant: cancellation
-                # latency of every losing slice is measured from here.
-                session.event(
-                    "incumbent_arrived", span=root_span,
-                    gate_count=outcome.gate_count,
-                    slice=(task.meta or {}).get("slice"),
-                )
             state["stop"] = True
 
     if pool is not None:
@@ -660,13 +614,10 @@ def _run_plan(tasks, plan, summary, options, session, root_span, pool):
             summary.cancelled += 1
 
 
-def _record_strategy_outcome(summary, result, registries, session, root_span):
-    """Surface a deck run's per-variant outcome.
-
-    Bumps ``strategy_slots_total``/``strategy_wins_total`` counters on
-    the caller's registries, and emits the ``strategy_win`` trace
-    event.
-    """
+def _record_strategy_outcome(summary, registries):
+    """Surface a deck run's per-variant outcome: bump the
+    ``strategy_slots_total``/``strategy_wins_total`` counters on the
+    caller's registries."""
     counts: dict = {}
     for entry in summary.slices:
         if entry.variant:
@@ -681,12 +632,6 @@ def _record_strategy_outcome(summary, result, registries, session, root_span):
                 "strategy_wins_total",
                 labels={"variant": summary.winner_variant},
             ).inc()
-    if session is not None and summary.winner_variant:
-        session.event(
-            "strategy_win", span=root_span,
-            variant=summary.winner_variant,
-            gate_count=result.gate_count,
-        )
 
 
 def _serial_fallback(system, options: SynthesisOptions) -> SynthesisResult:

@@ -31,8 +31,7 @@ The service never fails a request because of the cache:
 
 Observability: hit/miss/coalesce/quarantine counters in a PR-1
 :class:`~repro.obs.metrics.MetricsRegistry` (read through the daemon's
-``stats`` op), and per-request + per-batch spans in the PR-6
-``rmrls-trace`` schema when a trace directory is configured.
+``stats`` op).
 
 :func:`serve` wraps the service in a long-running unix-socket daemon
 speaking newline-delimited JSON (ops ``synth``/``stats``/``ping``/
@@ -42,7 +41,6 @@ client used by ``rmrls client`` and the CI smoke job.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 import socket
@@ -127,7 +125,6 @@ class SynthesisService:
         options=None,
         jobs: int = 1,
         metrics: MetricsRegistry | None = None,
-        trace=None,
         verify_hits: bool = True,
         wall_seconds: float | None = None,
         mem_limit_mb: int | None = None,
@@ -139,7 +136,6 @@ class SynthesisService:
             options if options is not None else default_service_options()
         )
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.trace = trace
         self.verify_hits = verify_hits
         self.flight = None
         if flight_dir:
@@ -163,7 +159,6 @@ class SynthesisService:
         )
         self._git_sha = self._resolve_git_sha()
         self._lock = threading.Lock()
-        self._trace_lock = threading.Lock()
         self._flights: dict[str, _Flight] = {}
         self._queue: list[dict] = []
         self._cond = threading.Condition(self._lock)
@@ -182,46 +177,6 @@ class SynthesisService:
         except Exception:  # pragma: no cover - provenance is best-effort
             return None
 
-    # -- tracing helpers (TraceSession is not thread-safe) -------------------
-
-    def _begin_span(self, name, **attrs):
-        if self.trace is None:
-            return None
-        with self._trace_lock:
-            return self.trace.begin_span(name, **attrs)
-
-    def _end_span(self, span, status="ok", **attrs):
-        if span is None:
-            return
-        with self._trace_lock:
-            span.end(status=status, **attrs)
-
-    def _context_for(self, span):
-        if self.trace is None or span is None:
-            return None
-        with self._trace_lock:
-            return self.trace.context_for(span)
-
-    _CACHE_COUNTERS = (
-        ("hits", "store_cache_hits_total"),
-        ("misses", "store_cache_misses_total"),
-        ("coalesced", "store_singleflight_coalesced_total"),
-        ("bypass", "store_cache_bypass_total"),
-        ("quarantined", "store_cache_quarantined_total"),
-    )
-
-    def _cache_event(self) -> None:
-        """Emit a cache-counter snapshot into the trace shard, so the
-        collated trace shows the counters next to each request."""
-        if self.trace is None:
-            return
-        attrs = {}
-        for label, name in self._CACHE_COUNTERS:
-            metric = self.metrics.get(name)
-            attrs[label] = int(metric.value) if metric is not None else 0
-        with self._trace_lock:
-            self.trace.event("cache", **attrs)
-
     # -- the request path -----------------------------------------------------
 
     def synthesize(self, spec, options: dict | None = None) -> dict:
@@ -236,7 +191,6 @@ class SynthesisService:
         """
         started = time.monotonic()
         self.metrics.counter("serve_requests_total").inc()
-        span = self._begin_span("serve:request")
         try:
             response = self._synthesize(spec, options)
         except (ValueError, CanonicalizationError) as error:
@@ -270,13 +224,6 @@ class SynthesisService:
                 )
             except Exception:  # recording must not fail a request
                 pass
-        self._cache_event()
-        self._end_span(
-            span,
-            status=response["status"],
-            cache=response.get("cache"),
-            key=response.get("key"),
-        )
         return response
 
     def _synthesize(self, spec, options: dict | None) -> dict:
@@ -411,8 +358,6 @@ class SynthesisService:
     def _run_batch(self, jobs) -> None:
         self.metrics.counter("serve_batches_total").inc()
         self.metrics.counter("serve_batch_tasks_total").inc(len(jobs))
-        span = self._begin_span("serve:batch", size=len(jobs))
-        context = self._context_for(span)
         by_task: dict[str, dict] = {}
         tasks = []
         for job in jobs:
@@ -423,8 +368,6 @@ class SynthesisService:
                 meta={"label": f"serve:{job['canonical'].key[:12]}"},
                 namespace="serve",
             )
-            if context is not None:
-                task = dataclasses.replace(task, trace=context)
             by_task[task.task_id] = job
             tasks.append(task)
 
@@ -445,7 +388,6 @@ class SynthesisService:
                     remaining,
                     {"status": "error", "error": "worker pool dropped task"},
                 )
-            self._end_span(span)
 
     def _finish_job(self, job, outcome) -> None:
         canonical = job["canonical"]
@@ -478,7 +420,6 @@ class SynthesisService:
                 "engine": outcome.extra.get("engine"),
                 "options": dict(job["options"]),
                 "git_sha": self._git_sha,
-                "trace_id": getattr(self.trace, "trace_id", None),
                 "task_id": outcome.task_id,
             }
             # The worker synthesized the canonical representative

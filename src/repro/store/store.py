@@ -11,7 +11,7 @@ A :class:`CircuitStore` is a directory::
 Records map a canonical key (see :mod:`repro.store.canonical`) to the
 best-known circuit for that equivalence class, stored in RevLib
 ``.real`` text *in canonical wire order*, with provenance (engine,
-options, git SHA, trace id, source).  The segments are the source of
+options, git SHA, source).  The segments are the source of
 truth: opening a store always rescans them tolerantly, so the store
 survives a missing, stale, or torn ``index.json`` without noticing.
 The index is a convenience snapshot — rewritten atomically

@@ -169,15 +169,6 @@ class SynthesisOptions:
         portfolio_poll_steps: poll the shared incumbent bound once
             every this many loop iterations (piggybacks on the
             deadline poll stride machinery).
-        trace_dir: directory for distributed-trace shards.  When set,
-            the portfolio driver (and the sweep harness via
-            ``HarnessConfig.trace_dir``) records span-based traces —
-            one JSONL shard per process — that ``rmrls trace collate``
-            joins into a single causal timeline; see
-            :mod:`repro.obs.spans` and docs/observability.md.  Pure
-            observability: never enters task fingerprints and never
-            changes results.  ``None`` (default) compiles all tracing
-            out.
         flight_dir: directory for black-box flight-recorder rings and
             crash dumps (see :mod:`repro.obs.flight` and
             docs/observability.md).  When set, the portfolio driver
@@ -185,9 +176,8 @@ class SynthesisOptions:
             arms a bounded ring-buffer recorder in every process;
             abnormal deaths leave checksummed dumps that ``rmrls
             postmortem`` timelines and ``rmrls replay`` re-runs
-            deterministically.  Like ``trace_dir``: pure
-            observability, never in task fingerprints, never changes
-            results.
+            deterministically.  Pure observability: never in task
+            fingerprints, never changes results.
         bound_channel: a live object with ``best()``/``publish(depth)``
             (see :class:`repro.parallel.SharedBound`) connecting this
             search to the portfolio's shared incumbent; ``None``
@@ -226,7 +216,6 @@ class SynthesisOptions:
     portfolio_strategies: tuple | str | None = None
     portfolio_seed_ranks: tuple | None = None
     portfolio_poll_steps: int = 64
-    trace_dir: str | None = None
     flight_dir: str | None = None
     bound_channel: object | None = field(default=None, compare=False)
 

@@ -24,11 +24,13 @@ from repro.applog import (
     read_log,
 )
 from repro.circuits.circuit import Circuit
+from repro.functions.permutation import Permutation
 from repro.gates.toffoli import ToffoliGate
 from repro.harness import SweepLedger, TaskOutcome, read_ledger
-from repro.obs import TraceSession
+from repro.obs import JsonlTraceObserver
 from repro.obs.flight import FlightRecorder
 from repro.store import CircuitStore, canonicalize
+from repro.synth.rmrls import synthesize
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 
@@ -44,14 +46,12 @@ def _write_ledger(tmp_path):
     return path
 
 
-def _write_trace_shard(tmp_path):
-    session = TraceSession.create(str(tmp_path / "trace"))
-    span = session.begin_span("sweep", tasks=3)
-    for index in range(3):
-        session.event("progress", span=span, step=index * 64, queue=7)
-    span.end(status="ok", solved=3)
-    session.close()
-    return str(tmp_path / "trace" / "coord.jsonl")
+def _write_search_trace(tmp_path):
+    path = str(tmp_path / "search.jsonl")
+    with JsonlTraceObserver.open(path) as observer:
+        synthesize(Permutation([1, 0, 7, 2, 3, 4, 5, 6]),
+                   observers=(observer,))
+    return path
 
 
 def _write_store_segment(tmp_path):
@@ -84,7 +84,7 @@ def _write_decisions(tmp_path):
 
 WRITERS = {
     "ledger": _write_ledger,
-    "trace_shard": _write_trace_shard,
+    "search_trace": _write_search_trace,
     "store_segment": _write_store_segment,
     "decisions": _write_decisions,
 }

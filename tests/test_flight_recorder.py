@@ -7,6 +7,7 @@ the victim's ring into a validated, replayable crash dump.
 """
 
 import atexit
+import io
 import json
 import os
 import random
@@ -17,7 +18,7 @@ import pytest
 from repro.functions.permutation import Permutation
 from repro.harness import WorkerPool, permutation_task, probe_task
 from repro.harness.worker import worker_entry
-from repro.obs import ProgressObserver, TraceSession
+from repro.obs import ProgressObserver
 from repro.obs.flight import (
     DUMP_STATUSES,
     EVERY_ENV_VAR,
@@ -25,11 +26,13 @@ from repro.obs.flight import (
     FlightObserver,
     FlightRecorder,
     RingFile,
+    build_postmortem,
     dump_checksum,
     fold_digest,
     load_dump,
     parse_faults,
     recover_ring,
+    render_postmortem,
     replay_dump,
     scan_flight_dir,
     validate_dump,
@@ -180,6 +183,46 @@ class TestScan:
         recorder.discard()
 
 
+class TestPostmortemTail:
+    @pytest.fixture
+    def flight_dir(self, tmp_path):
+        recorder = FlightRecorder(str(tmp_path / "p.ring"),
+                                  meta={"process": "t"}, faults="none")
+        for index in range(4):
+            recorder.record("step", step=index)
+        recorder.write_dump(reason="crash", error=None)
+        return str(tmp_path)
+
+    def test_tail_keeps_the_last_events(self, flight_dir):
+        document = build_postmortem(flight_dir, tail=1)
+        assert [item["event"]["step"] for item in document["timeline"]] == [3]
+        rendered = render_postmortem(
+            build_postmortem(flight_dir), timeline_tail=2
+        )
+        assert "step=2" in rendered and "step=3" in rendered
+        assert "step=1" not in rendered
+
+    @pytest.mark.parametrize("tail", [0, -1])
+    def test_tail_below_one_is_rejected(self, flight_dir, tail):
+        with pytest.raises(ValueError, match="tail"):
+            build_postmortem(flight_dir, tail=tail)
+        with pytest.raises(ValueError, match="timeline_tail"):
+            render_postmortem(build_postmortem(flight_dir),
+                              timeline_tail=tail)
+
+    @pytest.mark.parametrize("flag", ["--tail", "--timeline"])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_cli_exits_2_with_usage(self, flight_dir, capsys, flag, value):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["postmortem", flight_dir, flag, value])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: rmrls postmortem")
+        assert flag in err
+
+
 #: Overhead budget of an armed observer, as a share of one bare step.
 _BUDGET_PCT = 5.0
 
@@ -248,20 +291,14 @@ class TestOverheadBudget:
             f"({step_ns:.0f} ns over {bare_step_ns:.0f} ns)"
         )
 
-    def test_span_progress_stays_within_five_percent_of_a_step(
-        self, tmp_path, bare_step_ns
+    def test_progress_stays_within_five_percent_of_a_step(
+        self, bare_step_ns
     ):
-        session = TraceSession.create(str(tmp_path))
-        try:
-            span = session.begin_span("search")
-            observer = ProgressObserver(every=512, session=session, span=span)
-            step_ns = _per_call_ns(observer.on_step)
-            span.end(status="ok")
-        finally:
-            session.close()
+        observer = ProgressObserver(every=512, stream=io.StringIO())
+        step_ns = _per_call_ns(observer.on_step)
         overhead_pct = step_ns / bare_step_ns * 100.0
         assert overhead_pct < _BUDGET_PCT, (
-            f"span progress tracing adds {overhead_pct:.2f}% to a search "
+            f"progress lines add {overhead_pct:.2f}% to a search "
             f"step ({step_ns:.0f} ns over {bare_step_ns:.0f} ns)"
         )
 

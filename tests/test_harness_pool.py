@@ -143,6 +143,17 @@ class TestRetriesInIsolation:
         assert outcome.status == "crash"
         assert outcome.attempts == 2
 
+    @pytest.mark.parametrize("task, budget, retry, status", [
+        (probe_task("hang", seconds=30.0), WorkerBudget(wall_seconds=0.3),
+         RetryPolicy(max_retries=1, time_factor=1.0), "hang"),
+        (probe_task("oom", mbytes=4096), WorkerBudget(mem_limit_mb=128),
+         RetryPolicy(max_retries=1, mem_factor=1.0), "oom"),
+    ], ids=["hang", "oom"])
+    def test_killed_attempts_are_retried(self, task, budget, retry, status):
+        [outcome] = _pool_run([task], budget=budget, retry=retry)
+        assert outcome.status == status
+        assert outcome.attempts == 2
+
 
 class TestRealSynthesisIsolated:
     def test_permutation_synthesis_round_trips(self):

@@ -296,6 +296,25 @@ class TestHarnessFromEnv:
         )
         assert config is not None and not config.isolate
 
+    @pytest.mark.parametrize(
+        "value", ["False", "NO", "off", "Off", " false ", "0 "]
+    )
+    def test_false_spellings_in_any_case(self, value):
+        assert harness_from_env({"RMRLS_ISOLATE": value}) is None
+        assert harness_from_env({"RMRLS_LEDGER_FSYNC": value}) is None
+        config = harness_from_env({
+            "RMRLS_ISOLATE": value, "RMRLS_LEDGER_FSYNC": value,
+            "RMRLS_RETRIES": "1",
+        })
+        assert not config.isolate and not config.ledger_fsync
+
+    @pytest.mark.parametrize("value", ["1", "TRUE", "yes", "On"])
+    def test_true_spellings(self, value):
+        config = harness_from_env(
+            {"RMRLS_ISOLATE": value, "RMRLS_LEDGER_FSYNC": value}
+        )
+        assert config.isolate and config.ledger_fsync
+
     def test_config_with_replacement(self):
         base = HarnessConfig()
         assert base.with_(strict=True).strict

@@ -287,19 +287,18 @@ class TestObserverRegrowth:
         }
         assert modules == {
             "__init__",
-            "collate",
             "flight",
             "jsonl",
             "metrics",
             "observer",
             "phases",
             "report",
-            "spans",
             "trace_summary",
         }, (
             "a new module under repro/obs: a traced run is read through "
-            "the run report (--json, --metrics) and the collated trace "
-            "(rmrls trace collate); extend one of those instead"
+            "the run report (--json, --metrics), the JSONL search trace "
+            "(--trace-jsonl) or the flight recorder; extend one of those "
+            "instead"
         )
 
 

@@ -63,6 +63,18 @@ class TestSummarizeTrace:
         assert depth["max"] == 100
         assert depth["samples"] == 100
 
+    def test_queue_percentiles_round_up_between_ranks(self):
+        # Nearest rank is ceil(p * n): 2.5 -> 3 and 4.5 -> 5, where
+        # round-half-to-even would give 2 and 4.
+        records = [
+            {"event": "pop", "step": i, "queue_size": size}
+            for i, size in enumerate(range(1, 6))
+        ]
+        depth = summarize_trace(lines(*records))["queue_depth"]
+        assert depth["p50"] == 3
+        assert depth["p90"] == 5
+        assert depth["p99"] == 5
+
     def test_restart_timeline_and_solutions(self):
         summary = summarize_trace(lines(
             {"event": "restart", "step": 40, "seed": 3},

@@ -120,6 +120,25 @@ class TestCacheOutcomes:
             assert service.synthesize(SWAP_01)["cache"] == "miss"
             record = store.get(canonicalize(SWAP_01).key)
             assert record.provenance["engine"] == "lanes"
+            assert "trace_id" not in record.provenance
+        finally:
+            service.close()
+
+    def test_older_provenance_with_a_trace_id_still_serves(self, tmp_path):
+        # Records written before the span tracer was removed carry a
+        # ``trace_id`` provenance key; they must still load and hit.
+        store = CircuitStore(str(tmp_path / "store"))
+        circuit = Circuit(2, [ToffoliGate(0b01, 1), ToffoliGate(0b10, 0),
+                              ToffoliGate(0b01, 1)])
+        store.put(canonicalize(circuit.to_permutation()), circuit,
+                  provenance={"source": "serve", "trace_id": "0123abcd"})
+        store.close()
+        service, store, _registry = make_service(tmp_path)
+        try:
+            response = service.synthesize(circuit.to_permutation().images)
+            assert response["cache"] == "hit"
+            record = store.get(response["key"])
+            assert record.provenance["trace_id"] == "0123abcd"
         finally:
             service.close()
 
