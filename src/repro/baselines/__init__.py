@@ -2,6 +2,8 @@
 spectral [18]."""
 
 from repro.baselines.optimal import (
+    circuit_for,
+    distance,
     optimal_distances,
     optimal_distribution,
     optimal_synthesize,
@@ -18,6 +20,8 @@ from repro.baselines.transformation import (
 )
 
 __all__ = [
+    "circuit_for",
+    "distance",
     "optimal_distances",
     "optimal_distribution",
     "optimal_synthesize",

@@ -8,55 +8,128 @@ the permutation group: starting from the identity, repeatedly append
 library gates; the BFS level at which a permutation first appears is
 its minimal circuit size.
 
-The full sweep is only feasible for three variables (40 320 states).
-For individual functions of more variables,
-:func:`optimal_synthesize` runs a bidirectional BFS that meets in the
-middle, practical up to minimal sizes of ~8 on four variables.
+One ball per process and library holds packed permutations (a nibble
+per image, one int each); a gate acts on a whole BFS level as one
+``bytes.translate`` through its 256-entry table.  On up to three lines
+the ball is the whole group; on four lines it is B<=4 (311 528 states
+for GT), which decides every distance up to 5: p is at distance 5 iff
+one gate takes it into B<=4.  :func:`circuit_for` peels a minimal
+circuit off: at distance d some gate g has dist(g.p) = d - 1.
 """
 
 from __future__ import annotations
 
-from collections import deque
+import sys
+from array import array
+from collections import Counter
+from collections.abc import Mapping
+from itertools import chain, islice
 
 from repro.circuits.circuit import Circuit
 from repro.functions.permutation import Permutation
-from repro.gates.library import NCT, GateLibrary
+from repro.gates.library import GT, NCT, GateLibrary
 
-__all__ = ["optimal_distances", "optimal_distribution", "optimal_synthesize"]
+__all__ = ["circuit_for", "distance", "optimal_distances",
+           "optimal_distribution", "optimal_synthesize"]
 
-
-def _apply_at_output(state: tuple[int, ...], gate) -> tuple[int, ...]:
-    """Append ``gate`` at the outputs of a circuit computing ``state``."""
-    return tuple(gate.apply(value) for value in state)
+_BALLS: dict[tuple, "_Ball"] = {}
 
 
-def optimal_distances(
-    num_vars: int, library: GateLibrary = NCT
-) -> dict[tuple[int, ...], int]:
+class _Ball(Mapping):
+    """Exact distances from the identity, keyed by image tuples."""
+
+    def __init__(self, lines: int, library: GateLibrary):
+        self.gates = list(library.gates(lines))
+        self.tables = [
+            bytes(g.apply(b & 15) | g.apply(b >> 4) << 4 for b in range(256))
+            for g in self.gates
+        ]
+        self.size = 1 << (lines - 1)  # bytes per state
+        code = next(c for c in "BHILQ" if array(c).itemsize == self.size)
+        self.depth = 4 if lines == 4 else None  # None: the whole group
+        self.levels = levels = {self.pack(range(1 << lines)): 0}
+        level = known = 0
+        # Insertion order keeps each level contiguous: the newest level
+        # is everything after the first ``known`` keys.
+        while len(levels) > known and level != self.depth:
+            frontier = array(code, islice(levels, known, None)).tobytes()
+            known, level = len(levels), level + 1
+            for state in chain.from_iterable(
+                memoryview(frontier.translate(table)).cast(code)
+                for table in self.tables
+            ):
+                levels.setdefault(state, level)
+
+    def pack(self, images) -> int:
+        pairs = iter(images)
+        data = bytes(low | high << 4 for low, high in zip(pairs, pairs))
+        return int.from_bytes(data, sys.byteorder)
+
+    def unpack(self, state: int) -> tuple[int, ...]:
+        data = state.to_bytes(self.size, sys.byteorder)
+        return tuple(n for byte in data for n in (byte & 15, byte >> 4))
+
+    def apply(self, state: int, table: bytes) -> int:
+        """Append a gate at the outputs of the circuit computing ``state``."""
+        data = state.to_bytes(self.size, sys.byteorder).translate(table)
+        return int.from_bytes(data, sys.byteorder)
+
+    def distance(self, state: int) -> int | None:
+        found = self.levels.get(state)
+        if found is None and self.depth is not None and any(
+            self.apply(state, table) in self.levels for table in self.tables
+        ):
+            return self.depth + 1
+        return found
+
+    def __getitem__(self, images) -> int:
+        return self.levels[self.pack(images)]
+
+    def __iter__(self):
+        return map(self.unpack, self.levels)
+
+    def __len__(self) -> int:
+        return len(self.levels)
+
+    def values(self):
+        return self.levels.values()
+
+
+def _ball(lines: int, library: GateLibrary) -> _Ball:
+    if not 1 <= lines <= 4:
+        raise ValueError("exact distances cover 1 to 4 lines")
+    key = (lines, library.toffoli_size_limit(lines), library.include_swap)
+    if key not in _BALLS:
+        _BALLS[key] = _Ball(lines, library)
+    return _BALLS[key]
+
+
+def _peel(ball: _Ball, state: int, found: int) -> list:
+    """Gates of a minimal circuit for ``state``, ``found`` gates away."""
+    gates = []
+    for level in range(found - 1, -1, -1):
+        for gate, table in zip(ball.gates, ball.tables):
+            successor = ball.apply(state, table)
+            if ball.levels.get(successor) == level:
+                break
+        gates.append(gate)
+        state = successor
+    return gates[::-1]
+
+
+def optimal_distances(num_vars: int, library: GateLibrary = NCT) -> Mapping:
     """Minimal gate count for *every* function on ``num_vars`` variables.
 
-    Performs one BFS over the whole symmetric group; only sensible for
-    ``num_vars <= 3`` (40 320 states — a second or two), and guarded
-    accordingly.
+    A read-only view keyed by image tuples over the packed ball (about
+    0.1 s to build on three variables, once per process).  Only the
+    whole group is a complete sweep, so ``num_vars <= 3``.
     """
     if num_vars > 3:
         raise ValueError(
             "the exhaustive sweep covers (2^n)! functions and is only "
             "tractable for num_vars <= 3"
         )
-    gates = list(library.gates(num_vars))
-    identity = tuple(range(1 << num_vars))
-    distances: dict[tuple[int, ...], int] = {identity: 0}
-    frontier = deque([identity])
-    while frontier:
-        state = frontier.popleft()
-        level = distances[state]
-        for gate in gates:
-            successor = _apply_at_output(state, gate)
-            if successor not in distances:
-                distances[successor] = level + 1
-                frontier.append(successor)
-    return distances
+    return _ball(num_vars, library)
 
 
 def optimal_distribution(
@@ -64,10 +137,35 @@ def optimal_distribution(
 ) -> dict[int, int]:
     """Histogram {minimal size: function count} — Table I's "Optimal"
     columns."""
-    counts: dict[int, int] = {}
-    for distance in optimal_distances(num_vars, library).values():
-        counts[distance] = counts.get(distance, 0) + 1
-    return counts
+    return dict(Counter(optimal_distances(num_vars, library).values()))
+
+
+def distance(
+    specification: Permutation, limit: int | None = None,
+    library: GateLibrary = GT,
+) -> int | None:
+    """Exact minimal gate count of ``specification``, or ``None`` when it
+    exceeds ``limit`` or the ball's reach (5 gates on four lines)."""
+    ball = _ball(specification.num_vars, library)
+    found = ball.distance(ball.pack(specification.images))
+    return found if found is None or limit is None or found <= limit else None
+
+
+def circuit_for(
+    specification: Permutation, limit: int | None = None,
+    library: GateLibrary = GT,
+) -> Circuit | None:
+    """A minimal circuit for ``specification``, simulation-checked, or
+    ``None`` when :func:`distance` gives none."""
+    found = distance(specification, limit, library)
+    if found is None:
+        return None
+    ball = _ball(specification.num_vars, library)
+    gates = _peel(ball, ball.pack(specification.images), found)
+    circuit = Circuit(specification.num_vars, gates)
+    if not circuit.implements(specification):
+        raise AssertionError(f"peeled a wrong circuit for {specification}")
+    return circuit
 
 
 def optimal_synthesize(
@@ -78,68 +176,15 @@ def optimal_synthesize(
     """Provably minimal circuit for one function, or ``None`` if it
     needs more than ``max_gates`` gates.
 
-    Bidirectional BFS: expand from the identity (forward half ``F``)
-    and from the target (backward half ``B``); when the frontiers meet
-    at state ``S``, the circuit is ``path_F(S)`` followed by the
-    reverse of ``path_B(S)`` (library gates are self-inverse, so the
-    backward path inverts by reversal).
+    Answered from the ball, so any function on up to three lines.  On
+    four lines a function beyond the 5-gate reach raises ``ValueError``
+    unless ``max_gates <= 5``: "more than ``max_gates``" is unknown.
     """
-    num_vars = specification.num_vars
-    gates = list(library.gates(num_vars))
-    identity = tuple(range(1 << num_vars))
-    target = tuple(specification.images)
-    if target == identity:
-        return Circuit(num_vars, ())
-
-    # parent maps: state -> (previous state, gate)
-    forward: dict[tuple, tuple | None] = {identity: None}
-    backward: dict[tuple, tuple | None] = {target: None}
-    forward_frontier = [identity]
-    backward_frontier = [target]
-
-    def expand(frontier, parents):
-        next_frontier = []
-        for state in frontier:
-            for gate in gates:
-                successor = _apply_at_output(state, gate)
-                if successor not in parents:
-                    parents[successor] = (state, gate)
-                    next_frontier.append(successor)
-        return next_frontier
-
-    def path_from(parents, state):
-        gates_out = []
-        while parents[state] is not None:
-            state, gate = parents[state]
-            gates_out.append(gate)
-        gates_out.reverse()
-        return gates_out
-
-    for _ in range(max_gates):
-        # Expand the smaller frontier for balance.
-        if len(forward_frontier) <= len(backward_frontier):
-            forward_frontier = expand(forward_frontier, forward)
-        else:
-            backward_frontier = expand(backward_frontier, backward)
-        meet = None
-        recent, other = (
-            (forward_frontier, backward)
-            if len(forward_frontier) < len(backward_frontier)
-            else (backward_frontier, forward)
+    circuit = circuit_for(specification, max_gates, library)
+    depth = _ball(specification.num_vars, library).depth
+    if circuit is None and depth is not None and max_gates > depth + 1:
+        raise ValueError(
+            f"{specification} is beyond the exact reach of {depth + 1} "
+            f"gates on {specification.num_vars} lines"
         )
-        for state in recent:
-            if state in other:
-                meet = state
-                break
-        if meet is None:
-            continue
-        # Forward half: gates g1..gj with meet = gj o ... o g1.
-        first_half = path_from(forward, meet)
-        # Backward half: gates h1..hk with meet = h_k o ... o h_1 o target
-        # => target = h_1 o ... o h_k o meet, so append them reversed.
-        second_half = list(reversed(path_from(backward, meet)))
-        circuit = Circuit(num_vars, first_half + second_half)
-        if not circuit.implements(specification):  # pragma: no cover
-            raise AssertionError("bidirectional BFS stitched a bad path")
-        return circuit
-    return None
+    return circuit

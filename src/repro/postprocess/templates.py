@@ -93,15 +93,16 @@ def peephole_optimize(
     """Replace narrow gate runs by provably minimal sub-circuits [17].
 
     Scans windows of up to ``max_window_gates`` consecutive gates whose
-    combined support fits in ``max_window_lines`` lines (3 keeps the
-    optimal BFS instant), resynthesizes the window's permutation
-    optimally, and substitutes the result when strictly shorter.
-    Windows containing non-Toffoli gates are skipped.
+    combined support fits in ``max_window_lines`` lines (at most 3,
+    where the exact ball of :mod:`repro.baselines.optimal` is the whole
+    group), resynthesizes the window's permutation optimally, and
+    substitutes the result when strictly shorter.  Windows containing
+    non-Toffoli gates are skipped.
     """
     if max_window_lines > 3:
         raise ValueError(
-            "peephole resynthesis uses exhaustive BFS; windows wider than "
-            "3 lines are intractable"
+            "peephole windows span at most 3 lines; 4-line windows "
+            "(within the ball's 5-gate reach) are not wired in yet"
         )
     cache = {} if _cache is None else _cache
     gates = list(circuit.gates)

@@ -15,10 +15,12 @@ runs under ``RMRLS_SLOW=1``.
 
 import os
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from repro.baselines.optimal import optimal_distances
 from repro.cli import main
 from repro.functions.permutation import Permutation
 from repro.harness.tasks import options_from_payload
@@ -257,3 +259,26 @@ class TestCorpusAsOracle:
             spec = Permutation(list(record["images"]))
             inverse = circuit_from_record(record).inverse()
             assert inverse.implements(spec.inverse())
+
+    def test_no_class_beats_its_exact_optimum(self):
+        """Every class against the exact BFS optimum: a class below it
+        would be an unsound circuit.  On the committed corpus the
+        weighted gap histogram is pinned as well."""
+        header, records = _corpus()
+        optimum = optimal_distances(3)
+        functions, classes, beaten = Counter(), Counter(), []
+        for record in records:
+            if record.get("status") != "ok":
+                continue
+            gap = record["gates"] - optimum[tuple(record["images"])]
+            if gap < 0:
+                beaten.append((record["class_rank"], record["gates"], gap))
+            functions[gap] += record["class_size"]
+            classes[gap] += 1
+        assert not beaten, f"classes below the optimum: {beaten[:10]}"
+        if not _is_committed_full_corpus(header):
+            return
+        assert functions == {0: 31080, 1: 8799, 2: 441}
+        assert classes == {0: 5271, 1: 1481, 2: 76}
+        mean = sum(gap * count for gap, count in functions.items()) / 40320
+        assert mean == pytest.approx(0.2401, abs=5e-5)

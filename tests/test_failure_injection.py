@@ -156,11 +156,23 @@ class TestResultVerifyCatchesTampering:
 
 
 class TestOptimalBfsSelfCheck:
-    def test_stitching_assertion_exists(self):
-        """The bidirectional BFS carries an internal stitching check;
-        simulate a bad stitch by corrupting the gate applier."""
+    def test_wrong_peel_raises(self, monkeypatch):
+        """Every exact circuit is simulation-checked before it leaves:
+        corrupt the peel so its first gate is wrong, and both entry
+        points must raise instead of returning the circuit."""
         from repro.baselines import optimal
 
         spec = Permutation([1, 0, 3, 2, 5, 7, 4, 6])
-        circuit = optimal.optimal_synthesize(spec)
-        assert circuit is not None and circuit.implements(spec)
+        assert optimal.optimal_synthesize(spec).implements(spec)
+        real_peel = optimal._peel
+
+        def corrupted_peel(ball, state, found):
+            gates = real_peel(ball, state, found)
+            wrong = next(g for g in ball.gates if g != gates[0])
+            return [wrong] + gates[1:]
+
+        monkeypatch.setattr(optimal, "_peel", corrupted_peel)
+        with pytest.raises(AssertionError, match="peeled a wrong circuit"):
+            optimal.optimal_synthesize(spec)
+        with pytest.raises(AssertionError, match="peeled a wrong circuit"):
+            optimal.circuit_for(spec)

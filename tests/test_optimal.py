@@ -1,15 +1,26 @@
 """Tests for the optimal BFS baseline — reproduces Table I's optimal
-columns exactly."""
+columns exactly, and holds the 4-line ball to its exact reach."""
+
+import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.baselines import optimal
 from repro.baselines.optimal import (
+    circuit_for,
+    distance,
     optimal_distances,
     optimal_distribution,
     optimal_synthesize,
 )
+from repro.circuits.random_circuits import random_circuit
 from repro.functions.permutation import Permutation
-from repro.gates.library import NCT, NCTS
+from repro.gates.library import GT, NCT, NCTS
+from repro.synth.options import SynthesisOptions
+from repro.synth.rmrls import synthesize
 
 # The paper's Table I optimal columns (Shende et al. [16]).
 PAPER_OPTIMAL_NCT = {
@@ -84,3 +95,60 @@ class TestOptimalityCrossChecks:
             result = synthesize(spec, options)
             assert result.solved
             assert result.gate_count >= distances[tuple(images)]
+
+
+def _shallow_circuit(seed: int, num_lines: int = 4):
+    """A random GT circuit of at most 5 gates."""
+    rng = random.Random(seed)
+    return random_circuit(num_lines, rng.randint(0, 5), rng, GT)
+
+
+class TestFourLineBall:
+    def test_gt_layer_sizes_through_depth_4(self):
+        # The published counts of optimal 4-bit circuits (Golubitsky,
+        # Falconer and Maslov, DAC 2010) up to four gates.
+        layers = Counter(optimal._ball(4, GT).values())
+        assert [layers[d] for d in range(5)] == [1, 32, 784, 16204, 294507]
+        assert len(optimal._ball(4, GT)) == 311528
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 10**6))
+    def test_distance_bounded_by_any_circuit(self, seed):
+        circuit = _shallow_circuit(seed)
+        spec = circuit.to_permutation()
+        found = distance(spec)
+        assert found is not None and found <= circuit.gate_count()
+        assert distance(spec, limit=found - 1) is None
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 10**6))
+    def test_circuit_for_is_exact(self, seed):
+        spec = _shallow_circuit(seed).to_permutation()
+        circuit = circuit_for(spec)
+        assert circuit.implements(spec)
+        assert circuit.gate_count() == distance(spec)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 10**6))
+    def test_rmrls_never_beats_distance(self, seed):
+        spec = _shallow_circuit(seed).to_permutation()
+        result = synthesize(spec, SynthesisOptions(
+            dedupe_states=True, max_steps=5_000, greedy_k=3,
+        ))
+        if result.solved:
+            assert result.gate_count >= distance(spec)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.permutations(list(range(8))))
+    def test_three_lines_agree_with_optimal_distances(self, images):
+        assert distance(Permutation(images)) == optimal_distances(3)[images]
+
+    def test_beyond_reach_is_unknown_not_wrong(self):
+        # hwb4 needs 11 gates: past B<=4 and past one gate beyond it.
+        from repro.benchlib import benchmark
+
+        spec = benchmark("hwb4").permutation
+        assert distance(spec) is None and circuit_for(spec) is None
+        assert optimal_synthesize(spec, GT, max_gates=5) is None
+        with pytest.raises(ValueError, match="exact reach of 5"):
+            optimal_synthesize(spec, GT, max_gates=6)
