@@ -44,11 +44,11 @@ store from every circuit a sweep synthesizes; ``--fsync-ledger``
 makes the resume ledger power-cut durable.
 
 Crash forensics (see docs/observability.md): ``--flight-dir DIR`` on
-``synth``, ``sweep``, and ``serve`` arms a black-box flight recorder
-in every process.  Clean exits leave nothing behind; crashed,
-unsound, OOM-killed, or SIGKILL'd processes leave checksummed crash
-dumps (recovered from the victim's mmap ring file by the
-coordinator).  ``rmrls postmortem DIR`` reconstructs the fleet's
+portfolio ``synth`` runs, ``sweep --isolate``, and ``serve`` arms a
+black-box flight recorder in every process.  Clean exits leave nothing
+behind; crashed, unsound, OOM-killed, or SIGKILL'd processes leave
+checksummed crash dumps (recovered from the victim's mmap ring file by
+the coordinator).  ``rmrls postmortem DIR`` reconstructs the fleet's
 final moments; ``rmrls replay DUMP`` re-runs the recorded search
 deterministically and checks it reaches the same states.
 """
@@ -109,9 +109,10 @@ def _add_observability_flags(parser: argparse.ArgumentParser) -> None:
                         help="print a progress line to stderr every N steps")
     parser.add_argument("--flight-dir", metavar="DIR", default=None,
                         help="arm a black-box flight recorder in every "
-                             "process; abnormal exits leave crash dumps "
-                             "under DIR (inspect with `rmrls postmortem`, "
-                             "re-run with `rmrls replay`)")
+                             "portfolio process (needs --jobs above 1 or "
+                             "--strategies); abnormal exits leave crash "
+                             "dumps under DIR (inspect with `rmrls "
+                             "postmortem`, re-run with `rmrls replay`)")
 
 
 def _resolve_spec(args):
@@ -212,6 +213,15 @@ def _cmd_synth(args) -> int:
         )
     if getattr(args, "no_share_bound", False):
         options = options.with_(portfolio_share_bound=False)
+    if getattr(args, "flight_dir", None) and not (
+        jobs is not None and jobs > 1
+    ):
+        # Only portfolio processes arm a recorder; a serial search
+        # would run with --flight-dir and record nothing.
+        print("--flight-dir needs a portfolio run (--jobs above 1 or "
+              "--strategies): a serial search arms no flight recorder",
+              file=sys.stderr)
+        return 2
     if jobs is not None and jobs > 1:
         # Portfolio workers run without the caller's observers.
         for flag in ("trace_jsonl", "progress_every"):
@@ -706,7 +716,11 @@ def _cmd_sweep(args) -> int:
     from repro.obs import MetricsRegistry
 
     registry = MetricsRegistry()
-    harness = _harness_from_args(args, metrics=registry)
+    try:
+        harness = _harness_from_args(args, metrics=registry)
+    except ValueError as error:
+        print(str(error), file=sys.stderr)
+        return 2
     target = args.target
 
     if target in ("plan", "run", "merge", "collect", "validate"):
@@ -1102,7 +1116,6 @@ def _cmd_serve(args) -> int:
         options=options,
         jobs=args.jobs,
         metrics=registry,
-        verify_hits=not args.no_verify_hits,
         wall_seconds=args.wall_limit,
         mem_limit_mb=args.mem_limit,
         retry=RetryPolicy(max_retries=args.retries),
@@ -1559,9 +1572,6 @@ def main(argv: list[str] | None = None) -> int:
     serve_cmd.add_argument("--jobs", type=int, default=1, metavar="N",
                            help="isolated synthesis workers for cache "
                                 "misses (default 1)")
-    serve_cmd.add_argument("--no-verify-hits", action="store_true",
-                           help="skip simulation-verifying each cache hit "
-                                "before returning it")
     serve_cmd.add_argument("--retries", type=int, default=0,
                            help="max retries per synthesis task")
     serve_cmd.add_argument("--mem-limit", type=int, metavar="MB",

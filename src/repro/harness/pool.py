@@ -137,10 +137,10 @@ class WorkerPool:
         self._clock = clock
         # Optional flight recording (repro.obs.flight): ``flight_dir``
         # arms a ring-buffer recorder inside every worker (the wire is
-        # a plain dict — live recorders cannot cross a spawn pickle);
-        # a worker that dies without dumping leaves its ring behind,
-        # and ``_settle`` recovers it into a crash dump.  ``flight`` is
-        # the coordinator's own recorder for scheduling decisions.
+        # a plain dict — live recorders cannot cross a spawn pickle),
+        # and ``_settle`` turns an unclean attempt's ring into its
+        # crash dump.  ``flight`` is the coordinator's own recorder for
+        # scheduling decisions; its owner ends it, not the pool.
         self.flight_dir = str(flight_dir) if flight_dir else None
         self.flight = flight
 
@@ -309,25 +309,9 @@ class WorkerPool:
                         self._kill(attempt)
                     running.remove(attempt)
                     self._settle(attempt, now, pending, finished, on_final)
-        except BaseException as error:
+        except BaseException:
             self._idle.extend(attempt.worker for attempt in running)
             self.close()
-            if self.flight is not None and not isinstance(
-                error, KeyboardInterrupt
-            ):
-                # A coordinator crash is as dump-worthy as a worker one;
-                # Ctrl-C is a clean, user-initiated stop.
-                try:
-                    self.flight.record(
-                        "coordinator_error",
-                        error=f"{type(error).__name__}: {error}",
-                    )
-                    self.flight.write_dump(
-                        reason="crash",
-                        error=f"{type(error).__name__}: {error}",
-                    )
-                except Exception:
-                    pass
             raise
         return finished
 
@@ -393,12 +377,13 @@ class WorkerPool:
     def _reap_flight(self, attempt, raw: dict) -> None:
         """Recover (or clean up) a settled attempt's flight ring.
 
-        A worker that dumped in-process already removed its ring; one
-        that died silently (SIGKILL on budget, kernel OOM, ``os._exit``)
-        left it behind.  Dump-worthy statuses recover the ring into a
-        checksummed crash dump and link it into the outcome's ``extra``
-        (the taxonomy linkage); clean statuses just drop the stale ring.
-        Recovery failures never fail the settle.
+        The one place a worker's crash dump is written.  A worker that
+        reported an unclean result closed its ring; one that died
+        silently (SIGKILL on budget, kernel OOM, ``os._exit``) left it
+        mid-write.  Either way, dump-worthy statuses recover the ring
+        into a checksummed crash dump and link it into the outcome's
+        ``extra`` (the taxonomy linkage); clean statuses just drop any
+        stale ring.  Recovery failures never fail the settle.
         """
         from repro.obs.flight import (
             DUMP_STATUSES,

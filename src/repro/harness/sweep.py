@@ -43,6 +43,7 @@ from repro.harness.taxonomy import (
     TaskOutcome,
 )
 from repro.harness.worker import execute_payload
+from repro.obs.flight import FlightRecorder, end_recording
 
 __all__ = [
     "HarnessConfig",
@@ -88,15 +89,29 @@ class HarnessConfig:
     # the store, deduplicated by canonical key — completed sweeps warm
     # the synthesis cache as a side effect.
     store_path: str | None = None
-    # Flight-recorder directory (repro.obs.flight).  When set (with
-    # ``isolate=True``), every worker arms a ring-buffer black box and
-    # the coordinator records scheduling decisions; abnormal deaths
-    # leave checksummed crash dumps for ``rmrls postmortem``/``replay``.
+    # Flight-recorder directory (repro.obs.flight; needs ``isolate``).
+    # Every worker arms a ring-buffer black box and the coordinator
+    # records scheduling decisions; abnormal deaths leave checksummed
+    # crash dumps for ``rmrls postmortem``/``replay``.
     flight_dir: str | None = None
 
     def __post_init__(self):
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
+        if not self.isolate:
+            # Each of these acts only on isolated workers; without
+            # ``isolate`` the sweep would run and silently drop it.
+            for flag, given in (
+                ("--flight-dir", bool(self.flight_dir)),
+                ("--wall-limit", self.wall_seconds is not None),
+                ("--mem-limit", self.mem_limit_mb is not None),
+                ("--jobs above 1", self.jobs > 1),
+            ):
+                if given:
+                    raise ValueError(
+                        f"{flag} needs --isolate: it acts only on "
+                        "isolated workers"
+                    )
 
     def with_(self, **changes) -> "HarnessConfig":
         """Return a copy with the given fields replaced."""
@@ -316,12 +331,10 @@ def run_sweep(
         return report
 
     flight = None
-    if config.flight_dir and config.isolate:
+    if config.flight_dir:
         # The coordinator's own black box.  Fault injection stays
         # worker-only (``faults="none"``) so an injected SIGKILL kills
         # workers, not the sweep driving them.
-        from repro.obs.flight import FlightRecorder
-
         flight = FlightRecorder(
             os.path.join(config.flight_dir, "coord.ring"),
             meta={"process": "coord", "sweep": name, "tasks": len(tasks)},
@@ -330,6 +343,7 @@ def run_sweep(
         flight.record("sweep_start", name=name, tasks=len(tasks))
 
     pending: list[Task] = []
+    error = None
     try:
         for task in tasks:
             previous = recorded.get(task.task_id)
@@ -373,11 +387,11 @@ def run_sweep(
             if _run_inline(pending, config, on_final):
                 report.interrupted = True
         return finish()
+    except BaseException as caught:
+        error = caught
+        raise
     finally:
-        if flight is not None and flight.armed:
-            # A clean (or cleanly interrupted) sweep needs no coordinator
-            # dump; the pool already dumped on an abnormal exit.
-            flight.discard()
+        end_recording(flight, error)
         if ledger is not None:
             ledger.close()
         if store is not None:

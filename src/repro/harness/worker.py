@@ -392,13 +392,13 @@ def worker_entry(
     process died silently, or the parent killed it.
 
     ``flight`` is the pool's flight-recorder wire dict
-    (``{"dir", "task_id", "capacity"?}``): the worker arms an
-    mmap-backed ring at a path the pool can re-derive, injects a
-    :class:`~repro.obs.flight.FlightObserver` into the search options,
-    and on an abnormal outcome writes the crash dump itself
-    (``crash``/``unsound``/``oom``) — silent deaths leave the ring
-    behind for the pool's post-mortem recovery.  Clean outcomes discard
-    the ring.  Recorder failures never fail the task.
+    (``{"dir", "task_id"}``): the worker arms an mmap-backed ring at a
+    path the pool can re-derive and injects a
+    :class:`~repro.obs.flight.FlightObserver` into the search options.
+    A clean attempt deletes its ring; any other end only closes it, and
+    the pool's ``_reap_flight`` recovers it into the crash dump — the
+    same path a silent death (SIGKILL, ``os._exit``) takes.  Recorder
+    failures never fail the task.
     """
     recorder = None
     if flight is not None:
@@ -413,7 +413,6 @@ def worker_entry(
             recorder = arm_worker_recorder(
                 flight, kind, payload, options, attempt, every=every,
             )
-            recorder.register_atexit()
             observer = FlightObserver(recorder, every=every)
             options = dict(options)
             options["observers"] = tuple(
@@ -441,19 +440,12 @@ def worker_entry(
         }
     if recorder is not None:
         try:
+            from repro.obs.flight import DUMP_STATUSES, discard_ring
+
             recorder.record("task_result", status=result.get("status"))
-            if result.get("status") in (
-                STATUS_CRASH, STATUS_UNSOUND, STATUS_OOM
-            ):
-                # In-process fast path: the interpreter survived, so
-                # dump here (under memory pressure this may still fail —
-                # then the ring survives for the pool to recover).
-                dump_path = recorder.write_dump(
-                    reason=result["status"], error=result.get("error"),
-                )
-                result.setdefault("extra", {})["flight_dump"] = dump_path
-            else:
-                recorder.discard()
+            recorder.close()
+            if result.get("status") not in DUMP_STATUSES:
+                discard_ring(recorder.path)
         except Exception:  # pragma: no cover - recording must not kill work
             pass
     return result

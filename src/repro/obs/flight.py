@@ -15,12 +15,13 @@ recorder closes that gap the way an aircraft black box does:
   (task kind/payload/options, seed ranks, pids), and a
   flushed ``<ring>.decisions.jsonl`` append log (:mod:`repro.applog`)
   for the rare nondeterministic inputs (shared-bound adoptions) that a
-  replay must re-apply.  On a clean exit the whole set is discarded; on an
-  abnormal one it becomes a checksummed ``rmrls-flight-dump``
-  document — written in-process for ``crash``/``unsound``/``oom``
-  (plus an ``atexit`` backstop), or recovered from the ring by the
-  *coordinator* for workers that died silently (:func:`recover_ring`,
-  wired into ``WorkerPool._settle``).
+  replay must re-apply.  On a clean end the whole set is deleted; on
+  an abnormal one :func:`recover_ring` turns it into a checksummed
+  ``rmrls-flight-dump`` document — the one way a dump is written.  A
+  worker's ring is recovered by its pool (``WorkerPool._reap_flight``)
+  once the attempt settles, whether the worker reported the failure or
+  died silently; a coordinator's by :func:`end_recording`, the single
+  call every coordinator ends its recording with.
 * :class:`FlightObserver` — the search-side tap on the single
   observer dispatch point: a cumulative 64-bit FNV-style digest folded
   from ``(step, depth, terms, queue_size)`` at every stride point
@@ -47,7 +48,6 @@ See docs/observability.md ("Flight recorder and crash postmortems").
 
 from __future__ import annotations
 
-import atexit
 import json
 import mmap
 import os
@@ -55,7 +55,6 @@ import signal
 import struct
 import threading
 import time
-import weakref
 import zlib
 
 from repro.applog import AppendLog, atomic_write, checksum, read_log
@@ -77,8 +76,10 @@ __all__ = [
     "dump_checksum",
     "validate_dump",
     "load_dump",
-    "write_dump",
+    "end_recording",
     "recover_ring",
+    "recover_ring_to_file",
+    "discard_ring",
     "recover_rings",
     "replay_dump",
     "replayable",
@@ -114,9 +115,8 @@ _HEADER = struct.Struct("<8sIIQ")  # magic, slot_size, slot_count, cursor
 _HEADER_SIZE = 32  # _HEADER.size (24) padded for alignment headroom
 _SLOT_PREFIX = struct.Struct("<II")  # payload length, crc32(payload)
 
-#: Statuses whose worker death warrants a coordinator-side recovery of
-#: the victim's ring (the in-process fast path already covers
-#: crash/unsound/oom when the interpreter survives long enough).
+#: Attempt statuses whose ring the pool recovers into a dump; any
+#: other end deletes it.
 DUMP_STATUSES = ("oom", "crash", "hang", "unsound")
 
 _FNV_PRIME = 0x100000001B3
@@ -288,11 +288,12 @@ class FlightRecorder:
 
     ``meta`` is written once at arm time (it must survive an immediate
     SIGKILL): everything a replay needs that never changes mid-run.
-    Events go to both the ring file and an in-memory mirror (the
-    mirror backs the in-process dump fast path without re-reading the
-    mapping).  ``decision`` events additionally append one flushed
-    JSONL line — they are the rare nondeterministic inputs a replay
-    must re-apply, so they must never be evicted by the ring.
+    Events go to the ring file; ``decision`` events additionally append
+    one flushed JSONL line — they are the rare nondeterministic inputs a
+    replay must re-apply, so they must never be evicted by the ring.
+    The recorder never writes a dump itself: whoever ends the recording
+    closes it and either deletes the ring (:func:`discard_ring`) or
+    recovers it (:func:`recover_ring_to_file`).
     """
 
     def __init__(
@@ -310,16 +311,12 @@ class FlightRecorder:
         self.meta.setdefault("created_unix", round(time.time(), 6))
         self.meta["capacity"] = capacity
         self._ring = RingFile(self.path, capacity, slot_size)
-        self._events: list[dict] = []
-        self._capacity = capacity
-        self._decisions: list[dict] = []
         self._decision_stream = None
         self._seq = 0
         # Workers record single-threaded; the serve daemon records from
         # handler threads.  Recording is far off any hot path (one event
         # per `every` steps), so a lock costs nothing measurable.
         self._lock = threading.RLock()
-        self.armed = True
         fault_text = faults if faults is not None \
             else os.environ.get(FAULTS_ENV_VAR)
         self._fault = parse_faults(fault_text)
@@ -330,19 +327,14 @@ class FlightRecorder:
             fsync=False,
         )
 
-    # -- recording ---------------------------------------------------------
-
     def record(self, kind: str, **attrs) -> dict:
-        """Append one event to the ring (and the in-memory mirror)."""
+        """Append one event to the ring."""
         with self._lock:
             self._seq += 1
             record = {"k": kind, "seq": self._seq,
                       "t": round(time.monotonic() - self._t0, 6)}
             record.update(attrs)
             self._ring.append(record)
-            self._events.append(record)
-            if len(self._events) > self._capacity:
-                del self._events[0]
         if self._fault is not None and self._seq >= self._fault[1]:
             # Deterministic crash injection: die the way the kernel OOM
             # killer would, leaving only the ring behind.
@@ -358,87 +350,44 @@ class FlightRecorder:
         """
         with self._lock:
             record = self.record(kind, **attrs)
-            self._decisions.append(record)
             if self._decision_stream is None:
                 _, decisions_path = _sidecar_paths(self.path)
                 self._decision_stream = AppendLog(decisions_path)
             self._decision_stream.write(record)
 
-    # -- lifecycle ---------------------------------------------------------
-
-    def register_atexit(self) -> None:
-        """Backstop: dump on interpreter shutdown if still armed (a
-        ``sys.exit`` deep in task code; ``os._exit`` and SIGKILL skip
-        this — those are the coordinator-recovery cases).  One
-        process-wide hook serves every recorder and holds them weakly,
-        so a worker that runs many attempts keeps neither a handler nor
-        a recorder per attempt."""
-        _EXIT_RECORDERS.add(self)
-
-    def build_dump(self, reason: str, error: str | None = None,
-                   extra: dict | None = None) -> dict:
-        document = {
-            "schema": FLIGHT_SCHEMA,
-            "version": FLIGHT_SCHEMA_VERSION,
-            "reason": reason,
-            "error": error,
-            "meta": dict(self.meta),
-            "events": list(self._events),
-            "decisions": list(self._decisions),
-            "last_step": _last_step(self._events),
-            "dropped_slots": 0,
-            "recovered": False,
-            "dumped_unix": round(time.time(), 6),
-        }
-        if extra:
-            document["extra"] = dict(extra)
-        document["checksum"] = dump_checksum(document)
-        return document
-
-    def write_dump(self, reason: str, error: str | None = None,
-                   path: str | None = None) -> str:
-        """Write the in-process crash dump and retire the ring files.
-
-        Returns the dump path.  The ring and sidecars are removed once
-        the dump exists, so the coordinator never double-recovers a
-        death the worker itself managed to report.
-        """
-        document = self.build_dump(reason, error=error)
-        target = path if path else _dump_path(self.path)
-        write_dump(document, target)
-        self._retire()
-        return target
-
-    def discard(self) -> None:
-        """Clean exit: drop the ring and sidecars without a dump."""
-        self._retire()
-
-    def _retire(self) -> None:
-        self.close()
-        discard_ring(self.path)
-
     def close(self) -> None:
-        """Close handles without deleting anything (leave the ring for
-        post-mortem recovery)."""
-        self.armed = False
-        _EXIT_RECORDERS.discard(self)
+        """Close handles without deleting anything: the ring and its
+        sidecars stay on disk for :func:`recover_ring`."""
         self._ring.close()
         if self._decision_stream is not None:
             self._decision_stream.close()
 
 
-#: Armed recorders the interpreter-exit hook dumps (weakly held).
-_EXIT_RECORDERS: "weakref.WeakSet[FlightRecorder]" = weakref.WeakSet()
+def end_recording(recorder: FlightRecorder | None,
+                  error: BaseException | None = None) -> str | None:
+    """End a coordinator's recording; return the dump path, if any.
 
-
-@atexit.register
-def _dump_at_exit() -> None:
-    for recorder in list(_EXIT_RECORDERS):
-        if recorder.armed:
-            try:
-                recorder.write_dump(reason="abandoned")
-            except Exception:  # pragma: no cover - shutdown best-effort
-                pass
+    ``error`` is the exception the coordinator is ending on.  Any
+    exception but ``KeyboardInterrupt`` (a clean, user-initiated stop)
+    is recorded, the ring closed and recovered into a ``crash`` dump;
+    otherwise the ring and its sidecars are deleted.  A recovery that
+    fails on I/O returns ``None`` rather than mask the error being
+    reported.
+    """
+    if recorder is None:
+        return None
+    if error is None or isinstance(error, KeyboardInterrupt):
+        recorder.close()
+        discard_ring(recorder.path)
+        return None
+    text = f"{type(error).__name__}: {error}"
+    try:
+        recorder.record("coordinator_error", error=text)
+        recorder.close()
+        return recover_ring_to_file(recorder.path, reason="crash",
+                                    error=text)
+    except (OSError, ValueError):
+        return None
 
 
 # -- the search-side tap -------------------------------------------------------
@@ -656,22 +605,15 @@ def load_dump(path: str) -> dict:
     return document
 
 
-def write_dump(document: dict, path: str) -> None:
-    """Atomically write a dump document."""
-    atomic_write(
-        path,
-        json.dumps(document, sort_keys=True, indent=1, default=str) + "\n",
-    )
-
-
 def recover_ring(ring_path: str, reason: str = "recovered",
                  error: str | None = None) -> dict:
-    """Rebuild a dump from a dead process's ring + sidecars.
+    """Build a dump from a closed or dead recorder's ring + sidecars.
 
-    This is the coordinator-side path for workers that died without a
-    chance to dump (SIGKILL, kernel OOM, ``os._exit``).  The meta
-    sidecar was written at arm time so it is always present; a missing
-    one still yields a (replay-less) dump rather than nothing.
+    Every dump is built here, from what is on disk, so a worker that
+    reported its failure and one that was SIGKILLed mid-write yield the
+    same document.  The meta sidecar was written at arm time so it is
+    always present; a missing one still yields a (replay-less) dump
+    rather than nothing.
     """
     meta_path, decisions_path = _sidecar_paths(ring_path)
     meta: dict = {}
@@ -706,10 +648,15 @@ def recover_ring(ring_path: str, reason: str = "recovered",
 
 def recover_ring_to_file(ring_path: str, reason: str = "recovered",
                          error: str | None = None) -> str:
-    """Recover one ring into ``<stem>.dump.json``; remove the ring."""
+    """Recover one ring into ``<stem>.dump.json``; remove the ring.
+
+    The only writer of ``rmrls-flight-dump`` files."""
     document = recover_ring(ring_path, reason=reason, error=error)
     target = _dump_path(ring_path)
-    write_dump(document, target)
+    atomic_write(
+        target,
+        json.dumps(document, sort_keys=True, indent=1, default=str) + "\n",
+    )
     discard_ring(ring_path)
     return target
 
@@ -1067,5 +1014,4 @@ def arm_worker_recorder(flight: dict, kind: str, payload: dict,
     return FlightRecorder(
         worker_ring_path(flight["dir"], flight["task_id"], attempt),
         meta=meta,
-        capacity=int(flight.get("capacity") or DEFAULT_CAPACITY),
     )

@@ -49,6 +49,7 @@ from repro.harness.taxonomy import (
     STATUS_OK,
     TaskOutcome,
 )
+from repro.obs.flight import FlightRecorder, end_recording
 from repro.parallel.bound import LocalBound, SharedBound
 from repro.parallel.strategy import build_deck, resolve_strategies
 from repro.perf.hotops import global_counters
@@ -362,32 +363,21 @@ def synthesize_portfolio(
         # The driver's black box; workers arm their own through the
         # pool's ``flight_dir``.  Faults stay worker-only, as in
         # ``run_sweep``.
-        from repro.obs.flight import FlightRecorder
-
         flight = FlightRecorder(
             os.path.join(options.flight_dir, "portfolio-coord.ring"),
             meta={"process": "portfolio-coord", "jobs": jobs},
             faults="none",
         )
+    error = None
     try:
         return _run_portfolio_driver(
             specification, options, jobs, pool, started, flight, inline,
         )
-    except BaseException as error:
-        if flight is not None and flight.armed and not isinstance(
-            error, KeyboardInterrupt
-        ):
-            try:
-                flight.write_dump(
-                    reason="crash",
-                    error=f"{type(error).__name__}: {error}",
-                )
-            except Exception:
-                pass
+    except BaseException as caught:
+        error = caught
         raise
     finally:
-        if flight is not None and flight.armed:
-            flight.discard()
+        end_recording(flight, error)
 
 
 def _run_portfolio_driver(

@@ -57,6 +57,7 @@ from repro.harness.tasks import (
     permutation_task,
 )
 from repro.io.real_format import dump_real, load_real
+from repro.obs.flight import FlightRecorder, end_recording
 from repro.obs.metrics import MetricsRegistry
 from repro.store.canonical import CanonicalizationError, canonicalize
 from repro.store.store import CircuitStore, StoreError
@@ -125,7 +126,6 @@ class SynthesisService:
         options=None,
         jobs: int = 1,
         metrics: MetricsRegistry | None = None,
-        verify_hits: bool = True,
         wall_seconds: float | None = None,
         mem_limit_mb: int | None = None,
         retry: RetryPolicy | None = None,
@@ -136,14 +136,11 @@ class SynthesisService:
             options if options is not None else default_service_options()
         )
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.verify_hits = verify_hits
         self.flight = None
         if flight_dir:
             # The daemon's black box: the tail of recent request
             # outcomes, dumped only on an abnormal daemon exit.  Fault
             # injection stays with synthesis workers.
-            from repro.obs.flight import FlightRecorder
-
             self.flight = FlightRecorder(
                 os.path.join(flight_dir, "serve.ring"),
                 meta={"process": "serve", "jobs": jobs},
@@ -309,8 +306,6 @@ class SynthesisService:
             return None
         try:
             circuit = canonical.from_canonical(record.circuit())
-            if not self.verify_hits:
-                return circuit, circuit.gate_count()
             if circuit.implements(permutation):
                 return circuit, circuit.gate_count()
         except (ValueError, KeyError):
@@ -459,9 +454,11 @@ class SynthesisService:
             "metrics": self.metrics.as_dict(),
         }
 
-    def close(self) -> None:
+    def close(self, error: BaseException | None = None) -> None:
         """Stop the batcher and retire the pool's workers; fail any
-        still-queued flights loudly."""
+        still-queued flights loudly.  ``error`` is the exception the
+        daemon is ending on: it turns the flight ring into a crash dump
+        (see :func:`~repro.obs.flight.end_recording`)."""
         with self._cond:
             self._stopped = True
             pending, self._queue = self._queue, []
@@ -471,16 +468,15 @@ class SynthesisService:
         )
         self._batcher.join(timeout=10.0)
         self._pool.close()
-        if self.flight is not None and self.flight.armed:
-            self.flight.discard()
+        end_recording(self.flight, error)
         if self.store is not None:
             self.store.close()
 
     def __enter__(self) -> "SynthesisService":
         return self
 
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+    def __exit__(self, exc_type, error, traceback) -> None:
+        self.close(error)
 
 
 # -- the unix-socket daemon ----------------------------------------------------
@@ -560,25 +556,19 @@ def serve(
     and accepting — the tests and the CI job use it to synchronize
     instead of polling."""
     server = StoreServer(socket_path, service)
+    error = None
     try:
         if ready is not None:
             ready(server)
         server.serve_forever(poll_interval=0.1)
     except KeyboardInterrupt:
         pass
-    except BaseException as error:
-        if service.flight is not None and service.flight.armed:
-            try:
-                service.flight.write_dump(
-                    reason="crash",
-                    error=f"{type(error).__name__}: {error}",
-                )
-            except Exception:
-                pass
+    except BaseException as caught:
+        error = caught
         raise
     finally:
         server.close()
-        service.close()
+        service.close(error)
 
 
 def request_over_socket(

@@ -198,6 +198,18 @@ class TestObservabilityFlags:
         assert flag in capsys.readouterr().err
         assert not path.exists()
 
+    @pytest.mark.parametrize("serial", [[], ["--jobs", "1"]])
+    def test_serial_run_rejects_flight_dir(self, capsys, tmp_path, serial):
+        # Only portfolio processes arm a recorder: a serial search would
+        # exit 0 and record nothing.
+        flight = tmp_path / "flight"
+        code = main(["synth", "--spec", "1,0,7,2,3,4,5,6", *serial,
+                     "--flight-dir", str(flight)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--flight-dir" in err and "--jobs above 1" in err
+        assert not flight.exists()
+
 
 class TestProfileCommand:
     def test_profile_spec(self, capsys):
@@ -350,6 +362,25 @@ class TestSweep:
         out = capsys.readouterr().out
         assert "sweep probes: 2/2 tasks" in out
         assert "ok=2" in out
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--flight-dir", "flight"),
+        ("--wall-limit", "1"),
+        ("--mem-limit", "128"),
+        ("--jobs", "2"),
+    ])
+    def test_isolate_only_flags_need_isolate(
+        self, capsys, tmp_path, flag, value
+    ):
+        if flag == "--flight-dir":
+            value = str(tmp_path / value)
+        code = main(["sweep", "probes", "--probes", "ok,raise",
+                     flag, value])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert flag in captured.err and "--isolate" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "flight").exists()
 
     def test_table2_limit_then_resume(self, capsys, tmp_path):
         ledger = str(tmp_path / "ledger.jsonl")

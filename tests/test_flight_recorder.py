@@ -3,7 +3,9 @@
 The ring tests tamper with the on-disk bytes directly (a torn slot is
 exactly one mid-memcpy SIGKILL away); the pool tests inject a real
 SIGKILL via ``RMRLS_FLIGHT_FAULTS`` and assert the coordinator turns
-the victim's ring into a validated, replayable crash dump.
+the victim's ring into a validated, replayable crash dump.  The dump
+path tests drive every way a recording ends — each unclean worker
+status and each coordinator — through the one ring-recovery writer.
 """
 
 import atexit
@@ -11,12 +13,20 @@ import io
 import json
 import os
 import random
+import threading
 import time
 
 import pytest
 
 from repro.functions.permutation import Permutation
-from repro.harness import WorkerPool, permutation_task, probe_task
+from repro.harness import (
+    HarnessConfig,
+    WorkerBudget,
+    WorkerPool,
+    permutation_task,
+    probe_task,
+    run_sweep,
+)
 from repro.harness.worker import worker_entry
 from repro.obs import ProgressObserver
 from repro.obs.flight import (
@@ -27,11 +37,13 @@ from repro.obs.flight import (
     FlightRecorder,
     RingFile,
     build_postmortem,
+    discard_ring,
     dump_checksum,
     fold_digest,
     load_dump,
     parse_faults,
     recover_ring,
+    recover_ring_to_file,
     render_postmortem,
     replay_dump,
     scan_flight_dir,
@@ -122,19 +134,22 @@ class TestDumps:
                                   meta={"process": "t"}, faults="none")
         recorder.record("step", step=1, digest=42)
         recorder.decision("bound_adopted", poll=1, depth=9)
-        path = recorder.write_dump(reason="crash", error="synthetic")
+        recorder.close()
+        path = recover_ring_to_file(recorder.path, reason="crash",
+                                    error="synthetic")
         document = load_dump(path)
         assert document["reason"] == "crash"
         assert document["decisions"][0]["depth"] == 9
-        # write_dump retires the ring: a clean dump leaves no ring
-        # behind for the coordinator to double-recover.
+        # Recovery retires the ring: a written dump leaves no ring
+        # behind for a postmortem to double-recover.
         assert not os.path.exists(str(tmp_path / "p.ring"))
 
     def test_tampered_dump_fails_validation(self, tmp_path):
         recorder = FlightRecorder(str(tmp_path / "p.ring"),
                                   meta={"process": "t"}, faults="none")
         recorder.record("step", step=1, digest=42)
-        path = recorder.write_dump(reason="crash", error=None)
+        recorder.close()
+        path = recover_ring_to_file(recorder.path, reason="crash")
         with open(path) as handle:
             document = json.load(handle)
         document["events"][0]["digest"] = 43
@@ -150,7 +165,8 @@ class TestDumps:
                                   meta={"process": "t"}, faults="none")
         recorder.record("step", step=1)
         recorder.decision("bound_adopted", poll=1, depth=5)
-        recorder.discard()
+        recorder.close()
+        discard_ring(recorder.path)
         assert os.listdir(tmp_path) == []
 
     def test_recover_ring_marks_recovered(self, tmp_path):
@@ -177,10 +193,12 @@ class TestScan:
         other = FlightRecorder(str(tmp_path / "b.ring"),
                                meta={}, faults="none")
         other.record("step", step=1)
-        other.write_dump(reason="crash", error=None)
+        other.close()
+        recover_ring_to_file(other.path, reason="crash")
         counts = scan_flight_dir(str(tmp_path))
         assert counts == {"rings": 1, "dumps": 1}
-        recorder.discard()
+        recorder.close()
+        discard_ring(recorder.path)
 
 
 class TestPostmortemTail:
@@ -190,7 +208,8 @@ class TestPostmortemTail:
                                   meta={"process": "t"}, faults="none")
         for index in range(4):
             recorder.record("step", step=index)
-        recorder.write_dump(reason="crash", error=None)
+        recorder.close()
+        recover_ring_to_file(recorder.path, reason="crash")
         return str(tmp_path)
 
     def test_tail_keeps_the_last_events(self, flight_dir):
@@ -284,7 +303,8 @@ class TestOverheadBudget:
         try:
             step_ns = _per_call_ns(FlightObserver(recorder).on_step)
         finally:
-            recorder.discard()
+            recorder.close()
+            discard_ring(recorder.path)
         overhead_pct = step_ns / bare_step_ns * 100.0
         assert overhead_pct < _BUDGET_PCT, (
             f"flight recorder adds {overhead_pct:.2f}% to a search step "
@@ -363,3 +383,99 @@ class TestPoolRecovery:
         assert [outcome.status for outcome in outcomes] == ["ok"] * 3
         assert len({outcome.extra["pid"] for outcome in outcomes}) == 1
         assert scan_flight_dir(str(tmp_path)) == {"rings": 0, "dumps": 0}
+
+
+def _dumps(directory):
+    return sorted(
+        str(path) for path in directory.glob("*.dump.json")
+    )
+
+
+class TestDumpPaths:
+    """Every dump is recovered from a ring on disk, once."""
+
+    @pytest.mark.parametrize("behavior,status,budget,params", [
+        ("raise", "crash", {}, {}),
+        ("unsound", "unsound", {}, {}),
+        ("oom", "oom", {"mem_limit_mb": 128}, {"mbytes": 256}),
+        ("exit", "crash", {}, {}),
+        ("hang", "hang", {"wall_seconds": 0.5}, {"seconds": 60}),
+    ])
+    def test_unclean_attempt_leaves_exactly_one_dump(
+        self, tmp_path, monkeypatch, behavior, status, budget, params
+    ):
+        monkeypatch.delenv(FAULTS_ENV_VAR, raising=False)
+        with WorkerPool(budget=WorkerBudget(**budget),
+                        flight_dir=str(tmp_path)) as pool:
+            [outcome] = pool.run([probe_task(behavior, **params)])
+        assert outcome.status == status
+        [dump_path] = _dumps(tmp_path)
+        assert outcome.extra["flight_dump"] == dump_path
+        document = load_dump(dump_path)
+        assert document["reason"] == status
+        assert document["recovered"] is True
+        assert scan_flight_dir(str(tmp_path))["rings"] == 0
+
+    def _sweep(self, tmp_path, on_outcome=None):
+        return run_sweep(
+            "coord", [probe_task("ok")],
+            config=HarnessConfig(isolate=True, flight_dir=str(tmp_path)),
+            on_outcome=on_outcome,
+        )
+
+    def _portfolio(self, tmp_path):
+        from repro.parallel.portfolio import synthesize_portfolio
+
+        return synthesize_portfolio(
+            Permutation([1, 0, 7, 2, 3, 4, 5, 6]),
+            SynthesisOptions(max_steps=4000, flight_dir=str(tmp_path)),
+            jobs=2,
+        )
+
+    def _serve(self, tmp_path, ready):
+        from repro.store import SynthesisService
+        from repro.store.service import serve
+
+        service = SynthesisService(flight_dir=str(tmp_path / "flight"))
+        serve(str(tmp_path / "s.sock"), service, ready=ready)
+
+    def _raise(self, *_args):
+        raise RuntimeError("injected coordinator crash")
+
+    def _assert_one_crash_dump(self, directory):
+        [dump_path] = _dumps(directory)
+        document = load_dump(dump_path)
+        assert document["reason"] == "crash"
+        assert "injected coordinator crash" in document["error"]
+        assert document["events"][-1]["k"] == "coordinator_error"
+        assert scan_flight_dir(str(directory))["rings"] == 0
+
+    def test_sweep_coordinator(self, tmp_path, monkeypatch):
+        monkeypatch.delenv(FAULTS_ENV_VAR, raising=False)
+        report = self._sweep(tmp_path)
+        assert report.counts == {"ok": 1}
+        assert os.listdir(tmp_path) == []
+        with pytest.raises(RuntimeError, match="injected"):
+            self._sweep(tmp_path, on_outcome=self._raise)
+        self._assert_one_crash_dump(tmp_path)
+
+    def test_portfolio_coordinator(self, tmp_path, monkeypatch):
+        from repro.parallel import portfolio
+
+        monkeypatch.delenv(FAULTS_ENV_VAR, raising=False)
+        assert self._portfolio(tmp_path).solved
+        assert os.listdir(tmp_path) == []
+        monkeypatch.setattr(portfolio, "_run_portfolio_driver", self._raise)
+        with pytest.raises(RuntimeError, match="injected"):
+            self._portfolio(tmp_path)
+        self._assert_one_crash_dump(tmp_path)
+
+    def test_serve_daemon(self, tmp_path):
+        def shut_down(server):
+            threading.Thread(target=server.shutdown, daemon=True).start()
+
+        self._serve(tmp_path, ready=shut_down)
+        assert os.listdir(tmp_path / "flight") == []
+        with pytest.raises(RuntimeError, match="injected"):
+            self._serve(tmp_path, ready=self._raise)
+        self._assert_one_crash_dump(tmp_path / "flight")

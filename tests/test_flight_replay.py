@@ -1,7 +1,8 @@
 """Deterministic replay: a crash dump is a reproducible test case.
 
 The in-process tests record a real search with the worker's own
-arming helper and replay the resulting dump; the property test kills
+arming helper, recover its ring into a dump the way the pool does, and
+replay it; the property test kills
 a real worker at a parametrized acknowledged event and asserts the
 recovered dump replays bit-identically — the end-to-end guarantee
 ``rmrls replay`` sells.
@@ -10,6 +11,7 @@ recovered dump replays bit-identically — the end-to-end guarantee
 import json
 import os
 import random
+import shutil
 
 import pytest
 
@@ -24,6 +26,7 @@ from repro.obs.flight import (
     arm_worker_recorder,
     dump_checksum,
     load_dump,
+    recover_ring_to_file,
     replay_dump,
     replayable,
 )
@@ -46,6 +49,7 @@ def _record_search(tmp_path, images, max_steps=2000, every=1):
         observers=(observer,)
     )
     result = synthesize(Permutation(images).to_pprm(), options)
+    recorder.close()
     return recorder, result
 
 
@@ -58,7 +62,8 @@ def _shuffled(seed: int, size: int = 16) -> list[int]:
 class TestInProcessReplay:
     def test_replay_reaches_every_recorded_state(self, tmp_path):
         recorder, result = _record_search(tmp_path, _shuffled(7))
-        path = recorder.write_dump(reason="crash", error="synthetic")
+        path = recover_ring_to_file(recorder.path, reason="crash",
+                                    error="synthetic")
         document = load_dump(path)
         assert replayable(document)
         verdict = replay_dump(document)
@@ -70,7 +75,7 @@ class TestInProcessReplay:
     def test_strided_recording_still_replays(self, tmp_path):
         recorder, _ = _record_search(tmp_path, _shuffled(8), every=16)
         document = load_dump(
-            recorder.write_dump(reason="oom", error=None)
+            recover_ring_to_file(recorder.path, reason="oom")
         )
         verdict = replay_dump(document)
         assert verdict["ok"] is True
@@ -78,7 +83,7 @@ class TestInProcessReplay:
 
     def test_tampered_digest_diverges(self, tmp_path):
         recorder, _ = _record_search(tmp_path, _shuffled(9))
-        path = recorder.write_dump(reason="crash", error=None)
+        path = recover_ring_to_file(recorder.path, reason="crash")
         with open(path) as handle:
             document = json.load(handle)
         steps = [event for event in document["events"]
@@ -91,7 +96,7 @@ class TestInProcessReplay:
 
     def test_unreplayable_kind_is_refused(self, tmp_path):
         recorder, _ = _record_search(tmp_path, _shuffled(10))
-        path = recorder.write_dump(reason="crash", error=None)
+        path = recover_ring_to_file(recorder.path, reason="crash")
         with open(path) as handle:
             document = json.load(handle)
         document["meta"]["kind"] = "probe"
@@ -126,3 +131,26 @@ class TestSigkillReplayProperty:
         assert verdict["ok"] is True, verdict
         assert verdict["checked"] > 0
         assert verdict["mismatches"] == []
+
+
+#: A dump from the retired in-process writer (``recovered: false``):
+#: the document format did not change when every dump moved to ring
+#: recovery, so such dumps must keep loading and replaying.
+_INPROCESS_DUMP = os.path.join(
+    os.path.dirname(__file__), "data", "flight_dump_inprocess_v1.json"
+)
+
+
+class TestInProcessDumpCompat:
+    def test_loads_renders_and_replays(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = shutil.copy(_INPROCESS_DUMP, tmp_path / "w-a1.dump.json")
+        document = load_dump(str(path))
+        assert document["recovered"] is False
+        assert replayable(document)
+        assert main(["postmortem", str(tmp_path)]) == 0
+        rendered = capsys.readouterr().out
+        assert "1 dump(s)" in rendered and "crash" in rendered
+        assert main(["replay", str(path)]) == 0
+        assert "replay: DETERMINISTIC" in capsys.readouterr().out

@@ -320,3 +320,15 @@ class TestHarnessFromEnv:
         assert base.with_(strict=True).strict
         with pytest.raises(ValueError):
             HarnessConfig(jobs=0)
+
+    @pytest.mark.parametrize("var,value", [
+        ("RMRLS_FLIGHT_DIR", "/tmp/flight"),
+        ("RMRLS_WALL_LIMIT", "30"),
+        ("RMRLS_MEM_LIMIT_MB", "512"),
+        ("RMRLS_SWEEP_JOBS", "3"),
+    ])
+    def test_isolate_only_settings_need_isolate(self, var, value):
+        with pytest.raises(ValueError, match="needs --isolate"):
+            harness_from_env({var: value})
+        config = harness_from_env({var: value, "RMRLS_ISOLATE": "1"})
+        assert config.isolate
