@@ -23,7 +23,11 @@ import sys
 import pytest
 
 from repro.benchlib.specs import benchmark
-from repro.experiments.common import TABLE2_OPTIONS
+from repro.experiments.common import (
+    TABLE1_OPTIONS,
+    TABLE2_OPTIONS,
+    TABLE4_OPTIONS,
+)
 from repro.functions.permutation import Permutation
 from repro.synth.options import SynthesisOptions
 from repro.synth.rmrls import synthesize
@@ -59,6 +63,38 @@ def golden_cases() -> dict:
         cases[f"random4_seed{seed}"] = (
             _seeded_spec(seed), TABLE2_OPTIONS.with_(max_steps=2_000)
         )
+    cases.update({
+        # One search per engine band and per option branch the hot path
+        # takes.  A 3-variable corpus class under the corpus options
+        # (no gate cap, no greedy-k; the finishing path runs only once a
+        # solution bounds the depth).
+        "class3_table1": (
+            Permutation([0, 2, 5, 6, 7, 1, 4, 3]), TABLE1_OPTIONS
+        ),
+        # The basic configuration of Sec. IV-A: kind-1 substitutions
+        # only, no growth exemption.
+        "random4_seed1_basic": (
+            _seeded_spec(1),
+            SynthesisOptions(
+                extended_substitutions=False,
+                complement_substitutions=False,
+                growth_exempt_literals=0,
+                max_steps=1_000,
+            ),
+        ),
+        # 6 variables on lanes, 10 on packed, 20 on reference.
+        "mod5adder_lanes": (
+            benchmark("mod5adder").pprm(), TABLE4_OPTIONS.with_(max_steps=500)
+        ),
+        "mod32adder_packed": (
+            benchmark("mod32adder").pprm(),
+            TABLE4_OPTIONS.with_(max_steps=300),
+        ),
+        "graycode20_reference": (
+            benchmark("graycode20").pprm(),
+            TABLE4_OPTIONS.with_(max_steps=200),
+        ),
+    })
     return cases
 
 
@@ -117,6 +153,11 @@ REJECTED_CHILDREN = {
     "random4_seed1": 22_669,
     "random4_seed2": 10_777,
     "random4_seed3": 15_081,
+    "class3_table1": 7_426,
+    "random4_seed1_basic": 4_604,
+    "mod5adder_lanes": 3_828,
+    "mod32adder_packed": 762,
+    "graycode20_reference": 3_358,
 }
 
 
