@@ -213,16 +213,18 @@ def _cmd_synth(args) -> int:
         )
     if getattr(args, "no_share_bound", False):
         options = options.with_(portfolio_share_bound=False)
-    if getattr(args, "flight_dir", None) and not (
-        jobs is not None and jobs > 1
-    ):
+    # A deck always runs as a portfolio, a one-variant deck included.
+    portfolio = (jobs is not None and jobs > 1) or bool(
+        getattr(args, "strategies", None)
+    )
+    if getattr(args, "flight_dir", None) and not portfolio:
         # Only portfolio processes arm a recorder; a serial search
         # would run with --flight-dir and record nothing.
         print("--flight-dir needs a portfolio run (--jobs above 1 or "
               "--strategies): a serial search arms no flight recorder",
               file=sys.stderr)
         return 2
-    if jobs is not None and jobs > 1:
+    if portfolio:
         # Portfolio workers run without the caller's observers.
         for flag in ("trace_jsonl", "progress_every"):
             if getattr(args, flag):

@@ -2,10 +2,11 @@
 
 Each kernel is one of the isolated inner-loop operations the search
 lives in (PPRM substitution, expansion XOR, state hashing/dedup,
-priority-queue churn, candidate enumeration, per-candidate child-state
-evaluation), timed over a fixed, deterministic input.  A given
-(kernel, quick-flag) pair performs an identical operation sequence on
-every machine, so two timings differ only by hardware and code.
+priority-queue churn, and the two engine calls of one expansion:
+candidate enumeration and child-state evaluation), timed over a fixed,
+deterministic input.  A given (kernel, quick-flag) pair performs an
+identical operation sequence on every machine, so two timings differ
+only by hardware and code.
 End-to-end numbers come from ``perfbench/``, not from here.
 """
 
@@ -145,45 +146,42 @@ def _kernel_queue_churn(quick: bool, engine=None):
 
 
 def _kernel_enumerate(quick: bool, engine=None):
-    """What the search runs per expansion: the candidate enumeration
-    over the engine's raw state."""
+    """What the search runs per expansion: the engine's candidate list
+    over a raw state (the full path, no finishing bound)."""
     from repro.synth.options import SynthesisOptions
-    from repro.synth.substitutions import enumerate_state
 
     population = _fixture_child_systems(8 if quick else 32, engine=engine)
     engine = resolve_engine(engine)
     states = [engine.root_state(system) for system in population]
     options = SynthesisOptions()
+    candidates = engine.candidates
     rounds = 8 if quick else 16
 
     def body():
         for _ in range(rounds):
             for state in states:
-                enumerate_state(state, engine, options)
+                candidates(state, options, False)
 
     return body, rounds * len(states)
 
 
 def _kernel_child_state(quick: bool, engine=None):
-    """What the search runs per candidate: the fused substitution over
-    every output of the raw state, then its term count."""
+    """What the search runs per expansion: every candidate's child
+    state and term count, in one engine call."""
+    from repro.synth.options import SynthesisOptions
+
     system = _fixture_system(engine=engine)
     engine = resolve_engine(engine)
     state = engine.root_state(system)
-    candidates = [
-        (candidate.target, candidate.factor)
-        for candidate in _fixture_candidates(system)
-    ]
-    substitute_state = engine.substitute_state
-    state_term_count = engine.state_term_count
+    candidates, _ = engine.candidates(state, SynthesisOptions(), False)
+    children = engine.children
     rounds = 4 if quick else 16
 
     def body():
         for _ in range(rounds):
-            for target, factor in candidates:
-                state_term_count(substitute_state(state, target, factor))
+            children(state, candidates)
 
-    return body, rounds * len(candidates)
+    return body, rounds
 
 
 #: name -> factory(quick, engine) -> (callable, ops_per_call)

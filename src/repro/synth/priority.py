@@ -57,6 +57,15 @@ class MaxPriorityQueue:
         heapq.heappush(self._heap, (-node.priority, self._counter, node))
         self._counter += 1
 
+    def extend(self, nodes) -> None:
+        """Insert each of ``nodes`` in order, as repeated :meth:`push`."""
+        heap = self._heap
+        counter = self._counter
+        for node in nodes:
+            heapq.heappush(heap, (-node.priority, counter, node))
+            counter += 1
+        self._counter = counter
+
     def pop(self):
         """Remove and return the highest-priority node."""
         if not self._heap:

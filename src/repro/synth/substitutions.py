@@ -57,6 +57,9 @@ def enumerate_state(
     candidate is a plain ``(target, factor, allow_growth)`` tuple.  The
     union of the kinds is *every* legal substitution (the convergence
     argument of Sec. IV-F); the basic configuration restricts to kind 1.
+    The search reaches this and :func:`scan_finishers` through
+    ``engine.candidates``, which the lane engine overrides with the
+    same results.
     """
     exempt = options.growth_exempt_literals
     extended = options.extended_substitutions

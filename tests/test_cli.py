@@ -102,6 +102,36 @@ class TestSynth:
         assert report["solved"]
         assert report["stats"]["steps"] == combined.stats.steps
 
+    @pytest.mark.parametrize("name", ["greedy", "inverse"])
+    def test_one_variant_deck_runs_its_variant(self, capsys, name):
+        # One slot runs the variant's deltas and direction, not the
+        # default search; the text report names the deck.
+        from repro.benchlib.specs import benchmark
+        from repro.parallel.strategy import resolve_strategies
+        from repro.synth import synthesize, synthesize_inverse
+
+        (variant,) = resolve_strategies(name)
+        options = variant.apply(
+            SynthesisOptions(max_steps=3_000, dedupe_states=True)
+        )
+        spec = benchmark("rd53").permutation
+        if variant.direction == "inverse":
+            expected = synthesize_inverse(spec, options)
+        else:
+            expected = synthesize(spec, options)
+        assert expected.circuit != synthesize(
+            spec, max_steps=3_000, dedupe_states=True
+        ).circuit
+
+        code = main(
+            ["synth", "--benchmark", "rd53", "--max-steps", "3000",
+             "--strategies", name]
+        )
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert f"strategies: {name}x1   winner: {name}" in lines
+        assert lines[-1] == str(expected.circuit)
+
     def test_bidirectional_needs_permutation(self, capsys):
         code = main(
             ["synth", "--benchmark", "shift28", "--bidirectional",

@@ -8,7 +8,9 @@ test, unsolved outputs and dedupe key for every enumerated candidate,
 the same system when one is built back, the same candidate sequence as
 the expansion-level enumeration, and the same errors.  The finisher
 scan that finishing expansions use instead of the enumeration is
-checked against it here too.
+checked against it here too, and so are the batch calls the search
+makes once per expansion (:meth:`PPRMEngine.candidates` and
+:meth:`PPRMEngine.children`).
 """
 
 import pytest
@@ -174,3 +176,90 @@ def test_out_of_range_substitutions_fail_alike(drawn, data):
             engine.substitute_state(state, target, factor)
     else:
         assert engine.substitute_state(state, target, factor) == expected
+
+
+@st.composite
+def search_states(draw):
+    """A random search state over 3-5 variables on one backend: each
+    output solved (``x_t``), finishable (``x_t XOR f``) or an arbitrary
+    term set."""
+    num_vars = draw(st.integers(3, 5))
+    size = 1 << num_vars
+    outputs = []
+    for target in range(num_vars):
+        linear = 1 << target
+        kind = draw(st.sampled_from(("solved", "finishable", "any")))
+        if kind == "solved":
+            terms = {linear}
+        elif kind == "finishable":
+            factor = draw(st.integers(0, size - 1)) & ~linear
+            terms = {linear, factor}
+        else:
+            terms = draw(
+                st.frozensets(st.integers(0, size - 1), max_size=12)
+            )
+        outputs.append(Expansion(terms))
+    name = draw(st.sampled_from(sorted(SEARCH_BACKENDS)))
+    engine = SEARCH_BACKENDS[name](num_vars)
+    system = engine.convert_system(PPRMSystem(outputs))
+    return engine.root_state(system), engine, num_vars
+
+
+batch_options = st.builds(
+    SynthesisOptions,
+    extended_substitutions=st.booleans(),
+    complement_substitutions=st.booleans(),
+    growth_exempt_literals=st.integers(0, 2),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn=search_states(), options=batch_options, finishing=st.booleans())
+def test_batch_candidates_match_the_per_output_scan(
+    drawn, options, finishing
+):
+    state, engine, _ = drawn
+    if finishing:
+        expected = scan_finishers(state, engine, options)
+    else:
+        expected = (enumerate_state(state, engine, options), 0)
+    assert engine.candidates(state, options, finishing) == expected
+
+
+def _per_candidate_children(engine, state, candidates):
+    """The oracle: one substitute_state and state_term_count call per
+    candidate; the first ValueError's message if one raises."""
+    children = []
+    for target, factor, _ in candidates:
+        try:
+            child = engine.substitute_state(state, target, factor)
+        except ValueError as error:
+            return str(error)
+        children.append((child, engine.state_term_count(child)))
+    return children
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn=search_states(), options=batch_options, data=st.data())
+def test_batch_children_match_per_candidate_substitution(
+    drawn, options, data
+):
+    """Every child and term count agrees with the per-candidate calls;
+    an invalid candidate anywhere in the batch raises the same
+    ValueError (a factor holding the target, or a target or factor
+    beyond the width on packed and lanes)."""
+    state, engine, width = drawn
+    candidates, _ = engine.candidates(state, options, False)
+    candidates = list(candidates)
+    if data.draw(st.booleans()):
+        target = data.draw(st.integers(0, width + 1))
+        factor = data.draw(st.integers(0, (1 << (width + 1)) - 1))
+        position = data.draw(st.integers(0, len(candidates)))
+        candidates.insert(position, (target, factor, False))
+    expected = _per_candidate_children(engine, state, candidates)
+    if isinstance(expected, str):
+        with pytest.raises(ValueError) as caught:
+            engine.children(state, candidates)
+        assert str(caught.value) == expected
+    else:
+        assert engine.children(state, candidates) == expected
