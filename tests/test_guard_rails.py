@@ -99,7 +99,38 @@ class _InterruptAfter(SearchObserver):
             raise KeyboardInterrupt
 
 
+class _InterruptAtChild(SearchObserver):
+    def __init__(self, children: int):
+        self.remaining = children
+        self.announced = 0
+
+    def on_child(self, child, parent):
+        self.announced += 1
+        self.remaining -= 1
+        if self.remaining <= 0:
+            raise KeyboardInterrupt
+
+
 class TestInterrupted:
+    @pytest.mark.parametrize("children", [2, 7, 40])
+    def test_ctrl_c_mid_expansion_keeps_counters_whole(self, children):
+        # An interrupt inside an expansion's child pass still adds that
+        # pass's counts: every announced node is counted, and each
+        # non-root child was inserted in the duplicate table first.
+        observer = _InterruptAtChild(children)
+        result = synthesize(
+            HARD_SPEC,
+            SynthesisOptions(dedupe_states=True, max_steps=50_000,
+                             observers=(observer,)),
+        )
+        stats = result.stats
+        assert stats.finish_reason == "interrupted"
+        assert observer.announced == children
+        assert stats.nodes_created == children
+        assert stats.hot_ops["dedupe_inserts"] == (
+            children - 1 - stats.solutions_found
+        )
+
     def test_ctrl_c_yields_partial_result(self):
         result = synthesize(
             HARD_SPEC,
