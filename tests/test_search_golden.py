@@ -82,9 +82,14 @@ def golden_cases() -> dict:
                 max_steps=1_000,
             ),
         ),
-        # 6 variables on lanes, 10 on packed, 20 on reference.
+        # 6 and 8 variables on lanes (64- and 256-bit lanes), 10 on
+        # packed, 20 on reference.
         "mod5adder_lanes": (
             benchmark("mod5adder").pprm(), TABLE4_OPTIONS.with_(max_steps=500)
+        ),
+        "mod15adder_lanes": (
+            benchmark("mod15adder").pprm(),
+            TABLE4_OPTIONS.with_(max_steps=300),
         ),
         "mod32adder_packed": (
             benchmark("mod32adder").pprm(),
@@ -156,6 +161,7 @@ REJECTED_CHILDREN = {
     "class3_table1": 7_426,
     "random4_seed1_basic": 4_604,
     "mod5adder_lanes": 3_828,
+    "mod15adder_lanes": 6_212,
     "mod32adder_packed": 762,
     "graycode20_reference": 3_358,
 }
