@@ -146,21 +146,23 @@ def _kernel_queue_churn(quick: bool, engine=None):
 
 
 def _kernel_enumerate(quick: bool, engine=None):
-    """What the search runs per expansion: the engine's candidate list
+    """What the search runs per expansion: the bound candidate lister
     over a raw state (the full path, no finishing bound)."""
     from repro.synth.options import SynthesisOptions
+    from repro.synth.substitutions import candidate_lister
 
     population = _fixture_child_systems(8 if quick else 32, engine=engine)
     engine = resolve_engine(engine)
     states = [engine.root_state(system) for system in population]
-    options = SynthesisOptions()
-    candidates = engine.candidates
+    list_candidates = candidate_lister(
+        engine, SynthesisOptions(), population[0].num_vars
+    )
     rounds = 8 if quick else 16
 
     def body():
         for _ in range(rounds):
             for state in states:
-                candidates(state, options, False)
+                list_candidates(state, False)
 
     return body, rounds * len(states)
 
@@ -169,11 +171,15 @@ def _kernel_child_state(quick: bool, engine=None):
     """What the search runs per expansion: every candidate's child
     state and term count, in one engine call."""
     from repro.synth.options import SynthesisOptions
+    from repro.synth.substitutions import candidate_lister
 
     system = _fixture_system(engine=engine)
     engine = resolve_engine(engine)
     state = engine.root_state(system)
-    candidates, _ = engine.candidates(state, SynthesisOptions(), False)
+    list_candidates = candidate_lister(
+        engine, SynthesisOptions(), system.num_vars
+    )
+    candidates, _ = list_candidates(state, False)
     children = engine.children
     rounds = 4 if quick else 16
 

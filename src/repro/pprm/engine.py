@@ -14,10 +14,14 @@ into one, :meth:`PPRMEngine.substitute_state` applies one substitution
 to every output of a state in a single call,
 :meth:`PPRMEngine.state_term_count` counts its terms, and
 :meth:`PPRMEngine.system_from_state` builds a :class:`PPRMSystem` back
-from one.  Per expansion the search makes two calls:
-:meth:`PPRMEngine.candidates` lists the substitutions to try and
-:meth:`PPRMEngine.children` computes every child state and term count
-(see "Count before you materialize" in ``docs/architecture.md``).
+from one.  :meth:`PPRMEngine.state_outputs` reads a state's outputs,
+a packed bitset each (a term frozenset on reference).  That is all the
+candidate rule reads of a state; the rule itself lives only in
+:mod:`repro.synth.substitutions`, and this module holds only the
+algebra.  Per expansion the search makes one engine call,
+:meth:`PPRMEngine.children`, which computes every candidate's child
+state and term count (see "Count before you materialize" in
+``docs/architecture.md``).
 
 Three engines ship:
 
@@ -51,9 +55,9 @@ from operator import eq
 from repro.pprm.expansion import Expansion
 from repro.pprm.packed import PackedExpansion, tables_for
 from repro.pprm.system import PPRMSystem
-from repro.pprm.term import CONSTANT_ONE, format_term
+from repro.pprm.term import format_term
 from repro.pprm.transform import mobius_transform
-from repro.utils.bitops import bits_of, iter_subsets
+from repro.utils.bitops import bits_of
 
 __all__ = [
     "ENGINES",
@@ -196,8 +200,9 @@ class PPRMEngine(ABC):
         """Total number of terms across the outputs of ``state``."""
 
     def state_outputs(self, state: tuple) -> Sequence:
-        """The raw value of each output of ``state``, in output order
-        (what :meth:`output_terms` reads)."""
+        """The raw value of each output of ``state``, in output order:
+        a packed bitset on packed and lanes, a term frozenset on
+        reference."""
         return state
 
     def unsolved_count(self, state: tuple) -> int:
@@ -208,48 +213,13 @@ class PPRMEngine(ABC):
         )
 
     @abstractmethod
-    def output_terms(self, raw) -> list[int]:
-        """One output's term masks in increasing order."""
-
-    @abstractmethod
-    def output_scan(self, raw, index: int, num_vars: int) -> tuple:
-        """Read one output as the target of ``x_index := x_index XOR f``
-        without listing its terms.
-
-        Returns ``(terms, linear, constant, factors, finisher)``: the
-        output's term count, whether it holds the linear term
-        ``x_index`` and the constant 1, how many of its terms lack
-        ``x_index`` (the candidate factors), and the factor ``f`` with
-        output ``== x_index XOR f`` (the substitution that solves it),
-        or ``-1`` when there is none.
-        """
-
-    @abstractmethod
     def system_from_state(self, state: tuple) -> PPRMSystem:
         """Build the :class:`PPRMSystem` whose state is ``state``."""
 
     # -- one expansion in batch -----------------------------------------
     #
-    # The search makes one call of each per expansion.  These defaults
-    # run the per-output code above; :class:`LaneEngine` overrides both.
-
-    def candidates(self, state, options, finishing: bool) -> tuple:
-        """The substitutions to try on ``state``, in search order.
-
-        Returns ``(candidates, others)``: on the full path
-        ``enumerate_state``'s ``(target, factor, allow_growth)`` tuples
-        and 0; on the finishing path (``finishing`` true)
-        ``scan_finishers``'s finishers and count of other candidates
-        (both in :mod:`repro.synth.substitutions`).  Candidates come
-        grouped by target, in target order.
-        """
-        # Imported here: the candidate rule lives in the search layer,
-        # which imports this module.
-        from repro.synth.substitutions import enumerate_state, scan_finishers
-
-        if finishing:
-            return scan_finishers(state, self, options)
-        return enumerate_state(state, self, options), 0
+    # The search makes one call per expansion.  This default runs the
+    # per-state code above; :class:`LaneEngine` overrides it.
 
     def children(self, state, candidates) -> list[tuple]:
         """``(child_state, terms)`` of each candidate, in order: what
@@ -316,21 +286,6 @@ class ReferenceEngine(PPRMEngine):
 
     def state_term_count(self, state: tuple) -> int:
         return sum(map(len, state))
-
-    def output_terms(self, raw: frozenset) -> list[int]:
-        return sorted(raw)
-
-    def output_scan(self, raw: frozenset, index: int, num_vars: int) -> tuple:
-        var = 1 << index
-        terms = len(raw)
-        linear = var in raw
-        # term & var is var or 0, so the sum is var times the count of
-        # terms holding x_index (one C-level pass, no sorted list).
-        factors = terms - (sum(map(var.__and__, raw)) >> index)
-        finisher = -1
-        if linear and terms == 2 and factors == 1:
-            (finisher,) = raw - {var}
-        return terms, linear, CONSTANT_ONE in raw, factors, finisher
 
     def system_from_state(self, state: tuple) -> PPRMSystem:
         make = Expansion._make
@@ -409,21 +364,6 @@ class PackedEngine(PPRMEngine):
     def state_term_count(self, state: tuple) -> int:
         return sum(map(int.bit_count, state))
 
-    def output_terms(self, raw: int) -> list[int]:
-        return list(bits_of(raw))
-
-    def output_scan(self, raw: int, index: int, num_vars: int) -> tuple:
-        factors = raw ^ (raw & tables_for(num_vars).var_masks[index])
-        terms = raw.bit_count()
-        linear = raw >> (1 << index) & 1
-        count = factors.bit_count()
-        finisher = (
-            factors.bit_length() - 1
-            if linear and terms == 2 and count == 1
-            else -1
-        )
-        return terms, linear, raw & 1, count, finisher
-
     def system_from_state(self, state: tuple) -> PPRMSystem:
         tables = tables_for(len(state))
         make = PackedExpansion._make
@@ -441,15 +381,6 @@ class PackedEngine(PPRMEngine):
                 return expansion
             return PackedExpansion(expansion.bits, num_vars)
         return PackedExpansion.from_terms(expansion.terms, num_vars)
-
-
-#: Widest lane whose every factor set :class:`LaneEngine` tabulates:
-#: ``2^(2^(n-1))`` sets per target, 256 at 4 variables.  Measured
-#: (EXPERIMENTS.md, "The factor-set table, measured"): at 3-4 variables
-#: the search looks up the same few sets 97-99.9 % of the time and the
-#: table takes 8 % off ``table2_slice``'s ``wall_s``; at 6-8 variables
-#: a cache of them gained no time and cost 3.5 MB at 8.
-GROUP_TABLE_MAX_VARS = 4
 
 
 class LaneEngine(PackedEngine):
@@ -496,9 +427,6 @@ class LaneEngine(PackedEngine):
         # only valid factors (no target literal, inside the width) get
         # in, so each holds at most 2^(num_vars - 1) entries.
         self._fold_tables = tuple({} for _ in range(num_vars))
-        # growth_exempt_literals -> the per-target tables of
-        # :meth:`_lane_tables`.
-        self._lane_tables_by_exempt: dict[int, tuple] = {}
         self._identity = sum(
             1 << ((1 << index) + offset)
             for index, offset in enumerate(self._offsets)
@@ -510,6 +438,18 @@ class LaneEngine(PackedEngine):
         even = sum(1 << offset for offset in self._offsets[::2])
         self._even_lanes = even * tables.full
         self._even_carries = even << size
+        # state_outputs reads every lane in one expression, one shift
+        # and mask per lane, compiled once per width: no loop and no
+        # comprehension frame.  On the states of an 8-variable search
+        # that takes 0.46 us against a list comprehension's 0.83 us
+        # (Intel Xeon, CPython 3.11).
+        reads = ", ".join(
+            f"state >> {offset} & full" if offset else "state & full"
+            for offset in self._offsets
+        )
+        self.state_outputs = eval(
+            f"lambda state, full={tables.full}: ({reads},)"
+        )
 
     def _check_width(self, num_vars: int) -> None:
         if num_vars != self.num_vars:
@@ -560,96 +500,6 @@ class LaneEngine(PackedEngine):
             moved = (moved & keep) ^ ((moved & lift) << low)
         return state ^ moved
 
-    def _lane_tables(self, exempt: int) -> tuple:
-        """Per target, what :meth:`candidates` reads its lane with:
-        ``(offset, linear, factor_mask, by_factor, finishers, groups)``.
-
-        ``offset`` is the lane's first bit, ``linear`` the term
-        ``x_target`` (the lane's whole value once solved) and
-        ``factor_mask`` the lane positions of the candidate factors
-        (terms without ``x_target``).  ``by_factor[f]`` is the candidate
-        tuple of factor ``f`` under ``growth_exempt_literals=exempt``;
-        ``finishers`` maps each finishable lane value ``x_target XOR f``
-        to ``f``'s tuple.  Up to :data:`GROUP_TABLE_MAX_VARS` variables
-        ``groups`` maps every set of factor bits to its tuples, in
-        increasing-factor order; wider engines have ``groups=None``.
-        The other tables grow as ``2^num_vars`` per target, which is
-        small in the band the search runs lanes in
-        (:data:`SEARCH_LANES_MAX_VARS`).
-        """
-        tables = self._lane_tables_by_exempt.get(exempt)
-        if tables is None:
-            packed = self._tables
-            lanes = []
-            for target, offset in enumerate(self._offsets):
-                linear = 1 << (1 << target)
-                factor_mask = packed.full ^ packed.var_masks[target]
-                by_factor = tuple(
-                    (target, factor, factor.bit_count() <= exempt)
-                    for factor in range(packed.size)
-                )
-                finishers = {
-                    linear | 1 << factor: by_factor[factor]
-                    for factor in bits_of(factor_mask)
-                }
-                groups = None
-                if self.num_vars <= GROUP_TABLE_MAX_VARS:
-                    groups = {
-                        factors: tuple(by_factor[f] for f in bits_of(factors))
-                        for factors in iter_subsets(factor_mask)
-                    }
-                lanes.append(
-                    (offset, linear, factor_mask, by_factor, finishers, groups)
-                )
-            tables = self._lane_tables_by_exempt[exempt] = tuple(lanes)
-        return tables
-
-    def candidates(self, state: int, options, finishing: bool) -> tuple:
-        """:meth:`PPRMEngine.candidates` read off the lanes: one shift
-        and mask per output, and each candidate tuple from a table."""
-        extended = options.extended_substitutions
-        complement = options.complement_substitutions
-        full = self._tables.full
-        lanes = self._lane_tables(options.growth_exempt_literals)
-        candidates = []
-        if finishing:
-            # scan_finishers: the finisher of an output x_t XOR f is f.
-            others = 0
-            for offset, linear, factor_mask, _, finishers, _ in lanes:
-                raw = state >> offset & full
-                if raw == linear:
-                    continue  # solved
-                finisher = finishers.get(raw)
-                if finisher is not None:
-                    # Its one factor is the finisher; the complement
-                    # is another candidate unless f is the constant.
-                    candidates.append(finisher)
-                    if complement and not raw & 1:
-                        others += 1
-                    continue
-                used = raw & linear or extended
-                if used:
-                    others += (raw & factor_mask).bit_count()
-                if complement and not (used and raw & 1):
-                    others += 1
-            return candidates, others
-        # enumerate_state: the factors in increasing order (the
-        # constant 1 first when present), then the complement.
-        for offset, linear, factor_mask, by_factor, _, groups in lanes:
-            raw = state >> offset & full
-            if raw == linear:
-                continue  # solved
-            used = raw & linear or extended
-            if used:
-                factors = raw & factor_mask
-                if groups is None:
-                    candidates += [by_factor[f] for f in bits_of(factors)]
-                else:
-                    candidates += groups[factors]
-            if complement and not (used and raw & 1):
-                candidates.append(by_factor[0])
-        return candidates, 0
-
     def children(self, state: int, candidates) -> list[tuple]:
         """:meth:`PPRMEngine.children` with each target's selected and
         shifted terms computed once for all of its candidates."""
@@ -680,10 +530,6 @@ class LaneEngine(PackedEngine):
                 child = state ^ moved
             append((child, child.bit_count()))
         return children
-
-    def state_outputs(self, state: int) -> list[int]:
-        full = self._tables.full
-        return [state >> offset & full for offset in self._offsets]
 
     def unsolved_count(self, state: int) -> int:
         differ = state ^ self._identity
@@ -745,10 +591,11 @@ def lane_engine(num_vars: int) -> LaneEngine:
 #: outputs with no terms to move, so lanes win while the state is small
 #: and lose on wide sparse systems.  Crossover table
 #: (docs/architecture.md, ``TABLE4_OPTIONS`` capped at 2,000 steps,
-#: equal steps and gates), lanes ÷ packed steps/s: 1.16–1.69× at 4–8
-#: variables (hwb4, 5one013, mod5adder, ham7, mod15adder), 0.95–1.06×
-#: at 9 (shifter, graycode), 0.65–0.69× at 10 (mod32adder, graycode10),
-#: 0.24–0.25× at 12 (mod64adder, shift10).
+#: equal steps and gates), lanes ÷ packed steps/s: 1.18–1.78× at 4–8
+#: variables (hwb4, 5one013, mod5adder, ham7, mod15adder), 1.10–1.14×
+#: at 9 (shifter, graycode; 0.95–1.06× when this bound was set),
+#: 0.74–0.82× at 10 (mod32adder, graycode10, shifter), 0.31–0.39× at 12
+#: (mod64adder, shift10).
 SEARCH_LANES_MAX_VARS = 8
 
 #: Widest input the search runs on the packed backend.  Packed

@@ -43,6 +43,7 @@ from repro.synth.node import SearchNode
 from repro.synth.options import SynthesisOptions
 from repro.synth.priority import MaxPriorityQueue, node_priority
 from repro.synth.stats import SearchStats, TraceRecorder
+from repro.synth.substitutions import candidate_lister
 from repro.utils.timer import Deadline
 
 __all__ = [
@@ -129,6 +130,10 @@ class _Search:
         # on its raw states from the root to the result; ``system`` is
         # the only PPRMSystem it holds.
         self.engine = search_engine(system.num_vars)
+        # The candidate rule, bound once to the engine and the options.
+        self.list_candidates = candidate_lister(
+            self.engine, options, system.num_vars
+        )
         root_state = self.engine.root_state(system)
         self.identity_state = self.engine.identity_state(system.num_vars)
         self.stats = SearchStats(initial_terms=system.term_count())
@@ -328,9 +333,9 @@ class _Search:
         """Expand ``parent``: count every child on its raw state, build
         a node only for the children that survive.
 
-        The engine lists the candidates and computes their children in
-        one call each (:meth:`~repro.pprm.engine.PPRMEngine.candidates`,
-        :meth:`~repro.pprm.engine.PPRMEngine.children`).  A substitution
+        The bound lister of :mod:`repro.synth.substitutions` lists the
+        candidates and the engine computes their children in one call
+        (:meth:`~repro.pprm.engine.PPRMEngine.children`).  A substitution
         changes only its target output, so every child keeps the
         parent's unsolved outputs except its target's *finisher*, which
         solves one more.  The depth prune and the lower bound are
@@ -362,7 +367,7 @@ class _Search:
         finishing = depth >= self.best_depth - 1 or (
             bounded and fewest >= self.best_depth
         )
-        candidates, others = engine.candidates(state, options, finishing)
+        candidates, others = self.list_candidates(state, finishing)
         if timed:
             add_phase("enumerate_substitutions", clock() - start)
             start = clock()
@@ -581,7 +586,7 @@ class _Search:
             add_phase = self.phases.add
             start = clock()
         state = parent.state
-        candidates, _ = engine.candidates(state, self.options, False)
+        candidates, _ = self.list_candidates(state, False)
         if timed:
             add_phase("enumerate_substitutions", clock() - start)
             start = clock()

@@ -6,11 +6,11 @@ on the lane engine.  These properties pin the state operations to the
 system-level oracle on all three backends: same term count, identity
 test, unsolved outputs and dedupe key for every enumerated candidate,
 the same system when one is built back, the same candidate sequence as
-the expansion-level enumeration, and the same errors.  The finisher
-scan that finishing expansions use instead of the enumeration is
-checked against it here too, and so are the batch calls the search
-makes once per expansion (:meth:`PPRMEngine.candidates` and
-:meth:`PPRMEngine.children`).
+the expansion-level enumeration, and the same errors.  The candidate
+lister of :mod:`repro.synth.substitutions`, on its full and finishing
+paths, is checked against test-side oracles and across the three
+engines here too, and so is the batch call the search makes once per
+expansion (:meth:`PPRMEngine.children`).
 """
 
 import pytest
@@ -23,12 +23,17 @@ from repro.pprm.expansion import Expansion
 from repro.pprm.term import CONSTANT_ONE
 from repro.synth.options import SynthesisOptions
 from repro.synth.substitutions import (
-    enumerate_state,
+    candidate_lister,
     enumerate_substitutions,
-    scan_finishers,
 )
 
 from conftest import SEARCH_BACKENDS
+
+
+def list_candidates(state, engine, options, finishing=False):
+    """The bound lister's ``(candidates, others)`` on one state."""
+    width = len(engine.state_outputs(state))
+    return candidate_lister(engine, options, width)(state, finishing)
 
 
 @st.composite
@@ -95,7 +100,8 @@ def test_child_states_agree_with_substituted_systems(drawn, options):
     assert engine.state_term_count(state) == system.term_count()
     assert engine.unsolved_count(state) == width - system.solved_outputs()
     assert engine.system_from_state(state) == system
-    for target, factor, _ in enumerate_state(state, engine, options):
+    candidates, _ = list_candidates(state, engine, options)
+    for target, factor, _ in candidates:
         child = engine.substitute_state(state, target, factor)
         expected = system.substitute(target, factor)
         assert engine.state_term_count(child) == expected.term_count()
@@ -113,7 +119,10 @@ def test_child_states_agree_with_substituted_systems(drawn, options):
 @given(drawn=systems(), options=option_mixes)
 def test_one_enumerator_for_tuples_and_candidates(drawn, options):
     system, engine = drawn
-    tuples = enumerate_state(engine.root_state(system), engine, options)
+    tuples, others = list_candidates(
+        engine.root_state(system), engine, options
+    )
+    assert others == 0
     assert tuples == expansion_enumeration(system, options)
     assert tuples == [
         (c.target, c.factor, c.allow_growth)
@@ -130,8 +139,8 @@ def test_only_finishers_solve_an_output(drawn, options):
     system, engine = drawn
     state = engine.root_state(system)
     unsolved = engine.unsolved_count(state)
-    candidates = enumerate_state(state, engine, options)
-    finishers, others = scan_finishers(state, engine, options)
+    candidates, _ = list_candidates(state, engine, options)
+    finishers, others = list_candidates(state, engine, options, True)
     assert len(finishers) + others == len(candidates)
     assert finishers == [
         candidate for candidate in candidates if candidate in finishers
@@ -142,6 +151,25 @@ def test_only_finishers_solve_an_output(drawn, options):
         assert engine.unsolved_count(child) == (
             unsolved - 1 if candidate in finishers else unsolved
         )
+
+
+@pytest.mark.parametrize("finishing", [False, True])
+def test_wide_bitset_outputs_list_like_term_sets(finishing):
+    """Above the widest bitset search the lister reads packed outputs
+    as term sets instead of building 2^n-entry tables."""
+    from repro.benchlib.generators import graycode
+    from repro.pprm.engine import ENGINES, SEARCH_PACKED_MAX_VARS
+
+    width = SEARCH_PACKED_MAX_VARS + 1
+    options = SynthesisOptions()
+    answers = []
+    for name in ("packed", "reference"):
+        engine = ENGINES[name]
+        system = engine.convert_system(graycode(width).to_pprm())
+        state = engine.root_state(system)
+        answers.append(list_candidates(state, engine, options, finishing))
+    assert answers[0] == answers[1]
+    assert answers[0][0]
 
 
 @settings(max_examples=150, deadline=None)
@@ -179,11 +207,12 @@ def test_out_of_range_substitutions_fail_alike(drawn, data):
 
 
 @st.composite
-def search_states(draw):
-    """A random search state over 3-5 variables on one backend: each
-    output solved (``x_t``), finishable (``x_t XOR f``) or an arbitrary
-    term set."""
-    num_vars = draw(st.integers(3, 5))
+def search_systems(draw):
+    """A random search system over 1-8 variables (every lane size the
+    lane engine reads, on both sides of the factor-set table's width):
+    each output solved (``x_t``), finishable (``x_t XOR f``) or an
+    arbitrary term set."""
+    num_vars = draw(st.integers(1, 8))
     size = 1 << num_vars
     outputs = []
     for target in range(num_vars):
@@ -199,10 +228,16 @@ def search_states(draw):
                 st.frozensets(st.integers(0, size - 1), max_size=12)
             )
         outputs.append(Expansion(terms))
+    return PPRMSystem(outputs)
+
+
+@st.composite
+def search_states(draw):
+    """A :func:`search_systems` state on one backend."""
+    system = draw(search_systems())
     name = draw(st.sampled_from(sorted(SEARCH_BACKENDS)))
-    engine = SEARCH_BACKENDS[name](num_vars)
-    system = engine.convert_system(PPRMSystem(outputs))
-    return engine.root_state(system), engine, num_vars
+    engine = SEARCH_BACKENDS[name](system.num_vars)
+    return engine.root_state(system), engine, system.num_vars
 
 
 batch_options = st.builds(
@@ -213,17 +248,34 @@ batch_options = st.builds(
 )
 
 
+def finisher_split(system, candidates):
+    """The finishing-path oracle: the candidates whose child solves one
+    more output than ``system``, in order, and the count of the rest."""
+    solved = system.solved_outputs()
+    finishers = [
+        candidate for candidate in candidates
+        if system.substitute(candidate[0], candidate[1]).solved_outputs()
+        == solved + 1
+    ]
+    return finishers, len(candidates) - len(finishers)
+
+
 @settings(max_examples=300, deadline=None)
-@given(drawn=search_states(), options=batch_options, finishing=st.booleans())
-def test_batch_candidates_match_the_per_output_scan(
-    drawn, options, finishing
-):
-    state, engine, _ = drawn
-    if finishing:
-        expected = scan_finishers(state, engine, options)
-    else:
-        expected = (enumerate_state(state, engine, options), 0)
-    assert engine.candidates(state, options, finishing) == expected
+@given(system=search_systems(), options=batch_options)
+def test_lister_agrees_across_engines_and_with_the_oracles(system, options):
+    """On both paths the lister gives the same answer on lanes, packed
+    and reference: on the full path the expansion-API enumeration, on
+    the finishing path the candidates that solve one more output and
+    the count of the others."""
+    full = expansion_enumeration(system, options)
+    expected = {False: (full, 0), True: finisher_split(system, full)}
+    for name in sorted(SEARCH_BACKENDS):
+        engine = SEARCH_BACKENDS[name](system.num_vars)
+        state = engine.root_state(system)
+        for finishing, answer in expected.items():
+            assert list_candidates(state, engine, options, finishing) == (
+                answer
+            ), (name, finishing)
 
 
 def _per_candidate_children(engine, state, candidates):
@@ -249,8 +301,7 @@ def test_batch_children_match_per_candidate_substitution(
     ValueError (a factor holding the target, or a target or factor
     beyond the width on packed and lanes)."""
     state, engine, width = drawn
-    candidates, _ = engine.candidates(state, options, False)
-    candidates = list(candidates)
+    candidates, _ = list_candidates(state, engine, options)
     if data.draw(st.booleans()):
         target = data.draw(st.integers(0, width + 1))
         factor = data.draw(st.integers(0, (1 << (width + 1)) - 1))
