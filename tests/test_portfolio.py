@@ -21,12 +21,14 @@ from repro.functions.permutation import Permutation
 from repro.harness import WorkerBudget, WorkerPool, probe_task
 from repro.io.real_format import dump_real
 from repro.obs import MetricsObserver, MetricsRegistry
+from repro.benchlib.symbolic import graycode_system
 from repro.parallel import (
     LocalBound,
     SharedBound,
     partition_seeds,
     synthesize_portfolio,
 )
+from repro.parallel.portfolio import _spec_payload, spec_from_payload
 from repro.synth import enumerate_first_level, synthesize
 from repro.synth.options import SynthesisOptions
 from repro.synth.stats import SearchStats
@@ -66,6 +68,29 @@ class TestPartitionSeeds:
             partition_seeds(-1, 2)
         with pytest.raises(ValueError):
             partition_seeds(4, 0)
+
+
+class TestSpecPayload:
+    """The wire form a worker rebuilds a bare PPRM system from: one
+    bitset per output (bit ``t`` set when term ``t`` is present),
+    pinned byte for byte."""
+
+    @pytest.mark.parametrize(
+        "system, payload",
+        [
+            (
+                Permutation([1, 0, 7, 2, 3, 4, 5, 6]).to_pprm(),
+                {"packed": [3, 52, 44], "num_vars": 3},
+            ),
+            (
+                graycode_system(5),
+                {"packed": [6, 20, 272, 65792, 65536], "num_vars": 5},
+            ),
+        ],
+    )
+    def test_bare_system_payload_is_pinned(self, system, payload):
+        assert _spec_payload(system, system) == payload
+        assert spec_from_payload(payload) == system
 
 
 class TestBoundProtocol:
