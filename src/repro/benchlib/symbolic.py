@@ -27,23 +27,7 @@ __all__ = [
 ]
 
 
-def _converted(system: PPRMSystem, engine) -> PPRMSystem:
-    """Convert a freshly built system to ``engine`` (``None`` keeps the
-    reference backend the symbolic constructors produce).
-
-    Note the packed backend is *dense* in the ``2^n`` term space
-    (:data:`repro.pprm.packed.PACKED_MAX_VARS`): the wide benchmarks
-    this module exists for (shift28, 30 lines) must stay on the
-    reference backend, where their sparse PPRMs cost a few terms each.
-    """
-    if engine is None:
-        return system
-    from repro.pprm.engine import resolve_engine
-
-    return resolve_engine(engine).convert_system(system)
-
-
-def graycode_system(num_vars: int, engine=None) -> PPRMSystem:
+def graycode_system(num_vars: int) -> PPRMSystem:
     """PPRM of the binary-to-Gray converter: ``y_i = x_i XOR x_{i+1}``."""
     if num_vars < 1:
         raise ValueError("need at least one variable")
@@ -53,10 +37,10 @@ def graycode_system(num_vars: int, engine=None) -> PPRMSystem:
         if index + 1 < num_vars:
             terms.add(bit(index + 1))
         outputs.append(Expansion(frozenset(terms)))
-    return _converted(PPRMSystem(outputs), engine)
+    return PPRMSystem(outputs)
 
 
-def controlled_shifter_system(data_vars: int, engine=None) -> PPRMSystem:
+def controlled_shifter_system(data_vars: int) -> PPRMSystem:
     """PPRM of Example 14's shifter: data value plus a 2-bit shift.
 
     Lines ``0..data_vars-1`` hold the value ``v``; lines ``data_vars``
@@ -96,7 +80,7 @@ def controlled_shifter_system(data_vars: int, engine=None) -> PPRMSystem:
             carry = carry.multiply_term(bit(index))
     outputs.append(Expansion.variable(data_vars))
     outputs.append(Expansion.variable(data_vars + 1))
-    return _converted(PPRMSystem(outputs), engine)
+    return PPRMSystem(outputs)
 
 
 def system_agrees_with_circuit(

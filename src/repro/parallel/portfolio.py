@@ -54,6 +54,8 @@ from repro.parallel.bound import LocalBound, SharedBound
 from repro.parallel.strategy import build_deck, resolve_strategies
 from repro.perf.hotops import global_counters
 from repro.pprm.engine import search_engine
+from repro.pprm.expansion import Expansion
+from repro.pprm.system import PPRMSystem
 from repro.synth.options import SynthesisOptions
 from repro.synth.rmrls import (
     SynthesisResult,
@@ -230,10 +232,10 @@ def _spec_payload(specification, system) -> dict:
 
     Permutations keep their image table (workers verify with
     ``circuit.implements``); bare PPRM systems travel as per-output
-    big-integer bitsets (the engine-agnostic wire form of
-    :meth:`repro.pprm.engine.PPRMEngine.pack`) so workers rebuild
-    state with integer unpacks instead of re-parsing text into sets.
-    They verify by PPRM round-trip, as in the sweep runners.
+    big-integer bitsets (:meth:`repro.pprm.expansion.Expansion.to_bits`)
+    so workers rebuild state with integer unpacks instead of re-parsing
+    text into sets.  They verify by PPRM round-trip, as in the sweep
+    runners.
     """
     from repro.functions.permutation import Permutation
 
@@ -241,9 +243,8 @@ def _spec_payload(specification, system) -> dict:
         return {"images": list(specification.images)}
     if isinstance(specification, (list, tuple)):
         return {"images": [int(image) for image in specification]}
-    engine = system.engine
     return {
-        "packed": [engine.pack(output) for output in system.outputs],
+        "packed": [output.to_bits() for output in system.outputs],
         "num_vars": system.num_vars,
     }
 
@@ -260,10 +261,8 @@ def spec_from_payload(payload: dict):
 
         return Permutation(payload["images"])
     if "packed" in payload:
-        from repro.pprm.engine import resolve_engine
-
-        return resolve_engine().unpack_system(
-            payload["packed"], payload["num_vars"]
+        return PPRMSystem(
+            [Expansion.from_bits(bits) for bits in payload["packed"]]
         )
     from repro.pprm.parser import parse_system
 

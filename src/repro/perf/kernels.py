@@ -6,7 +6,9 @@ priority-queue churn, and the two engine calls of one expansion:
 candidate enumeration and child-state evaluation), timed over a fixed,
 deterministic input.  A given (kernel, quick-flag) pair performs an
 identical operation sequence on every machine, so two timings differ
-only by hardware and code.
+only by hardware and code.  The algebra kernels time the reference
+:class:`~repro.pprm.expansion.Expansion`; the state kernels run on a
+search-state engine, reference unless :func:`run_kernel` names another.
 End-to-end numbers come from ``perfbench/``, not from here.
 """
 
@@ -15,7 +17,7 @@ from __future__ import annotations
 import random
 
 from repro.perf.timing import TimingResult, time_callable
-from repro.pprm.engine import resolve_engine
+from repro.pprm.engine import ENGINES
 
 __all__ = ["KERNELS", "kernel_names", "run_kernel"]
 
@@ -24,21 +26,15 @@ __all__ = ["KERNELS", "kernel_names", "run_kernel"]
 _SEED = 0xBE7C4
 
 
-def _fixture_system(num_vars: int = 5, seed: int = _SEED, engine=None):
+def _fixture_system(num_vars: int = 5, seed: int = _SEED):
     """A mid-search-looking PPRM system: a seeded random permutation's
-    expansion, dense enough to exercise the term-rewrite loops.
-
-    ``engine`` converts the fixture to a specific expansion backend
-    (a resolved :class:`~repro.pprm.engine.PPRMEngine`); ``None``
-    keeps the reference frozenset form.
-    """
+    expansion, dense enough to exercise the term-rewrite loops."""
     from repro.functions.permutation import Permutation
 
     rng = random.Random(seed + num_vars)
     images = list(range(1 << num_vars))
     rng.shuffle(images)
-    system = Permutation(images).to_pprm()
-    return system if engine is None else engine.convert_system(system)
+    return Permutation(images).to_pprm()
 
 
 def _fixture_candidates(system, limit: int | None = None):
@@ -49,10 +45,10 @@ def _fixture_candidates(system, limit: int | None = None):
     return candidates if limit is None else candidates[:limit]
 
 
-def _fixture_child_systems(count: int, engine=None):
+def _fixture_child_systems(count: int):
     """Distinct systems one substitution away from the fixture root
     (the dedupe table's actual key population)."""
-    system = _fixture_system(engine=engine)
+    system = _fixture_system()
     children = []
     for candidate in _fixture_candidates(system):
         children.append(system.substitute(candidate.target, candidate.factor))
@@ -72,8 +68,8 @@ def _fixture_child_systems(count: int, engine=None):
 # -- kernel bodies -------------------------------------------------------
 
 
-def _kernel_pprm_substitute(quick: bool, engine=None):
-    system = _fixture_system(engine=engine)
+def _kernel_pprm_substitute(quick: bool, engine):
+    system = _fixture_system()
     candidates = _fixture_candidates(system)
     rounds = 4 if quick else 16
 
@@ -85,8 +81,8 @@ def _kernel_pprm_substitute(quick: bool, engine=None):
     return body, rounds * len(candidates)
 
 
-def _kernel_expansion_xor(quick: bool, engine=None):
-    system = _fixture_system(num_vars=6, engine=engine)
+def _kernel_expansion_xor(quick: bool, engine):
+    system = _fixture_system(num_vars=6)
     outputs = system.outputs
     pairs = [
         (outputs[i], outputs[j])
@@ -104,9 +100,8 @@ def _kernel_expansion_xor(quick: bool, engine=None):
     return body, rounds * len(pairs)
 
 
-def _kernel_dedupe_probe(quick: bool, engine=None):
-    population = _fixture_child_systems(64 if quick else 256, engine=engine)
-    engine = resolve_engine(engine)
+def _kernel_dedupe_probe(quick: bool, engine):
+    population = _fixture_child_systems(64 if quick else 256)
     states = [engine.root_state(system) for system in population]
     rounds = 8 if quick else 16
 
@@ -123,7 +118,7 @@ def _kernel_dedupe_probe(quick: bool, engine=None):
     return body, rounds * len(states)
 
 
-def _kernel_queue_churn(quick: bool, engine=None):
+def _kernel_queue_churn(quick: bool, engine):
     from repro.synth.priority import MaxPriorityQueue
 
     class _Stub:
@@ -145,14 +140,13 @@ def _kernel_queue_churn(quick: bool, engine=None):
     return body, 2 * len(nodes)
 
 
-def _kernel_enumerate(quick: bool, engine=None):
+def _kernel_enumerate(quick: bool, engine):
     """What the search runs per expansion: the bound candidate lister
     over a raw state (the full path, no finishing bound)."""
     from repro.synth.options import SynthesisOptions
     from repro.synth.substitutions import candidate_lister
 
-    population = _fixture_child_systems(8 if quick else 32, engine=engine)
-    engine = resolve_engine(engine)
+    population = _fixture_child_systems(8 if quick else 32)
     states = [engine.root_state(system) for system in population]
     list_candidates = candidate_lister(
         engine, SynthesisOptions(), population[0].num_vars
@@ -167,14 +161,13 @@ def _kernel_enumerate(quick: bool, engine=None):
     return body, rounds * len(states)
 
 
-def _kernel_child_state(quick: bool, engine=None):
+def _kernel_child_state(quick: bool, engine):
     """What the search runs per expansion: every candidate's child
     state and term count, in one engine call."""
     from repro.synth.options import SynthesisOptions
     from repro.synth.substitutions import candidate_lister
 
-    system = _fixture_system(engine=engine)
-    engine = resolve_engine(engine)
+    system = _fixture_system()
     state = engine.root_state(system)
     list_candidates = candidate_lister(
         engine, SynthesisOptions(), system.num_vars
@@ -211,16 +204,17 @@ def run_kernel(
 ) -> TimingResult:
     """Time one named kernel; see :func:`repro.perf.timing.time_callable`.
 
-    ``engine`` (a :class:`~repro.pprm.engine.PPRMEngine`) converts the
-    kernel's fixtures to that backend; ``None`` keeps them on
-    ``reference``.
+    ``engine`` (a :class:`~repro.pprm.engine.PPRMEngine`) is the
+    search-state engine the state kernels (``dedupe_probe``,
+    ``enumerate_substitutions``, ``child_state``) run on; ``None``
+    means ``reference``.  The other kernels ignore it.
     """
     factory = KERNELS.get(name)
     if factory is None:
         raise ValueError(
             f"unknown kernel {name!r}; known: {', '.join(KERNELS)}"
         )
-    body, ops = factory(quick, engine)
+    body, ops = factory(quick, engine or ENGINES["reference"])
     if repeats is None:
         repeats = 7 if quick else 9
     if warmup is None:

@@ -13,13 +13,11 @@ from repro.pprm.engine import (
     PackedEngine,
     PPRMEngine,
     ReferenceEngine,
-    get_engine,
     lane_engine,
-    resolve_engine,
     search_engine,
 )
 from repro.pprm.expansion import Expansion
-from repro.pprm.packed import PACKED_MAX_VARS, PackedExpansion, tables_for
+from repro.pprm.packed import PACKED_MAX_VARS, tables_for
 from repro.pprm.parser import (
     format_expansion,
     format_system,
@@ -50,7 +48,6 @@ from repro.pprm.transform import (
 __all__ = [
     "Expansion",
     "PACKED_MAX_VARS",
-    "PackedExpansion",
     "PPRMSystem",
     "ENGINES",
     "LaneEngine",
@@ -59,9 +56,7 @@ __all__ = [
     "ReferenceEngine",
     "SEARCH_LANES_MAX_VARS",
     "SEARCH_PACKED_MAX_VARS",
-    "get_engine",
     "lane_engine",
-    "resolve_engine",
     "search_engine",
     "tables_for",
     "CONSTANT_ONE",

@@ -57,44 +57,31 @@ def parse_term(text: str) -> int:
     return CONSTANT_ONE if saw_constant else mask
 
 
-def parse_expansion(text: str, engine=None, num_vars: int | None = None):
+def parse_expansion(text: str) -> Expansion:
     """Parse an expansion such as ``b + c + ac`` or ``a ^ 1``.
 
     Repeated terms cancel in pairs, consistent with XOR algebra, and the
-    text ``0`` denotes the empty (constant-0) expansion.  ``engine``
-    selects the backend of the result (``None`` = ``reference``);
-    ``num_vars`` sizes packed results (default: smallest count covering
-    the support).
+    text ``0`` denotes the empty (constant-0) expansion.
     """
     text = text.strip()
     if text in ("", "0"):
-        expansion = Expansion.zero()
-    else:
-        terms = []
-        for chunk in _XOR_SEPARATORS.split(text):
-            chunk = chunk.strip()
-            if not chunk:
-                raise ValueError(f"empty XOR operand in {text!r}")
-            terms.append(parse_term(chunk))
-        expansion = Expansion(terms)
-    if engine is None:
-        return expansion
-    from repro.pprm.engine import resolve_engine
-
-    if num_vars is None:
-        num_vars = max(1, expansion.support().bit_length())
-    return resolve_engine(engine).convert(expansion, num_vars)
+        return Expansion.zero()
+    terms = []
+    for chunk in _XOR_SEPARATORS.split(text):
+        chunk = chunk.strip()
+        if not chunk:
+            raise ValueError(f"empty XOR operand in {text!r}")
+        terms.append(parse_term(chunk))
+    return Expansion(terms)
 
 
-def parse_system(text: str, engine=None) -> PPRMSystem:
+def parse_system(text: str) -> PPRMSystem:
     """Parse a multi-line, multi-output PPRM system.
 
     Each non-empty line must have the form ``<var>_out = <expansion>``
     (``<var>out`` and a bare ``<var>`` on the left are also accepted).
     Every output variable of the system must be given exactly once, and
     the system is square: the number of lines fixes the variable count.
-    ``engine`` selects the expansion backend of the result (``None`` =
-    ``reference``).
     """
     assignments: dict[int, Expansion] = {}
     for raw_line in text.splitlines():
@@ -122,13 +109,7 @@ def parse_system(text: str, engine=None) -> PPRMSystem:
             f"system of {num_vars} outputs is missing definitions for "
             f"{', '.join(missing)}"
         )
-    outputs = [assignments[i] for i in range(num_vars)]
-    if engine is not None:
-        from repro.pprm.engine import resolve_engine
-
-        resolved = resolve_engine(engine)
-        outputs = [resolved.convert(output, num_vars) for output in outputs]
-    return PPRMSystem(outputs)
+    return PPRMSystem([assignments[i] for i in range(num_vars)])
 
 
 def format_expansion(expansion: Expansion, xor: str = " + ") -> str:

@@ -12,9 +12,11 @@ from __future__ import annotations
 from collections.abc import Iterator, Sequence
 
 from repro.pprm.expansion import Expansion
-from repro.pprm.packed import PackedExpansion
 from repro.pprm.term import variable_name
-from repro.pprm.transform import expansion_to_truth_vector
+from repro.pprm.transform import (
+    expansion_to_truth_vector,
+    truth_vector_to_expansion,
+)
 
 __all__ = ["PPRMSystem"]
 
@@ -37,21 +39,12 @@ class PPRMSystem:
     # -- constructors -----------------------------------------------------
 
     @classmethod
-    def identity(cls, num_vars: int, engine=None) -> "PPRMSystem":
-        """Return the identity system ``v_out,i = v_i``.
-
-        ``engine`` selects the expansion backend (name or
-        :class:`~repro.pprm.engine.PPRMEngine`); ``None`` means the
-        ``reference`` backend so that spec construction stays stable;
-        the search picks its own backend from the width.
-        """
-        from repro.pprm.engine import resolve_engine
-
-        engine = resolve_engine(engine)
-        return cls([engine.variable(i, num_vars) for i in range(num_vars)])
+    def identity(cls, num_vars: int) -> "PPRMSystem":
+        """Return the identity system ``v_out,i = v_i``."""
+        return cls([Expansion.variable(i) for i in range(num_vars)])
 
     @classmethod
-    def from_permutation(cls, images: Sequence[int], engine=None) -> "PPRMSystem":
+    def from_permutation(cls, images: Sequence[int]) -> "PPRMSystem":
         """Build the PPRM system of a reversible specification.
 
         ``images[m]`` is the output assignment for input assignment
@@ -59,12 +52,8 @@ class PPRMSystem:
         bijectivity of ``images`` is *not* checked here (use
         :class:`repro.functions.Permutation` for validated
         specifications) so that experiment code can also expand
-        non-bijective systems for analysis.  ``engine`` picks the
-        expansion backend (``None`` = ``reference``).
+        non-bijective systems for analysis.
         """
-        from repro.pprm.engine import resolve_engine
-
-        engine = resolve_engine(engine)
         size = len(images)
         num_vars = (size - 1).bit_length()
         if size != 1 << num_vars or size < 2:
@@ -72,7 +61,7 @@ class PPRMSystem:
         outputs = []
         for index in range(num_vars):
             vector = [images[m] >> index & 1 for m in range(size)]
-            outputs.append(engine.from_truth_vector(vector))
+            outputs.append(truth_vector_to_expansion(vector))
         return cls(outputs)
 
     # -- queries -----------------------------------------------------------
@@ -92,27 +81,16 @@ class PPRMSystem:
         return self._outputs[index]
 
     @property
-    def engine_name(self) -> str:
-        """Name of the expansion backend the outputs are stored in."""
-        if isinstance(self._outputs[0], PackedExpansion):
-            return "packed"
-        return "reference"
-
-    @property
     def engine(self):
-        """The :class:`~repro.pprm.engine.PPRMEngine` of the outputs."""
+        """The reference :class:`~repro.pprm.engine.PPRMEngine`, whose
+        state is this system's :meth:`dedupe_key` (the search picks
+        its own engine from the width)."""
         from repro.pprm.engine import ENGINES
 
-        return ENGINES[self.engine_name]
+        return ENGINES["reference"]
 
     def dedupe_key(self) -> tuple:
-        """Canonical hashable identity for search visited tables.
-
-        One per-output backend key each (frozenset of masks for the
-        reference backend, raw bitset int for the packed backend); the
-        two backends produce distinct but internally consistent keys,
-        and a search never mixes backends in one table.
-        """
+        """Canonical hashable identity: one term frozenset per output."""
         return tuple(output.dedupe_key() for output in self._outputs)
 
     def term_count(self) -> int:

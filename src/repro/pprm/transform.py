@@ -62,21 +62,12 @@ def inverse_mobius_transform(coeffs: Sequence[int]) -> list[int]:
     return mobius_transform(coeffs)
 
 
-def truth_vector_to_expansion(values: Sequence[int], engine=None):
-    """Convert a single-output truth vector into an expansion.
-
-    ``engine`` selects the backend (name or engine instance); ``None``
-    keeps the historical default, the ``reference``
-    :class:`Expansion`.
-    """
-    if engine is None:
-        coeffs = mobius_transform(values)
-        return Expansion._make(
-            frozenset(mask for mask, coeff in enumerate(coeffs) if coeff)
-        )
-    from repro.pprm.engine import resolve_engine
-
-    return resolve_engine(engine).from_truth_vector(values)
+def truth_vector_to_expansion(values: Sequence[int]) -> Expansion:
+    """Convert a single-output truth vector into an expansion."""
+    coeffs = mobius_transform(values)
+    return Expansion._make(
+        frozenset(mask for mask, coeff in enumerate(coeffs) if coeff)
+    )
 
 
 def expansion_to_truth_vector(expansion: Expansion, num_vars: int) -> list[int]:

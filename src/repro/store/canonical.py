@@ -15,10 +15,10 @@ permutation ``pi`` acts on assignments as the bit permutation
 over all ``n!`` relabelings as the class representative, records the
 *witness* relabeling ``pi`` that maps the caller's wires onto the
 canonical ones, and derives the key from the representative's PPRM
-system in the engine's shared big-int wire format (the packed form
-underlying the search's ``dedupe_key``), which both expansion backends
-produce bit-identically — so a key derived from a packed system is
-found again from a reference one and vice versa.
+system in its big-int bitset form
+(:meth:`~repro.pprm.expansion.Expansion.to_bits`, bit ``t`` set when
+term ``t`` is present), which does not depend on any in-memory
+representation.
 
 Circuits relabel contravariantly: renaming the lines of a cascade ``C``
 by ``rho`` yields a cascade computing ``sigma_rho o C o sigma_rho^{-1}``.
@@ -236,17 +236,12 @@ def _conjugate(images, sigma) -> tuple[int, ...]:
 
 
 def _key_material(images, num_vars: int) -> str:
-    """Backend-stable key material via the engine's packed wire format.
-
-    ``PPRMEngine.pack`` serializes an expansion to one big integer
-    identically from both backends — the persistent analogue of the
-    in-memory ``dedupe_key`` (which is deliberately backend-*dependent*
-    and therefore unusable on disk).
-    """
+    """Key material: the representative's PPRM outputs as hex bitsets
+    (the persistent analogue of the in-memory ``dedupe_key``, whose
+    frozensets have no stable byte form)."""
     system = Permutation(images).to_pprm()
-    engine = system.engine
     packed = ",".join(
-        format(engine.pack(output), "x") for output in system.outputs
+        format(output.to_bits(), "x") for output in system.outputs
     )
     return (
         f"{CANONICAL_SCHEMA}:v{CANONICAL_VERSION}:n{num_vars}:{packed}"

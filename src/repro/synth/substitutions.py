@@ -37,7 +37,6 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 
-from repro.pprm.engine import SEARCH_PACKED_MAX_VARS
 from repro.pprm.packed import tables_for
 from repro.pprm.system import PPRMSystem
 from repro.pprm.term import CONSTANT_ONE
@@ -132,9 +131,6 @@ def candidate_lister(
 
     The loop is picked once, from the representation of the engine's
     outputs: ints are bitsets, anything else a set of term masks.
-    Bitsets wider than any bitset search (:data:`SEARCH_PACKED_MAX_VARS`)
-    are read as term sets, since their tables would hold ``2^n`` tuples
-    per target.
     """
     extended = options.extended_substitutions
     complement = options.complement_substitutions
@@ -143,12 +139,6 @@ def candidate_lister(
     sample = outputs_of(engine.identity_state(num_vars))
     if not all(isinstance(raw, int) for raw in sample):
         return _term_set_lister(outputs_of, extended, complement, exempt)
-    if num_vars > SEARCH_PACKED_MAX_VARS:
-
-        def term_sets(state):
-            return [frozenset(bits_of(raw)) for raw in outputs_of(state)]
-
-        return _term_set_lister(term_sets, extended, complement, exempt)
     tables = _target_tables(num_vars, exempt)
 
     def list_candidates(state, finishing: bool) -> tuple:
@@ -249,8 +239,8 @@ def _term_set_lister(outputs_of, extended, complement, exempt):
 def enumerate_substitutions(
     system: PPRMSystem, options: SynthesisOptions
 ) -> list[Candidate]:
-    """The full-path candidates of ``system`` (on its own engine), as
-    :class:`Candidate` records."""
+    """The full-path candidates of ``system`` (on the reference
+    engine), as :class:`Candidate` records."""
     engine = system.engine
     list_candidates = candidate_lister(engine, options, system.num_vars)
     candidates, _ = list_candidates(engine.root_state(system), False)

@@ -1,14 +1,15 @@
-"""Differential tests: the packed and lane engines against the
+"""Differential tests: the packed and lane state engines against the
 reference oracle.
 
-The ``reference`` frozenset backend is the ground truth.  These tests
-drive the engines through the same seeded inputs — algebra, queries,
-serialization, candidate enumeration, search states, and full
-synthesis — and demand bit-identical behaviour everywhere the engine
-seam promises it.  Full syntheses force each backend through the
-search's one decision point (``search_engine``), so the reference and
-packed searches stay oracle-checked at the small widths where the
-width rule would pick lanes.
+The reference :class:`Expansion` algebra is the ground truth.  These
+tests drive the bitset engines through the same seeded inputs — the
+bitset algebra their states run on, the bitset wire form, candidate
+enumeration, search states, and full synthesis — and demand
+bit-identical behaviour everywhere the engine seam promises it.
+Full syntheses force each backend through the search's one decision
+point (``search_engine``), so the reference and packed searches stay
+oracle-checked at the small widths where the width rule would pick
+lanes.
 """
 
 import random
@@ -17,24 +18,25 @@ import pytest
 
 from repro.benchlib.symbolic import graycode_system
 from repro.functions.permutation import Permutation, random_permutation
+from repro.parallel.portfolio import spec_from_payload
 from repro.pprm import (
     ENGINES,
     PACKED_MAX_VARS,
     SEARCH_LANES_MAX_VARS,
-    PackedExpansion,
+    Expansion,
     PPRMSystem,
-    get_engine,
     lane_engine,
-    resolve_engine,
+    mobius_transform,
+    search_engine,
+    tables_for,
 )
 from repro.synth import rmrls
 from repro.synth.options import SynthesisOptions
 from repro.synth.rmrls import synthesize
-from repro.synth.substitutions import enumerate_substitutions
+from repro.synth.substitutions import candidate_lister, enumerate_substitutions
 
 from conftest import SEARCH_BACKENDS
 
-REFERENCE = ENGINES["reference"]
 PACKED = ENGINES["packed"]
 
 FAST = SynthesisOptions(dedupe_states=True, max_steps=20_000)
@@ -54,118 +56,124 @@ def _random_terms(rng, num_vars, max_terms=12):
     return [rng.randrange(size) for _ in range(count)]
 
 
-def _pair(rng, num_vars):
-    """One (reference, packed) expansion pair over the same terms."""
-    terms = _random_terms(rng, num_vars)
-    return (
-        REFERENCE.from_terms(terms, num_vars),
-        PACKED.from_terms(terms, num_vars),
+def _expansion(rng, num_vars):
+    return Expansion(_random_terms(rng, num_vars))
+
+
+def _system(rng, num_vars):
+    return PPRMSystem(
+        [_expansion(rng, num_vars) for _ in range(num_vars)]
     )
 
 
-def _same(ref, packed):
-    """Bit-identical: same terms, same canonical order, same string."""
-    assert list(ref.iter_terms()) == list(packed.iter_terms())
-    assert str(ref) == str(packed)
-    assert len(ref) == len(packed)
+def _bitset_engines(num_vars):
+    """The engines whose outputs are bitsets: packed and lanes."""
+    return (PACKED, lane_engine(num_vars))
 
 
 class TestAlgebraDifferential:
+    """The bitset algebra the packed and lane states run on — int XOR,
+    the shift/mask folds of :class:`PackedTables` and
+    ``substitute_state`` — against the :class:`Expansion` algebra."""
+
     def test_xor_matches(self):
         rng = random.Random(11)
         for _ in range(200):
             num_vars = rng.randint(1, 6)
-            ref_a, packed_a = _pair(rng, num_vars)
-            ref_b, packed_b = _pair(rng, num_vars)
-            _same(ref_a ^ ref_b, packed_a ^ packed_b)
+            a = _expansion(rng, num_vars)
+            b = _expansion(rng, num_vars)
+            assert (a ^ b).to_bits() == a.to_bits() ^ b.to_bits()
 
     def test_multiply_term_matches(self):
         rng = random.Random(12)
         for _ in range(200):
             num_vars = rng.randint(1, 6)
-            ref, packed = _pair(rng, num_vars)
+            expansion = _expansion(rng, num_vars)
             factor = rng.randrange(1 << num_vars)
-            _same(ref.multiply_term(factor), packed.multiply_term(factor))
+            bits = expansion.to_bits()
+            for low, keep, lift in tables_for(num_vars).folds(factor):
+                bits = (bits & keep) ^ ((bits & lift) << low)
+            assert bits == expansion.multiply_term(factor).to_bits()
 
     def test_substitute_matches(self):
         rng = random.Random(13)
-        for _ in range(300):
+        for _ in range(150):
             num_vars = rng.randint(2, 6)
-            ref, packed = _pair(rng, num_vars)
+            system = _system(rng, num_vars)
             index = rng.randrange(num_vars)
             factor = rng.randrange(1 << num_vars) & ~(1 << index)
-            _same(
-                ref.substitute(index, factor),
-                packed.substitute(index, factor),
-            )
+            expected = system.substitute(index, factor)
+            for engine in _bitset_engines(num_vars):
+                child = engine.substitute_state(
+                    engine.root_state(system), index, factor
+                )
+                assert engine.system_from_state(child) == expected
 
     def test_substitute_rejects_target_in_factor_identically(self):
-        ref = REFERENCE.from_terms([3], 2)
-        packed = PACKED.from_terms([3], 2)
+        system = PPRMSystem([Expansion([3]), Expansion([3])])
         with pytest.raises(ValueError) as ref_error:
-            ref.substitute(0, 3)
-        with pytest.raises(ValueError) as packed_error:
-            packed.substitute(0, 3)
-        assert str(ref_error.value) == str(packed_error.value)
+            system.substitute(0, 3)
+        for engine in _bitset_engines(2):
+            with pytest.raises(ValueError) as error:
+                engine.substitute_state(engine.root_state(system), 0, 3)
+            assert str(error.value) == str(ref_error.value)
 
     def test_queries_match(self):
         rng = random.Random(14)
         for _ in range(200):
             num_vars = rng.randint(1, 6)
-            ref, packed = _pair(rng, num_vars)
-            assert ref.term_count() == packed.term_count()
-            assert ref.is_zero() == packed.is_zero()
-            assert ref.support() == packed.support()
-            assert ref.degree() == packed.degree()
-            for index in range(num_vars):
-                assert ref.is_variable(index) == packed.is_variable(index)
-            probe = rng.randrange(1 << num_vars)
-            assert ref.contains_term(probe) == packed.contains_term(probe)
-
-    def test_evaluate_matches(self):
-        rng = random.Random(15)
-        for _ in range(100):
-            num_vars = rng.randint(1, 5)
-            ref, packed = _pair(rng, num_vars)
-            for assignment in range(1 << num_vars):
-                assert ref.evaluate(assignment) == packed.evaluate(assignment)
+            system = _system(rng, num_vars)
+            for engine in _bitset_engines(num_vars):
+                state = engine.root_state(system)
+                assert engine.state_term_count(state) == system.term_count()
+                assert engine.unsolved_count(state) == (
+                    num_vars - system.solved_outputs()
+                )
+                assert (
+                    state == engine.identity_state(num_vars)
+                ) == system.is_identity()
 
 
 class TestSerializationDifferential:
+    """The :class:`Expansion` ↔ bitset pair: the wire form of the store
+    key and the portfolio payload, and the outputs of the packed and
+    lane states."""
+
     def test_pack_agrees_across_engines(self):
         rng = random.Random(16)
         for _ in range(100):
             num_vars = rng.randint(1, 6)
-            ref, packed = _pair(rng, num_vars)
-            assert REFERENCE.pack(ref) == PACKED.pack(packed)
+            system = _system(rng, num_vars)
+            bits = [output.to_bits() for output in system.outputs]
+            for engine in _bitset_engines(num_vars):
+                state = engine.root_state(system)
+                assert list(engine.state_outputs(state)) == bits
 
     def test_unpack_round_trips_both_ways(self):
         rng = random.Random(17)
         for _ in range(100):
             num_vars = rng.randint(1, 6)
-            ref, packed = _pair(rng, num_vars)
-            bits = PACKED.pack(packed)
-            _same(REFERENCE.unpack(bits, num_vars), packed)
-            _same(ref, PACKED.unpack(REFERENCE.pack(ref), num_vars))
+            expansion = _expansion(rng, num_vars)
+            assert Expansion.from_bits(expansion.to_bits()) == expansion
+            bits = rng.getrandbits(1 << num_vars)
+            assert Expansion.from_bits(bits).to_bits() == bits
 
     def test_convert_round_trip(self):
         rng = random.Random(18)
         for _ in range(50):
             num_vars = rng.randint(1, 6)
-            ref, packed = _pair(rng, num_vars)
-            there = PACKED.convert(ref, num_vars)
-            _same(ref, there)
-            back = REFERENCE.convert(there, num_vars)
-            assert back == ref
+            system = _system(rng, num_vars)
+            for engine in _bitset_engines(num_vars):
+                state = engine.root_state(system)
+                assert engine.system_from_state(state) == system
 
     def test_dedupe_keys_discriminate_identically(self):
         rng = random.Random(19)
-        pairs = [_pair(rng, 4) for _ in range(100)]
-        for ref_a, packed_a in pairs:
-            for ref_b, packed_b in pairs:
-                same_ref = ref_a.dedupe_key() == ref_b.dedupe_key()
-                same_packed = packed_a.dedupe_key() == packed_b.dedupe_key()
-                assert same_ref == same_packed
+        expansions = [_expansion(rng, 4) for _ in range(100)]
+        for a in expansions:
+            for b in expansions:
+                same_terms = a.dedupe_key() == b.dedupe_key()
+                assert (a.to_bits() == b.to_bits()) == same_terms
 
 
 class TestSystemDifferential:
@@ -175,15 +183,23 @@ class TestSystemDifferential:
             num_vars = rng.randint(2, 5)
             permutation = random_permutation(num_vars, rng)
             ref = PPRMSystem.from_permutation(permutation.images)
-            packed = PPRMSystem.from_permutation(
-                permutation.images, engine="packed"
-            )
-            assert ref.engine_name == "reference"
-            assert packed.engine_name == "packed"
-            assert str(ref) == str(packed)
-            assert ref.dedupe_key() != ()  # sanity: keys exist
-            for assignment in range(1 << num_vars):
-                assert ref.evaluate(assignment) == packed.evaluate(assignment)
+            # Each output's bitset is its Möbius coefficient vector.
+            coefficients = [
+                mobius_transform(
+                    [image >> index & 1 for image in permutation.images]
+                )
+                for index in range(num_vars)
+            ]
+            bits = [
+                sum(coeff << term for term, coeff in enumerate(vector))
+                for vector in coefficients
+            ]
+            for engine in _bitset_engines(num_vars):
+                state = engine.root_state(ref)
+                assert list(engine.state_outputs(state)) == bits
+                built = engine.system_from_state(state)
+                assert built == ref
+                assert built.to_images() == list(permutation.images)
 
     def test_candidate_enumeration_matches(self):
         options = SynthesisOptions(
@@ -193,18 +209,15 @@ class TestSystemDifferential:
         for _ in range(25):
             permutation = random_permutation(3, rng)
             ref = PPRMSystem.from_permutation(permutation.images)
-            packed = PPRMSystem.from_permutation(
-                permutation.images, engine="packed"
-            )
             ref_candidates = [
                 (c.target, c.factor, c.allow_growth)
                 for c in enumerate_substitutions(ref, options)
             ]
-            packed_candidates = [
-                (c.target, c.factor, c.allow_growth)
-                for c in enumerate_substitutions(packed, options)
-            ]
-            assert ref_candidates == packed_candidates
+            for engine in _bitset_engines(3):
+                candidates, _ = candidate_lister(engine, options, 3)(
+                    engine.root_state(ref), False
+                )
+                assert candidates == ref_candidates
 
 
 class TestLaneStateDifferential:
@@ -217,13 +230,10 @@ class TestLaneStateDifferential:
         engine = lane_engine(num_vars)
         identity = engine.identity_state(num_vars)
         assert engine.system_from_state(identity) == PPRMSystem.identity(
-            num_vars, "packed"
+            num_vars
         )
         for _ in range(3):
-            system = PPRMSystem(
-                [PACKED.from_terms(_random_terms(rng, num_vars), num_vars)
-                 for _ in range(num_vars)]
-            )
+            system = _system(rng, num_vars)
             state = engine.root_state(system)
             assert engine.system_from_state(state) == system
             for _ in range(8):
@@ -250,8 +260,7 @@ class TestLaneStateDifferential:
             # Each system twice, the copy built from reversed term lists.
             for order in (list, lambda masks: masks[::-1]):
                 systems.append(PPRMSystem(
-                    [PACKED.from_terms(order(masks), num_vars)
-                     for masks in terms]
+                    [Expansion(order(masks)) for masks in terms]
                 ))
         for left in systems:
             for right in systems:
@@ -323,21 +332,11 @@ class TestSynthesisDifferential:
 
 
 class TestEngineResolution:
-    def test_get_engine_rejects_unknown(self):
-        with pytest.raises(ValueError, match="unknown"):
-            get_engine("turbo")
-
-    def test_resolve_engine_accepts_instances_and_names(self):
-        assert resolve_engine("packed") is PACKED
-        assert resolve_engine(PACKED) is PACKED
-        assert resolve_engine() is REFERENCE
-        with pytest.raises(TypeError):
-            resolve_engine(42)
-
     def test_packed_input_is_not_downgraded(self):
-        # A 2-variable packed input runs on the lane band, which is
-        # packed expansions with a one-int state.
-        system = PPRMSystem.from_permutation([0, 1, 3, 2], engine="packed")
+        # A 2-variable system rebuilt from the packed wire form runs on
+        # the lane band, whose states are the same bitsets in one int.
+        system = spec_from_payload({"packed": [6, 4], "num_vars": 2})
+        assert system == PPRMSystem.from_permutation([0, 1, 3, 2])
         assert synthesize(system, FAST).engine == "lanes"
 
     @pytest.mark.parametrize(
@@ -352,15 +351,12 @@ class TestEngineResolution:
         ],
     )
     def test_search_runs_on_the_width_rule_backend(self, num_vars, expected):
-        # Whichever backend the input was built on, the search
-        # converts it by width.
-        for engine in ("reference", "packed"):
-            if engine == "packed" and num_vars > PACKED_MAX_VARS:
-                continue
-            system = graycode_system(num_vars, engine=engine)
-            result = synthesize(system, max_steps=2)
-            assert result.engine == expected
+        system = graycode_system(num_vars)
+        engine = search_engine(num_vars)
+        assert engine.name == expected
+        assert engine.system_from_state(engine.root_state(system)) == system
+        assert synthesize(system, max_steps=2).engine == expected
 
     def test_packed_width_guard(self):
         with pytest.raises(ValueError, match="at most"):
-            PackedExpansion(0, PACKED_MAX_VARS + 1)
+            tables_for(PACKED_MAX_VARS + 1)

@@ -107,8 +107,8 @@ class TestBuildAndValidate:
         from repro.benchlib.symbolic import graycode_system
         from repro.pprm import PPRMSystem
 
-        packed = PPRMSystem.from_permutation([1, 0, 3, 2], engine="packed")
-        report = build_run_report(synthesize(packed))
+        narrow = PPRMSystem.from_permutation([1, 0, 3, 2])
+        report = build_run_report(synthesize(narrow))
         assert report["engine"] == "lanes"
         wide = synthesize(graycode_system(13), max_steps=2)
         assert build_run_report(wide)["engine"] == "reference"

@@ -46,9 +46,12 @@ class TestKernels:
 
 class TestPackedEngineGate:
     """The packed backend earns its place on the search path only while
-    it is at least as fast as reference on the two hottest kernels."""
+    it is at least as fast as reference on the two calls the search
+    makes per expansion, at the kernel fixture's 5 variables."""
 
-    @pytest.mark.parametrize("kernel", ["pprm_substitute", "expansion_xor"])
+    @pytest.mark.parametrize(
+        "kernel", ["child_state", "enumerate_substitutions"]
+    )
     def test_packed_at_least_as_fast_as_reference(self, kernel):
         reference = run_kernel(kernel, quick=True, engine=ENGINES["reference"])
         packed = run_kernel(kernel, quick=True, engine=ENGINES["packed"])
