@@ -22,6 +22,7 @@ from repro.postprocess.templates import simplify
 from repro.synth.bidirectional import synthesize_inverse
 from repro.synth.options import SynthesisOptions
 from repro.synth.rmrls import synthesize
+from repro.synth.stats import SearchStats
 from repro.utils.tables import format_table
 
 __all__ = ["BenchmarkOutcome", "run_benchmark", "run_table4", "render_table4"]
@@ -77,6 +78,7 @@ def run_benchmark(
     use_portfolio: bool = True,
     apply_templates: bool = True,
     strict: bool = True,
+    totals: SearchStats | None = None,
 ) -> BenchmarkOutcome:
     """Synthesize one benchmark, returning the best verified circuit.
 
@@ -85,6 +87,10 @@ def run_benchmark(
     ``strict=False`` records the failure in ``unsound_count``, discards
     the circuit, and keeps going, which is what sweeps need: one bad
     result becomes a structured ``unsound`` outcome, not an abort.
+
+    ``totals``, when given, gains the stats of every search run here
+    (each greedy-k attempt and the inverse attempt) through
+    :meth:`SearchStats.merge`.
     """
     attempts = _portfolio(options) if use_portfolio else [options]
     best: Circuit | None = None
@@ -94,6 +100,8 @@ def run_benchmark(
     unsound = 0
     for attempt in attempts:
         outcome = synthesize(spec.pprm(), attempt)
+        if totals is not None:
+            totals.merge(outcome.stats)
         steps += outcome.stats.steps
         elapsed += outcome.stats.elapsed_seconds
         circuit = outcome.circuit
@@ -118,6 +126,8 @@ def run_benchmark(
         # Last resort: the inverse direction — the PPRM landscapes of f
         # and f^-1 differ, and some specs (5one013) only yield this way.
         inverse_outcome = synthesize_inverse(spec.permutation, attempts[0])
+        if totals is not None:
+            totals.merge(inverse_outcome.stats)
         steps += inverse_outcome.stats.steps
         elapsed += inverse_outcome.stats.elapsed_seconds
         circuit = inverse_outcome.circuit

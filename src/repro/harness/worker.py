@@ -135,19 +135,21 @@ def _run_random_circuit(payload: dict, options: dict, attempt: int) -> dict:
 def _run_benchmark(payload: dict, options: dict, attempt: int) -> dict:
     from repro.benchlib.specs import benchmark
     from repro.experiments.table4 import run_benchmark
+    from repro.synth.stats import SearchStats
 
     spec = benchmark(payload["name"])
+    totals = SearchStats()
     outcome = run_benchmark(
         spec,
         options_from_payload(options),
         use_portfolio=payload.get("use_portfolio", True),
         apply_templates=payload.get("apply_templates", True),
         strict=False,
+        totals=totals,
     )
-    stats = {
-        "steps": outcome.steps,
-        "elapsed_seconds": outcome.elapsed_seconds,
-    }
+    # The searches' summed counters; their times add up too, where a
+    # merge keeps the longest.
+    stats = dict(totals.as_dict(), elapsed_seconds=outcome.elapsed_seconds)
     if outcome.solved:
         from repro.io.real_format import dump_real
 
@@ -340,23 +342,12 @@ def execute_payload(
     executor in-process).
     """
     runtime_runner = _RUNTIME_RUNNERS.get(kind)
-    runner = _RUNNERS.get(kind)
-    if runner is None and runtime_runner is None:
-        raise ValueError(f"unknown task kind: {kind!r}")
-    from repro.perf.hotops import snapshot_global
-
-    before = snapshot_global()
     if runtime_runner is not None:
-        result = runtime_runner(payload, options, attempt, runtime)
-    else:
-        result = runner(payload, options, attempt)
-    # Meter the whole payload (a portfolio task may synthesize several
-    # times), and ship the totals over the result channel so the
-    # parent sweep can aggregate hot ops across isolated workers.
-    delta = snapshot_global().diff(before)
-    if delta.total() and isinstance(result.get("stats"), dict):
-        result["stats"]["hot_ops"] = delta.as_dict()
-    return result
+        return runtime_runner(payload, options, attempt, runtime)
+    runner = _RUNNERS.get(kind)
+    if runner is None:
+        raise ValueError(f"unknown task kind: {kind!r}")
+    return runner(payload, options, attempt)
 
 
 def worker_loop(conn, mem_limit_mb: int | None,

@@ -334,8 +334,8 @@ class MetricsObserver(SearchObserver):
       ``search_children`` (non-root nodes created),
       ``search_solutions``, ``search_restarts``,
       ``search_finish_<reason>`` per finish reason, and ``hotop_<name>``
-      per hot-op counter (see :mod:`repro.perf.hotops`), all published
-      from the search's own ``stats`` at finish;
+      per hot-op count (see :data:`repro.synth.stats.HOT_OP_FIELDS`),
+      all published from the search's own ``stats`` at finish;
     * counters ``search_pruned_<reason>`` per prune reason and
       ``search_guard_<kind>`` per guard-rail event, counted per event;
     * gauges ``search_queue_size`` (current; max tracks the peak) and

@@ -16,9 +16,10 @@ another.  This module runs the same seed pool *concurrently*:
 4. workers share the incumbent solution depth through a
    :class:`~repro.parallel.bound.SharedBound`, so every racer prunes at
    ``bestDepth - 1`` as soon as *any* worker solves;
-5. the parent merges ``SearchStats``, hot-op counters, and metrics
-   snapshots (via ``MetricsRegistry.merge_snapshot``) into one
-   fleet-wide :class:`~repro.synth.rmrls.SynthesisResult`.
+5. the parent merges the slices' ``SearchStats`` with its own root
+   expansion's, and the metrics snapshots (via
+   ``MetricsRegistry.merge_snapshot``), into one fleet-wide
+   :class:`~repro.synth.rmrls.SynthesisResult`.
 
 With ``options.portfolio_strategies`` set, the fleet is *heterogeneous*:
 worker slots are dealt from a :class:`~repro.parallel.strategy.
@@ -52,7 +53,6 @@ from repro.harness.taxonomy import (
 from repro.obs.flight import FlightRecorder, end_recording
 from repro.parallel.bound import LocalBound, SharedBound
 from repro.parallel.strategy import build_deck, resolve_strategies
-from repro.perf.hotops import global_counters
 from repro.pprm.engine import search_engine
 from repro.pprm.expansion import Expansion
 from repro.pprm.system import PPRMSystem
@@ -118,7 +118,7 @@ class SliceOutcome:
     """What one portfolio slice reported back.
 
     ``stats`` is the worker's full ``SearchStats.as_dict`` snapshot
-    (plus its ``hot_ops``); ``metrics`` the worker registry snapshot
+    (hot-op counts included); ``metrics`` the worker registry snapshot
     when metrics were requested.  ``seed_ranks`` is ``None`` for an
     unrestricted slot (a heterogeneous deck's inverse slots without an
     inverse seed pool).  ``variant`` and
@@ -343,9 +343,10 @@ def synthesize_portfolio(
     rather than starting a one-worker pool to run one slot.
 
     Returns a fleet-wide :class:`SynthesisResult`: the deterministic
-    winner's circuit, merged ``SearchStats`` (slice totals; note every
-    worker repeats the root expansion), and a
-    :class:`PortfolioSummary` under ``result.portfolio``.
+    winner's circuit, merged ``SearchStats`` (the driver's root
+    expansion plus the slice totals; note every worker repeats the
+    root expansion), and a :class:`PortfolioSummary` under
+    ``result.portfolio``.
     """
     if options is None:
         options = SynthesisOptions()
@@ -413,11 +414,11 @@ def _run_portfolio_driver(
         # Identity / single-gate specs, an empty seed pool (everything
         # pruned at the root), or a degenerate fleet: the serial search
         # is the portfolio.  A one-slot deck still runs its variant.
-        result = (
-            first.shortcut
-            if first.shortcut is not None
-            else _serial_fallback(system, quiet)
-        )
+        if first.shortcut is not None:
+            result = first.shortcut
+        else:
+            result = _serial_fallback(system, quiet)
+            result.stats.merge(first.stats)
         result.options = options
         result.portfolio = PortfolioSummary(
             jobs=jobs,
@@ -434,6 +435,8 @@ def _run_portfolio_driver(
 
     deck = None
     inverse_triples: list = []
+    # The driver's own searches, counted with the slices'.
+    driver_stats = [first.stats]
     if strategies:
         if any(entry.direction == "inverse" for entry in strategies):
             from repro.functions.permutation import Permutation
@@ -441,6 +444,7 @@ def _run_portfolio_driver(
             inverse_first = enumerate_first_level(
                 Permutation(payload_spec["images"]).inverse(), quiet
             )
+            driver_stats.append(inverse_first.stats)
             if inverse_first.shortcut is None:
                 inverse_triples = [
                     (s.rank, s.target, s.factor)
@@ -520,8 +524,7 @@ def _run_portfolio_driver(
             pool.close()
 
     result = _merge_fleet(
-        system, options, summary, registries, started,
-        merge_hot_ops=not inline,
+        system, options, summary, registries, started, driver_stats,
     )
     if deck is not None:
         _record_strategy_outcome(summary, registries)
@@ -639,19 +642,16 @@ def _serial_fallback(system, options: SynthesisOptions) -> SynthesisResult:
 
 def _merge_fleet(
     system, options, summary: PortfolioSummary, registries, started,
-    merge_hot_ops: bool = True,
+    driver_stats,
 ) -> SynthesisResult:
-    """Fold the slice outcomes into one fleet-wide result."""
+    """Fold the slice outcomes and the driver's own search counters
+    (``driver_stats``) into one fleet-wide result."""
     fleet = SearchStats()
     for entry in summary.slices:
         if entry.stats:
             fleet.merge(SearchStats.from_dict(entry.stats))
-    # Hot-op totals travel inside each slice's stats; feed the fleet
-    # aggregate into the process-global meter so the sweep harness
-    # sees portfolio work like any other search work.
-    # (Inline fleets skip this: their searches already metered live.)
-    if fleet.hot_ops and merge_hot_ops:
-        global_counters().merge_dict(fleet.hot_ops)
+    for stats in driver_stats:
+        fleet.merge(stats)
     for registry in registries:
         for entry in summary.slices:
             if entry.metrics:

@@ -1,14 +1,10 @@
 """Performance instrumentation for the RMRLS reproduction.
 
 End-to-end and per-layer measurement lives in ``perfbench/`` (see
-``docs/benchmarking.md``); this package holds what the search and the
-``rmrls bench`` kernel table need:
+``docs/benchmarking.md``); the search's hot-op counts live in
+``SearchStats.hot_ops`` (:data:`repro.synth.stats.HOT_OP_FIELDS`).
+This package holds what the ``rmrls bench`` kernel table needs:
 
-* **hot-op counters** (:mod:`repro.perf.hotops`) — always-on integer
-  counters at the search's innermost loops (substitutions applied,
-  PPRM terms walked, queue and dedupe-table traffic, restart
-  overhead), surfaced through ``SearchStats.hot_ops``, the metrics
-  registry (``hotop_*``), and a process-global aggregate;
 * **kernel micro-suite** (:mod:`repro.perf.kernels`,
   :mod:`repro.perf.timing`) — the search's inner-loop operations timed
   over fixed seeded inputs with warmup, repeats, and MAD outlier
@@ -17,21 +13,11 @@ End-to-end and per-layer measurement lives in ``perfbench/`` (see
   taken at.
 """
 
-from repro.perf.hotops import (
-    HOT_OP_FIELDS,
-    HotOpCounters,
-    global_counters,
-    snapshot_global,
-)
 from repro.perf.kernels import KERNELS, kernel_names, run_kernel
 from repro.perf.report import git_info
 from repro.perf.timing import TimingResult, mad_keep_mask, time_callable
 
 __all__ = [
-    "HOT_OP_FIELDS",
-    "HotOpCounters",
-    "global_counters",
-    "snapshot_global",
     "TimingResult",
     "mad_keep_mask",
     "time_callable",

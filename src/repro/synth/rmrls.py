@@ -9,8 +9,8 @@ extended substitutions and the Sec. IV-E heuristics (greedy per-variable
 pruning, restarts from alternative first-level substitutions) available
 through :class:`~repro.synth.options.SynthesisOptions`.
 
-The search keeps its :class:`SearchStats` counters itself, next to its
-hot-op counters.  Every notable search event is also reported through a
+The search keeps its :class:`SearchStats` counters itself, hot-op
+counts included.  Every notable search event is also reported through a
 single :class:`~repro.obs.observer.SearchObserver` dispatch point, when
 there is anyone to report to: the Fig. 5 :class:`TraceRecorder` under
 ``record_trace``, and whatever callers attach (metrics, JSONL,
@@ -36,13 +36,12 @@ from repro.obs.observer import (
     PRUNE_LOWER_BOUND,
     MultiObserver,
 )
-from repro.perf.hotops import HotOpCounters, global_counters
 from repro.pprm.engine import search_engine
 from repro.pprm.system import PPRMSystem
 from repro.synth.node import SearchNode
 from repro.synth.options import SynthesisOptions
 from repro.synth.priority import MaxPriorityQueue, node_priority
-from repro.synth.stats import SearchStats, TraceRecorder
+from repro.synth.stats import HOT_OP_FIELDS, SearchStats, TraceRecorder
 from repro.synth.substitutions import candidate_lister
 from repro.utils.timer import Deadline
 
@@ -102,11 +101,11 @@ class SynthesisResult:
 
 
 def _as_system(specification) -> PPRMSystem:
-    """Normalize a specification to a PPRMSystem, on any backend.
+    """Normalize a specification to a PPRMSystem.
 
-    The search does not care which: :class:`_Search` picks its engine
-    by width through :func:`repro.pprm.engine.search_engine` and turns
-    the system into that engine's root state.
+    :class:`_Search` picks its engine by width through
+    :func:`repro.pprm.engine.search_engine` and turns the system into
+    that engine's root state.
     """
     if isinstance(specification, PPRMSystem):
         return specification
@@ -136,7 +135,10 @@ class _Search:
         )
         root_state = self.engine.root_state(system)
         self.identity_state = self.engine.identity_state(system.num_vars)
-        self.stats = SearchStats(initial_terms=system.term_count())
+        self.stats = SearchStats(
+            initial_terms=system.term_count(),
+            hot_ops=dict.fromkeys(HOT_OP_FIELDS, 0),
+        )
         self.trace = TraceRecorder() if options.record_trace else None
         observers = [] if self.trace is None else [self.trace]
         observers.extend(options.observers)
@@ -149,9 +151,6 @@ class _Search:
         else:
             self.observer = MultiObserver(observers)
         self.phases = options.phase_timer
-        # Always-on hot-operation counters (plain integer adds; the
-        # measured overhead budget is 5 % — see docs/benchmarking.md).
-        self.hot = HotOpCounters()
         self.timed_step = False
         self.deadline = Deadline(options.time_limit)
         self.queue = MaxPriorityQueue()
@@ -206,7 +205,7 @@ class _Search:
             self._finish("identity")
             return self.root
         self.queue.push(self.root)
-        self.hot.queue_pushes += 1
+        self.stats.hot_ops["queue_pushes"] += 1
         self._queue_changed()
         try:
             reason = self._loop()
@@ -215,12 +214,13 @@ class _Search:
             # "interrupted", best solution so far) instead of a lost
             # run; sweep drivers check ``stats.interrupted`` to stop.
             reason = "interrupted"
+        # Every step pops one node.
+        self.stats.hot_ops["queue_pops"] += self.stats.steps
         self._finish(reason)
         return self.best_node
 
     def _finish(self, reason: str) -> None:
-        """Seal the counters and report the finish."""
-        self._seal_hot_ops()
+        """Record the finish reason and report it."""
         self.stats.finish(reason)
         if self.observer is not None:
             self.observer.on_finish(reason, self.stats)
@@ -232,13 +232,6 @@ class _Search:
             self.stats.peak_queue_size = size
         if self.observer is not None:
             self.observer.on_queue(size)
-
-    def _seal_hot_ops(self) -> None:
-        """Snapshot the hot-op counters into the stats (so reports and
-        subprocess workers carry them) and the process-global aggregate
-        (so sweep harnesses can meter whole runs)."""
-        self.stats.hot_ops = self.hot.as_dict()
-        global_counters().merge(self.hot)
 
     def _memory_guard_tripped(self) -> bool:
         """True when a node-count or queue-size cap has been exceeded."""
@@ -314,7 +307,6 @@ class _Search:
             parent = queue.pop()
             if timed:
                 phases.add("queue", phases.clock() - start)
-            self.hot.queue_pops += 1
             stats.steps = step + 1
             if observer is not None:
                 observer.on_step(step + 1, parent, len(queue))
@@ -351,7 +343,7 @@ class _Search:
             observer.on_expand(parent)
         options = self.options
         engine = self.engine
-        hot = self.hot
+        hot = stats.hot_ops
         timed = self.timed_step
         if timed:
             clock = self.phases.clock
@@ -379,9 +371,9 @@ class _Search:
         parent_terms = parent.terms
         evaluated: list[tuple] = []
         any_decreasing = False
-        # Hot-op accounting is batched through local ints and flushed
-        # once per expansion: per-candidate slot increments cost ~3% of
-        # the whole search (see docs/benchmarking.md).
+        # Hot-op counts are batched through local ints and added once
+        # per expansion: per-candidate increments cost ~8 % of the
+        # whole search (see docs/benchmarking.md).
         applied = 0
         terms_out = 0
         try:
@@ -409,9 +401,9 @@ class _Search:
                     any_decreasing = True
                 evaluated.append((candidate, child))
         finally:
-            hot.substitutions_applied += applied
-            hot.pprm_terms_in += applied * parent_terms
-            hot.pprm_terms_out += terms_out
+            hot["substitutions_applied"] += applied
+            hot["pprm_terms_in"] += applied * parent_terms
+            hot["pprm_terms_out"] += terms_out
             if timed:
                 add_phase("substitute", clock() - start)
 
@@ -457,7 +449,7 @@ class _Search:
             self.queue.extend(created)
             if timed:
                 add_phase("queue", clock() - start)
-            hot.queue_pushes += len(created)
+            hot["queue_pushes"] += len(created)
             # One update per expansion: the queue only grows while a
             # node expands, so the final size equals the running peak
             # and per-push notifications would add nothing but overhead.
@@ -551,10 +543,10 @@ class _Search:
                 )
         finally:
             stats.children_rejected_growth += rejected
-            hot = self.hot
-            hot.dedupe_probes += probes
-            hot.dedupe_hits += hits
-            hot.dedupe_inserts += inserts
+            hot = stats.hot_ops
+            hot["dedupe_probes"] += probes
+            hot["dedupe_hits"] += hits
+            hot["dedupe_inserts"] += inserts
         return created
 
     def _greedy_prune(self, parent, created, greedy_k) -> list[SearchNode]:
@@ -579,7 +571,6 @@ class _Search:
         lowers the term count.  Substitutes them in candidate order
         until one does."""
         engine = self.engine
-        hot = self.hot
         timed = self.timed_step
         if timed:
             clock = self.phases.clock
@@ -592,18 +583,24 @@ class _Search:
             start = clock()
         parent_terms = parent.terms
         decreases = False
-        for target, factor, allow_growth in candidates:
-            if (target, factor, allow_growth) in finishers:
-                continue
-            terms = engine.state_term_count(
-                engine.substitute_state(state, target, factor)
-            )
-            hot.substitutions_applied += 1
-            hot.pprm_terms_in += parent_terms
-            hot.pprm_terms_out += terms
-            if terms < parent_terms:
-                decreases = True
-                break
+        applied = terms_out = 0
+        try:
+            for target, factor, allow_growth in candidates:
+                if (target, factor, allow_growth) in finishers:
+                    continue
+                terms = engine.state_term_count(
+                    engine.substitute_state(state, target, factor)
+                )
+                applied += 1
+                terms_out += terms
+                if terms < parent_terms:
+                    decreases = True
+                    break
+        finally:
+            hot = self.stats.hot_ops
+            hot["substitutions_applied"] += applied
+            hot["pprm_terms_in"] += applied * parent_terms
+            hot["pprm_terms_out"] += terms_out
         if timed:
             add_phase("substitute", clock() - start)
         return decreases
@@ -642,7 +639,7 @@ class _Search:
         self.first_level = keep
         for seed in keep:
             self.queue.push(seed)
-            self.hot.queue_pushes += 1
+        self.stats.hot_ops["queue_pushes"] += len(keep)
         self._queue_changed()
 
     # -- restarts (Sec. IV-E) ----------------------------------------------------------
@@ -685,23 +682,23 @@ class _Search:
             return False
         seed = ordered[self.next_restart_index]
         self.next_restart_index += 1
-        hot = self.hot
+        hot = self.stats.hot_ops
         if seed.state is None:
             # Already expanded on a previous pass; recompute its state
             # from the root (the root keeps its state precisely for this).
             seed.state = self.engine.substitute_state(
                 self.root.state, seed.target, seed.factor
             )
-            hot.substitutions_applied += 1
-            hot.pprm_terms_in += self.root.terms
-            hot.pprm_terms_out += seed.terms
-        hot.restart_reseeds += 1
-        hot.restart_dropped_nodes += len(self.queue)
+            hot["substitutions_applied"] += 1
+            hot["pprm_terms_in"] += self.root.terms
+            hot["pprm_terms_out"] += seed.terms
+        hot["restart_reseeds"] += 1
+        hot["restart_dropped_nodes"] += len(self.queue)
         self.queue.clear()
         # Queue-size gauges must see the clear, not just the pushes.
         self._queue_changed()
         self.queue.push(seed)
-        hot.queue_pushes += 1
+        hot["queue_pushes"] += 1
         self._queue_changed()
         self.steps_since_restart = 0
         self.stats.restarts += 1
@@ -732,13 +729,16 @@ class FirstLevelSeed:
 class FirstLevel:
     """Result of :func:`enumerate_first_level`.
 
-    ``shortcut`` is a complete :class:`SynthesisResult` when the
-    specification needs no portfolio at all — the identity function, or
-    a single-gate (depth-1) solution discovered during the root
-    expansion, which no deeper search can beat.
+    ``stats`` holds the root expansion's counters, which a portfolio
+    result adds to its own.  ``shortcut`` is a complete
+    :class:`SynthesisResult` when the specification needs no portfolio
+    at all — the identity function, or a single-gate (depth-1)
+    solution discovered during the root expansion, which no deeper
+    search can beat; its stats are ``stats``.
     """
 
     seeds: list[FirstLevelSeed]
+    stats: SearchStats
     shortcut: SynthesisResult | None = None
 
 
@@ -790,24 +790,25 @@ def enumerate_first_level(
     if system.is_identity():
         return FirstLevel(
             seeds=[],
+            stats=search.stats,
             shortcut=_finalize_search(search, "identity", search.root),
         )
+    hot = search.stats.hot_ops
     search.queue.push(search.root)
-    search.hot.queue_pushes += 1
+    hot["queue_pushes"] += 1
     search._queue_changed()
     root = search.queue.pop()
-    search.hot.queue_pops += 1
+    hot["queue_pops"] += 1
     search._expand(root)
     if search.best_node is not None:
         # A depth-1 solution is globally optimal — racing workers over
         # the seed pool could only rediscover it.
         return FirstLevel(
             seeds=[],
+            stats=search.stats,
             shortcut=_finalize_search(search, "solved", search.best_node),
         )
-    # No on_finish here: the search goes on in the portfolio workers,
-    # but the root expansion's work is metered all the same.
-    search._seal_hot_ops()
+    # No on_finish here: the search goes on in the portfolio workers.
     seeds = [
         FirstLevelSeed(
             rank=rank,
@@ -819,7 +820,7 @@ def enumerate_first_level(
         )
         for rank, node in enumerate(search._ranked_first_level())
     ]
-    return FirstLevel(seeds=seeds)
+    return FirstLevel(seeds=seeds, stats=search.stats)
 
 
 def synthesize(

@@ -1,7 +1,8 @@
 """Search statistics and optional trace recording.
 
 :class:`SearchStats` summarizes a run for the experiment tables; the
-search writes it directly.  :class:`TraceRecorder` is the observer that
+search writes it directly, its hot-op counts included
+(:data:`HOT_OP_FIELDS`).  :class:`TraceRecorder` is the observer that
 captures the search-tree events needed to regenerate Figs. 5 and 6
 (node creation with priorities, pops, pruning decisions, solutions).
 """
@@ -12,7 +13,41 @@ from dataclasses import asdict, dataclass, field, fields
 
 from repro.obs.observer import PRUNE_DEPTH, SearchObserver, node_record
 
-__all__ = ["SearchStats", "TraceEvent", "TraceRecorder"]
+__all__ = ["HOT_OP_FIELDS", "SearchStats", "TraceEvent", "TraceRecorder"]
+
+
+#: The hot-op counts of ``SearchStats.hot_ops``, in reporting order.
+#: The search adds to them once per expansion, through locals, so
+#: they can stay on unconditionally (see docs/benchmarking.md).
+#:
+#: * ``substitutions_applied`` — child states computed: the entries of
+#:   each expansion's ``engine.children`` call, the substitutions of
+#:   the growth rule's sibling check (``_sibling_decreases``), and the
+#:   restart reseeds that recompute a seed's state (the dominant
+#:   kernel);
+#: * ``pprm_terms_in`` / ``pprm_terms_out`` — total terms walked into /
+#:   produced by those substitutions (the XOR workload proxy: a
+#:   substitution rewrites every term of every output once);
+#: * ``queue_pushes`` / ``queue_pops`` — priority-queue traffic;
+#: * ``dedupe_probes`` / ``dedupe_hits`` / ``dedupe_inserts`` —
+#:   duplicate-table lookups, lookups that found a duplicate, and
+#:   completed inserts;
+#: * ``restart_reseeds`` — queue reseeds taken by the Sec. IV-E
+#:   restart heuristic;
+#: * ``restart_dropped_nodes`` — queued nodes discarded by those
+#:   reseeds (the work a restart throws away).
+HOT_OP_FIELDS = (
+    "substitutions_applied",
+    "pprm_terms_in",
+    "pprm_terms_out",
+    "queue_pushes",
+    "queue_pops",
+    "dedupe_probes",
+    "dedupe_hits",
+    "dedupe_inserts",
+    "restart_reseeds",
+    "restart_dropped_nodes",
+)
 
 
 #: The budget flag each budget-bound finish reason raises.
@@ -45,8 +80,8 @@ class SearchStats:
     interrupted: bool = False
     visited_overflows: int = 0
     finish_reason: str = ""
-    # Hot-operation totals (see repro.perf.hotops), snapshotted from
-    # the search's always-on counters just before on_finish fires.
+    # Hot-operation totals, keyed by HOT_OP_FIELDS; a search starts
+    # them at zero and adds to them as it goes.
     hot_ops: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:

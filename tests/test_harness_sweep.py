@@ -332,3 +332,63 @@ class TestHarnessFromEnv:
             harness_from_env({var: value})
         config = harness_from_env({var: value, "RMRLS_ISOLATE": "1"})
         assert config.isolate
+
+
+class TestOneCounterRecord:
+    """A task's counters reach a sweep only inside its result's stats,
+    so the sweep reports the same record the entry point returns."""
+
+    @pytest.mark.parametrize("isolate", [False, True])
+    def test_portfolio_ledger_matches_synthesize(self, tmp_path, isolate):
+        import json
+
+        from repro.harness.tasks import permutation_task
+        from repro.synth import synthesize
+        from repro.synth.options import SynthesisOptions
+
+        spec = [1, 0, 7, 2, 3, 4, 5, 6]
+        options = SynthesisOptions(
+            portfolio_jobs=2, portfolio_share_bound=False
+        )
+        direct = synthesize(spec, options).stats.as_dict()
+        ledger = str(tmp_path / "ledger.jsonl")
+        run_sweep(
+            "one-record", [permutation_task(spec, options=options)],
+            config=HarnessConfig(isolate=isolate, ledger_path=ledger),
+        )
+        with open(ledger) as handle:
+            (record,) = [
+                json.loads(line) for line in handle
+                if '"task_id"' in line
+            ]
+        swept = record["stats"]
+        del direct["elapsed_seconds"], swept["elapsed_seconds"]
+        assert swept == direct
+        # The driver's root expansion (7 substitutions) is counted on
+        # both sides.
+        assert direct["hot_ops"]["substitutions_applied"] == 57
+
+    @pytest.mark.parametrize("isolate", [False, True])
+    def test_benchmark_task_hot_ops_sum_its_searches(self, isolate):
+        from repro.benchlib.specs import benchmark
+        from repro.experiments.common import TABLE4_OPTIONS
+        from repro.experiments.table4 import run_benchmark
+        from repro.harness.tasks import benchmark_task
+        from repro.synth.stats import SearchStats
+
+        options = TABLE4_OPTIONS.with_(max_steps=300)
+        totals = SearchStats()
+        run_benchmark(
+            benchmark("3_17"), options, strict=False, totals=totals
+        )
+        expected = totals.hot_ops["substitutions_applied"]
+        assert expected == 1965
+
+        registry = MetricsRegistry()
+        run_sweep(
+            "bench-hot", [benchmark_task("3_17", options=options)],
+            config=HarnessConfig(metrics=registry, isolate=isolate),
+        )
+        assert registry.counter(
+            "hotop_substitutions_applied"
+        ).value == expected

@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.perf.hotops import HotOpCounters
 from repro.perf.kernels import KERNELS, kernel_names, run_kernel
 from repro.perf.report import git_info
 from repro.pprm.engine import ENGINES, lane_engine
+from repro.synth.stats import SearchStats
 
 
 class TestGitInfo:
@@ -77,6 +77,11 @@ class TestLaneEngineGate:
 
 class TestHotOpTotalsHelper:
     def test_merge_dict_tolerates_foreign_keys(self):
-        totals = HotOpCounters()
-        totals.merge_dict({"queue_pops": 1, "from_the_future": 2})
-        assert totals.queue_pops == 1
+        # A snapshot from a newer worker: unknown fields are dropped,
+        # unknown hot-op keys are summed like known ones.
+        totals = SearchStats()
+        totals.merge(SearchStats.from_dict({
+            "hot_ops": {"queue_pops": 1, "from_the_future": 2},
+            "from_the_future": 3,
+        }))
+        assert totals.hot_ops == {"queue_pops": 1, "from_the_future": 2}

@@ -1,92 +1,53 @@
-"""Hot-op counters: the slots object, global aggregation, and the
-search-loop instrumentation that feeds them."""
+"""Hot-op counters: the ``SearchStats.hot_ops`` record, how it
+merges, and the search-loop instrumentation that feeds it."""
 
 import pytest
 
 from repro.functions.permutation import Permutation
 from repro.obs import MetricsObserver, MetricsRegistry
-from repro.perf.hotops import (
-    HOT_OP_FIELDS,
-    HotOpCounters,
-    global_counters,
-    reset_global,
-    snapshot_global,
-)
 from repro.obs.observer import SearchObserver
 from repro.synth.rmrls import enumerate_first_level, synthesize
+from repro.synth.stats import HOT_OP_FIELDS, SearchStats
+
+FIG1 = [1, 0, 7, 2, 3, 4, 5, 6]
 
 
-class TestHotOpCounters:
+class TestHotOpRecord:
     def test_starts_at_zero(self):
-        counters = HotOpCounters()
-        assert counters.total() == 0
-        assert all(value == 0 for value in counters.as_dict().values())
+        # The identity finishes before any queue traffic.
+        stats = synthesize(list(range(8))).stats
+        assert tuple(stats.hot_ops) == HOT_OP_FIELDS
+        assert all(value == 0 for value in stats.hot_ops.values())
 
-    def test_fields_match_slots(self):
-        counters = HotOpCounters()
-        assert tuple(counters.as_dict()) == HOT_OP_FIELDS
+    def test_fields_in_reporting_order(self):
+        stats = synthesize(FIG1).stats
+        assert tuple(stats.hot_ops) == HOT_OP_FIELDS
+        assert tuple(stats.as_dict()["hot_ops"]) == HOT_OP_FIELDS
 
     def test_merge_adds(self):
-        first = HotOpCounters()
-        first.queue_pushes = 3
-        second = HotOpCounters()
-        second.queue_pushes = 4
-        second.dedupe_hits = 1
+        first = SearchStats(hot_ops={"queue_pushes": 3})
+        second = SearchStats(hot_ops={"queue_pushes": 4, "dedupe_hits": 1})
         first.merge(second)
-        assert first.queue_pushes == 7
-        assert first.dedupe_hits == 1
+        assert first.hot_ops == {"queue_pushes": 7, "dedupe_hits": 1}
 
-    def test_merge_dict_ignores_unknown_keys(self):
-        counters = HotOpCounters()
-        counters.merge_dict({"queue_pops": 2, "not_a_counter": 99})
-        assert counters.queue_pops == 2
-        assert counters.total() == 2
-
-    def test_diff(self):
-        earlier = HotOpCounters()
-        earlier.substitutions_applied = 5
-        later = earlier.copy()
-        later.substitutions_applied = 8
-        later.queue_pops = 2
-        delta = later.diff(earlier)
-        assert delta.substitutions_applied == 3
-        assert delta.queue_pops == 2
-
-    def test_copy_is_independent(self):
-        counters = HotOpCounters()
-        counters.queue_pops = 1
-        clone = counters.copy()
-        clone.queue_pops = 10
-        assert counters.queue_pops == 1
-
-    def test_equality(self):
-        first = HotOpCounters()
-        second = HotOpCounters()
-        assert first == second
-        second.dedupe_probes = 1
-        assert first != second
+    def test_snapshot_is_independent(self):
+        # The search writes into stats.hot_ops in place; a snapshot
+        # shipped to a report or a parent process must not follow it.
+        stats = synthesize(FIG1).stats
+        snapshot = stats.as_dict()
+        stats.hot_ops["queue_pops"] += 10
+        assert snapshot["hot_ops"]["queue_pops"] + 10 == (
+            stats.hot_ops["queue_pops"]
+        )
 
     def test_publish_skips_zeros(self):
-        counters = HotOpCounters()
-        counters.queue_pushes = 5
         registry = MetricsRegistry()
-        counters.publish(registry)
-        assert registry.counter("hotop_queue_pushes").value == 5
-        assert registry.get("hotop_dedupe_hits") is None
-
-
-class TestGlobalCounters:
-    def test_snapshot_is_isolated(self):
-        snapshot = snapshot_global()
-        global_counters().queue_pops += 1
-        assert snapshot_global().queue_pops == snapshot.queue_pops + 1
-        # the earlier snapshot did not move
-        assert snapshot.queue_pops != global_counters().queue_pops
-
-    def test_reset(self):
-        global_counters().queue_pops += 1
-        reset_global()
-        assert snapshot_global().total() == 0
+        result = synthesize(FIG1, observers=(MetricsObserver(registry),))
+        assert result.stats.hot_ops["restart_reseeds"] == 0
+        assert registry.counter("hotop_queue_pushes").value == (
+            result.stats.hot_ops["queue_pushes"]
+        )
+        assert registry.get("hotop_restart_reseeds") is None
 
 
 class TestSearchInstrumentation:
@@ -109,26 +70,18 @@ class TestSearchInstrumentation:
     def test_hot_ops_in_as_dict(self, result):
         assert "hot_ops" in result.stats.as_dict()
 
-    def test_global_counters_metered(self):
-        before = snapshot_global()
-        result = synthesize(Permutation([1, 0, 3, 2, 5, 7, 4, 6]).to_pprm())
-        delta = snapshot_global().diff(before)
-        assert delta.as_dict() == result.stats.hot_ops
-
     def test_first_level_seed_path_is_metered(self):
-        # The root expansion behind the portfolio's seed ranking must
-        # reach the process-global meter exactly like the first step
-        # of a serial search does.
+        # The root expansion behind the portfolio's seed ranking is
+        # counted exactly like the first step of a serial search.
         spec = Permutation(
             [15, 0, 14, 1, 13, 2, 12, 3, 11, 4, 10, 5, 9, 6, 8, 7]
         )
-        before = snapshot_global()
         first = enumerate_first_level(spec)
-        delta = snapshot_global().diff(before)
         assert first.shortcut is None and len(first.seeds) == 10
         one_step = synthesize(spec, max_steps=1)
-        assert delta.substitutions_applied == 10
-        assert delta.as_dict() == one_step.stats.hot_ops
+        assert first.stats.hot_ops["substitutions_applied"] == 10
+        assert first.stats.hot_ops == one_step.stats.hot_ops
+        assert first.stats.nodes_created == one_step.stats.nodes_created
 
     @pytest.mark.parametrize(
         "images, finishes",

@@ -288,6 +288,46 @@ class TestFleetMerging:
         assert result.stats.steps > 0
         assert result.stats.hot_ops.get("queue_pushes", 0) > 0
 
+    @staticmethod
+    def _applied(stats) -> int:
+        if isinstance(stats, dict):
+            return stats["hot_ops"]["substitutions_applied"]
+        return stats.hot_ops["substitutions_applied"]
+
+    def test_fleet_stats_add_the_driver_root_expansion(self, fig1_spec):
+        result = synthesize(
+            fig1_spec, portfolio_jobs=2, portfolio_share_bound=False
+        )
+        root = enumerate_first_level(fig1_spec).stats
+        slices = sum(
+            self._applied(entry.stats) for entry in result.portfolio.slices
+        )
+        assert self._applied(result.stats) == slices + self._applied(root)
+        assert result.stats.nodes_expanded == 1 + sum(
+            entry.stats["nodes_expanded"] for entry in result.portfolio.slices
+        )
+
+    def test_serial_fallback_adds_the_driver_root_expansion(self, fig1_spec):
+        result = synthesize_portfolio(fig1_spec, jobs=1)
+        serial = synthesize(fig1_spec).stats
+        root = enumerate_first_level(fig1_spec).stats
+        assert result.stats.steps == serial.steps
+        assert self._applied(result.stats) == (
+            self._applied(serial) + self._applied(root)
+        )
+
+    def test_inverse_deck_adds_both_first_levels(self, fig1_spec):
+        result = synthesize(fig1_spec, portfolio_strategies=("inverse",))
+        (entry,) = result.portfolio.slices
+        assert entry.direction == "inverse"
+        forward = enumerate_first_level(fig1_spec).stats
+        inverse = enumerate_first_level(fig1_spec.inverse()).stats
+        assert self._applied(result.stats) == (
+            self._applied(entry.stats)
+            + self._applied(forward)
+            + self._applied(inverse)
+        )
+
     def test_worker_metrics_merge_into_parent_registry(self, fig1_spec):
         registry = MetricsRegistry()
         options = SynthesisOptions(
