@@ -11,8 +11,10 @@ Subcommands::
     rmrls benchmarks                            # list known benchmarks
     rmrls table1 --sample 100                   # reproduce Table I
     rmrls table2 --sample 20 / table3 --sample 10
-    rmrls table4 --names rd32,3_17
+    rmrls table4 --names rd32,3_17 --json
     rmrls scalability --max-gates 15 --samples 5
+    rmrls table2 --sample 500 --isolate --jobs 4 --resume t2.jsonl
+    rmrls sweep probes --probes ok,hang --isolate   # harness smoke test
     rmrls examples                              # the 14 worked examples
     rmrls figures                               # regenerate Figs. 1-9
     rmrls serve --socket S --store DIR          # synthesis cache daemon
@@ -39,18 +41,25 @@ canonical circuit store — hits replay a stored circuit onto the
 caller's wire order, misses are single-flighted onto the worker pool
 as they arrive, and the verified result seeds the store.  ``rmrls store`` has the
 offline tools (``stats``, ``verify [--deep] [--repair]``, ``gc``,
-``export``), all emitting JSON.  ``rmrls sweep --store DIR`` warms a
-store from every circuit a sweep synthesizes; ``--fsync-ledger``
-makes the resume ledger power-cut durable.
+``export``), all emitting JSON.  ``--store DIR`` on a table command or
+``rmrls sweep`` warms a store from every circuit the sweep
+synthesizes; ``--fsync-ledger`` makes the resume ledger power-cut
+durable.
+
+Every paper experiment (``table1``-``table4``, ``scalability``) runs
+one way: one harness sweep configured by the shared harness flags
+(inline by default), printing its table or, with ``--json``,
+``{"metrics", "results"}``.
 
 Crash forensics (see docs/observability.md): ``--flight-dir DIR`` on
-portfolio ``synth`` runs, ``sweep --isolate``, and ``serve`` arms a
-black-box flight recorder in every process.  Clean exits leave nothing
-behind; crashed, unsound, OOM-killed, or SIGKILL'd processes leave
-checksummed crash dumps (recovered from the victim's mmap ring file by
-the coordinator).  ``rmrls postmortem DIR`` reconstructs the fleet's
-final moments; ``rmrls replay DUMP`` re-runs the recorded search
-deterministically and checks it reaches the same states.
+portfolio ``synth`` runs, ``--isolate`` sweeps and table commands, and
+``serve`` arms a black-box flight recorder in every process.  Clean
+exits leave nothing behind; crashed, unsound, OOM-killed, or SIGKILL'd
+processes leave checksummed crash dumps (recovered from the victim's
+mmap ring file by the coordinator).  ``rmrls postmortem DIR``
+reconstructs the fleet's final moments; ``rmrls replay DUMP`` re-runs
+the recorded search deterministically and checks it reaches the same
+states.
 """
 
 from __future__ import annotations
@@ -594,66 +603,97 @@ def _cmd_benchmarks(_args) -> int:
     return 0
 
 
-def _cmd_table1(args) -> int:
-    from repro.experiments.table1 import render_table1, run_table1
+def _experiment_json(result) -> dict:
+    return {
+        "attempted": result.attempted,
+        "failed": result.failed,
+        "failures": result.failures,
+        "histogram": result.histogram,
+        "sweep": result.extras.get("sweep"),
+    }
 
-    sample = None if args.full else args.sample
-    if args.jobs < 1:
-        print("--jobs must be >= 1", file=sys.stderr)
+
+def _cmd_table(args) -> int:
+    """Run one paper experiment (``table1``-``table4``, ``scalability``)
+    through the sweep harness; print its table, or with ``--json`` its
+    results next to the sweep metrics."""
+    from repro.obs import MetricsRegistry
+
+    registry = MetricsRegistry()
+    try:
+        harness = _harness_from_args(args, metrics=registry)
+    except ValueError as error:
+        print(str(error), file=sys.stderr)
         return 2
-    harness = None
-    if args.jobs > 1:
-        from repro.harness import HarnessConfig, RetryPolicy
+    command = args.command
+    if command == "table1":
+        from repro.experiments.table1 import render_table1, run_table1
 
-        harness = HarnessConfig(
-            isolate=True, jobs=args.jobs, retry=RetryPolicy()
+        if args.corpus is not None and not os.path.exists(args.corpus):
+            print(f"coverage corpus not found: {args.corpus}",
+                  file=sys.stderr)
+            return 2
+        results = run_table1(
+            sample=None if args.full else args.sample, seed=args.seed,
+            harness=harness, limit=args.limit, corpus=args.corpus,
         )
-    corpus = getattr(args, "corpus", None)
-    if corpus is not None and not os.path.exists(corpus):
-        print(f"coverage corpus not found: {corpus}", file=sys.stderr)
-        return 2
-    print(render_table1(
-        run_table1(sample=sample, seed=args.seed, harness=harness,
-                   corpus=corpus)
-    ))
-    return 0
+        rendered = render_table1(results)
+        rows = {r.name: _experiment_json(r) for r in results.values()}
+    elif command in ("table2", "table3"):
+        from repro.experiments.table23 import (
+            render_table2,
+            render_table3,
+            run_random_functions,
+        )
 
+        result = run_random_functions(
+            4 if command == "table2" else 5, args.sample, seed=args.seed,
+            harness=harness, limit=args.limit,
+        )
+        render = render_table2 if command == "table2" else render_table3
+        rendered = render(result)
+        rows = {result.name: _experiment_json(result)}
+    elif command == "table4":
+        from repro.experiments.table4 import render_table4, run_table4
 
-def _cmd_table2(args) -> int:
-    from repro.experiments.table23 import render_table2, run_random_functions
+        names = args.names.split(",") if args.names else None
+        outcomes = run_table4(names, harness=harness, limit=args.limit)
+        rendered = render_table4(outcomes)
+        rows = {
+            name: {
+                "gate_count": outcome.gate_count,
+                "quantum_cost": outcome.quantum_cost,
+                "raw_gate_count": outcome.raw_gate_count,
+                "steps": outcome.steps,
+                "unsound_count": outcome.unsound_count,
+            }
+            for name, outcome in outcomes.items()
+        }
+    else:
+        from repro.experiments.table567 import (
+            render_scalability,
+            run_scalability,
+        )
 
-    result = run_random_functions(4, args.sample, seed=args.seed)
-    print(render_table2(result))
-    return 0
+        variables = (
+            [int(v) for v in args.variables.split(",")]
+            if args.variables else None
+        )
+        results = run_scalability(
+            args.max_gates, variables=variables, samples=args.samples,
+            seed=args.seed, harness=harness, limit=args.limit,
+        )
+        rendered = render_scalability(args.max_gates, results)
+        rows = {r.name: _experiment_json(r) for r in results.values()}
 
-
-def _cmd_table3(args) -> int:
-    from repro.experiments.table23 import render_table3, run_random_functions
-
-    result = run_random_functions(5, args.sample, seed=args.seed)
-    print(render_table3(result))
-    return 0
-
-
-def _cmd_table4(args) -> int:
-    from repro.experiments.table4 import render_table4, run_table4
-
-    names = args.names.split(",") if args.names else None
-    print(render_table4(run_table4(names)))
-    return 0
-
-
-def _cmd_scalability(args) -> int:
-    from repro.experiments.table567 import render_scalability, run_scalability
-
-    variables = (
-        [int(v) for v in args.variables.split(",")] if args.variables else None
-    )
-    results = run_scalability(
-        args.max_gates, variables=variables, samples=args.samples,
-        seed=args.seed,
-    )
-    print(render_scalability(args.max_gates, results))
+    if args.json:
+        print(json.dumps(
+            {"metrics": registry.as_dict(), "results": rows}, indent=2
+        ))
+    else:
+        print(rendered)
+        for line in _sweep_recovery_lines(registry, args.store):
+            print(line, file=sys.stderr)
     return 0
 
 
@@ -713,7 +753,7 @@ def _harness_from_args(args, metrics=None):
 
 
 def _cmd_sweep(args) -> int:
-    """Run one experiment sweep through the fault-tolerant harness."""
+    """Run the harness probes or a sharded coverage sweep verb."""
     from repro.harness import build_sweep_report, probe_task, run_sweep
     from repro.obs import MetricsRegistry
 
@@ -723,112 +763,29 @@ def _cmd_sweep(args) -> int:
     except ValueError as error:
         print(str(error), file=sys.stderr)
         return 2
-    target = args.target
-
-    if target in ("plan", "run", "merge", "collect", "validate"):
+    if args.target != "probes":
         return _cmd_sweep_sharded(args, harness, registry)
 
-    if target == "probes":
-        behaviors = [
-            behavior.strip()
-            for behavior in (args.probes or "ok").split(",")
-            if behavior.strip()
-        ]
-        tasks = [
-            probe_task(
-                behavior,
-                meta={"label": f"probe{index}:{behavior}"},
-                namespace=f"probes:{index}",
-            )
-            for index, behavior in enumerate(behaviors)
-        ]
-        report = run_sweep(
-            "probes", tasks, config=harness, limit=args.limit
+    behaviors = [
+        behavior.strip()
+        for behavior in (args.probes or "ok").split(",")
+        if behavior.strip()
+    ]
+    tasks = [
+        probe_task(
+            behavior,
+            meta={"label": f"probe{index}:{behavior}"},
+            namespace=f"probes:{index}",
         )
-        if args.json:
-            print(json.dumps(build_sweep_report(report, registry), indent=2))
-        else:
-            _print_sweep_summary(report, registry=registry,
-                                 store_path=args.store)
-        return 0 if report.failed == 0 and not report.interrupted else 1
-
-    results = {}
-    if target == "table1":
-        from repro.experiments.table1 import render_table1, run_table1
-
-        sample = None if args.full else args.sample
-        results = run_table1(
-            sample=sample, seed=args.seed, strict=args.strict,
-            harness=harness, limit=args.limit,
-        )
-        rendered = render_table1(results)
-    elif target in ("table2", "table3"):
-        from repro.experiments.table23 import (
-            render_table2,
-            render_table3,
-            run_random_functions,
-        )
-
-        num_vars = 4 if target == "table2" else 5
-        result = run_random_functions(
-            num_vars, args.sample, seed=args.seed, strict=args.strict,
-            harness=harness, limit=args.limit,
-        )
-        results = {result.name: result}
-        rendered = (
-            render_table2(result) if target == "table2"
-            else render_table3(result)
-        )
-    elif target == "table4":
-        from repro.experiments.table4 import render_table4, run_table4
-
-        names = args.names.split(",") if args.names else None
-        outcomes = run_table4(
-            names, strict=args.strict, harness=harness, limit=args.limit,
-        )
-        rendered = render_table4(outcomes)
-    elif target == "scalability":
-        from repro.experiments.table567 import (
-            render_scalability,
-            run_scalability,
-        )
-
-        variables = (
-            [int(v) for v in args.variables.split(",")]
-            if args.variables else None
-        )
-        results = run_scalability(
-            args.max_gates, variables=variables, samples=args.samples,
-            seed=args.seed, strict=args.strict, harness=harness,
-            limit=args.limit,
-        )
-        rendered = render_scalability(args.max_gates, results)
-    else:  # pragma: no cover - argparse restricts choices
-        print(f"unknown sweep target: {target}", file=sys.stderr)
-        return 2
-
+        for index, behavior in enumerate(behaviors)
+    ]
+    report = run_sweep("probes", tasks, config=harness, limit=args.limit)
     if args.json:
-        document = {"metrics": registry.as_dict()}
-        experiment_results = (
-            results.values() if hasattr(results, "values") else []
-        )
-        document["results"] = {
-            result.name: {
-                "attempted": result.attempted,
-                "failed": result.failed,
-                "failures": result.failures,
-                "histogram": result.histogram,
-                "sweep": result.extras.get("sweep"),
-            }
-            for result in experiment_results
-            if hasattr(result, "attempted")
-        }
-        print(json.dumps(document, indent=2))
+        print(json.dumps(build_sweep_report(report, registry), indent=2))
     else:
-        print(rendered)
-        for line in _sweep_recovery_lines(registry, args.store):
-            print(line, file=sys.stderr)
-    return 0
+        _print_sweep_summary(report, registry=registry,
+                             store_path=args.store)
+    return 0 if report.failed == 0 and not report.interrupted else 1
 
 
 def _cmd_sweep_sharded(args, harness, registry) -> int:
@@ -1440,34 +1397,30 @@ def main(argv: list[str] | None = None) -> int:
     decompose_cmd.add_argument("real", help="path to a .real file")
     decompose_cmd.set_defaults(handler=_cmd_decompose)
 
-    table1 = commands.add_parser("table1", help="reproduce Table I")
-    table1.add_argument("--sample", type=int, default=200)
-    table1.add_argument("--full", action="store_true",
-                        help="run all 40,320 functions")
-    table1.add_argument("--seed", type=int, default=2004)
-    table1.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="run the RMRLS column on N isolated workers "
-                             "(implies the fault-tolerant harness)")
-    table1.add_argument("--corpus", metavar="PATH",
-                        help="read the RMRLS column from a coverage "
-                             "corpus (results/coverage3.jsonl) instead "
-                             "of re-synthesizing")
-    table1.set_defaults(handler=_cmd_table1)
-
-    for name, handler, default_sample in (
-        ("table2", _cmd_table2, 30),
-        ("table3", _cmd_table3, 10),
+    experiments = {}
+    for name, help_text, default_sample in (
+        ("table1", "reproduce Table I", 200),
+        ("table2", "reproduce Table II", 30),
+        ("table3", "reproduce Table III", 10),
     ):
-        sub = commands.add_parser(name, help=f"reproduce Table {name[-1]}")
+        experiments[name] = sub = commands.add_parser(name, help=help_text)
         sub.add_argument("--sample", type=int, default=default_sample)
         sub.add_argument("--seed", type=int, default=2004)
-        sub.set_defaults(handler=handler)
+    experiments["table1"].add_argument(
+        "--full", action="store_true", help="run all 40,320 functions"
+    )
+    experiments["table1"].add_argument(
+        "--corpus", metavar="PATH",
+        help="read the RMRLS column from a coverage corpus "
+             "(results/coverage3.jsonl) instead of re-synthesizing",
+    )
 
-    table4 = commands.add_parser("table4", help="reproduce Table IV")
+    experiments["table4"] = table4 = commands.add_parser(
+        "table4", help="reproduce Table IV"
+    )
     table4.add_argument("--names", help="comma-separated benchmark names")
-    table4.set_defaults(handler=_cmd_table4)
 
-    scalability = commands.add_parser(
+    experiments["scalability"] = scalability = commands.add_parser(
         "scalability", help="reproduce Tables V-VII"
     )
     scalability.add_argument("--max-gates", type=int, default=15,
@@ -1476,34 +1429,27 @@ def main(argv: list[str] | None = None) -> int:
     scalability.add_argument("--variables",
                              help="comma-separated variable counts (6..16)")
     scalability.add_argument("--seed", type=int, default=2004)
-    scalability.set_defaults(handler=_cmd_scalability)
+
+    for sub in experiments.values():
+        sub.add_argument("--json", action="store_true",
+                         help="print the results and the sweep metrics "
+                              "as one JSON document")
+        _add_harness_flags(sub)
+        sub.set_defaults(handler=_cmd_table)
 
     sweep = commands.add_parser(
         "sweep",
-        help="run an experiment sweep through the fault-tolerant "
-             "harness (isolation, budgets, retries, resumable ledger)",
+        help="smoke-test the fault-tolerant harness or drive a sharded "
+             "coverage sweep (the paper experiments take the harness "
+             "flags on their own commands)",
     )
     sweep.add_argument(
         "target",
-        choices=["table1", "table2", "table3", "table4", "scalability",
-                 "probes", "plan", "run", "merge", "collect", "validate"],
-        help="which sweep to run ('probes' injects synthetic "
-             "failures for smoke-testing the harness itself; "
-             "plan/run/merge/collect/validate drive a sharded "
-             "coverage sweep — see docs/sweeps.md)",
+        choices=["probes", "plan", "run", "merge", "collect", "validate"],
+        help="'probes' injects synthetic failures for smoke-testing "
+             "the harness itself; plan/run/merge/collect/validate "
+             "drive a sharded coverage sweep — see docs/sweeps.md",
     )
-    sweep.add_argument("--sample", type=int, default=30,
-                       help="sample size for table1/table2/table3")
-    sweep.add_argument("--full", action="store_true",
-                       help="table1: run all 40,320 functions")
-    sweep.add_argument("--seed", type=int, default=2004)
-    sweep.add_argument("--names", help="table4: comma-separated benchmarks")
-    sweep.add_argument("--max-gates", type=int, default=15,
-                       help="scalability: 15, 20, or 25")
-    sweep.add_argument("--samples", type=int, default=10,
-                       help="scalability: samples per variable count")
-    sweep.add_argument("--variables",
-                       help="scalability: comma-separated variable counts")
     sweep.add_argument("--probes",
                        help="probes: comma-separated behaviors (ok, "
                             "unsolved, raise, exit, hang, oom, unsound)")

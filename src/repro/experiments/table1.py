@@ -36,12 +36,7 @@ from repro.experiments.common import (
 from repro.experiments.paper_data import TABLE1, TABLE1_AVERAGES
 from repro.functions.permutation import Permutation
 from repro.gates.library import NCT, NCTS
-from repro.harness import (
-    HarnessConfig,
-    harness_from_env,
-    permutation_task,
-    run_sweep,
-)
+from repro.harness import HarnessConfig, permutation_task, run_sweep
 from repro.synth.options import SynthesisOptions
 
 __all__ = ["run_table1", "render_table1"]
@@ -96,7 +91,6 @@ def run_table1(
     options: SynthesisOptions = TABLE1_OPTIONS,
     include_miller: bool = True,
     apply_templates: bool = False,
-    strict: bool = False,
     harness: HarnessConfig | None = None,
     limit: int | None = None,
     corpus: str | None = None,
@@ -105,10 +99,11 @@ def run_table1(
 
     ``apply_templates`` additionally reports RMRLS followed by template
     simplification (the paper's 6.10 -> 6.05 postprocessing remark).
-    The RMRLS column runs through the fault-tolerant harness (unsound
-    or crashing functions become ``failures`` entries unless
-    ``strict=True``); the Miller baseline and the exhaustive optimal
-    sweeps stay in-process — they are deterministic and cheap.
+    The RMRLS column runs through :func:`~repro.harness.run_sweep`
+    under ``harness`` (unsound or crashing functions become
+    ``failures`` entries unless ``harness.strict``); the Miller
+    baseline and the exhaustive optimal sweeps stay in-process — they
+    are deterministic and cheap.
 
     ``corpus`` replaces the RMRLS sweep with the coverage corpus
     produced by ``rmrls sweep collect`` (``results/coverage3.jsonl``):
@@ -116,8 +111,6 @@ def run_table1(
     functions via the per-class best-known counts, with no synthesis at
     all.  The Miller and optimal columns are still computed live.
     """
-    if harness is None:
-        harness = harness_from_env()
     specs = _three_variable_sample(sample, seed)
     results: dict[str, ExperimentResult] = {}
 
@@ -151,9 +144,8 @@ def run_table1(
                     outcome.extra["template_gate_count"],
                 )
 
-        config = (harness or HarnessConfig()).with_(strict=strict)
         report = run_sweep(
-            "table1", tasks, config=config, on_outcome=on_outcome,
+            "table1", tasks, config=harness, on_outcome=on_outcome,
             limit=limit,
         )
         ours.extras["sweep"] = report.as_dict()

@@ -25,12 +25,7 @@ from repro.experiments.paper_data import (
     TABLE3_SIZES,
 )
 from repro.functions.permutation import random_permutation
-from repro.harness import (
-    HarnessConfig,
-    harness_from_env,
-    permutation_task,
-    run_sweep,
-)
+from repro.harness import HarnessConfig, permutation_task, run_sweep
 from repro.synth.options import SynthesisOptions
 
 __all__ = ["run_random_functions", "render_table2", "render_table3"]
@@ -41,26 +36,20 @@ def run_random_functions(
     sample: int,
     options: SynthesisOptions | None = None,
     seed: int = 2004,
-    strict: bool = False,
     harness: HarnessConfig | None = None,
     limit: int | None = None,
 ) -> ExperimentResult:
     """Synthesize ``sample`` random ``num_vars``-variable functions.
 
-    Every attempt runs through the fault-tolerant harness: an unsound
-    or crashing attempt is recorded in ``result.failures`` and the
-    sweep continues (``strict=True`` restores the historical
-    ``AssertionError`` alarm).  ``harness`` enables isolation, budgets,
-    retries, and ledger resume; without it the specifications are
-    synthesized in-process in the same order as always.
+    Every attempt runs through :func:`~repro.harness.run_sweep` under
+    ``harness`` (default: inline, in order).  An unsound or crashing
+    attempt is recorded in ``result.failures`` and the sweep continues;
+    ``HarnessConfig(strict=True)`` raises on the first unsound circuit.
     """
     if options is None:
         options = TABLE2_OPTIONS if num_vars <= 4 else TABLE3_OPTIONS
-    if harness is None:
-        harness = harness_from_env()
     rng = random.Random(seed)
     specs = [random_permutation(num_vars, rng) for _ in range(sample)]
-    config = (harness or HarnessConfig()).with_(strict=strict)
     namespace = f"table23:{num_vars}v:seed={seed}"
     tasks = [
         permutation_task(
@@ -90,7 +79,7 @@ def run_random_functions(
     report = run_sweep(
         f"table{2 if num_vars <= 4 else 3}:{num_vars}v",
         tasks,
-        config=config,
+        config=harness,
         on_outcome=on_outcome,
         limit=limit,
     )

@@ -18,6 +18,9 @@ from repro.circuits.circuit import Circuit
 from repro.experiments.common import TABLE4_OPTIONS
 from repro.experiments.paper_data import TABLE4, TABLE4_NCT_NAMES
 from repro.gates.cost import DEFAULT_COST_MODEL
+from repro.harness import HarnessConfig, benchmark_task, run_sweep
+from repro.harness.taxonomy import STATUS_UNSOUND
+from repro.io.real_format import load_real
 from repro.postprocess.templates import simplify
 from repro.synth.bidirectional import synthesize_inverse
 from repro.synth.options import SynthesisOptions
@@ -32,9 +35,10 @@ __all__ = ["BenchmarkOutcome", "run_benchmark", "run_table4", "render_table4"]
 class BenchmarkOutcome:
     """Result of synthesizing one named benchmark.
 
-    ``unsound_count`` counts portfolio attempts whose circuit failed
+    ``unsound_count`` counts searches whose circuit failed
     verification; in non-``strict`` runs these are recorded here
     instead of raising, so one bad benchmark cannot abort a sweep.
+    :func:`run_table4` keeps no circuit for a row with a nonzero count.
     """
 
     spec: BenchmarkSpec
@@ -160,74 +164,46 @@ def run_table4(
     names: list[str] | None = None,
     options: SynthesisOptions = TABLE4_OPTIONS,
     use_portfolio: bool = True,
-    strict: bool = True,
-    harness=None,
-    ledger_path: str | None = None,
+    harness: HarnessConfig | None = None,
     limit: int | None = None,
 ) -> dict[str, BenchmarkOutcome]:
     """Run the benchmark suite (Table IV rows by default).
 
-    With ``harness`` (a :class:`repro.harness.HarnessConfig`) each
-    benchmark runs through the fault-tolerant sweep executor —
-    optionally isolated, budgeted, retried, and checkpointed — and
-    failed tasks yield an unsolved :class:`BenchmarkOutcome` instead of
-    taking the suite down.
+    Each benchmark is one :func:`~repro.harness.benchmark_task` run by
+    :func:`~repro.harness.run_sweep` under ``harness`` (default: inline,
+    in order).  A failed task yields an unsolved
+    :class:`BenchmarkOutcome` instead of taking the suite down.  A
+    benchmark any of whose searches produced an unverified circuit ends
+    ``unsound``, with no circuit and a nonzero ``unsound_count``;
+    ``harness.strict`` raises on it.
     """
-    if names is None:
-        names = [name for name in TABLE4 if name in all_benchmarks()]
     table = all_benchmarks()
-    if harness is None:
-        from repro.harness import harness_from_env
-
-        harness = harness_from_env()
-    if harness is not None:
-        return _run_table4_harnessed(
-            names, table, options, use_portfolio, strict, harness,
-            ledger_path, limit,
-        )
-    outcomes = {}
-    for name in names:
-        outcomes[name] = run_benchmark(
-            table[name], options, use_portfolio=use_portfolio, strict=strict
-        )
-    return outcomes
-
-
-def _run_table4_harnessed(
-    names, table, options, use_portfolio, strict, harness, ledger_path, limit
-) -> dict[str, BenchmarkOutcome]:
-    from repro.harness import benchmark_task, run_sweep
-    from repro.io.real_format import load_real
-
-    if ledger_path is not None and harness.ledger_path is None:
-        harness = harness.with_(ledger_path=ledger_path)
-    harness = harness.with_(strict=strict)
+    if names is None:
+        names = [name for name in TABLE4 if name in table]
+    specs = {name: table[name] for name in names}
     tasks = [
-        benchmark_task(
-            name,
-            options,
-            use_portfolio=use_portfolio,
-            meta={"benchmark": name},
-        )
+        benchmark_task(name, options, use_portfolio=use_portfolio)
         for name in names
     ]
     outcomes: dict[str, BenchmarkOutcome] = {}
 
     def on_outcome(task, outcome):
-        name = outcome.meta["benchmark"]
+        name = task.payload["name"]
         circuit = (
             load_real(outcome.circuit) if outcome.circuit is not None else None
         )
         stats = outcome.stats or {}
         outcomes[name] = BenchmarkOutcome(
-            spec=table[name],
+            spec=specs[name],
             circuit=circuit,
             raw_gate_count=outcome.extra.get("raw_gate_count"),
             steps=int(stats.get("steps", 0)),
             elapsed_seconds=float(
                 stats.get("elapsed_seconds", outcome.elapsed_seconds)
             ),
-            unsound_count=1 if outcome.status == "unsound" else 0,
+            unsound_count=int(outcome.extra.get(
+                "unsound_count", outcome.status == STATUS_UNSOUND
+            )),
         )
 
     run_sweep(
@@ -250,7 +226,7 @@ def render_table4(outcomes: dict[str, BenchmarkOutcome]) -> str:
             (
                 name,
                 outcome.spec.num_lines,
-                outcome.gate_count,
+                "unsound" if outcome.unsound_count else outcome.gate_count,
                 outcome.quantum_cost,
                 paper_gates,
                 paper_cost,

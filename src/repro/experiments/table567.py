@@ -28,12 +28,7 @@ from repro.experiments.paper_data import (
     TABLE7,
 )
 from repro.gates.library import GT
-from repro.harness import (
-    HarnessConfig,
-    harness_from_env,
-    random_circuit_task,
-    run_sweep,
-)
+from repro.harness import HarnessConfig, random_circuit_task, run_sweep
 from repro.io.real_format import dump_real
 from repro.synth.options import SynthesisOptions
 from repro.utils.tables import format_table
@@ -49,7 +44,6 @@ def run_scalability(
     samples: int = 20,
     options: SynthesisOptions = SCALABILITY_OPTIONS,
     seed: int = 2004,
-    strict: bool = False,
     harness: HarnessConfig | None = None,
     limit: int | None = None,
 ) -> dict[int, ExperimentResult]:
@@ -60,15 +54,14 @@ def run_scalability(
     ``max_gates`` upper bound, but the paper reports found sizes up to
     40, so the cap is ``max(40, options.max_gates)``.
 
-    All variable counts run as one harness sweep (resumable with one
-    ledger); generator circuits cross the task boundary as RevLib
-    ``.real`` text.  An unsound resynthesis is recorded in
-    ``result.failures`` and the sweep continues unless ``strict=True``.
+    All variable counts run as one :func:`~repro.harness.run_sweep`
+    under ``harness`` (resumable with one ledger); generator circuits
+    cross the task boundary as RevLib ``.real`` text.  An unsound
+    resynthesis is recorded in ``result.failures`` and the sweep
+    continues unless ``harness.strict``.
     """
     if variables is None:
         variables = list(range(6, 17))
-    if harness is None:
-        harness = harness_from_env()
     run_options = options.with_(
         max_gates=max(40, options.max_gates or 0)
     )
@@ -107,11 +100,10 @@ def run_scalability(
         else:
             result.record_failure(outcome.status)
 
-    config = (harness or HarnessConfig()).with_(strict=strict)
     run_sweep(
         f"scalability:{max_gates}g",
         tasks,
-        config=config,
+        config=harness,
         on_outcome=on_outcome,
         limit=limit,
     )

@@ -18,7 +18,6 @@ from repro.harness.sweep import (
     SweepReport,
     UnsoundCircuitError,
     build_sweep_report,
-    harness_from_env,
     run_sweep,
 )
 from repro.harness.tasks import (
@@ -57,7 +56,6 @@ __all__ = [
     "benchmark_task",
     "build_sweep_report",
     "execute_payload",
-    "harness_from_env",
     "permutation_task",
     "portfolio_task",
     "pprm_task",

@@ -50,7 +50,6 @@ __all__ = [
     "SweepReport",
     "UnsoundCircuitError",
     "run_sweep",
-    "harness_from_env",
     "build_sweep_report",
 ]
 
@@ -68,9 +67,10 @@ class UnsoundCircuitError(AssertionError):
 class HarnessConfig:
     """How a sweep executes its tasks.
 
-    The default — no isolation, no ledger, no retries, ``strict``
-    verification alarms left to the caller — runs every task inline and
-    reproduces the plain driver loops bit for bit.
+    The default — no isolation, no ledger, no retries — runs every task
+    inline and records an unsound circuit as an ``unsound`` outcome;
+    ``strict=True`` raises :class:`UnsoundCircuitError` on it instead.
+    This is the only place the experiment drivers take strictness from.
     """
 
     isolate: bool = False
@@ -396,59 +396,6 @@ def run_sweep(
             ledger.close()
         if store is not None:
             store.close()
-
-
-def harness_from_env(environ=None) -> HarnessConfig | None:
-    """Build a :class:`HarnessConfig` from ``RMRLS_*`` variables.
-
-    Returns ``None`` when no harness variable is set, which lets the
-    experiment drivers and benchmarks keep their plain in-process
-    behavior by default while any sweep can be hardened without code
-    changes::
-
-        RMRLS_ISOLATE=1 RMRLS_RETRIES=2 RMRLS_MEM_LIMIT_MB=1024 \\
-            RMRLS_LEDGER=sweep.jsonl pytest benchmarks/ ...
-
-    Variables: ``RMRLS_ISOLATE`` (truthy enables subprocess isolation;
-    ``""``, ``0``, ``false``, ``no`` and ``off`` in any case are false),
-    ``RMRLS_SWEEP_JOBS``, ``RMRLS_RETRIES``, ``RMRLS_MEM_LIMIT_MB``,
-    ``RMRLS_WALL_LIMIT`` (seconds), ``RMRLS_LEDGER`` (path),
-    ``RMRLS_LEDGER_FSYNC`` (truthy fsyncs every ledger line),
-    ``RMRLS_STORE`` (canonical circuit store directory to seed),
-    ``RMRLS_FLIGHT_DIR`` (flight-recorder ring/dump directory).
-    """
-    env = os.environ if environ is None else environ
-
-    def truthy(var: str) -> bool:
-        value = env.get(var, "").strip().lower()
-        return value not in ("", "0", "false", "no", "off")
-
-    isolate = truthy("RMRLS_ISOLATE")
-    jobs = env.get("RMRLS_SWEEP_JOBS")
-    retries = env.get("RMRLS_RETRIES")
-    mem = env.get("RMRLS_MEM_LIMIT_MB")
-    wall = env.get("RMRLS_WALL_LIMIT")
-    ledger = env.get("RMRLS_LEDGER")
-    ledger_fsync = truthy("RMRLS_LEDGER_FSYNC")
-    store = env.get("RMRLS_STORE")
-    flight_dir = env.get("RMRLS_FLIGHT_DIR")
-    if not (
-        isolate or jobs or retries or mem or wall or ledger
-        or ledger_fsync or store or flight_dir
-    ):
-        return None
-    return HarnessConfig(
-        isolate=isolate,
-        jobs=int(jobs) if jobs else 1,
-        wall_seconds=float(wall) if wall else None,
-        mem_limit_mb=int(mem) if mem else None,
-        retry=RetryPolicy(max_retries=int(retries)) if retries else
-        RetryPolicy(),
-        ledger_path=ledger or None,
-        ledger_fsync=ledger_fsync,
-        store_path=store or None,
-        flight_dir=flight_dir or None,
-    )
 
 
 #: Schema stamped into sweep report documents.

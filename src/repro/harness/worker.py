@@ -150,19 +150,24 @@ def _run_benchmark(payload: dict, options: dict, attempt: int) -> dict:
     # The searches' summed counters; their times add up too, where a
     # merge keeps the longest.
     stats = dict(totals.as_dict(), elapsed_seconds=outcome.elapsed_seconds)
-    if outcome.solved:
-        from repro.io.real_format import dump_real
+    extra = {"unsound_count": outcome.unsound_count}
+    if outcome.unsound_count:
+        # Any unverified circuit marks the whole benchmark, even when
+        # another search found a verified one.
+        return {"status": STATUS_UNSOUND, "stats": stats, "extra": extra}
+    if not outcome.solved:
+        return {"status": STATUS_UNSOLVED, "stats": stats, "extra": extra}
+    from repro.io.real_format import dump_real
 
-        return {
-            "status": STATUS_OK,
-            "gate_count": outcome.gate_count,
-            "quantum_cost": outcome.quantum_cost,
-            "circuit": dump_real(outcome.circuit),
-            "stats": stats,
-            "extra": {"raw_gate_count": outcome.raw_gate_count},
-        }
-    status = STATUS_UNSOUND if outcome.unsound_count else STATUS_UNSOLVED
-    return {"status": status, "stats": stats}
+    extra["raw_gate_count"] = outcome.raw_gate_count
+    return {
+        "status": STATUS_OK,
+        "gate_count": outcome.gate_count,
+        "quantum_cost": outcome.quantum_cost,
+        "circuit": dump_real(outcome.circuit),
+        "stats": stats,
+        "extra": extra,
+    }
 
 
 def _solution_seed_rank(circuit, seeds, reversed_cascade=False) -> int:

@@ -28,7 +28,8 @@ replays onto the caller's wire order by relabeling its lines with the
 re-synthesis, just gate renaming.
 
 The exhaustive ``n!`` sweep is capped (:data:`DEFAULT_RELABEL_MAX_VARS`
-variables, override via :data:`RELABEL_ENV_VAR`); wider specs fall back
+variables, override per call with ``relabel_max_vars``, never per
+process, so every process mints the same keys); wider specs fall back
 to the identity relabeling, which is still sound — it just keys a finer
 equivalence (exact function instead of its relabeling orbit), so wide
 caches dedupe less, never wrongly.
@@ -38,7 +39,6 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import os
 from dataclasses import dataclass
 
 from repro.circuits.circuit import Circuit
@@ -50,7 +50,6 @@ __all__ = [
     "CANONICAL_SCHEMA",
     "CANONICAL_VERSION",
     "DEFAULT_RELABEL_MAX_VARS",
-    "RELABEL_ENV_VAR",
     "IMAGES_MAX_VARS",
     "CanonicalSpec",
     "CanonicalizationError",
@@ -69,9 +68,6 @@ CANONICAL_VERSION = 1
 #: tables is already seconds of pure Python.  The cache's sweet spot is
 #: exactly the small recurring functions, so the default stays low.
 DEFAULT_RELABEL_MAX_VARS = 6
-
-#: Environment override for the exhaustive-relabeling cap.
-RELABEL_ENV_VAR = "RMRLS_CANON_RELABEL_MAX_VARS"
 
 #: Beyond this width a dense image vector (2^n entries) is not a
 #: sensible object to build; canonicalization refuses rather than
@@ -214,20 +210,6 @@ def _spec_images(spec) -> tuple[int, ...]:
     return Permutation(spec).images  # raw image sequence
 
 
-def _relabel_cap(relabel_max_vars: int | None) -> int:
-    if relabel_max_vars is not None:
-        return relabel_max_vars
-    override = os.environ.get(RELABEL_ENV_VAR, "")
-    if override:
-        try:
-            return int(override)
-        except ValueError:
-            raise CanonicalizationError(
-                f"{RELABEL_ENV_VAR}={override!r} is not an integer"
-            ) from None
-    return DEFAULT_RELABEL_MAX_VARS
-
-
 def _conjugate(images, sigma) -> tuple[int, ...]:
     out = [0] * len(images)
     for x, image in enumerate(images):
@@ -248,7 +230,9 @@ def _key_material(images, num_vars: int) -> str:
     )
 
 
-def canonicalize(spec, relabel_max_vars: int | None = None) -> CanonicalSpec:
+def canonicalize(
+    spec, relabel_max_vars: int = DEFAULT_RELABEL_MAX_VARS
+) -> CanonicalSpec:
     """Resolve ``spec`` to its canonical key plus the witness relabeling.
 
     ``spec`` may be a :class:`~repro.functions.permutation.Permutation`,
@@ -259,11 +243,10 @@ def canonicalize(spec, relabel_max_vars: int | None = None) -> CanonicalSpec:
     """
     images = _spec_images(spec)
     num_vars = (len(images) - 1).bit_length()
-    cap = _relabel_cap(relabel_max_vars)
 
     best = images
     witness = tuple(range(num_vars))
-    exhaustive = num_vars <= cap
+    exhaustive = num_vars <= relabel_max_vars
     if exhaustive:
         for pi in itertools.permutations(range(num_vars)):
             sigma = bit_permutation(pi)

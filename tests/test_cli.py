@@ -372,6 +372,24 @@ class TestExperimentCommands:
         assert code == 0
         assert "maximum gate count 5" in capsys.readouterr().out
 
+    def test_table4_json_carries_rows(self, capsys):
+        assert main(["table4", "--names", "3_17", "--json"]) == 0
+        document = json.loads(capsys.readouterr().out)
+        row = document["results"]["3_17"]
+        assert row["gate_count"] == 6 and row["raw_gate_count"] == 6
+        assert row["quantum_cost"] == 14
+        assert row["steps"] > 0 and row["unsound_count"] == 0
+        assert "hotop_substitutions_applied" in document["metrics"]
+
+    def test_table1_jobs_needs_isolate(self, capsys):
+        assert main(["table1", "--sample", "2", "--jobs", "2"]) == 2
+        assert "--isolate" in capsys.readouterr().err
+
+    def test_sweep_no_longer_runs_tables(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["sweep", "table2"])
+        assert exit_info.value.code == 2
+
 
 class TestSweep:
     def test_probes_json_reports_taxonomy(self, capsys):
@@ -414,7 +432,7 @@ class TestSweep:
 
     def test_table2_limit_then_resume(self, capsys, tmp_path):
         ledger = str(tmp_path / "ledger.jsonl")
-        base = ["sweep", "table2", "--sample", "3", "--seed", "7",
+        base = ["table2", "--sample", "3", "--seed", "7",
                 "--resume", ledger, "--json"]
         assert main(base + ["--limit", "1"]) == 0
         first = json.loads(capsys.readouterr().out)
@@ -432,10 +450,10 @@ class TestSweep:
 
         monkeypatch.setattr(Circuit, "implements", lambda self, spec: False)
         with pytest.raises(AssertionError, match="unsound"):
-            main(["sweep", "table2", "--sample", "1", "--strict"])
+            main(["table2", "--sample", "1", "--strict"])
 
     def test_table4_sweep(self, capsys):
-        code = main(["sweep", "table4", "--names", "fig1"])
+        code = main(["table4", "--names", "fig1", "--isolate"])
         assert code == 0
         assert "Table IV" in capsys.readouterr().out
 
@@ -450,7 +468,7 @@ class TestStoreCli:
 
     def test_sweep_seeds_and_store_stats(self, capsys, tmp_path):
         store = str(tmp_path / "store")
-        code = main(["sweep", "table2", "--sample", "1", "--seed", "7",
+        code = main(["table2", "--sample", "1", "--seed", "7",
                      "--store", store, "--fsync-ledger",
                      "--resume", str(tmp_path / "ledger.jsonl")])
         assert code == 0
@@ -463,7 +481,7 @@ class TestStoreCli:
         import os
 
         store = str(tmp_path / "store")
-        code = main(["sweep", "table2", "--sample", "2", "--seed", "7",
+        code = main(["table2", "--sample", "2", "--seed", "7",
                      "--store", store])
         assert code == 0
         capsys.readouterr()
@@ -496,7 +514,7 @@ class TestStoreCli:
 
     def _seed_table2(self, tmp_path, capsys):
         store = str(tmp_path / "store")
-        assert main(["sweep", "table2", "--sample", "2", "--seed", "7",
+        assert main(["table2", "--sample", "2", "--seed", "7",
                      "--store", store]) == 0
         capsys.readouterr()
         return store

@@ -9,12 +9,14 @@ import pytest
 
 from repro.circuits.circuit import Circuit
 from repro.functions.permutation import Permutation
+from repro.harness import HarnessConfig, UnsoundCircuitError
 from repro.synth.options import SynthesisOptions
 from repro.synth.rmrls import synthesize
 
 
 class TestDriverVerificationFires:
-    """``strict=True`` preserves the historical hard alarm."""
+    """``HarnessConfig(strict=True)`` is the hard alarm; every driver
+    takes it from the harness it is given."""
 
     def test_table1_driver_detects_bad_circuits(self, monkeypatch):
         from repro.experiments import table1
@@ -23,7 +25,10 @@ class TestDriverVerificationFires:
             Circuit, "implements", lambda self, spec: False
         )
         with pytest.raises(AssertionError, match="unsound"):
-            table1.run_table1(sample=1, include_miller=False, strict=True)
+            table1.run_table1(
+                sample=1, include_miller=False,
+                harness=HarnessConfig(strict=True),
+            )
 
     def test_table23_driver_detects_bad_circuits(self, monkeypatch):
         from repro.experiments import table23
@@ -31,12 +36,12 @@ class TestDriverVerificationFires:
         monkeypatch.setattr(
             Circuit, "implements", lambda self, spec: False
         )
-        with pytest.raises(AssertionError, match="unsound"):
+        with pytest.raises(UnsoundCircuitError, match="unsound"):
             table23.run_random_functions(
                 3,
                 1,
                 SynthesisOptions(dedupe_states=True, max_steps=5000),
-                strict=True,
+                harness=HarnessConfig(strict=True),
             )
 
     def test_benchmark_driver_detects_bad_circuits(self, monkeypatch):
@@ -51,7 +56,7 @@ class TestDriverVerificationFires:
                 ["3_17"],
                 SynthesisOptions(dedupe_states=True, max_steps=5000),
                 use_portfolio=False,
-                strict=True,
+                harness=HarnessConfig(strict=True),
             )
 
     def test_scalability_driver_detects_bad_circuits(self, monkeypatch):
@@ -68,8 +73,69 @@ class TestDriverVerificationFires:
                 options=SynthesisOptions(
                     dedupe_states=True, max_steps=5000, stop_at_first=True
                 ),
-                strict=True,
+                harness=HarnessConfig(strict=True),
             )
+
+
+def _verify_fails_first_call(monkeypatch):
+    """Make ``BenchmarkSpec.verify`` reject only the first circuit it
+    sees: the first greedy-k search of Table IV's portfolio."""
+    from repro.benchlib.specs import BenchmarkSpec
+
+    real_verify = BenchmarkSpec.verify
+    calls = []
+
+    def verify(self, circuit):
+        calls.append(circuit)
+        return len(calls) > 1 and real_verify(self, circuit)
+
+    monkeypatch.setattr(BenchmarkSpec, "verify", verify)
+
+
+class TestTable4OnePath:
+    """Table IV runs one way, as a ``benchmark_task`` sweep: any
+    unverified search marks its row ``unsound``, and ``strict`` raises
+    on it even when another search found a verified circuit."""
+
+    @staticmethod
+    def _options():
+        from repro.experiments.common import TABLE4_OPTIONS
+
+        return TABLE4_OPTIONS.with_(max_steps=300)
+
+    def test_strict_raises_when_one_search_is_unsound(self, monkeypatch):
+        from repro.experiments.table4 import run_table4
+
+        _verify_fails_first_call(monkeypatch)
+        with pytest.raises(UnsoundCircuitError, match="3_17"):
+            run_table4(
+                ["3_17"], self._options(),
+                harness=HarnessConfig(strict=True),
+            )
+
+    def test_lax_run_marks_the_row_unsound(self, monkeypatch):
+        from repro.experiments.table4 import render_table4, run_table4
+
+        _verify_fails_first_call(monkeypatch)
+        outcomes = run_table4(["3_17"], self._options())
+        outcome = outcomes["3_17"]
+        assert outcome.unsound_count == 1
+        assert not outcome.solved
+        row = [
+            line for line in render_table4(outcomes).splitlines()
+            if line.startswith("3_17")
+        ]
+        assert row and row[0].split()[2] == "unsound"
+
+    def test_clean_run_values(self):
+        from repro.experiments.table4 import run_table4
+
+        outcome = run_table4(["3_17"], self._options())["3_17"]
+        assert outcome.gate_count == 6
+        assert outcome.raw_gate_count == 6
+        assert outcome.steps == 719
+        assert outcome.quantum_cost == 14
+        assert outcome.unsound_count == 0
 
 
 class TestNonStrictRecordsUnsound:

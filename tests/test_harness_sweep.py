@@ -1,4 +1,4 @@
-"""Sweep orchestration: resume, strict mode, metrics, env config."""
+"""Sweep orchestration: resume, strict mode, metrics, store seeding."""
 
 import pytest
 
@@ -7,7 +7,6 @@ from repro.harness import (
     RetryPolicy,
     UnsoundCircuitError,
     build_sweep_report,
-    harness_from_env,
     probe_task,
     run_sweep,
 )
@@ -105,6 +104,12 @@ class TestStrictMode:
             "lax", [probe_task("unsound"), probe_task("ok")]
         )
         assert report.counts == {"unsound": 1, "ok": 1}
+
+    def test_config_with_replacement(self):
+        base = HarnessConfig()
+        assert base.with_(strict=True).strict
+        with pytest.raises(ValueError):
+            HarnessConfig(jobs=0)
 
 
 class TestMetricsIntegration:
@@ -260,78 +265,6 @@ class TestStoreSeeding:
         store = CircuitStore(str(tmp_path / "store"), read_only=True)
         assert len(store) == 1
         assert store.verify(deep=True)["ok"]
-
-
-class TestHarnessFromEnv:
-    def test_no_vars_means_no_harness(self):
-        assert harness_from_env({}) is None
-
-    def test_full_configuration(self):
-        config = harness_from_env({
-            "RMRLS_ISOLATE": "1",
-            "RMRLS_SWEEP_JOBS": "3",
-            "RMRLS_RETRIES": "2",
-            "RMRLS_MEM_LIMIT_MB": "512",
-            "RMRLS_WALL_LIMIT": "30",
-            "RMRLS_LEDGER": "/tmp/x.jsonl",
-            "RMRLS_LEDGER_FSYNC": "1",
-            "RMRLS_STORE": "/tmp/store",
-        })
-        assert config.isolate and config.jobs == 3
-        assert config.retry.max_retries == 2
-        assert config.mem_limit_mb == 512
-        assert config.wall_seconds == 30.0
-        assert config.ledger_path == "/tmp/x.jsonl"
-        assert config.ledger_fsync
-        assert config.store_path == "/tmp/store"
-
-    def test_store_alone_triggers_a_harness(self):
-        config = harness_from_env({"RMRLS_STORE": "/tmp/store"})
-        assert config is not None and config.store_path == "/tmp/store"
-
-    def test_falsy_isolate_spellings(self):
-        assert harness_from_env({"RMRLS_ISOLATE": "0"}) is None
-        config = harness_from_env(
-            {"RMRLS_ISOLATE": "0", "RMRLS_RETRIES": "1"}
-        )
-        assert config is not None and not config.isolate
-
-    @pytest.mark.parametrize(
-        "value", ["False", "NO", "off", "Off", " false ", "0 "]
-    )
-    def test_false_spellings_in_any_case(self, value):
-        assert harness_from_env({"RMRLS_ISOLATE": value}) is None
-        assert harness_from_env({"RMRLS_LEDGER_FSYNC": value}) is None
-        config = harness_from_env({
-            "RMRLS_ISOLATE": value, "RMRLS_LEDGER_FSYNC": value,
-            "RMRLS_RETRIES": "1",
-        })
-        assert not config.isolate and not config.ledger_fsync
-
-    @pytest.mark.parametrize("value", ["1", "TRUE", "yes", "On"])
-    def test_true_spellings(self, value):
-        config = harness_from_env(
-            {"RMRLS_ISOLATE": value, "RMRLS_LEDGER_FSYNC": value}
-        )
-        assert config.isolate and config.ledger_fsync
-
-    def test_config_with_replacement(self):
-        base = HarnessConfig()
-        assert base.with_(strict=True).strict
-        with pytest.raises(ValueError):
-            HarnessConfig(jobs=0)
-
-    @pytest.mark.parametrize("var,value", [
-        ("RMRLS_FLIGHT_DIR", "/tmp/flight"),
-        ("RMRLS_WALL_LIMIT", "30"),
-        ("RMRLS_MEM_LIMIT_MB", "512"),
-        ("RMRLS_SWEEP_JOBS", "3"),
-    ])
-    def test_isolate_only_settings_need_isolate(self, var, value):
-        with pytest.raises(ValueError, match="needs --isolate"):
-            harness_from_env({var: value})
-        config = harness_from_env({var: value, "RMRLS_ISOLATE": "1"})
-        assert config.isolate
 
 
 class TestOneCounterRecord:

@@ -15,12 +15,8 @@ from repro.circuits.circuit import Circuit
 from repro.functions.permutation import Permutation
 from repro.gates.toffoli import ToffoliGate
 from repro.parallel.portfolio import spec_from_payload
-from repro.store import CanonicalizationError, canonicalize, relabel_circuit
-from repro.store.canonical import (
-    RELABEL_ENV_VAR,
-    _key_material,
-    bit_permutation,
-)
+from repro.store import canonicalize, relabel_circuit
+from repro.store.canonical import _key_material, bit_permutation
 from repro.synth.options import SynthesisOptions
 from repro.synth.rmrls import synthesize
 
@@ -151,16 +147,26 @@ class TestCapAndErrors:
         again = canonicalize(list(fig1_spec.images), relabel_max_vars=2)
         assert capped.key == again.key
 
-    def test_env_var_overrides_cap(self, fig1_spec, monkeypatch):
-        monkeypatch.setenv(RELABEL_ENV_VAR, "2")
-        assert not canonicalize(fig1_spec).exhaustive
-        monkeypatch.setenv(RELABEL_ENV_VAR, "6")
-        assert canonicalize(fig1_spec).exhaustive
+    def test_environment_does_not_move_the_cap(
+        self, fig1_spec, monkeypatch
+    ):
+        # Every process must mint the same key for the same spec, so no
+        # RMRLS_* variable may change the relabeling cap.
+        import os
 
-    def test_bad_env_var_raises(self, fig1_spec, monkeypatch):
-        monkeypatch.setenv(RELABEL_ENV_VAR, "many")
-        with pytest.raises(CanonicalizationError, match="not an integer"):
-            canonicalize(fig1_spec)
+        class EveryRmrlsVarIsTwo(dict):
+            def __getitem__(self, key):
+                if key.startswith("RMRLS_"):
+                    return "2"
+                return super().__getitem__(key)
+
+            def get(self, key, default=None):
+                return self[key] if key in self or key.startswith(
+                    "RMRLS_"
+                ) else default
+
+        monkeypatch.setattr(os, "environ", EveryRmrlsVarIsTwo(os.environ))
+        assert canonicalize(fig1_spec).exhaustive
 
     def test_as_dict_is_json_safe(self, fig1_spec):
         import json
