@@ -243,9 +243,7 @@ def _cmd_synth(args) -> int:
                       file=sys.stderr)
                 return 2
     options, registry, phases, jsonl = _attach_observers(args, options)
-    direction = getattr(args, "direction", None) or (
-        "bidirectional" if args.bidirectional else "forward"
-    )
+    direction = args.direction
     if direction != "forward" and permutation is None:
         print(f"--direction {direction} needs an invertible "
               "(tabulated) spec", file=sys.stderr)
@@ -664,8 +662,8 @@ def _cmd_table(args) -> int:
                 "gate_count": outcome.gate_count,
                 "quantum_cost": outcome.quantum_cost,
                 "raw_gate_count": outcome.raw_gate_count,
-                "steps": outcome.steps,
                 "unsound_count": outcome.unsound_count,
+                "stats": outcome.stats.as_dict(),
             }
             for name, outcome in outcomes.items()
         }
@@ -1236,14 +1234,11 @@ def main(argv: list[str] | None = None) -> int:
     synth.add_argument("--benchmark", help="named benchmark (see `benchmarks`)")
     synth.add_argument("--draw", action="store_true",
                        help="print an ASCII diagram")
-    synth.add_argument("--bidirectional", action="store_true",
-                       help="also try synthesizing the inverse function "
-                            "(alias for --direction bidirectional)")
-    synth.add_argument("--direction", default=None,
+    synth.add_argument("--direction", default="forward",
                        choices=["forward", "inverse", "bidirectional"],
                        help="cascade search direction: 'inverse' searches "
-                            "f^-1 and ships the reversed cascade "
-                            "(default forward)")
+                            "f^-1 and ships the reversed cascade, "
+                            "'bidirectional' tries both (default forward)")
     synth.add_argument("--jobs", type=int, default=None, metavar="N",
                        help="race the restart seeds across N worker "
                             "processes (portfolio search, see "

@@ -35,8 +35,9 @@ __all__ = ["BenchmarkOutcome", "run_benchmark", "run_table4", "render_table4"]
 class BenchmarkOutcome:
     """Result of synthesizing one named benchmark.
 
-    ``unsound_count`` counts searches whose circuit failed
-    verification; in non-``strict`` runs these are recorded here
+    ``stats`` is the :meth:`SearchStats.merge` of every search run for
+    the benchmark.  ``unsound_count`` counts searches whose circuit
+    failed verification; in non-``strict`` runs these are recorded here
     instead of raising, so one bad benchmark cannot abort a sweep.
     :func:`run_table4` keeps no circuit for a row with a nonzero count.
     """
@@ -44,9 +45,14 @@ class BenchmarkOutcome:
     spec: BenchmarkSpec
     circuit: Circuit | None
     raw_gate_count: int | None
-    steps: int
+    stats: SearchStats
     elapsed_seconds: float
     unsound_count: int = 0
+
+    @property
+    def steps(self) -> int:
+        """Search steps over all of the benchmark's searches."""
+        return self.stats.steps
 
     @property
     def solved(self) -> bool:
@@ -82,7 +88,6 @@ def run_benchmark(
     use_portfolio: bool = True,
     apply_templates: bool = True,
     strict: bool = True,
-    totals: SearchStats | None = None,
 ) -> BenchmarkOutcome:
     """Synthesize one benchmark, returning the best verified circuit.
 
@@ -91,22 +96,16 @@ def run_benchmark(
     ``strict=False`` records the failure in ``unsound_count``, discards
     the circuit, and keeps going, which is what sweeps need: one bad
     result becomes a structured ``unsound`` outcome, not an abort.
-
-    ``totals``, when given, gains the stats of every search run here
-    (each greedy-k attempt and the inverse attempt) through
-    :meth:`SearchStats.merge`.
     """
     attempts = _portfolio(options) if use_portfolio else [options]
     best: Circuit | None = None
     raw_count: int | None = None
-    steps = 0
+    stats = SearchStats()
     elapsed = 0.0
     unsound = 0
     for attempt in attempts:
         outcome = synthesize(spec.pprm(), attempt)
-        if totals is not None:
-            totals.merge(outcome.stats)
-        steps += outcome.stats.steps
+        stats.merge(outcome.stats)
         elapsed += outcome.stats.elapsed_seconds
         circuit = outcome.circuit
         if circuit is None:
@@ -130,9 +129,7 @@ def run_benchmark(
         # Last resort: the inverse direction — the PPRM landscapes of f
         # and f^-1 differ, and some specs (5one013) only yield this way.
         inverse_outcome = synthesize_inverse(spec.permutation, attempts[0])
-        if totals is not None:
-            totals.merge(inverse_outcome.stats)
-        steps += inverse_outcome.stats.steps
+        stats.merge(inverse_outcome.stats)
         elapsed += inverse_outcome.stats.elapsed_seconds
         circuit = inverse_outcome.circuit
         if circuit is not None:
@@ -154,7 +151,7 @@ def run_benchmark(
         spec=spec,
         circuit=best,
         raw_gate_count=raw_count,
-        steps=steps,
+        stats=stats,
         elapsed_seconds=elapsed,
         unsound_count=unsound,
     )
@@ -197,7 +194,7 @@ def run_table4(
             spec=specs[name],
             circuit=circuit,
             raw_gate_count=outcome.extra.get("raw_gate_count"),
-            steps=int(stats.get("steps", 0)),
+            stats=SearchStats.from_dict(stats),
             elapsed_seconds=float(
                 stats.get("elapsed_seconds", outcome.elapsed_seconds)
             ),

@@ -25,7 +25,6 @@ from repro.harness.tasks import (
     benchmark_task,
     permutation_task,
     portfolio_task,
-    pprm_task,
     probe_task,
     random_circuit_task,
     task_fingerprint,
@@ -58,7 +57,6 @@ __all__ = [
     "execute_payload",
     "permutation_task",
     "portfolio_task",
-    "pprm_task",
     "probe_task",
     "random_circuit_task",
     "read_ledger",

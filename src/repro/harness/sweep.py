@@ -13,9 +13,11 @@
 * **retries** — failed attempts re-run with escalated budgets per the
   :class:`~repro.harness.retry.RetryPolicy`;
 * **accounting** — every outcome is classified into the failure
-  taxonomy, counted in the :class:`SweepReport`, and (optionally)
-  mirrored into a PR-1 :class:`~repro.obs.metrics.MetricsRegistry` as
-  ``sweep_outcome_<status>`` counters.
+  taxonomy and counted in the :class:`SweepReport`, which also sums
+  the search counters of the tasks this run executed (``stats``).
+  The report is the sweep's only record of those counts; the optional
+  :class:`~repro.obs.metrics.MetricsRegistry` gets only the recovery
+  counters no report carries (damaged ledger lines, store seeding).
 
 A ``KeyboardInterrupt`` stops the sweep cleanly: running workers are
 killed, finished work is already checkpointed, and the report says
@@ -44,6 +46,7 @@ from repro.harness.taxonomy import (
 )
 from repro.harness.worker import execute_payload
 from repro.obs.flight import FlightRecorder, end_recording
+from repro.synth.stats import SearchStats
 
 __all__ = [
     "HarnessConfig",
@@ -120,7 +123,12 @@ class HarnessConfig:
 
 @dataclass
 class SweepReport:
-    """Aggregate accounting for one sweep run."""
+    """Aggregate accounting for one sweep run.
+
+    ``stats`` is the :meth:`SearchStats.merge` of the tasks executed in
+    this run; replayed ledger outcomes did no work here and are left
+    out.
+    """
 
     name: str
     counts: dict = field(default_factory=dict)
@@ -131,6 +139,7 @@ class SweepReport:
     retries: int = 0
     interrupted: bool = False
     elapsed_seconds: float = 0.0
+    stats: SearchStats = field(default_factory=SearchStats)
 
     def count(self, status: str) -> int:
         """Tasks that ended with ``status``."""
@@ -159,6 +168,7 @@ class SweepReport:
             "retries": self.retries,
             "interrupted": self.interrupted,
             "elapsed_seconds": self.elapsed_seconds,
+            "stats": self.stats.as_dict(),
         }
 
 
@@ -296,21 +306,7 @@ def run_sweep(
             report.replayed += 1
         else:
             report.retries += outcome.attempts - 1
-        if registry is not None:
-            registry.counter(f"sweep_outcome_{outcome.status}").inc()
-            registry.counter("sweep_tasks_total").inc()
-            if not replay and outcome.attempts > 1:
-                registry.counter("sweep_retries_total").inc(
-                    outcome.attempts - 1
-                )
-            if not replay:
-                # Hot-op totals shipped back from workers (isolated or
-                # inline); replayed ledger entries did no work this run.
-                for key, value in (
-                    outcome.stats.get("hot_ops") or {}
-                ).items():
-                    if value:
-                        registry.counter(f"hotop_{key}").inc(value)
+            report.stats.merge(SearchStats.from_dict(outcome.stats))
         if store is not None:
             # Replayed outcomes seed too: the ledger may predate the
             # store, and canonical-key dedup makes re-seeding free.
@@ -326,8 +322,6 @@ def run_sweep(
     def finish() -> SweepReport:
         report.remaining = report.total - report.completed
         report.elapsed_seconds = time.monotonic() - started
-        if registry is not None and report.interrupted:
-            registry.counter("sweep_interrupts_total").inc()
         return report
 
     flight = None
@@ -411,8 +405,9 @@ def build_sweep_report(
     """Build the machine-readable JSON document for one sweep run.
 
     The sibling of :func:`repro.obs.report.build_run_report` at sweep
-    granularity: taxonomy counts, retry totals, and (optionally) the
-    full metrics snapshot, stamped with schema and environment info.
+    granularity: taxonomy counts, retry totals and summed search
+    counters, (optionally) the recovery-counter snapshot, stamped with
+    schema and environment info.
     """
     from repro.obs.report import environment_info
 

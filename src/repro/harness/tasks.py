@@ -28,7 +28,6 @@ __all__ = [
     "options_from_payload",
     "permutation_task",
     "portfolio_task",
-    "pprm_task",
     "random_circuit_task",
     "benchmark_task",
     "probe_task",
@@ -136,23 +135,6 @@ def permutation_task(
     )
 
 
-def pprm_task(
-    system_text: str,
-    options: SynthesisOptions | None = None,
-    meta: dict | None = None,
-    namespace: str = "",
-) -> Task:
-    """A task synthesizing a PPRM system given in parseable text form
-    (no verification — the spec is the system itself)."""
-    return Task(
-        kind="pprm",
-        payload={"system": system_text},
-        options=options_payload(options),
-        meta=dict(meta or {}),
-        namespace=namespace,
-    )
-
-
 def random_circuit_task(
     real_text: str,
     options: SynthesisOptions | None = None,
@@ -204,7 +186,8 @@ def portfolio_task(
     """One portfolio slice: search restricted to a set of seed ranks.
 
     ``payload_spec`` is ``{"images": [...]}`` for a permutation spec or
-    ``{"system": "..."}`` for a parseable PPRM system;  ``seeds`` is the
+    ``{"packed": [...], "num_vars": n}`` for a bare PPRM system (see
+    :func:`repro.parallel.portfolio.spec_from_payload`);  ``seeds`` is the
     full ranked first level as ``[rank, target, factor]`` triples (the
     worker uses it to report which seed produced its solution);  the
     assigned slice itself travels in ``options`` as

@@ -103,20 +103,6 @@ def _run_permutation(payload: dict, options: dict, attempt: int) -> dict:
     return out
 
 
-def _run_pprm(payload: dict, options: dict, attempt: int) -> dict:
-    from repro.pprm.parser import parse_system
-    from repro.synth.rmrls import synthesize
-
-    system = parse_system(payload["system"])
-    result = synthesize(system, options_from_payload(options))
-    # A PPRM spec carries its own ground truth: re-deriving the PPRM of
-    # the synthesized cascade must reproduce the input system.
-    verified = None
-    if result.solved:
-        verified = str(result.circuit.to_pprm()) == str(system)
-    return _synthesis_result_dict(result, verified)
-
-
 def _run_random_circuit(payload: dict, options: dict, attempt: int) -> dict:
     from repro.io.real_format import load_real
     from repro.synth.rmrls import synthesize
@@ -135,21 +121,20 @@ def _run_random_circuit(payload: dict, options: dict, attempt: int) -> dict:
 def _run_benchmark(payload: dict, options: dict, attempt: int) -> dict:
     from repro.benchlib.specs import benchmark
     from repro.experiments.table4 import run_benchmark
-    from repro.synth.stats import SearchStats
 
     spec = benchmark(payload["name"])
-    totals = SearchStats()
     outcome = run_benchmark(
         spec,
         options_from_payload(options),
         use_portfolio=payload.get("use_portfolio", True),
         apply_templates=payload.get("apply_templates", True),
         strict=False,
-        totals=totals,
     )
     # The searches' summed counters; their times add up too, where a
     # merge keeps the longest.
-    stats = dict(totals.as_dict(), elapsed_seconds=outcome.elapsed_seconds)
+    stats = dict(
+        outcome.stats.as_dict(), elapsed_seconds=outcome.elapsed_seconds
+    )
     extra = {"unsound_count": outcome.unsound_count}
     if outcome.unsound_count:
         # Any unverified circuit marks the whole benchmark, even when
@@ -196,8 +181,7 @@ def _run_portfolio(
 ) -> dict:
     """One portfolio slice: the serial search restricted to this
     worker's seed ranks (see :mod:`repro.parallel`), reporting the
-    winning seed's rank and an optional metrics snapshot alongside the
-    usual synthesis result.
+    winning seed's rank alongside the usual synthesis result.
 
     A heterogeneous-deck slot carries ``direction`` in its payload:
     ``inverse`` runs :func:`repro.synth.bidirectional.synthesize_inverse`
@@ -229,14 +213,6 @@ def _run_portfolio(
 
             bound = RecordedBound(bound, recorder)
         synth_options = synth_options.with_(bound_channel=bound)
-    registry = None
-    if payload.get("metrics"):
-        from repro.obs import MetricsObserver, MetricsRegistry
-
-        registry = MetricsRegistry()
-        synth_options = synth_options.with_(
-            observers=synth_options.observers + (MetricsObserver(registry),)
-        )
     seeds = payload.get("seeds") or []
     if direction == "inverse":
         from repro.synth.bidirectional import synthesize_inverse
@@ -249,7 +225,8 @@ def _run_portfolio(
         if spec is not None:
             verified = result.circuit.implements(spec)
         else:
-            # A PPRM spec carries its own ground truth (as in _run_pprm).
+            # A PPRM spec carries its own ground truth: re-deriving
+            # the PPRM of the cascade must reproduce the input system.
             verified = str(result.circuit.to_pprm()) == str(system)
     out = _synthesis_result_dict(result, verified)
     extra = out.setdefault("extra", {})
@@ -265,8 +242,6 @@ def _run_portfolio(
     extra["direction"] = direction
     if payload.get("variant"):
         extra["variant"] = payload["variant"]
-    if registry is not None:
-        extra["metrics"] = registry.as_dict()
     return out
 
 
@@ -322,7 +297,6 @@ def _probe_behavior(payload: dict, options: dict, attempt: int) -> dict:
 
 _RUNNERS = {
     "permutation": _run_permutation,
-    "pprm": _run_pprm,
     "random_circuit": _run_random_circuit,
     "benchmark": _run_benchmark,
     "probe": _run_probe,

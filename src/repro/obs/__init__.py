@@ -11,9 +11,10 @@ This package provides the protocol plus a toolbox of observers:
   the Fig. 5 trace, installed by ``record_trace``; it and
   :class:`JsonlTraceObserver` take a node's fields from one
   :func:`node_record` mapping;
-* :class:`MetricsObserver` — counters, gauges, and fixed-bucket
-  histograms in an in-process :class:`MetricsRegistry`; the effort
-  counters are published from the search's stats at finish;
+* :class:`MetricsObserver` — the per-reason prune counters and the
+  fixed-bucket search histograms in an in-process
+  :class:`MetricsRegistry`; the effort counts live in the search's
+  stats alone;
 * :class:`JsonlTraceObserver` — one JSON object per event, streamed to
   a file for offline analysis;
 * :class:`ProgressObserver` — a strided steps/sec line on stderr;

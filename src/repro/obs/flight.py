@@ -712,7 +712,7 @@ def scan_flight_dir(directory: str) -> dict:
 #: Task kinds whose dumps carry enough decision log to re-run the
 #: search.  ``benchmark`` runs a multi-synthesis driver and ``probe``
 #: runs no search at all — their dumps are timeline-only.
-_REPLAYABLE_KINDS = ("permutation", "pprm", "random_circuit", "portfolio")
+_REPLAYABLE_KINDS = ("permutation", "random_circuit", "portfolio")
 
 
 def replayable(document: dict) -> bool:
@@ -734,10 +734,6 @@ def _rebuild_spec(meta: dict):
         from repro.functions.permutation import Permutation
 
         return Permutation(payload["images"])
-    if kind == "pprm":
-        from repro.pprm.parser import parse_system
-
-        return parse_system(payload["system"])
     if kind == "random_circuit":
         from repro.io.real_format import load_real
 

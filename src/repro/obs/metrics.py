@@ -13,7 +13,12 @@ from __future__ import annotations
 
 import bisect
 
-from repro.obs.observer import SearchObserver
+from repro.obs.observer import (
+    PRUNE_CHILD_DEPTH,
+    PRUNE_DEPTH,
+    PRUNE_LOWER_BOUND,
+    SearchObserver,
+)
 
 __all__ = [
     "Counter",
@@ -42,7 +47,7 @@ def labeled_key(name: str, labels: dict | None) -> str:
 
 def _label_fields(name: str, labels: dict | None) -> dict:
     # Snapshot entries for labeled metrics carry the base name and the
-    # label set so merge_snapshot can rebuild them; unlabeled entries
+    # label set, so a reader need not parse the key; unlabeled entries
     # keep the pre-label snapshot shape untouched.
     if not labels:
         return {}
@@ -183,9 +188,6 @@ class MetricsRegistry:
 
     def __init__(self):
         self._metrics: dict[str, object] = {}
-        #: Per-source tally of :meth:`merge_snapshot` calls — the
-        #: provenance record of which processes fed this registry.
-        self.merge_counts: dict[str, int] = {}
 
     def _get_or_create(self, name: str, labels, factory, kind: str):
         key = labeled_key(name, labels)
@@ -245,74 +247,6 @@ class MetricsRegistry:
             name: self._metrics[name].as_dict() for name in self.names()
         }
 
-    def merge_snapshot(self, snapshot: dict, source: str | None = None) -> None:
-        """Merge an :meth:`as_dict` snapshot into this registry.
-
-        The cross-process aggregation primitive: subprocess workers
-        serialize their registries over the result channel and the
-        parent folds them in here.  Counters add; gauges keep the
-        snapshot's last value and the running maximum of maxima;
-        histograms add bucket counts (their bounds must match — a
-        bounds mismatch means two code versions disagree about the
-        metric and is reported loudly rather than merged wrongly).
-
-        ``source`` names where the snapshot came from (a slice label, a
-        worker shard, ...); each merge is tallied per source in
-        :attr:`merge_counts` so aggregates keep their provenance.  A
-        *negative* counter value in the snapshot is rejected before any
-        entry is applied — a corrupt or garbled snapshot must not
-        silently poison the aggregate.
-        """
-        origin = source if source is not None else "<anonymous>"
-        for key, data in snapshot.items():
-            if data.get("kind") == "counter" and data.get("value", 0) < 0:
-                raise ValueError(
-                    f"rejecting snapshot from {origin!r}: counter {key!r} "
-                    f"carries negative delta {data['value']} "
-                    f"(counters are monotone; this snapshot is corrupt)"
-                )
-        self.merge_counts[origin] = self.merge_counts.get(origin, 0) + 1
-        for key, data in snapshot.items():
-            kind = data.get("kind")
-            name = data.get("name", key)
-            labels = data.get("labels")
-            if kind == "counter":
-                self.counter(name, labels=labels).inc(data["value"])
-            elif kind == "gauge":
-                gauge = self.gauge(name, labels=labels)
-                gauge.set(data["value"])
-                if data.get("max", 0) > gauge.max_value:
-                    gauge.max_value = data["max"]
-            elif kind == "histogram":
-                histogram = self.histogram(
-                    name, data["bounds"], labels=labels
-                )
-                if list(histogram.bounds) != list(data["bounds"]):
-                    raise ValueError(
-                        f"histogram {key!r} bounds mismatch: "
-                        f"{list(histogram.bounds)} vs {data['bounds']}"
-                    )
-                for index, count in enumerate(data["counts"]):
-                    histogram.counts[index] += count
-                histogram.count += data["count"]
-                histogram.total += data["sum"]
-                for extreme, better in (
-                    ("minimum", min), ("maximum", max)
-                ):
-                    value = data["max" if extreme == "maximum" else "min"]
-                    if value is None:
-                        continue
-                    current = getattr(histogram, extreme)
-                    setattr(
-                        histogram,
-                        extreme,
-                        value if current is None else better(current, value),
-                    )
-            else:
-                raise ValueError(
-                    f"snapshot entry {name!r} has unknown kind {kind!r}"
-                )
-
     def __len__(self) -> int:
         return len(self._metrics)
 
@@ -324,22 +258,23 @@ ELIM_BOUNDS = (-4, -2, -1, 0, 1, 2, 3, 4, 6, 8, 12, 16)
 CHILDREN_BOUNDS = (0, 1, 2, 4, 8, 16, 32, 64, 128)
 QUEUE_BOUNDS = (1, 4, 16, 64, 256, 1024, 4096, 16384, 65536)
 
+#: The prune reasons ``stats.nodes_pruned_depth`` lumps together.  The
+#: growth and greedy reasons have their own stats fields and so no
+#: counter here.
+DEPTH_PRUNE_REASONS = (PRUNE_DEPTH, PRUNE_CHILD_DEPTH, PRUNE_LOWER_BOUND)
+
 
 class MetricsObserver(SearchObserver):
     """Populate a :class:`MetricsRegistry` from search events.
 
-    Registered metrics (all under the ``search_`` namespace):
+    It records only what the search's own ``SearchStats`` does not
+    carry (steps, nodes, prunes per stats bucket, solutions, restarts
+    and hot-op counts live there alone):
 
-    * counters ``search_steps``, ``search_expansions``,
-      ``search_children`` (non-root nodes created),
-      ``search_solutions``, ``search_restarts``,
-      ``search_finish_<reason>`` per finish reason, and ``hotop_<name>``
-      per hot-op count (see :data:`repro.synth.stats.HOT_OP_FIELDS`),
-      all published from the search's own ``stats`` at finish;
-    * counters ``search_pruned_<reason>`` per prune reason and
-      ``search_guard_<kind>`` per guard-rail event, counted per event;
-    * gauges ``search_queue_size`` (current; max tracks the peak) and
-      ``search_best_depth`` (best solution depth so far);
+    * counters ``search_pruned_<reason>`` for the
+      :data:`DEPTH_PRUNE_REASONS`, counted per event — the only place
+      the depth / child-depth / lower-bound split of
+      ``stats.nodes_pruned_depth`` exists;
     * histograms ``elim`` (terms eliminated per accepted child),
       ``children_per_expansion``, and ``queue_size`` (sampled at every
       queue-size change).
@@ -347,13 +282,6 @@ class MetricsObserver(SearchObserver):
 
     def __init__(self, registry: MetricsRegistry | None = None):
         self.registry = registry if registry is not None else MetricsRegistry()
-        self._steps = self.registry.counter("search_steps")
-        self._expansions = self.registry.counter("search_expansions")
-        self._children = self.registry.counter("search_children")
-        self._solutions = self.registry.counter("search_solutions")
-        self._restarts = self.registry.counter("search_restarts")
-        self._queue_gauge = self.registry.gauge("search_queue_size")
-        self._best_depth = self.registry.gauge("search_best_depth")
         self._elim = self.registry.histogram("elim", ELIM_BOUNDS)
         self._children_hist = self.registry.histogram(
             "children_per_expansion", CHILDREN_BOUNDS
@@ -380,26 +308,11 @@ class MetricsObserver(SearchObserver):
             self._children_this_expansion += 1
 
     def on_prune(self, node, reason, count=1):
-        self.registry.counter(f"search_pruned_{reason}").inc(count)
-
-    def on_guard(self, kind, count=1):
-        self.registry.counter(f"search_guard_{kind}").inc(count)
-
-    def on_solution(self, node, parent):
-        self._best_depth.set(node.depth)
+        if reason in DEPTH_PRUNE_REASONS:
+            self.registry.counter(f"search_pruned_{reason}").inc(count)
 
     def on_queue(self, size):
-        self._queue_gauge.set(size)
         self._queue_hist.observe(size)
 
     def on_finish(self, reason, stats):
         self._flush_expansion()
-        self._steps.inc(stats.steps)
-        self._expansions.inc(stats.nodes_expanded)
-        self._children.inc(stats.nodes_created - 1)
-        self._solutions.inc(stats.solutions_found)
-        self._restarts.inc(stats.restarts)
-        self.registry.counter(f"search_finish_{reason}").inc()
-        for name, value in getattr(stats, "hot_ops", {}).items():
-            if value:
-                self.registry.counter(f"hotop_{name}").inc(value)

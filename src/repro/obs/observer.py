@@ -30,11 +30,6 @@ Callback contract (all are no-ops on the base class):
     The Sec. IV-E restart heuristic reseeded the queue.
 ``on_queue(size)``
     The queue size changed (push, or clear on a restart path).
-``on_guard(kind, count=1)``
-    An in-process guard rail fired ``count`` times.  ``kind`` is one of
-    the ``GUARD_*`` constants below (currently only
-    :data:`GUARD_VISITED_OVERFLOW`: the capped duplicate table refused
-    an insert).
 ``on_finish(reason, stats)``
     The run ended; ``reason`` is one of ``identity``, ``solved``,
     ``queue_exhausted``, ``timeout``, ``step_limit``,
@@ -53,7 +48,6 @@ __all__ = [
     "PRUNE_LOWER_BOUND",
     "PRUNE_GROWTH",
     "PRUNE_GREEDY",
-    "GUARD_VISITED_OVERFLOW",
     "FINISH_REASONS",
 ]
 
@@ -70,10 +64,6 @@ PRUNE_LOWER_BOUND = "lower_bound"
 PRUNE_GROWTH = "growth"
 #: A built child was dropped by Sec. IV-E greedy per-variable pruning.
 PRUNE_GREEDY = "greedy"
-
-#: The capped duplicate-state table was full and skipped an insert
-#: (the child still enters the queue; only dedupe coverage degrades).
-GUARD_VISITED_OVERFLOW = "visited_overflow"
 
 #: Valid ``reason`` values for :meth:`SearchObserver.on_finish`.
 FINISH_REASONS = (
@@ -115,9 +105,6 @@ class SearchObserver:
     def on_queue(self, size: int) -> None:
         """The priority queue now holds ``size`` nodes."""
 
-    def on_guard(self, kind: str, count: int = 1) -> None:
-        """An in-process guard rail fired ``count`` times."""
-
     def on_finish(self, reason: str, stats) -> None:
         """The run ended with ``reason`` (see :data:`FINISH_REASONS`)."""
 
@@ -142,7 +129,7 @@ class NullObserver(SearchObserver):
 #: Every callback of the observer protocol, in declaration order.
 _EVENTS = (
     "on_step", "on_expand", "on_child", "on_prune", "on_solution",
-    "on_restart", "on_queue", "on_guard", "on_finish",
+    "on_restart", "on_queue", "on_finish",
 )
 
 

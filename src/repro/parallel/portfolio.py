@@ -17,9 +17,11 @@ another.  This module runs the same seed pool *concurrently*:
    :class:`~repro.parallel.bound.SharedBound`, so every racer prunes at
    ``bestDepth - 1`` as soon as *any* worker solves;
 5. the parent merges the slices' ``SearchStats`` with its own root
-   expansion's, and the metrics snapshots (via
-   ``MetricsRegistry.merge_snapshot``), into one fleet-wide
-   :class:`~repro.synth.rmrls.SynthesisResult`.
+   expansion's into one fleet-wide
+   :class:`~repro.synth.rmrls.SynthesisResult`.  Those merged stats
+   are the fleet's only counts: workers run without the caller's
+   observers, so a portfolio's per-event views (metrics histograms,
+   JSONL trace, progress lines) stay empty.
 
 With ``options.portfolio_strategies`` set, the fleet is *heterogeneous*:
 worker slots are dealt from a :class:`~repro.parallel.strategy.
@@ -118,8 +120,7 @@ class SliceOutcome:
     """What one portfolio slice reported back.
 
     ``stats`` is the worker's full ``SearchStats.as_dict`` snapshot
-    (hot-op counts included); ``metrics`` the worker registry snapshot
-    when metrics were requested.  ``seed_ranks`` is ``None`` for an
+    (hot-op counts included).  ``seed_ranks`` is ``None`` for an
     unrestricted slot (a heterogeneous deck's inverse slots without an
     inverse seed pool).  ``variant`` and
     ``direction`` record the strategy provenance of heterogeneous
@@ -134,7 +135,6 @@ class SliceOutcome:
     solution_rank: int | None = None
     circuit: str | None = None
     stats: dict = field(default_factory=dict)
-    metrics: dict | None = None
     elapsed_seconds: float = 0.0
     error: str | None = None
     variant: str | None = None
@@ -260,13 +260,9 @@ def spec_from_payload(payload: dict):
         from repro.functions.permutation import Permutation
 
         return Permutation(payload["images"])
-    if "packed" in payload:
-        return PPRMSystem(
-            [Expansion.from_bits(bits) for bits in payload["packed"]]
-        )
-    from repro.pprm.parser import parse_system
-
-    return parse_system(payload["system"])
+    return PPRMSystem(
+        [Expansion.from_bits(bits) for bits in payload["packed"]]
+    )
 
 
 def _slice_outcome(
@@ -283,7 +279,6 @@ def _slice_outcome(
         solution_rank=extra.get("solution_rank"),
         circuit=task_outcome.circuit,
         stats=dict(task_outcome.stats or {}),
-        metrics=extra.get("metrics"),
         elapsed_seconds=task_outcome.elapsed_seconds,
         error=task_outcome.error,
         variant=extra.get("variant") or variant,
@@ -303,18 +298,6 @@ def _merged_finish_reason(slices: list[SliceOutcome]) -> str:
             best = level
             reason = name
     return reason
-
-
-def _parent_registries(options: SynthesisOptions) -> list:
-    """MetricsRegistry instances reachable from the caller's observers
-    (the ``rmrls synth --json/--metrics`` path) — merge targets for the
-    workers' metrics snapshots."""
-    registries = []
-    for observer in options.observers:
-        registry = getattr(observer, "registry", None)
-        if registry is not None and hasattr(registry, "merge_snapshot"):
-            registries.append(registry)
-    return registries
 
 
 def synthesize_portfolio(
@@ -396,7 +379,6 @@ def _run_portfolio_driver(
     # observers (workers repeat the root expansion under their own).
     quiet = options.with_(**_DRIVER_FIELDS)
     first = enumerate_first_level(system, quiet)
-    registries = _parent_registries(options)
     payload_spec = _spec_payload(specification, system)
     if strategies and "images" not in payload_spec:
         # A PPRM-only spec cannot be inverted symbolically: keep the
@@ -430,8 +412,6 @@ def _run_portfolio_driver(
 
     seeds = first.seeds
     seed_triples = [(s.rank, s.target, s.factor) for s in seeds]
-    if registries:
-        payload_spec = dict(payload_spec, metrics=True)
 
     deck = None
     inverse_triples: list = []
@@ -523,12 +503,7 @@ def _run_portfolio_driver(
         if owned:
             pool.close()
 
-    result = _merge_fleet(
-        system, options, summary, registries, started, driver_stats,
-    )
-    if deck is not None:
-        _record_strategy_outcome(summary, registries)
-    return result
+    return _merge_fleet(system, options, summary, started, driver_stats)
 
 
 def _fleet_pool(pool, jobs, options, flight) -> WorkerPool:
@@ -614,26 +589,6 @@ def _run_plan(tasks, plan, summary, options, pool):
             summary.cancelled += 1
 
 
-def _record_strategy_outcome(summary, registries):
-    """Surface a deck run's per-variant outcome: bump the
-    ``strategy_slots_total``/``strategy_wins_total`` counters on the
-    caller's registries."""
-    counts: dict = {}
-    for entry in summary.slices:
-        if entry.variant:
-            counts[entry.variant] = counts.get(entry.variant, 0) + 1
-    for registry in registries:
-        for name, count in counts.items():
-            registry.counter(
-                "strategy_slots_total", labels={"variant": name}
-            ).inc(count)
-        if summary.winner_variant:
-            registry.counter(
-                "strategy_wins_total",
-                labels={"variant": summary.winner_variant},
-            ).inc()
-
-
 def _serial_fallback(system, options: SynthesisOptions) -> SynthesisResult:
     from repro.synth.rmrls import synthesize
 
@@ -641,8 +596,7 @@ def _serial_fallback(system, options: SynthesisOptions) -> SynthesisResult:
 
 
 def _merge_fleet(
-    system, options, summary: PortfolioSummary, registries, started,
-    driver_stats,
+    system, options, summary: PortfolioSummary, started, driver_stats,
 ) -> SynthesisResult:
     """Fold the slice outcomes and the driver's own search counters
     (``driver_stats``) into one fleet-wide result."""
@@ -652,12 +606,6 @@ def _merge_fleet(
             fleet.merge(SearchStats.from_dict(entry.stats))
     for stats in driver_stats:
         fleet.merge(stats)
-    for registry in registries:
-        for entry in summary.slices:
-            if entry.metrics:
-                registry.merge_snapshot(
-                    entry.metrics, source=f"slice{entry.slice_index}"
-                )
 
     winner = _pick_winner(summary.slices)
     circuit = None
@@ -669,10 +617,6 @@ def _merge_fleet(
         summary.winner_rank = winner.solution_rank
         summary.winner_variant = winner.variant
         fleet.finish_reason = winner.finish_reason or "solved"
-        # Merging keeps the last slice's gauge value; the fleet's best
-        # depth is the answer's.
-        for registry in registries:
-            registry.gauge("search_best_depth").set(circuit.gate_count())
     else:
         fleet.finish_reason = _merged_finish_reason(summary.slices)
         fleet.timed_out = fleet.timed_out or fleet.finish_reason == "timeout"

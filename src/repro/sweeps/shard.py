@@ -13,9 +13,9 @@ up around it:
   recognizable and re-usable wherever the work now lives;
 * a **summary sidecar** (``shard-kofN.summary.json``) binding the
   run's report to the manifest and shard fingerprints, which is what
-  lets ``merge`` refuse ledgers from a different plan;
-* per-shard **progress gauges** in a PR-1 metrics registry, labelled
-  by shard, so a fleet view can spot stragglers while shards run.
+  lets ``merge`` refuse ledgers from a different plan.  It is the
+  shard's one record of its counts: ``adopted``, ``solved`` and the
+  sweep report (taxonomy counts and summed search counters).
 """
 
 from __future__ import annotations
@@ -135,41 +135,11 @@ def run_shard(
     config = (harness or HarnessConfig()).with_(
         ledger_path=ledger_path, ledger_fsync=fsync
     )
-    registry = config.metrics
-    tasks = manifest.tasks_for_shard(index)
-    shard_label = {"shard": f"{index + 1}/{manifest.shard_count}"}
-    done = 0
-    solved = 0
-
-    if registry is not None:
-        registry.gauge("shard_items", shard_label).set(len(tasks))
-        registry.gauge("shard_done", shard_label).set(0)
-        if adopted:
-            registry.counter("shard_adopted_total", shard_label).inc(adopted)
-
-    started = time.monotonic()
-
-    def progress(task, outcome):
-        nonlocal done, solved
-        done += 1
-        if outcome.status == "ok":
-            solved += 1
-        if registry is not None:
-            registry.gauge("shard_done", shard_label).set(done)
-            registry.gauge("shard_progress_percent", shard_label).set(
-                round(100.0 * done / max(1, len(tasks)), 2)
-            )
-            registry.gauge("shard_elapsed_seconds", shard_label).set(
-                round(time.monotonic() - started, 3)
-            )
-        if on_outcome is not None:
-            on_outcome(task, outcome)
-
     report = run_sweep(
         shard_sweep_name(manifest, index),
-        tasks,
+        manifest.tasks_for_shard(index),
         config,
-        on_outcome=progress,
+        on_outcome=on_outcome,
         limit=limit,
     )
 
@@ -184,7 +154,7 @@ def run_shard(
         "sweep": shard_sweep_name(manifest, index),
         "ledger": os.path.basename(ledger_path),
         "adopted": adopted,
-        "solved": solved,
+        "solved": report.ok,
         "report": report.as_dict(),
     }
     atomic_write(

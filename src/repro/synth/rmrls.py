@@ -28,7 +28,6 @@ from operator import attrgetter
 from repro.circuits.circuit import Circuit
 from repro.functions.permutation import Permutation
 from repro.obs.observer import (
-    GUARD_VISITED_OVERFLOW,
     PRUNE_CHILD_DEPTH,
     PRUNE_DEPTH,
     PRUNE_GREEDY,
@@ -522,8 +521,6 @@ class _Search:
                     ):
                         # Only brand-new entries are refused at the cap.
                         stats.visited_overflows += 1
-                        if observer is not None:
-                            observer.on_guard(GUARD_VISITED_OVERFLOW)
                     else:
                         inserts += 1
                         visited[child_state] = depth

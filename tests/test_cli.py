@@ -51,7 +51,8 @@ class TestSynth:
 
     def test_bidirectional_flag(self, capsys):
         code = main(
-            ["synth", "--spec", "1,0,7,2,3,4,5,6", "--bidirectional",
+            ["synth", "--spec", "1,0,7,2,3,4,5,6",
+             "--direction", "bidirectional",
              "--max-steps", "10000"]
         )
         assert code == 0
@@ -61,7 +62,8 @@ class TestSynth:
 
     def test_bidirectional_portfolio_keeps_its_summary(self, capsys):
         code = main(
-            ["synth", "--spec", "1,0,7,2,3,4,5,6", "--bidirectional",
+            ["synth", "--spec", "1,0,7,2,3,4,5,6",
+             "--direction", "bidirectional",
              "--jobs", "2", "--json"]
         )
         assert code == 0
@@ -94,8 +96,9 @@ class TestSynth:
 
         code = main(
             ["synth", "--spec", ",".join(map(str, spec)),
-             "--bidirectional", "--greedy-k", "1", "--restart-steps",
-             "500", "--max-steps", "2500", "--max-gates", "40", "--json"]
+             "--direction", "bidirectional", "--greedy-k", "1",
+             "--restart-steps", "500", "--max-steps", "2500",
+             "--max-gates", "40", "--json"]
         )
         assert code == 0
         report = json.loads(capsys.readouterr().out)
@@ -134,7 +137,8 @@ class TestSynth:
 
     def test_bidirectional_needs_permutation(self, capsys):
         code = main(
-            ["synth", "--benchmark", "shift28", "--bidirectional",
+            ["synth", "--benchmark", "shift28",
+             "--direction", "bidirectional",
              "--max-steps", "10"]
         )
         assert code == 2
@@ -154,6 +158,34 @@ class TestObservabilityFlags:
         assert report["phases"]["stride"] >= 1
         # No human-oriented lines around the JSON.
         assert "gates:" not in out
+
+    @pytest.mark.parametrize(
+        "extra", [[], ["--jobs", "2"], ["--strategies", "default"]],
+        ids=["serial", "jobs2", "deck"],
+    )
+    def test_metrics_restate_no_stats_field(self, capsys, extra):
+        # Each count has one home: steps, nodes, solutions, restarts and
+        # hot-op counts live in ``stats``; the registry keeps only the
+        # histograms and the per-reason prune split.
+        code = main(["synth", "--spec", "1,0,7,2,3,4,5,6", "--json", *extra])
+        assert code == 0
+        report = json.loads(capsys.readouterr().out)
+        metrics = report["metrics"]
+        allowed = {"elim", "children_per_expansion", "queue_size"} | {
+            f"search_pruned_{reason}"
+            for reason in ("depth", "child_depth", "lower_bound")
+        }
+        assert set(metrics) <= allowed, sorted(set(metrics) - allowed)
+        if extra:
+            # Portfolio workers run without the caller's observers, so
+            # per-event views are serial-only.
+            assert all(metric["count"] == 0 for metric in metrics.values())
+        else:
+            pruned = sum(
+                metrics.get(f"search_pruned_{reason}", {}).get("value", 0)
+                for reason in ("depth", "child_depth", "lower_bound")
+            )
+            assert pruned == report["stats"]["nodes_pruned_depth"]
 
     def test_json_unsolved_reports_failure(self, capsys):
         code = main(
@@ -378,8 +410,13 @@ class TestExperimentCommands:
         row = document["results"]["3_17"]
         assert row["gate_count"] == 6 and row["raw_gate_count"] == 6
         assert row["quantum_cost"] == 14
-        assert row["steps"] > 0 and row["unsound_count"] == 0
-        assert "hotop_substitutions_applied" in document["metrics"]
+        assert row["stats"]["steps"] > 0 and row["unsound_count"] == 0
+        # The benchmark task's summed search counters, the record the
+        # sweep report sums; the registry restates none of them.
+        assert row["stats"]["hot_ops"]["substitutions_applied"] > 0
+        assert not any(
+            name.startswith("hotop_") for name in document["metrics"]
+        )
 
     def test_table1_jobs_needs_isolate(self, capsys):
         assert main(["table1", "--sample", "2", "--jobs", "2"]) == 2

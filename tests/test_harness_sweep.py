@@ -1,4 +1,5 @@
-"""Sweep orchestration: resume, strict mode, metrics, store seeding."""
+"""Sweep orchestration: resume, strict mode, the report's counts,
+store seeding."""
 
 import pytest
 
@@ -114,18 +115,20 @@ class TestStrictMode:
 
 class TestMetricsIntegration:
     def test_outcome_counters_land_in_registry(self):
+        # The outcome counts live in the report alone; the registry
+        # restates none of them.
         registry = MetricsRegistry()
         config = HarnessConfig(
             metrics=registry, retry=RetryPolicy(max_retries=1)
         )
         tasks = _mixed_tasks() + [probe_task("flaky", ok_after=2,
                                              namespace="p4")]
-        run_sweep("metrics", tasks, config=config)
-        snapshot = registry.as_dict()
-        assert snapshot["sweep_outcome_ok"]["value"] == 3
-        assert snapshot["sweep_outcome_unsolved"]["value"] == 1
-        assert snapshot["sweep_tasks_total"]["value"] == 5
-        assert snapshot["sweep_retries_total"]["value"] >= 1
+        report = run_sweep("metrics", tasks, config=config)
+        assert report.count("ok") == 3
+        assert report.count("unsolved") == 1
+        assert report.completed == 5
+        assert report.retries >= 1
+        assert len(registry) == 0
 
     def test_hotops_aggregated_inline_and_isolated(self):
         import random
@@ -143,21 +146,16 @@ class TestMetricsIntegration:
                 images, options=options, namespace=f"t:{index}"
             ))
 
-        inline = MetricsRegistry()
-        run_sweep("hot", tasks, config=HarnessConfig(metrics=inline))
-        inline_subs = inline.counter("hotop_substitutions_applied").value
+        inline = run_sweep("hot", tasks).stats
+        inline_subs = inline.hot_ops["substitutions_applied"]
         assert inline_subs > 0
-        assert inline.counter("hotop_queue_pops").value > 0
+        assert inline.hot_ops["queue_pops"] > 0
 
-        isolated = MetricsRegistry()
-        run_sweep(
-            "hot", tasks,
-            config=HarnessConfig(metrics=isolated, isolate=True, jobs=2),
-        )
+        isolated = run_sweep(
+            "hot", tasks, config=HarnessConfig(isolate=True, jobs=2),
+        ).stats
         # Hot-op totals cross the subprocess result channel losslessly.
-        assert isolated.counter(
-            "hotop_substitutions_applied"
-        ).value == inline_subs
+        assert isolated.hot_ops["substitutions_applied"] == inline_subs
 
     def test_hotops_not_recounted_on_replay(self, tmp_path):
         import random
@@ -174,18 +172,14 @@ class TestMetricsIntegration:
         )
         ledger = str(tmp_path / "ledger.jsonl")
 
-        first = MetricsRegistry()
-        run_sweep("hot", [task],
-                  config=HarnessConfig(metrics=first, ledger_path=ledger))
-        assert first.counter("hotop_substitutions_applied").value > 0
+        config = HarnessConfig(ledger_path=ledger)
+        first = run_sweep("hot", [task], config=config)
+        assert first.stats.hot_ops["substitutions_applied"] > 0
 
-        second = MetricsRegistry()
-        report = run_sweep(
-            "hot", [task],
-            config=HarnessConfig(metrics=second, ledger_path=ledger),
-        )
+        report = run_sweep("hot", [task], config=config)
         assert report.replayed == 1
-        assert second.get("hotop_substitutions_applied") is None
+        assert report.stats.hot_ops == {}
+        assert report.as_dict()["stats"]["steps"] == 0
 
     def test_build_sweep_report_document(self):
         registry = MetricsRegistry()
@@ -195,7 +189,8 @@ class TestMetricsIntegration:
         document = build_sweep_report(report, registry)
         assert document["schema"] == "rmrls-sweep-report"
         assert document["sweep"]["counts"]["ok"] == 1
-        assert document["metrics"]["sweep_outcome_ok"]["value"] == 1
+        assert document["sweep"]["stats"] == report.stats.as_dict()
+        assert document["metrics"] == {}
         assert "environment" in document
 
 
@@ -272,6 +267,42 @@ class TestOneCounterRecord:
     so the sweep reports the same record the entry point returns."""
 
     @pytest.mark.parametrize("isolate", [False, True])
+    def test_report_stats_sum_the_ledger(self, tmp_path, isolate):
+        import json
+        import random
+
+        from repro.harness.tasks import permutation_task
+        from repro.synth.options import SynthesisOptions
+        from repro.synth.stats import SearchStats
+
+        rng = random.Random(5)
+        tasks = []
+        for index in range(3):
+            images = list(range(8))
+            rng.shuffle(images)
+            tasks.append(permutation_task(
+                images, options=SynthesisOptions(max_steps=2_000),
+                namespace=f"sum:{index}",
+            ))
+        ledger = str(tmp_path / "ledger.jsonl")
+        config = HarnessConfig(isolate=isolate, ledger_path=ledger)
+        run_sweep("sum", tasks, config=config, limit=1)
+        report = run_sweep("sum", tasks, config=config)
+        assert report.replayed == 1
+        with open(ledger) as handle:
+            records = [
+                json.loads(line) for line in handle
+                if '"task_id"' in line
+            ]
+        # The first record was executed by the first run: a replay here.
+        expected = SearchStats()
+        for record in records[1:]:
+            expected.merge(SearchStats.from_dict(record["stats"]))
+        assert len(records) == 3
+        assert report.as_dict()["stats"] == expected.as_dict()
+        assert expected.steps > 0
+
+    @pytest.mark.parametrize("isolate", [False, True])
     def test_portfolio_ledger_matches_synthesize(self, tmp_path, isolate):
         import json
 
@@ -285,7 +316,7 @@ class TestOneCounterRecord:
         )
         direct = synthesize(spec, options).stats.as_dict()
         ledger = str(tmp_path / "ledger.jsonl")
-        run_sweep(
+        report = run_sweep(
             "one-record", [permutation_task(spec, options=options)],
             config=HarnessConfig(isolate=isolate, ledger_path=ledger),
         )
@@ -294,12 +325,19 @@ class TestOneCounterRecord:
                 json.loads(line) for line in handle
                 if '"task_id"' in line
             ]
-        swept = record["stats"]
-        del direct["elapsed_seconds"], swept["elapsed_seconds"]
+        recorded = record["stats"]
+        del direct["elapsed_seconds"], recorded["elapsed_seconds"]
+        assert recorded == direct
+        # The report sums its one task's record; a merge leaves the
+        # finish reason to the caller.
+        swept = report.as_dict()["stats"]
+        for key in ("elapsed_seconds", "finish_reason"):
+            del swept[key]
+            direct.pop(key, None)
         assert swept == direct
         # The driver's root expansion (7 substitutions) is counted on
         # both sides.
-        assert direct["hot_ops"]["substitutions_applied"] == 57
+        assert swept["hot_ops"]["substitutions_applied"] == 57
 
     @pytest.mark.parametrize("isolate", [False, True])
     def test_benchmark_task_hot_ops_sum_its_searches(self, isolate):
@@ -307,21 +345,14 @@ class TestOneCounterRecord:
         from repro.experiments.common import TABLE4_OPTIONS
         from repro.experiments.table4 import run_benchmark
         from repro.harness.tasks import benchmark_task
-        from repro.synth.stats import SearchStats
 
         options = TABLE4_OPTIONS.with_(max_steps=300)
-        totals = SearchStats()
-        run_benchmark(
-            benchmark("3_17"), options, strict=False, totals=totals
-        )
-        expected = totals.hot_ops["substitutions_applied"]
+        direct = run_benchmark(benchmark("3_17"), options, strict=False)
+        expected = direct.stats.hot_ops["substitutions_applied"]
         assert expected == 1965
 
-        registry = MetricsRegistry()
-        run_sweep(
+        report = run_sweep(
             "bench-hot", [benchmark_task("3_17", options=options)],
-            config=HarnessConfig(metrics=registry, isolate=isolate),
+            config=HarnessConfig(isolate=isolate),
         )
-        assert registry.counter(
-            "hotop_substitutions_applied"
-        ).value == expected
+        assert report.stats.hot_ops["substitutions_applied"] == expected

@@ -4,7 +4,6 @@ merges, and the search-loop instrumentation that feeds it."""
 import pytest
 
 from repro.functions.permutation import Permutation
-from repro.obs import MetricsObserver, MetricsRegistry
 from repro.obs.observer import SearchObserver
 from repro.synth.rmrls import enumerate_first_level, synthesize
 from repro.synth.stats import HOT_OP_FIELDS, SearchStats
@@ -39,15 +38,6 @@ class TestHotOpRecord:
         assert snapshot["hot_ops"]["queue_pops"] + 10 == (
             stats.hot_ops["queue_pops"]
         )
-
-    def test_publish_skips_zeros(self):
-        registry = MetricsRegistry()
-        result = synthesize(FIG1, observers=(MetricsObserver(registry),))
-        assert result.stats.hot_ops["restart_reseeds"] == 0
-        assert registry.counter("hotop_queue_pushes").value == (
-            result.stats.hot_ops["queue_pushes"]
-        )
-        assert registry.get("hotop_restart_reseeds") is None
 
 
 class TestSearchInstrumentation:
@@ -114,14 +104,3 @@ class TestSearchInstrumentation:
             assert result.stats.hot_ops["restart_reseeds"] == (
                 result.stats.restarts
             )
-
-    def test_metrics_observer_publishes_hotops(self):
-        registry = MetricsRegistry()
-        result = synthesize(
-            Permutation([1, 0, 3, 2, 5, 7, 4, 6]).to_pprm(),
-            observers=(MetricsObserver(registry),),
-        )
-        assert (
-            registry.counter("hotop_substitutions_applied").value
-            == result.stats.hot_ops["substitutions_applied"]
-        )

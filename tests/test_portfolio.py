@@ -20,7 +20,6 @@ import pytest
 from repro.functions.permutation import Permutation
 from repro.harness import WorkerBudget, WorkerPool, probe_task
 from repro.io.real_format import dump_real
-from repro.obs import MetricsObserver, MetricsRegistry
 from repro.benchlib.symbolic import graycode_system
 from repro.parallel import (
     LocalBound,
@@ -327,34 +326,6 @@ class TestFleetMerging:
             + self._applied(forward)
             + self._applied(inverse)
         )
-
-    def test_worker_metrics_merge_into_parent_registry(self, fig1_spec):
-        registry = MetricsRegistry()
-        options = SynthesisOptions(
-            observers=(MetricsObserver(registry),), portfolio_jobs=2
-        )
-        result = synthesize(fig1_spec, options)
-        assert result.solved
-        snapshot = registry.as_dict()
-        merged_steps = (snapshot.get("search_steps") or {}).get("value", 0)
-        assert merged_steps == sum(
-            entry.steps for entry in result.portfolio.slices
-        )
-        assert merged_steps > 0
-
-    @pytest.mark.parametrize("share_bound", [True, False])
-    def test_merged_best_depth_is_the_fleet_answer(
-        self, fig1_spec, share_bound
-    ):
-        registry = MetricsRegistry()
-        options = SynthesisOptions(
-            observers=(MetricsObserver(registry),), portfolio_jobs=2,
-            portfolio_share_bound=share_bound,
-        )
-        result = synthesize(fig1_spec, options)
-        assert result.solved and len(result.portfolio.slices) == 2
-        gauge = registry.gauge("search_best_depth")
-        assert gauge.value == result.gate_count
 
 
 class TestServingDegenerateFleets:

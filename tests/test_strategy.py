@@ -252,7 +252,7 @@ class TestSynthDirectionCli:
     def test_direction_needs_permutation(self, capsys):
         # shift28 is tabulated only as a PPRM benchmark (no image
         # table), so direction flags must refuse it, like
-        # --bidirectional does.
+        # --direction bidirectional does.
         code = main(
             ["synth", "--benchmark", "shift28",
              "--direction", "inverse", "--max-steps", "10"]

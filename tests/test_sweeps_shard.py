@@ -1,11 +1,9 @@
-"""Shard execution: per-shard ledgers, adoption, resume, progress."""
+"""Shard execution: per-shard ledgers, adoption, resume."""
 
 import json
 import os
 
 from repro.experiments.common import TABLE1_OPTIONS
-from repro.harness import HarnessConfig
-from repro.obs import MetricsRegistry
 from repro.sweeps import (
     build_manifest,
     run_shard,
@@ -50,20 +48,6 @@ class TestRunShard:
         finished = run_shard(manifest, 0, out)
         assert finished["report"]["replayed"] == 5
         assert finished["report"]["counts"]["ok"] == 14
-
-    def test_progress_gauges_are_labelled_per_shard(self, tmp_path):
-        registry = MetricsRegistry()
-        manifest = build_manifest("perm2", shards=2)
-        out = str(tmp_path / "shards")
-        run_shard(
-            manifest, 1, out, harness=HarnessConfig(metrics=registry)
-        )
-        label = {"shard": "2/2"}
-        assert registry.gauge("shard_items", label).value == 7
-        assert registry.gauge("shard_done", label).value == 7
-        assert registry.gauge(
-            "shard_progress_percent", label
-        ).value == 100.0
 
 
 class TestAdoption:
