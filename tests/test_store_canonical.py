@@ -8,6 +8,8 @@ pinned byte for byte so stores written earlier keep finding their keys.
 """
 
 import itertools
+import random
+from pathlib import Path
 
 import pytest
 
@@ -16,11 +18,19 @@ from repro.functions.permutation import Permutation
 from repro.gates.toffoli import ToffoliGate
 from repro.parallel.portfolio import spec_from_payload
 from repro.store import canonicalize, relabel_circuit
-from repro.store.canonical import _key_material, bit_permutation
+from repro.store.canonical import (
+    CANONICAL_SCHEMA,
+    CANONICAL_VERSION,
+    _key_material,
+    bit_permutation,
+)
+from repro.sweeps.corpus import load_coverage
 from repro.synth.options import SynthesisOptions
 from repro.synth.rmrls import synthesize
 
 QUICK = SynthesisOptions(dedupe_states=True, max_steps=40_000)
+
+CORPUS = Path(__file__).resolve().parent.parent / "results" / "coverage3.jsonl"
 
 
 def conjugate(images, pi):
@@ -91,6 +101,74 @@ class TestKeyInvariance:
             "rmrls-canonical-key:v1:n3:3,38,1c"
         )
         assert canonical.key == "c959dff6286f854472332b79c278f851"
+
+
+def frozenset_key_material(images, num_vars) -> str:
+    """The key material through the expansion objects: the PPRM system
+    of the permutation, each output's ``to_bits()`` in hex."""
+    system = Permutation(images).to_pprm()
+    packed = ",".join(
+        format(output.to_bits(), "x") for output in system.outputs
+    )
+    return (
+        f"{CANONICAL_SCHEMA}:v{CANONICAL_VERSION}:n{num_vars}:{packed}"
+    )
+
+
+class TestKeyDifferential:
+    """The table-driven canonicalizer against the expansion route."""
+
+    def test_every_3_variable_permutation(self):
+        _, records = load_coverage(str(CORPUS))
+        representatives = {tuple(record["images"]) for record in records}
+        material = {}
+        for images in itertools.permutations(range(8)):
+            canonical = canonicalize(images)
+            assert canonical.images in representatives
+            if canonical.images not in material:
+                material[canonical.images] = _key_material(
+                    canonical.images, 3
+                )
+                assert material[canonical.images] == (
+                    frozenset_key_material(canonical.images, 3)
+                )
+        # Every corpus class is reached, and only those.
+        assert set(material) == representatives
+
+    @pytest.mark.parametrize("num_vars", [1, 2, 4, 5, 6, 7])
+    def test_random_specs(self, num_vars):
+        rng = random.Random(1000 + num_vars)
+        for _ in range(4):
+            images = list(range(1 << num_vars))
+            rng.shuffle(images)
+            canonical = canonicalize(images)
+            assert canonical.exhaustive == (num_vars <= 6)
+            if not canonical.exhaustive:  # the identity-witness path
+                assert canonical.relabel == tuple(range(num_vars))
+                assert canonical.images == tuple(images)
+            assert _key_material(canonical.images, num_vars) == (
+                frozenset_key_material(canonical.images, num_vars)
+            )
+            # The witness carries the caller's spec onto the
+            # representative.
+            assert tuple(
+                conjugate(images, canonical.relabel)
+            ) == canonical.images
+
+    def test_list_relabelings_are_accepted(self, rng):
+        circuit = random_circuit(rng)
+        for pi in itertools.permutations(range(3)):
+            assert bit_permutation(list(pi)) == bit_permutation(pi)
+            assert (
+                relabel_circuit(circuit, list(pi)).gates
+                == relabel_circuit(circuit, pi).gates
+            )
+
+    def test_identity_witness_returns_the_circuit(self, rng):
+        circuit = random_circuit(rng)
+        assert relabel_circuit(circuit, [0, 1, 2]) is circuit
+        canonical = canonicalize(list(range(8)))
+        assert canonical.from_canonical(circuit) is circuit
 
 
 class TestWitnessReplay:

@@ -289,6 +289,31 @@ class TestHitVerification:
             service.close()
 
 
+    def test_every_hit_is_simulated(self, tmp_path, monkeypatch):
+        # The parsed record and the relabeling tables are cached; the
+        # simulation check of what is served is not.
+        swap = Circuit(3, [ToffoliGate(0b01, 1), ToffoliGate(0b10, 0),
+                           ToffoliGate(0b01, 1)])
+        service, store, registry = make_service(tmp_path)
+        calls = []
+        implements = Circuit.implements
+
+        def counting(circuit, specification):
+            calls.append(specification.images)
+            return implements(circuit, specification)
+
+        try:
+            store.put(canonicalize(SWAP_01), swap)
+            monkeypatch.setattr(Circuit, "implements", counting)
+            for spec in (SWAP_01, SWAP_01, SWAP_02):
+                response = service.synthesize(spec)
+                assert response["cache"] == "hit"
+            assert calls == [tuple(SWAP_01), tuple(SWAP_01), tuple(SWAP_02)]
+            assert counter(registry, "store_cache_hits_total") == 3
+        finally:
+            service.close()
+
+
 class TestMissVerification:
     def test_wrong_worker_circuit_is_unsound_and_not_stored(self, tmp_path):
         service, store, registry = make_service(tmp_path)

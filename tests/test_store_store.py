@@ -14,11 +14,13 @@ import pytest
 from repro.circuits.circuit import Circuit
 from repro.functions.permutation import Permutation
 from repro.gates.toffoli import ToffoliGate
+from repro.io.real_format import load_real
 from repro.store import (
     CircuitStore,
     FaultPlan,
     InjectedFault,
     StoreReadOnly,
+    StoreRecord,
     canonicalize,
     scan_segment,
 )
@@ -90,6 +92,31 @@ class TestLifecycle:
         stored = store.get(canonical.key)
         replayed = canonical.from_canonical(stored.circuit())
         assert replayed.implements(SWAP_AB.to_permutation())
+
+    def test_record_parses_its_circuit_once(self, tmp_path, monkeypatch):
+        root = str(tmp_path / "s")
+        with CircuitStore(root) as store:
+            put_circuit(store, SWAP_AB)
+        record = CircuitStore(root, read_only=True).get(
+            canonicalize(SWAP_AB.to_permutation()).key
+        )
+        fresh = StoreRecord.from_record(record.as_record(),
+                                        record.segment, record.line)
+        parses = []
+        import repro.store.store as store_module
+
+        def counting_load(text):
+            parses.append(text)
+            return load_real(text)
+
+        monkeypatch.setattr(store_module, "load_real", counting_load)
+        first = record.circuit()
+        assert record.circuit() is first and len(parses) == 1
+        assert first.gates == load_real(record.real).gates
+        # The kept circuit is no part of the record's value.
+        assert record == fresh and repr(record) == repr(fresh)
+        assert record.as_record() == fresh.as_record()
+        assert "Circuit" not in repr(record)
 
     def test_reload_sees_everything(self, tmp_path, rng):
         root = str(tmp_path / "s")
