@@ -6,7 +6,6 @@ Subcommands::
     rmrls synth --benchmark rd53 --draw         # synthesize a benchmark
     rmrls synth --benchmark rd53 --json         # machine-readable report
     rmrls profile --benchmark rd53              # phase-time breakdown
-    rmrls bench --quick                         # kernel micro-suite
     rmrls trace summarize run.jsonl             # analyze a JSONL trace
     rmrls benchmarks                            # list known benchmarks
     rmrls table1 --sample 100                   # reproduce Table I
@@ -29,9 +28,8 @@ report to a file alongside human output, ``--trace-jsonl PATH`` streams
 every search event as JSON lines, and ``--progress-every N`` prints a
 steps/sec status line to stderr every N steps.
 
-Performance observability (see docs/benchmarking.md): ``rmrls bench``
-times the search's kernel micro-suite and prints one row per kernel;
-end-to-end benchmarking is ``perfbench/``.  ``rmrls trace summarize``
+Performance observability (see docs/benchmarking.md): end-to-end and
+per-layer benchmarking is ``perfbench/``.  ``rmrls trace summarize``
 post-processes a ``--trace-jsonl`` file into substitution
 frequencies, queue-depth percentiles, and the restart timeline.
 
@@ -412,30 +410,6 @@ def _cmd_profile(args) -> int:
             print()
             print(histogram.render())
     return 0 if result.solved else 1
-
-
-def _cmd_bench(args) -> int:
-    """Time the kernel micro-suite and print its table (see
-    docs/benchmarking.md)."""
-    from repro.perf import KERNELS, run_kernel
-
-    names = list(KERNELS)
-    if args.kernels is not None:
-        names = [part.strip() for part in args.kernels.split(",")
-                 if part.strip()]
-    unknown = [name for name in names if name not in KERNELS]
-    if unknown:
-        print(f"unknown kernel {unknown[0]!r}; known: {', '.join(KERNELS)}",
-              file=sys.stderr)
-        return 2
-    print(f"  {'kernel':<26} {'ns/op':>10} {'ops/s':>14} "
-          f"{'reps':>5} {'rej':>4}")
-    for name in names:
-        timing = run_kernel(name, quick=args.quick)
-        print(f"  {name:<26} {timing.ns_per_op:>10,.1f} "
-              f"{timing.ops_per_s:>14,.0f} "
-              f"{len(timing.samples):>5} {timing.rejected:>4}")
-    return 0
 
 
 def _cmd_trace_summarize(args) -> int:
@@ -1183,20 +1157,6 @@ def _cmd_examples(_args) -> int:
     return 0
 
 
-def _cmd_report(args) -> int:
-    from repro.experiments.report import generate_report
-
-    text = generate_report(progress=lambda msg: print(f"... {msg}",
-                                                      file=sys.stderr))
-    if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(text)
-        print(f"wrote {args.output}")
-    else:
-        print(text)
-    return 0
-
-
 def _cmd_figures(_args) -> int:
     from repro.experiments import figures
 
@@ -1293,17 +1253,6 @@ def main(argv: list[str] | None = None) -> int:
                               "the text breakdown")
     _add_option_flags(profile)
     profile.set_defaults(handler=_cmd_profile)
-
-    bench = commands.add_parser(
-        "bench",
-        help="time the search's kernel micro-suite "
-             "(see docs/benchmarking.md)",
-    )
-    bench.add_argument("--quick", action="store_true",
-                       help="smoke-test sizes (a few seconds)")
-    bench.add_argument("--kernels", metavar="NAMES", default=None,
-                       help="comma-separated kernel names (default: all)")
-    bench.set_defaults(handler=_cmd_bench)
 
     trace = commands.add_parser(
         "trace", help="analyze JSONL search traces"
@@ -1592,11 +1541,6 @@ def main(argv: list[str] | None = None) -> int:
     commands.add_parser(
         "examples", help="the 14 worked examples of Sec. V-C"
     ).set_defaults(handler=_cmd_examples)
-    report = commands.add_parser(
-        "report", help="run every experiment and print a markdown report"
-    )
-    report.add_argument("--output", help="write the report to this file")
-    report.set_defaults(handler=_cmd_report)
     commands.add_parser(
         "figures", help="regenerate Figs. 1-9"
     ).set_defaults(handler=_cmd_figures)

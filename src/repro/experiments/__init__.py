@@ -7,11 +7,8 @@ from repro.experiments.common import (
     TABLE3_OPTIONS,
     TABLE4_OPTIONS,
     ExperimentResult,
-    workload_scale,
-    scaled,
 )
 from repro.experiments.examples import render_examples, run_examples
-from repro.experiments.report import generate_report
 from repro.experiments.table1 import render_table1, run_table1
 from repro.experiments.table23 import (
     render_table2,
@@ -28,11 +25,8 @@ __all__ = [
     "TABLE3_OPTIONS",
     "TABLE4_OPTIONS",
     "ExperimentResult",
-    "workload_scale",
-    "scaled",
     "render_examples",
     "run_examples",
-    "generate_report",
     "render_table1",
     "run_table1",
     "render_table2",

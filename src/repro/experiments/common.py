@@ -3,23 +3,20 @@
 The paper's workloads (50 000 random functions, 60-180 s per function
 on a 2004 Pentium IV running C code) are resized for a pure-Python
 session: every driver keeps the protocol — the same generators, option
-sets, and acceptance rules — and scales only the sample count and the
-per-function step budget.  The scale factor comes from the
-``REPRO_BENCH_SCALE`` environment variable (default 1.0); the CLI's
-``--full`` flag raises it to paper-sized runs.
+sets, and acceptance rules — and takes its sample size as an argument
+(the table commands' ``--sample``/``--samples``/``--names``, and
+``rmrls table1 --full`` for all 40 320 functions), while the option
+sets below fix the per-function step budget.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 from repro.synth.options import SynthesisOptions
 from repro.utils.tables import format_table
 
 __all__ = [
-    "workload_scale",
-    "scaled",
     "ExperimentResult",
     "histogram_add",
     "average_size",
@@ -31,27 +28,6 @@ __all__ = [
     "TABLE4_OPTIONS",
     "SCALABILITY_OPTIONS",
 ]
-
-
-def workload_scale(default: float = 1.0) -> float:
-    """Read the global workload scale factor from the environment."""
-    raw = os.environ.get("REPRO_BENCH_SCALE", "")
-    if not raw:
-        return default
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ValueError(
-            f"REPRO_BENCH_SCALE must be a number, got {raw!r}"
-        ) from None
-    if value <= 0:
-        raise ValueError("REPRO_BENCH_SCALE must be positive")
-    return value
-
-
-def scaled(base: int, minimum: int = 1) -> int:
-    """Scale a sample count by :func:`workload_scale`."""
-    return max(minimum, round(base * workload_scale()))
 
 
 #: Table I protocol: three-variable functions, basic algorithm (the
@@ -95,7 +71,8 @@ TABLE4_OPTIONS = SynthesisOptions(
 #: Tables V-VII protocol: 60 s limit, greedy pruning, "as soon as a
 #: solution was found, we chose to move on".  The step budget is the
 #: binding constraint in pure Python (failing functions burn the whole
-#: budget); raise it alongside REPRO_BENCH_SCALE for deeper runs.
+#: budget); pass ``options`` to
+#: :func:`repro.experiments.table567.run_scalability` for deeper runs.
 SCALABILITY_OPTIONS = SynthesisOptions(
     greedy_k=3,
     restart_steps=2_000,

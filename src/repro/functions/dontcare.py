@@ -12,8 +12,9 @@ module enumerates a portfolio of deterministic embedding strategies and
 synthesizes each, keeping the best circuit — a practical middle ground
 between the paper's static preassignment and fully dynamic assignment.
 The effect is large: on the paper's own full-adder, the strategies
-range from 4 gates (the Fig. 2(b)-style input-copy garbage) to 11
-(first-fit), see ``benchmarks/bench_ablation_embedding.py``.
+range from 4 gates (the Fig. 2(b)-style input-copy garbage with
+xor-block don't-cares) to 106 (first-fit/descending), see
+``tests/test_ablations.py``.
 """
 
 from __future__ import annotations

@@ -3,12 +3,12 @@
 End-to-end and per-layer measurement lives in ``perfbench/`` (see
 ``docs/benchmarking.md``); the search's hot-op counts live in
 ``SearchStats.hot_ops`` (:data:`repro.synth.stats.HOT_OP_FIELDS`).
-This package holds what the ``rmrls bench`` kernel table needs:
+This package holds the rest:
 
-* **kernel micro-suite** (:mod:`repro.perf.kernels`,
-  :mod:`repro.perf.timing`) — the search's inner-loop operations timed
-  over fixed seeded inputs with warmup, repeats, and MAD outlier
-  rejection;
+* **engine kernels** (:mod:`repro.perf.kernels`,
+  :mod:`repro.perf.timing`) — the search's two per-expansion engine
+  calls timed over fixed seeded inputs with warmup, repeats, and MAD
+  outlier rejection, for the tier-1 engine speed gates;
 * :func:`repro.perf.report.git_info` — the commit a measurement was
   taken at.
 """

@@ -14,8 +14,8 @@ up around it:
 * a **summary sidecar** (``shard-kofN.summary.json``) binding the
   run's report to the manifest and shard fingerprints, which is what
   lets ``merge`` refuse ledgers from a different plan.  It is the
-  shard's one record of its counts: ``adopted``, ``solved`` and the
-  sweep report (taxonomy counts and summed search counters).
+  shard's one record of its counts: ``adopted`` and the sweep report
+  (taxonomy counts and summed search counters).
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ __all__ = [
 ]
 
 SHARD_SUMMARY_SCHEMA = "rmrls-sweep-shard"
-SHARD_SUMMARY_VERSION = 1
+SHARD_SUMMARY_VERSION = 2
 
 
 def _shard_stem(manifest: SweepManifest, index: int) -> str:
@@ -154,7 +154,6 @@ def run_shard(
         "sweep": shard_sweep_name(manifest, index),
         "ledger": os.path.basename(ledger_path),
         "adopted": adopted,
-        "solved": report.ok,
         "report": report.as_dict(),
     }
     atomic_write(

@@ -1,6 +1,8 @@
 """Tests for the rmrls command-line interface."""
 
 import json
+import pathlib
+import re
 
 import pytest
 
@@ -442,6 +444,53 @@ class TestExperimentCommands:
         with pytest.raises(SystemExit) as exit_info:
             main(["sweep", "table2"])
         assert exit_info.value.code == 2
+
+
+def _regenerate_commands() -> list[str]:
+    """Every backticked command on an EXPERIMENTS.md ``Regenerate:`` or
+    ``Bench:`` line."""
+    experiments = pathlib.Path(__file__).resolve().parent.parent / (
+        "EXPERIMENTS.md"
+    )
+    return [
+        command
+        for line in experiments.read_text().splitlines()
+        if line.startswith(("Regenerate:", "Bench:"))
+        for command in re.findall(r"`([^`]+)`", line)
+    ]
+
+
+class TestRegenerateCommands:
+    """EXPERIMENTS.md names the command that rebuilds each section;
+    every one it names must exist."""
+
+    VERBS = sorted({
+        command.split()[1] for command in _regenerate_commands()
+        if command.startswith("rmrls ")
+    })
+
+    def test_every_paper_table_has_a_verb(self):
+        assert {"table1", "table2", "table3", "table4", "scalability",
+                "examples", "figures"} <= set(self.VERBS)
+
+    @pytest.mark.parametrize("verb", VERBS)
+    def test_verb_exists(self, verb, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([verb, "--help"])
+        assert exit_info.value.code == 0
+
+    def test_named_scripts_exist(self):
+        root = pathlib.Path(__file__).resolve().parent.parent
+        paths = [
+            part
+            for command in _regenerate_commands()
+            if command.startswith(("pytest ", "python3 "))
+            for part in command.split()[1:]
+            if "/" in part and not part.startswith("-")
+        ]
+        assert paths
+        for path in paths:
+            assert (root / path).exists(), path
 
 
 class TestSweep:

@@ -1,23 +1,10 @@
-"""CLI coverage for ``rmrls bench`` and ``rmrls trace summarize``."""
+"""CLI coverage for ``rmrls trace summarize``."""
 
 import json
 
 import pytest
 
 from repro.cli import main
-
-
-class TestBenchCommand:
-    def test_human_report(self, capsys):
-        assert main(["bench", "--quick", "--kernels", "queue_churn"]) == 0
-        out = capsys.readouterr().out
-        assert "queue_churn" in out
-        assert "ns/op" in out
-        assert "pprm_substitute" not in out
-
-    def test_unknown_kernel_is_usage_error(self, capsys):
-        assert main(["bench", "--kernels", "bogus"]) == 2
-        assert "unknown kernel" in capsys.readouterr().err
 
 
 class TestTraceSummarizeCommand:

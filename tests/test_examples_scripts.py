@@ -1,5 +1,5 @@
 """Smoke tests for the runnable example scripts (fast ones only; the
-slower walkthroughs run in benchmarks/ and by hand)."""
+slower walkthroughs run by hand, ``python examples/<script>.py``)."""
 
 import pathlib
 import runpy

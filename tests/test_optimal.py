@@ -82,12 +82,16 @@ class TestBidirectionalSynthesis:
 
 class TestOptimalityCrossChecks:
     def test_rmrls_never_beats_optimal(self, rng):
-        """Sanity: no synthesized circuit may undercut the optimum."""
+        """Sanity: no synthesized circuit may undercut the optimum, and
+        on average the paper's ordering holds: optimal <= RMRLS <=
+        transformation-based [7] (half a gate of slack)."""
+        from repro.baselines.transformation import transformation_synthesize
         from repro.synth.options import SynthesisOptions
         from repro.synth.rmrls import synthesize
 
         distances = optimal_distances(3, NCT)
         options = SynthesisOptions(dedupe_states=True, max_steps=20_000)
+        totals = Counter()
         for _ in range(15):
             images = list(range(8))
             rng.shuffle(images)
@@ -95,6 +99,13 @@ class TestOptimalityCrossChecks:
             result = synthesize(spec, options)
             assert result.solved
             assert result.gate_count >= distances[tuple(images)]
+            totals["optimal"] += distances[tuple(images)]
+            totals["rmrls"] += result.gate_count
+            totals["transformation"] += transformation_synthesize(
+                spec, try_output_permutations=True
+            ).gate_count()
+        assert (totals["optimal"] <= totals["rmrls"]
+                <= totals["transformation"] + 0.5 * 15)
 
 
 def _shallow_circuit(seed: int, num_lines: int = 4):

@@ -1,4 +1,4 @@
-"""The kernel micro-suite, ``git_info``, and the engine gates."""
+"""The engine kernels, ``git_info``, and the engine gates."""
 
 import pytest
 
@@ -25,22 +25,24 @@ class TestGitInfo:
 class TestKernels:
     def test_names(self):
         assert kernel_names() == list(KERNELS)
-        assert "pprm_substitute" in KERNELS
+        assert set(KERNELS) == {"enumerate_substitutions", "child_state"}
 
     def test_unknown_kernel(self):
         with pytest.raises(ValueError, match="unknown kernel"):
             run_kernel("bogus")
 
     def test_run_kernel_quick(self):
-        result = run_kernel("queue_churn", quick=True, repeats=3)
+        result = run_kernel("child_state", quick=True, repeats=3)
         assert result.ns_per_op > 0
         assert len(result.samples) == 3
 
     def test_kernels_deterministic_ops(self):
         # Fixed seeds: the op count of a kernel is part of the
         # measurement contract and must not drift between runs.
-        first = run_kernel("dedupe_probe", quick=True, repeats=1, warmup=0)
-        second = run_kernel("dedupe_probe", quick=True, repeats=1, warmup=0)
+        first = run_kernel("enumerate_substitutions", quick=True, repeats=1,
+                           warmup=0)
+        second = run_kernel("enumerate_substitutions", quick=True, repeats=1,
+                            warmup=0)
         assert first.ops == second.ops
 
 

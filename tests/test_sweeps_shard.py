@@ -29,7 +29,7 @@ class TestRunShard:
         assert summary["shard"] == manifest.shard(0).as_dict()
         assert os.path.exists(shard_ledger_path(out, manifest, 0))
         sidecar = json.load(open(shard_summary_path(out, manifest, 0)))
-        assert sidecar["solved"] == 7
+        assert sidecar["report"]["counts"]["ok"] == 7
 
     def test_rerun_replays_from_own_ledger(self, tmp_path):
         manifest = build_manifest("perm2", shards=2)
