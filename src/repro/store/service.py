@@ -36,13 +36,17 @@ Observability: hit/miss/coalesce/quarantine counters in a PR-1
 :func:`serve` wraps the service in a long-running unix-socket daemon
 speaking newline-delimited JSON (ops ``synth``/``stats``/``ping``/
 ``shutdown``); :func:`request_over_socket` is the matching one-call
-client used by ``rmrls client`` and the CI smoke job.
+client used by ``rmrls client`` and the CI smoke job.  The daemon
+(:class:`StoreServer`) serves each connection on its own thread but
+reuses threads: a finished connection's thread parks as the one spare
+and takes the next connection, so a hit costs no thread start.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import queue
 import socket
 import socketserver
 import threading
@@ -505,18 +509,68 @@ class _Handler(socketserver.StreamRequestHandler):
                 return
 
 
-class StoreServer(socketserver.ThreadingMixIn, socketserver.UnixStreamServer):
-    """Newline-delimited-JSON synthesis daemon over a unix socket."""
+class StoreServer(socketserver.UnixStreamServer):
+    """Newline-delimited-JSON synthesis daemon over a unix socket.
 
-    daemon_threads = True
+    Every connection runs on its own daemon thread, but threads are
+    reused: one that finishes a connection parks as the single spare,
+    and the next accepted connection is handed to it instead of
+    starting a thread.  A connection that arrives while no thread is
+    parked gets a new one, so concurrency stays unbounded and an idle
+    client never blocks another; after a burst, every thread but the
+    spare exits."""
+
     allow_reuse_address = True
+    # A burst of clients must queue, not fail: once socketserver's
+    # default backlog of 5 is full, a client's connect() with a timeout
+    # gets EAGAIN instead of waiting.
+    request_queue_size = socket.SOMAXCONN
 
     def __init__(self, socket_path: str, service: SynthesisService):
         self.socket_path = str(socket_path)
         self.service = service
+        self._spare_lock = threading.Lock()
+        self._spare: queue.SimpleQueue | None = None
+        self._closed = False
         if os.path.exists(self.socket_path):
             os.unlink(self.socket_path)
         super().__init__(self.socket_path, _Handler)
+
+    def process_request(self, request, client_address):
+        with self._spare_lock:
+            spare, self._spare = self._spare, None
+        if spare is not None:
+            spare.put((request, client_address))
+            return
+        threading.Thread(
+            target=self._connection_loop,
+            args=(request, client_address),
+            name="rmrls-serve-connection",
+            daemon=True,
+        ).start()
+
+    def _connection_loop(self, request, client_address):
+        inbox = queue.SimpleQueue()
+        while request is not None:
+            try:
+                self.finish_request(request, client_address)
+            except Exception:
+                self.handle_error(request, client_address)
+            finally:
+                self.shutdown_request(request)
+            with self._spare_lock:
+                if self._closed or self._spare is not None:
+                    return
+                self._spare = inbox
+            request, client_address = inbox.get()
+
+    def server_close(self):
+        super().server_close()
+        with self._spare_lock:
+            self._closed = True
+            spare, self._spare = self._spare, None
+        if spare is not None:
+            spare.put((None, None))
 
     def dispatch(self, request: dict) -> dict:
         op = request.get("op", "synth")

@@ -5,26 +5,23 @@ A :class:`CircuitStore` is a directory::
     <root>/
       segments/seg-000000.jsonl     append-only checksummed records
       segments/seg-000001.jsonl     ... rolled every segment_max_records
-      index.json                    periodic compacted snapshot (advisory)
       quarantine/                   damaged lines moved aside by repair
 
 Records map a canonical key (see :mod:`repro.store.canonical`) to the
 best-known circuit for that equivalence class, stored in RevLib
 ``.real`` text *in canonical wire order*, with provenance (engine,
-options, git SHA, source).  The segments are the source of
-truth: opening a store always rescans them tolerantly, so the store
-survives a missing, stale, or torn ``index.json`` without noticing.
-The index is a convenience snapshot — rewritten atomically
-(temp + rename) every ``index_every`` appends and on close — for
-humans and external tools that want the best-per-key view without
-replaying segments.
+options, git SHA, source).  The segments are the only source of
+truth: opening a store always rescans them tolerantly and rebuilds the
+best-per-key index in memory.  Nothing else is written beside them;
+the best-per-key view on disk is ``rmrls store export`` (or, after
+``gc``, the single remaining segment).
 
 Durability comes from :mod:`repro.applog`: appends are one
 flushed+fsynced checksummed line; reads re-authenticate every line and
 count and skip damage, which ``repair`` moves to ``quarantine/`` with
-its origin (never deleted, never served); rewrites (``repair``, ``gc``,
-index snapshots) go through :func:`~repro.applog.atomic_write`, so no
-reader ever observes a half-rewritten file.
+its origin (never deleted, never served); segment rewrites (``repair``,
+``gc``) go through :func:`~repro.applog.atomic_write`, so no reader
+ever observes a half-rewritten file.
 
 Degraded modes: ``read_only=True`` opens without write access (puts
 raise :class:`StoreReadOnly`); a root that cannot be created or opened
@@ -34,7 +31,6 @@ service) can fall back to cache-less synthesis.
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 import time
@@ -69,7 +65,6 @@ STORE_VERSION = 1
 
 _SEGMENT_DIR = "segments"
 _QUARANTINE_DIR = "quarantine"
-_INDEX_NAME = "index.json"
 
 
 class StoreError(Exception):
@@ -160,14 +155,12 @@ class CircuitStore:
         fsync: bool = True,
         read_only: bool = False,
         segment_max_records: int = 256,
-        index_every: int = 64,
         faults: FaultPlan | None = None,
     ):
         self.root = str(root)
         self.fsync = fsync
         self.read_only = read_only
         self.segment_max_records = segment_max_records
-        self.index_every = index_every
         self.faults = faults if faults is not None else faults_from_env()
         self._lock = threading.RLock()
         self._index: dict[str, StoreRecord] = {}
@@ -176,7 +169,6 @@ class CircuitStore:
         self._writer: AppendLog | None = None
         self._active_segment: str | None = None
         self._active_records = 0
-        self._appends_since_index = 0
 
         segment_dir = os.path.join(self.root, _SEGMENT_DIR)
         try:
@@ -295,9 +287,6 @@ class CircuitStore:
             self._active_records += 1
             self._records_scanned += 1
             self._index[canonical.key] = record
-            self._appends_since_index += 1
-            if self._appends_since_index >= self.index_every:
-                self._write_index()
             return record, True
 
     def _ensure_writer(self) -> str:
@@ -328,25 +317,6 @@ class CircuitStore:
                 faults=self.faults,
             )
         return self._active_segment
-
-    # -- index snapshot --------------------------------------------------------
-
-    def _write_index(self) -> None:
-        document = {
-            "schema": f"{STORE_SCHEMA}-index",
-            "version": STORE_VERSION,
-            "generated_unix": time.time(),
-            "keys": len(self._index),
-            "records": [
-                self._index[key].as_record() for key in sorted(self._index)
-            ],
-        }
-        atomic_write(
-            os.path.join(self.root, _INDEX_NAME),
-            json.dumps(document, separators=(",", ":")),
-            fsync=self.fsync,
-        )
-        self._appends_since_index = 0
 
     def _rewrite_segment(self, name: str, records) -> None:
         """Atomically replace segment ``name`` with exactly ``records``."""
@@ -519,7 +489,6 @@ class CircuitStore:
                 report["quarantine"][name] = len(bad)
                 report["segments_rewritten"] += 1
             self._load()
-            self._write_index()
             return report
 
     def gc(self) -> dict:
@@ -527,7 +496,7 @@ class CircuitStore:
 
         Superseded records (worse gate counts for a key the index has a
         better circuit for) are the store's only garbage; ``gc``
-        rewrites them away atomically and refreshes the index snapshot.
+        rewrites them away atomically.
         """
         if self.read_only:
             raise StoreReadOnly(f"{self.root} is open read-only")
@@ -547,7 +516,6 @@ class CircuitStore:
             if self.fsync:
                 fsync_directory(os.path.join(self.root, _SEGMENT_DIR))
             self._load()
-            self._write_index()
             return {
                 "schema": f"{STORE_SCHEMA}-gc",
                 "version": STORE_VERSION,
@@ -644,16 +612,11 @@ class CircuitStore:
     # -- lifecycle -----------------------------------------------------------
 
     def close(self) -> None:
-        """Flush the writer and leave a fresh index snapshot behind."""
+        """Flush and close the segment writer."""
         with self._lock:
             if self._writer is not None:
                 self._writer.close()
                 self._writer = None
-            if not self.read_only and self._appends_since_index:
-                try:
-                    self._write_index()
-                except OSError:  # pragma: no cover - close must not raise
-                    pass
 
     def __enter__(self) -> "CircuitStore":
         return self

@@ -2,13 +2,16 @@
 
 Covers the four cache outcomes (miss, hit, coalesced, bypass), hit
 verification with quarantine-on-mismatch, graceful degradation when
-the store misbehaves, and one full daemon round trip over the socket
-with its ``stats`` op.
+the store misbehaves, one full daemon round trip over the socket
+with its ``stats`` op, and the daemon's connection model (reused
+connection threads, never blocked by an idle client).
 """
 
 import json
 import multiprocessing
 import os
+import socket
+import sys
 import threading
 import time
 
@@ -98,6 +101,34 @@ def make_service(tmp_path, **kwargs):
         store=store, options=QUICK, metrics=registry, **kwargs,
     )
     return service, store, registry
+
+
+def start_daemon(tmp_path):
+    """A real :class:`StoreServer` serving on a background thread."""
+    service, _store, _registry = make_service(tmp_path)
+    socket_path = str(tmp_path / "rmrls.sock")
+    server = StoreServer(socket_path, service)
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.05},
+        daemon=True,
+    )
+    thread.start()
+    return service, server, thread, socket_path
+
+
+def stop_daemon(service, server, thread, socket_path):
+    request_over_socket(socket_path, {"op": "shutdown"}, timeout=10)
+    thread.join(timeout=10)
+    assert not thread.is_alive()
+    server.close()
+    service.close()
+
+
+def connection_threads(exclude=frozenset()):
+    return [
+        t for t in threading.enumerate()
+        if t.name == "rmrls-serve-connection" and t.ident not in exclude
+    ]
 
 
 class TestCacheOutcomes:
@@ -398,6 +429,119 @@ class TestDaemon:
             server.close()
             service.close()
         assert not os.path.exists(socket_path)
+
+    def test_sequential_pings_leave_one_spare_thread(self, tmp_path):
+        before = {t.ident for t in threading.enumerate()}
+        daemon = start_daemon(tmp_path)
+        _service, _server, thread, socket_path = daemon
+
+        def extra_threads():
+            return [
+                t for t in threading.enumerate()
+                if t.ident not in before and t is not thread
+                and t.name != "rmrls-serve-batcher"
+            ]
+
+        try:
+            for _ in range(50):
+                assert request_over_socket(
+                    socket_path, {"op": "ping"}, timeout=10
+                )["status"] == "ok"
+            # A connection may outrun the previous one's thread to the
+            # spare slot; any such extra thread exits once it is done.
+            wait_until(lambda: len(extra_threads()) <= 1, timeout=10)
+            assert [t.name for t in extra_threads()] in (
+                [], ["rmrls-serve-connection"]
+            )
+        finally:
+            stop_daemon(*daemon)
+
+    def test_parked_thread_serves_the_next_connection(self, tmp_path):
+        before = {t.ident for t in connection_threads()}
+        daemon = start_daemon(tmp_path)
+        _service, server, _thread, socket_path = daemon
+        served = set()
+        try:
+            for _ in range(20):
+                request_over_socket(socket_path, {"op": "ping"}, timeout=10)
+                wait_until(lambda: server._spare is not None, timeout=10)
+                served.update(t.ident for t in connection_threads(before))
+            assert len(served) == 1
+        finally:
+            stop_daemon(*daemon)
+
+    def test_concurrent_clients_lose_no_handoff(self, tmp_path):
+        # More clients than cores and a short switch interval: a lost
+        # handoff to the spare would leave a client without an answer.
+        before = {t.ident for t in connection_threads()}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        daemon = start_daemon(tmp_path)
+        _service, _server, _thread, socket_path = daemon
+        answered = []
+
+        def client():
+            for _ in range(25):
+                response = request_over_socket(
+                    socket_path, {"op": "ping"}, timeout=10
+                )
+                answered.append(response["status"])
+
+        try:
+            clients = [threading.Thread(target=client) for _ in range(8)]
+            for t in clients:
+                t.start()
+            for t in clients:
+                t.join(timeout=60)
+                assert not t.is_alive()
+            assert answered == ["ok"] * 200
+            wait_until(
+                lambda: len(connection_threads(before)) <= 1, timeout=10
+            )
+        finally:
+            sys.setswitchinterval(interval)
+            stop_daemon(*daemon)
+
+    def test_idle_client_does_not_block_a_hit(self, tmp_path):
+        daemon = start_daemon(tmp_path)
+        service, server, _thread, socket_path = daemon
+        # Warm the store in-process: a worker forked while a client
+        # socket of this process is open would hold that socket's end.
+        assert service.synthesize(SWAP_01)["cache"] == "miss"
+        idle = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        try:
+            request_over_socket(socket_path, {"op": "ping"}, timeout=10)
+            # The idle client takes the parked spare and sends nothing.
+            wait_until(lambda: server._spare is not None, timeout=10)
+            idle.connect(socket_path)
+            wait_until(lambda: server._spare is None, timeout=10)
+            started = time.monotonic()
+            hit = request_over_socket(
+                socket_path, {"op": "synth", "spec": SWAP_02}, timeout=5
+            )
+            assert hit["status"] == "ok" and hit["cache"] == "hit"
+            assert time.monotonic() - started < 5
+        finally:
+            idle.close()
+            stop_daemon(*daemon)
+
+    def test_close_ends_the_spare_thread(self, tmp_path):
+        before = {t.ident for t in connection_threads()}
+        daemon = start_daemon(tmp_path)
+        _service, server, _thread, socket_path = daemon
+        for _ in range(3):
+            request_over_socket(socket_path, {"op": "ping"}, timeout=10)
+        # A connection still open at close ends its thread afterwards;
+        # that thread must exit rather than park.
+        wait_until(lambda: server._spare is not None, timeout=10)
+        idle = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        idle.connect(socket_path)
+        wait_until(lambda: server._spare is None, timeout=10)
+        stop_daemon(*daemon)
+        idle.close()
+        for leftover in connection_threads(before):
+            leftover.join(timeout=5)
+            assert not leftover.is_alive()
 
     def test_stats_document_shape(self, tmp_path):
         service, _store, _registry = make_service(tmp_path)

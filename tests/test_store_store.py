@@ -1,7 +1,7 @@
 """The crash-safe canonical circuit store (repro.store.store).
 
 Covers the durable lifecycle — put/get with canonical-key dedup,
-segment rolling, index snapshots, reload — and the damage path: every
+segment rolling, reload — and the damage path: every
 injectable fault kind, tolerant scanning, verify/repair quarantine
 semantics, gc compaction, and export.
 """
@@ -134,14 +134,6 @@ class TestLifecycle:
         segments = os.listdir(os.path.join(root, "segments"))
         assert len(segments) >= 3
         assert len(CircuitStore(root, read_only=True)) == 8
-
-    def test_index_snapshot_is_written(self, tmp_path, rng):
-        root = str(tmp_path / "s")
-        store = CircuitStore(root, index_every=2)
-        fill(store, rng, 5)
-        document = json.load(open(os.path.join(root, "index.json")))
-        assert document["schema"].endswith("-index")
-        assert document["keys"] >= 4
 
     def test_read_only_refuses_writes(self, tmp_path):
         root = str(tmp_path / "s")
